@@ -39,10 +39,8 @@ PR's perf claims live here:
 * ``parallel_engine`` -- aggregate events/second of a failure-storm
   fleet through the conservative time-windowed parallel engine
   (:mod:`repro.simkernel.parallel`): 1 shard vs 4 shards in-process vs
-  4 shards over worker processes -- the latter on both the pickle pipe
-  transport and the zero-copy shared-memory transport
-  (:mod:`repro.runner.shmtransport`) -- with the folded ``repro.obs``
-  exports asserted byte-identical across all of them.  The acceptance
+  4 shards over worker processes (the pipe transport), with the folded
+  ``repro.obs`` exports asserted byte-identical across all of them.  The acceptance
   bar is a >=3x aggregate events/s gain at 4 shards -- the win is
   algorithmic (each fleet dispatch scans ``n/S`` nodes instead of
   ``n``), so it holds even on a single-core runner.
@@ -552,12 +550,8 @@ def bench_parallel_engine(n_nodes: int, mtbf_s: float, horizon_s: float,
     and ``cpu_count`` so its number is interpretable on any runner.
 
     ``byte_identical`` asserts the hard determinism gate inline: the
-    folded obs exports of all runs -- both process transports included
-    -- are the same bytes.  ``transport`` records the data path the
-    headline ``eps_4shard_procs`` row used (what ``transport="auto"``
-    picks on this host); the per-transport rows
-    (``eps_4shard_procs_pipe`` / ``eps_4shard_procs_shm``) make the
-    zero-copy win measurable against the pickle protocol directly.
+    folded obs exports of all runs are the same bytes.  ``transport``
+    records the data path of the ``eps_4shard_procs`` row.
     """
     import os
 
@@ -572,46 +566,33 @@ def bench_parallel_engine(n_nodes: int, mtbf_s: float, horizon_s: float,
     cpu = os.cpu_count() or 1
     workers = max(2, min(4, cpu))
 
-    def storm(shards: int, nworkers: int, transport: str = "auto"):
+    def storm(shards: int, nworkers: int):
         return run_parallel(
             "repro.cluster.scenarios:fleet_storm", params, 17,
             n_shards=shards, horizon_ns=horizon_ns, window_ns=window_ns,
-            workers=nworkers, transport=transport, meta=meta,
+            workers=nworkers, meta=meta,
         )
 
-    def timed(shards: int, nworkers: int, transport: str = "auto"):
-        res = storm(shards, nworkers, transport)
-        t = best_of(lambda: storm(shards, nworkers, transport), repeats)
+    def timed(shards: int, nworkers: int):
+        res = storm(shards, nworkers)
+        t = best_of(lambda: storm(shards, nworkers), repeats)
         return res, t
 
     res1, t1 = timed(1, 1)
     res4, t4 = timed(4, 1)
-    res_pipe, t_pipe = timed(4, workers, "pipe")
-    # What would auto pick?  Probe once so the shm rows are honest nulls
-    # on hosts that cannot run the shm transport at all.
-    probe = storm(4, workers)
-    shm_ok = probe.transport == "shm"
-    if shm_ok:
-        res_shm, t_shm = timed(4, workers, "shm")
-    else:  # pragma: no cover - spawn-only / no shared_memory host
-        res_shm, t_shm = None, None
+    res_procs, t_procs = timed(4, workers)
 
     eps1 = res1.stats.events / t1
     eps4 = res4.stats.events / t4
-    eps_pipe = res_pipe.stats.events / t_pipe
-    eps_shm = res_shm.stats.events / t_shm if shm_ok else None
-    eps_procs = eps_shm if shm_ok else eps_pipe
-    identical = (res1.obs_json == res4.obs_json == res_pipe.obs_json
-                 == probe.obs_json)
-    if shm_ok:
-        identical = identical and res_shm.obs_json == res1.obs_json
+    eps_procs = res_procs.stats.events / t_procs
+    identical = res1.obs_json == res4.obs_json == res_procs.obs_json
     return {
         "nodes": n_nodes,
         "mtbf_s": mtbf_s,
         "horizon_s": horizon_s,
         "workers": workers,
         "cpu_count": cpu,
-        "transport": probe.transport,
+        "transport": res_procs.transport,
         "windows": res4.stats.windows,
         "envelopes": res4.stats.exchanged,
         "events_1shard": res1.stats.events,
@@ -619,11 +600,8 @@ def bench_parallel_engine(n_nodes: int, mtbf_s: float, horizon_s: float,
         "eps_1shard": round(eps1),
         "eps_4shard": round(eps4),
         "eps_4shard_procs": round(eps_procs),
-        "eps_4shard_procs_pipe": round(eps_pipe),
-        "eps_4shard_procs_shm": round(eps_shm) if shm_ok else None,
         "speedup_4shard": round(eps4 / eps1, 2),
         "speedup_4shard_procs": round(eps_procs / eps1, 2),
-        "shm_vs_pipe": round(eps_shm / eps_pipe, 2) if shm_ok else None,
         "byte_identical": float(identical),
     }
 
@@ -1045,12 +1023,6 @@ def check_regression(current: Dict, baseline_path: Path, max_regression: float) 
                             baseline["parallel_engine"][
                                 "speedup_4shard_procs"],
                             pe["speedup_4shard_procs"]))
-            if (pe.get("eps_4shard_procs_shm") is not None
-                    and "eps_4shard_procs" in baseline["parallel_engine"]):
-                guarded.append(("parallel engine shm transport events/s",
-                                baseline["parallel_engine"][
-                                    "eps_4shard_procs"],
-                                pe["eps_4shard_procs_shm"]))
     if "distsnap" in baseline:
         # exactly_once is a deterministic 1.0: any consistency break
         # drives the ratio to infinity and fails the check outright.

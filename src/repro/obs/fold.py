@@ -211,9 +211,8 @@ def fold_exports_arrays(docs: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     """Array-backed fold: byte-identical output to :func:`fold_exports`.
 
     The per-shard dict walk above touches every counter and every
-    histogram bucket once per document; with many shards (the shm
-    transport folds worker-side, then the driver folds workers) the
-    bucket vectors dominate.  This path stacks same-name histogram
+    histogram bucket once per document; with many shards the bucket
+    vectors dominate.  This path stacks same-name histogram
     ``counts`` into one int64 matrix and sums along the shard axis, and
     sums counters through a packed column when every document carries
     the same counter set (the common case -- shards run the same

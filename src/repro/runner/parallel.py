@@ -12,27 +12,10 @@ the one entry point experiments call:
     the determinism reference); ``workers > 1`` spreads shards over
     **persistent worker processes**.
 
-Two process transports (``transport=`` on :func:`run_parallel`):
-
-``"pipe"``
-    The original protocol: length-delimited pickles over pipes for
-    every verb, one pickled ``WindowReply`` (envelope objects included)
-    per worker per barrier, one pickled obs document per shard at the
-    end.
-``"shm"``
-    The zero-copy hot path (:mod:`repro.runner.shmtransport`): each
-    worker owns two shared-memory frame rings.  A window's outbox
-    crosses as **one**
-    :class:`~repro.simkernel.parallel.EnvelopeBatch` frame -- packed
-    NumPy columns plus a canonical-JSON payload arena -- and obs
-    exports are folded worker-side
-    (:func:`~repro.obs.fold.fold_exports_arrays`) and shipped as one
-    canonical-JSON frame per worker.  The pipes carry only control
-    verbs and tiny ``(seq, offset, nbytes)`` doorbells.  Frames larger
-    than a ring fall back to raw bytes over the pipe; a non-``fork``
-    start method (or missing ``shared_memory``) falls back to the pipe
-    transport wholesale.  ``"auto"`` picks shm when those conditions
-    hold.
+The process transport is length-delimited pickles over pipes: one
+pickled ``WindowReply`` (envelope objects included) per worker per
+barrier, one pickled obs document per shard at the end.  DESIGN.md
+section 10.5 records why it is the only one.
 
 The worker protocol is four lockstep verbs -- ``status`` / ``window``
 / ``deliver`` / ``export`` -- broadcast to all workers and then
@@ -44,31 +27,25 @@ as :class:`WorkerDiedError` naming the dead worker and its shards
 instead of a barrier that hangs forever.
 
 Determinism: the driver loop, the barrier exchange and the canonical
-envelope ordering are identical for all backends and transports --
-the shm path moves *representation* (columns instead of pickles), and
-every receiving shard still sorts its batch by the canonical envelope
-key -- so the folded export is byte-identical across ``workers``,
-``transport`` *and* ``n_shards`` (the hard gate; see
-``benchmarks/perf/check_parallel.py``).
+envelope ordering are identical for both backends -- every receiving
+shard sorts its batch by the canonical envelope key -- so the folded
+export is byte-identical across ``workers`` *and* ``n_shards`` (the
+hard gate; see ``benchmarks/perf/check_parallel.py``).
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing as mp
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..errors import SimulationError
 from ..obs import MetricsRegistry, export_obs, to_json
-from ..obs.fold import fold_exports, fold_exports_arrays, strip_metrics
+from ..obs.fold import fold_exports, strip_metrics
 from ..simkernel.engine import Engine
 from ..simkernel.parallel import (
     Envelope,
-    EnvelopeBatch,
     LocalShardGroup,
     ParallelError,
     ShardContext,
@@ -77,7 +54,6 @@ from ..simkernel.parallel import (
     WindowStats,
     run_windows,
 )
-from .shmtransport import ShmRing, shm_available
 
 __all__ = [
     "ParallelResult",
@@ -87,11 +63,6 @@ __all__ = [
 ]
 
 FactorySpec = Any  # callable or "module:function" dotted name
-
-#: Per-direction ring capacity.  A window frame is ~30 bytes per
-#: envelope plus its payload JSON; 1 MiB holds tens of thousands of
-#: envelopes, and anything bigger falls back to the pipe per-frame.
-DEFAULT_RING_BYTES = 1 << 20
 
 
 class WorkerDiedError(ParallelError):
@@ -149,19 +120,6 @@ def _build_shard(
 # ----------------------------------------------------------------------
 # Worker side (module-level: picklable by reference under spawn)
 # ----------------------------------------------------------------------
-def _ship_frame(conn, ring: ShmRing, tag: str, nbytes: int, fill,
-                extra) -> None:
-    """Send one bulk frame: through the ring when it fits (doorbell on
-    the pipe), as raw bytes over the pipe when it does not."""
-    bell = ring.write_frame(nbytes, fill)
-    if bell is not None:
-        conn.send((tag, bell[0], bell[1], nbytes, extra))
-    else:
-        buf = bytearray(nbytes)
-        fill(memoryview(buf))
-        conn.send((tag + "_bytes", bytes(buf), extra))
-
-
 def _worker_main(
     conn,
     paths: List[str],
@@ -171,7 +129,6 @@ def _worker_main(
     shard_ids: List[int],
     n_shards: int,
     lookahead_ns: Optional[int],
-    rings: Optional[Tuple[ShmRing, ShmRing]] = None,
 ) -> None:
     for p in reversed(paths):
         if p not in sys.path:
@@ -181,21 +138,6 @@ def _worker_main(
         sid: _build_shard(factory, params, seed, sid, n_shards, lookahead_ns)
         for sid in shard_ids
     }
-    ring_in = ring_out = None
-    if rings is not None:
-        ring_in, ring_out = rings  # fork-inherited mappings
-
-    def deliver_batch(batch: EnvelopeBatch) -> List[Tuple[int, Optional[int]]]:
-        inboxes: Dict[int, List[Envelope]] = {}
-        for env in batch.to_envelopes():
-            inboxes.setdefault(env.dst_shard, []).append(env)
-        out = []
-        for sid, envs in inboxes.items():
-            ctx, _ = shards[sid]
-            ctx.deliver(envs)
-            out.append((sid, ctx.next_time_ns()))
-        return out
-
     try:
         while True:
             msg = conn.recv()
@@ -205,76 +147,35 @@ def _worker_main(
                            for sid, (ctx, _) in shards.items()])
             elif verb == "window":
                 end_ns = msg[1]
-                outbox: List[Envelope] = []
-                metas = []
+                replies = []
                 for sid, (ctx, scenario) in shards.items():
                     box, processed = ctx.run_window(end_ns)
                     stop = bool(getattr(scenario, "stop", lambda: False)())
-                    if ring_out is None:
-                        metas.append((sid, WindowReply(
-                            box, ctx.next_time_ns(), processed, stop)))
-                    else:
-                        outbox.extend(box)
-                        metas.append((sid, ctx.next_time_ns(), processed,
-                                      stop))
-                if ring_out is None:
-                    conn.send(metas)
-                elif not outbox:
-                    conn.send(("empty", metas))
-                else:
-                    batch = EnvelopeBatch.from_envelopes(outbox)
-                    _ship_frame(conn, ring_out, "frame", batch.nbytes,
-                                batch.write_into, metas)
+                    replies.append((sid, WindowReply(
+                        box, ctx.next_time_ns(), processed, stop)))
+                conn.send(replies)
             elif verb == "deliver":
-                inbox_map = msg[1]
                 out = []
-                for sid, envs in inbox_map.items():
+                for sid, envs in msg[1].items():
                     ctx, _ = shards[sid]
                     ctx.deliver(envs)
                     out.append((sid, ctx.next_time_ns()))
                 conn.send(out)
-            elif verb == "deliver_shm":
-                _, seq, off, nbytes = msg
-                data = ring_in.read_frame(seq, off, nbytes)
-                conn.send(deliver_batch(EnvelopeBatch.read_from(data)))
-            elif verb == "deliver_bytes":
-                conn.send(deliver_batch(EnvelopeBatch.read_from(msg[1])))
             elif verb == "export":
                 meta = msg[1]
-                docs, results = [], []
-                for sid, (ctx, scenario) in shards.items():
-                    doc = export_obs(ctx.engine.metrics,
-                                     tracer=ctx.engine.tracer,
-                                     meta=meta, now_ns=ctx.engine.now_ns)
-                    result = getattr(scenario, "result", lambda: None)()
-                    if ring_out is None:
-                        results.append((sid, doc, result))
-                    else:
-                        docs.append(strip_metrics(doc))
-                        results.append((sid, result))
-                if ring_out is None:
-                    conn.send(results)
-                else:
-                    # Fold this worker's shards here, ship one canonical
-                    # JSON frame; the driver folds workers.  The fold is
-                    # associative, so worker-then-driver equals flat.
-                    blob = to_json(fold_exports_arrays(docs)).encode("utf-8")
-
-                    def fill(mv, blob=blob):
-                        mv[:len(blob)] = blob
-                        return len(blob)
-
-                    _ship_frame(conn, ring_out, "frame", len(blob), fill,
-                                results)
+                conn.send([
+                    (sid,
+                     export_obs(ctx.engine.metrics, tracer=ctx.engine.tracer,
+                                meta=meta, now_ns=ctx.engine.now_ns),
+                     getattr(scenario, "result", lambda: None)())
+                    for sid, (ctx, scenario) in shards.items()
+                ])
             elif verb == "exit":
                 break
             else:  # pragma: no cover - protocol guard
                 raise SimulationError(f"unknown worker verb {verb!r}")
     finally:
         conn.close()
-        if rings is not None:
-            ring_in.close()
-            ring_out.close()
 
 
 class ProcessShardGroup(ShardGroup):
@@ -285,13 +186,6 @@ class ProcessShardGroup(ShardGroup):
     broadcast to all workers first and collected second -- the collect
     order is by worker index, and replies are re-sorted by shard id, so
     the driver sees the exact same reply layout as the local group.
-
-    ``transport`` selects the data path: ``"shm"`` gives each worker a
-    driver->worker and a worker->driver :class:`ShmRing` and overrides
-    :meth:`exchange` with columnar frame routing; ``"pipe"`` is the
-    pickle protocol; ``"auto"`` picks shm when the platform can fork
-    and shared memory exists.  :attr:`fallback_frames` counts frames
-    that overflowed a ring and shipped over the pipe instead.
     """
 
     def __init__(
@@ -303,56 +197,32 @@ class ProcessShardGroup(ShardGroup):
         n_shards: int,
         lookahead_ns: Optional[int],
         workers: int,
-        transport: str = "auto",
-        ring_bytes: int = DEFAULT_RING_BYTES,
     ) -> None:
         if workers < 1:
             raise ParallelError("need at least one worker")
-        if transport not in ("auto", "pipe", "shm"):
-            raise ParallelError(f"unknown transport {transport!r}")
         self.size = int(n_shards)
         workers = min(workers, self.size)
         name = _factory_name(factory)
         try:
             ctx = mp.get_context("fork")
-            can_fork = True
         except ValueError:  # pragma: no cover - non-POSIX fallback
             ctx = mp.get_context("spawn")
-            can_fork = False
-        if transport == "shm" and not (can_fork and shm_available()):
-            raise ParallelError(
-                "shm transport needs the fork start method and "
-                "multiprocessing.shared_memory"
-            )
-        if transport == "auto":
-            transport = "shm" if (can_fork and shm_available()) else "pipe"
-        self.transport = transport
-        self.fallback_frames = 0
         self._conns = []
         self._procs = []
-        self._rings_in: List[Optional[ShmRing]] = []
-        self._rings_out: List[Optional[ShmRing]] = []
-        self._pending: List[EnvelopeBatch] = []
         self._owned = [[sid for sid in range(self.size) if sid % workers == w]
                        for w in range(workers)]
-        for w, shard_ids in enumerate(self._owned):
-            rings = None
-            if transport == "shm":
-                rings = (ShmRing(ring_bytes, name=f"w{w}-in"),
-                         ShmRing(ring_bytes, name=f"w{w}-out"))
+        for shard_ids in self._owned:
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
                 args=(child, list(sys.path), name, dict(params), seed,
-                      shard_ids, self.size, lookahead_ns, rings),
+                      shard_ids, self.size, lookahead_ns),
                 daemon=True,
             )
             proc.start()
             child.close()
             self._conns.append(parent)
             self._procs.append(proc)
-            self._rings_in.append(rings[0] if rings else None)
-            self._rings_out.append(rings[1] if rings else None)
 
     # ------------------------------------------------------------------
     # Pipe wrappers: a dead worker raises a named error, not a hang.
@@ -394,76 +264,13 @@ class ProcessShardGroup(ShardGroup):
         return [replies[sid] for sid in range(self.size)]
 
     def window_all(self, end_ns: int) -> List[WindowReply]:
-        """Run every shard to ``end_ns``; one reply per shard.
+        """Run every shard to ``end_ns``; one reply per shard."""
+        replies = dict(self._broadcast(("window", end_ns)))
+        return [replies[sid] for sid in range(self.size)]
 
-        On the shm transport each worker answers with per-shard meta
-        tuples plus at most one envelope frame; frames are decoded (a
-        one-shot snapshot -- the ring slot is reused next window) and
-        parked for :meth:`exchange`.
-        """
-        if self.transport != "shm":
-            replies = dict(self._broadcast(("window", end_ns)))
-            return [replies[sid] for sid in range(self.size)]
-        for w in range(len(self._conns)):
-            self._send(w, ("window", end_ns))
-        by_sid: Dict[int, WindowReply] = {}
-        self._pending = []
-        for w in range(len(self._conns)):
-            reply = self._recv(w)
-            tag, metas = reply[0], reply[-1]
-            if tag == "frame":
-                _, seq, off, nbytes, _ = reply
-                data = self._rings_out[w].read_frame(seq, off, nbytes)
-                self._pending.append(EnvelopeBatch.read_from(data))
-            elif tag == "frame_bytes":
-                self.fallback_frames += 1
-                self._pending.append(EnvelopeBatch.read_from(reply[1]))
-            for sid, next_ns, processed, stop in metas:
-                by_sid[sid] = WindowReply([], next_ns, processed, stop)
-        return [by_sid[sid] for sid in range(self.size)]
-
-    def exchange(
-        self, replies: List[WindowReply]
-    ) -> Tuple[List[Optional[int]], int]:
-        """Route the window's envelopes to their destination shards.
-
-        Pipe transport: the per-envelope default from
-        :class:`~repro.simkernel.parallel.ShardGroup`.  Shm transport:
-        concatenate the parked frames, slice per destination worker on
-        the ``dst_shard`` column, and write each worker one frame into
-        its driver->worker ring -- no envelope objects exist driver-side.
-        """
-        if self.transport != "shm":
-            return super().exchange(replies)
-        batches, self._pending = self._pending, []
-        nexts = [reply.next_ns for reply in replies]
-        if not batches:
-            return nexts, 0
-        allb = batches[0] if len(batches) == 1 else EnvelopeBatch.concat(
-            batches)
-        exchanged = allb.n
-        nworkers = len(self._conns)
-        dst_worker = allb.dst_shard % nworkers
-        contacted = []
-        for w in range(nworkers):
-            mask = dst_worker == w
-            if not mask.any():
-                continue
-            sub = allb.select(mask)
-            nbytes = sub.nbytes
-            bell = self._rings_in[w].write_frame(nbytes, sub.write_into)
-            if bell is not None:
-                self._send(w, ("deliver_shm", bell[0], bell[1], nbytes))
-            else:
-                self.fallback_frames += 1
-                buf = bytearray(nbytes)
-                sub.write_into(memoryview(buf))
-                self._send(w, ("deliver_bytes", bytes(buf)))
-            contacted.append(w)
-        for w in contacted:
-            for sid, t in self._recv(w):
-                nexts[sid] = t
-        return nexts, exchanged
+    # Bound here (not just inherited) because the host-time benchmark
+    # trace times the barrier exchange through this class attribute.
+    exchange = ShardGroup.exchange
 
     def deliver_all(
         self, inboxes: List[List[Envelope]]
@@ -488,40 +295,15 @@ class ProcessShardGroup(ShardGroup):
         return nexts
 
     def export_all(self, meta: Mapping[str, Any]):
-        """Collect obs documents and scenario results.
-
-        Pipe transport: one pickled document per shard, shard-id order.
-        Shm transport: one worker-folded canonical-JSON frame per
-        worker (the docs list then holds one pre-folded document per
-        worker); scenario results still arrive per shard and are
-        re-sorted into shard-id order either way.
-        """
-        if self.transport != "shm":
-            replies = self._broadcast(("export", dict(meta)))
-            replies.sort(key=lambda r: r[0])
-            return ([doc for _, doc, _ in replies],
-                    [result for _, _, result in replies])
-        for w in range(len(self._conns)):
-            self._send(w, ("export", dict(meta)))
-        docs, results = [], []
-        for w in range(len(self._conns)):
-            reply = self._recv(w)
-            tag = reply[0]
-            if tag == "frame":
-                _, seq, off, nbytes, res = reply
-                blob = self._rings_out[w].read_frame(seq, off, nbytes)
-            else:  # "frame_bytes"
-                self.fallback_frames += 1
-                _, blob, res = reply
-            docs.append(json.loads(blob.decode("utf-8")))
-            results.extend(res)
-        results.sort(key=lambda r: r[0])
-        return docs, [result for _, result in results]
+        """Collect one obs document and one scenario result per shard,
+        in shard-id order."""
+        replies = self._broadcast(("export", dict(meta)))
+        replies.sort(key=lambda r: r[0])
+        return ([doc for _, doc, _ in replies],
+                [result for _, _, result in replies])
 
     def close(self) -> None:
-        """Shut the workers down (terminate any that hang on join) and
-        release the shared-memory rings (the driver created them, so
-        the driver unlinks them)."""
+        """Shut the workers down (terminate any that hang on join)."""
         for conn in self._conns:
             try:
                 conn.send(("exit",))
@@ -532,9 +314,6 @@ class ProcessShardGroup(ShardGroup):
             proc.join(timeout=30)
             if proc.is_alive():  # pragma: no cover - hung worker guard
                 proc.terminate()
-        for ring in self._rings_in + self._rings_out:
-            if ring is not None:
-                ring.close(unlink=True)
 
 
 # ----------------------------------------------------------------------
@@ -546,12 +325,11 @@ class ParallelResult:
 
     ``obs`` is the folded, engine-metric-stripped document the
     byte-identity gate covers (``obs_json`` is its canonical
-    serialization).  ``shard_obs`` holds the fold's inputs: one
-    document per shard (local and pipe backends) or one pre-folded
-    document per worker (shm transport).  ``barrier_obs`` carries the
-    topology-dependent ``parallel.*`` window metrics and deliberately
-    stays out of ``obs``.  ``transport`` records the data path used:
-    ``"local"``, ``"pipe"`` or ``"shm"``.
+    serialization).  ``shard_obs`` holds the fold's inputs, one
+    document per shard.  ``barrier_obs`` carries the topology-dependent
+    ``parallel.*`` window metrics and deliberately stays out of
+    ``obs``.  ``transport`` records the data path used: ``"local"``
+    (in-process) or ``"pipe"`` (worker processes).
     """
 
     obs: Dict[str, Any]
@@ -597,14 +375,15 @@ def run_parallel(
         1 = in-process reference backend; >1 = persistent worker
         processes (capped at ``n_shards``).
     transport:
-        Process data path: ``"shm"``, ``"pipe"`` or ``"auto"``
-        (shm when fork + shared memory are available).  Ignored for
-        ``workers=1``.  The folded export must not depend on this
-        value either -- the CI smoke asserts pipe-vs-shm byte equality.
+        ``"auto"`` or ``"pipe"``; both select the one process transport
+        (pickles over pipes).  Any other value raises
+        :class:`~repro.simkernel.parallel.ParallelError`.
     meta:
         Experiment metadata stamped into every shard's export.  Must be
         shard-invariant (the fold enforces it).
     """
+    if transport not in ("auto", "pipe"):
+        raise ParallelError(f"unknown transport {transport!r}")
     if window_ns is None:
         window_ns = lookahead_ns
     if (window_ns is not None and lookahead_ns is not None
@@ -635,12 +414,10 @@ def run_parallel(
             for _, scenario in shards
         ]
         used_transport = "local"
-        folded = fold_exports([strip_metrics(doc) for doc in shard_obs])
     else:
         group = ProcessShardGroup(
             factory, params, seed,
             n_shards=n_shards, lookahead_ns=lookahead_ns, workers=workers,
-            transport=transport,
         )
         try:
             stats = run_windows(group, horizon_ns=horizon_ns,
@@ -648,15 +425,8 @@ def run_parallel(
             shard_obs, shard_results = group.export_all(meta)
         finally:
             group.close()
-        used_transport = group.transport
-        if used_transport == "shm":
-            # Workers already stripped and folded their shards; fold
-            # the per-worker documents (associative => same bytes).
-            registry.counter("parallel.shm_fallback_frames").inc(
-                group.fallback_frames)
-            folded = fold_exports_arrays(shard_obs)
-        else:
-            folded = fold_exports([strip_metrics(doc) for doc in shard_obs])
+        used_transport = "pipe"
+    folded = fold_exports([strip_metrics(doc) for doc in shard_obs])
 
     barrier_obs = registry.to_dict()
     return ParallelResult(

@@ -29,8 +29,7 @@ hybrid structure tuned for the simulation's actual timer mix:
 Entries are plain tuples ``(time_ns, seq, fn, event_or_None)`` --
 comparisons never leave C.  The anonymous fast path
 (:meth:`Engine.after_anon`) skips :class:`Event` allocation entirely for
-fire-and-forget callbacks, and a slab free-list recycles :class:`Event`
-objects for call sites that opt in (``pooled=True``).
+fire-and-forget callbacks.
 
 Cancelled events no longer linger until their scheduled time: when the
 cancelled fraction of stored entries crosses a threshold the structure
@@ -64,9 +63,6 @@ _MASK = _SLOTS - 1
 #: are stored *and* they outnumber the live ones.
 _COMPACT_MIN_CANCELLED = 512
 
-#: Upper bound on the Event slab free-list.
-_POOL_CAP = 4096
-
 
 class Event:
     """A scheduled callback, ordered by ``(time_ns, seq)`` for determinism.
@@ -76,7 +72,7 @@ class Event:
     """
 
     __slots__ = ("time_ns", "seq", "fn", "label", "cancelled", "popped",
-                 "_engine", "_pooled")
+                 "_engine")
 
     def __init__(
         self,
@@ -97,10 +93,6 @@ class Event:
         #: a no-op.
         self.popped = False
         self._engine = _engine
-        #: Slab opt-in: the creator promises to drop its handle once the
-        #: event has fired or been cancelled, so the engine may recycle
-        #: the object.
-        self._pooled = False
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when it is reached.
@@ -276,8 +268,6 @@ class Engine:
         self._l1_map: int = 0
         #: Far-future overflow (beyond the wheel horizon), a tuple heap.
         self._far: List[_Entry] = []
-        #: Slab free-list of recyclable Event objects.
-        self._pool: List[Event] = []
         # ------------------------------------------------------------
         self.rng: np.random.Generator = np.random.default_rng(seed)
         self._trace_enabled = trace
@@ -344,15 +334,8 @@ class Engine:
         time_ns: int,
         fn: Callable[[], None],
         label: str = "",
-        pooled: bool = False,
     ) -> Event:
-        """Schedule ``fn`` at absolute virtual time ``time_ns``.
-
-        ``pooled=True`` opts the returned :class:`Event` into slab
-        recycling: the caller promises to drop the handle once the event
-        has fired or been cancelled (the engine may then reuse the
-        object for a later schedule).
-        """
+        """Schedule ``fn`` at absolute virtual time ``time_ns``."""
         t = int(time_ns)
         if t < self._now_ns:
             raise SimulationError(
@@ -360,18 +343,7 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.time_ns = t
-            ev.seq = seq
-            ev.fn = fn
-            ev.label = label
-            ev.cancelled = False
-            ev.popped = False
-        else:
-            ev = Event(t, seq, fn, label, _engine=self)
-        ev._pooled = pooled
+        ev = Event(t, seq, fn, label, _engine=self)
         self._place((t, seq, fn, ev))
         return ev
 
@@ -380,12 +352,11 @@ class Engine:
         delay_ns: int,
         fn: Callable[[], None],
         label: str = "",
-        pooled: bool = False,
     ) -> Event:
         """Schedule ``fn`` after ``delay_ns`` nanoseconds."""
         if delay_ns < 0:
             raise SimulationError(f"negative delay: {delay_ns}")
-        return self.at(self._now_ns + int(delay_ns), fn, label, pooled=pooled)
+        return self.at(self._now_ns + int(delay_ns), fn, label)
 
     def at_anon(self, time_ns: int, fn: Callable[[], None]) -> None:
         """Anonymous fast path: schedule ``fn`` at ``time_ns`` with no
@@ -541,13 +512,6 @@ class Engine:
             return self._far[0][0]
         return None
 
-    def _release(self, ev: Event) -> None:
-        """Return a pooled Event to the slab."""
-        pool = self._pool
-        if len(pool) < _POOL_CAP:
-            ev.fn = None  # type: ignore[assignment]  # drop the closure
-            pool.append(ev)
-
     def _compact(self) -> None:
         """Rebuild the schedule without cancelled entries.
 
@@ -570,8 +534,6 @@ class Engine:
             ev = entry[3]
             if ev is not None and ev.cancelled:
                 ev.popped = True
-                if ev._pooled:
-                    self._release(ev)
                 continue
             place(entry)
         self._n_cancelled = 0
@@ -734,8 +696,6 @@ class Engine:
                         # processed now.
                         ev.popped = True
                         self._n_cancelled -= 1
-                        if ev._pooled:
-                            self._release(ev)
                         continue
                     t = entry[0]
                     if t > horizon:
@@ -749,8 +709,6 @@ class Engine:
                     self._ndone += 1
                     if ev is not None:
                         ev.popped = True
-                        if ev._pooled:
-                            self._release(ev)
                     # Persist the cursor before the callback: it may
                     # inspect or compact the schedule (via Event.cancel).
                     self._cur_idx = i

@@ -52,11 +52,8 @@ This module is backend-agnostic: :func:`run_windows` drives any
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..errors import SimulationError
 from ..obs import MetricsRegistry
@@ -64,7 +61,6 @@ from .engine import Engine
 
 __all__ = [
     "Envelope",
-    "EnvelopeBatch",
     "ParallelError",
     "ShardContext",
     "ShardGroup",
@@ -122,185 +118,6 @@ class Envelope:
         """Canonical merge key: a pure function of envelope content."""
         return (self.deliver_at_ns, self.kind, self.payload_key,
                 self.src_shard)
-
-
-class EnvelopeBatch:
-    """Columnar encoding of an envelope list: one struct-framed blob.
-
-    The shared-memory transport ships a whole window's outbox as a
-    single frame -- packed NumPy columns for the fixed-width fields
-    (``deliver_at_ns``/``src_shard``/``dst_shard``, a per-frame kind
-    table with ``uint16`` indices) plus a side arena holding the
-    canonical-JSON payload keys back to back.  Nothing is pickled:
-    the payload *is* its canonical JSON (computed once at send time for
-    the sort key), so the receiver rebuilds each payload with one
-    ``json.loads``.  This is also the contract the encoding imposes:
-    envelope payloads must round-trip canonical JSON, which every
-    payload already satisfies by construction of ``payload_key``
-    (string-keyed dicts of JSON scalars/containers).
-
-    Routing happens on the columns -- :meth:`select` slices rows with a
-    boolean mask and :meth:`concat` re-merges frames -- so the barrier
-    driver never materializes per-envelope objects; only the receiving
-    shard does, immediately before the canonical-order delivery sort.
-    """
-
-    _HDR = struct.Struct("<IIII")  # magic, n, kinds_nbytes, keys_nbytes
-    _MAGIC = 0x53_48_4D_46  # "SHMF"
-
-    __slots__ = ("deliver_at", "src_shard", "dst_shard", "kind_id",
-                 "key_len", "kinds", "keys_blob")
-
-    def __init__(self, deliver_at, src_shard, dst_shard, kind_id, key_len,
-                 kinds: List[str], keys_blob: bytes) -> None:
-        self.deliver_at = deliver_at
-        self.src_shard = src_shard
-        self.dst_shard = dst_shard
-        self.kind_id = kind_id
-        self.key_len = key_len
-        self.kinds = kinds
-        self.keys_blob = keys_blob
-
-    # ------------------------------------------------------------------
-    @property
-    def n(self) -> int:
-        """Number of envelopes in the frame."""
-        return len(self.deliver_at)
-
-    @classmethod
-    def from_envelopes(cls, envelopes: Sequence[Envelope]) -> "EnvelopeBatch":
-        """Encode a list of envelopes into columns (the send side)."""
-        n = len(envelopes)
-        kinds = sorted({e.kind for e in envelopes})
-        kid = {k: i for i, k in enumerate(kinds)}
-        if len(kinds) > 0xFFFF:  # pragma: no cover - protocol bound
-            raise ParallelError("too many envelope kinds for one frame")
-        keys = [e.payload_key.encode("utf-8") for e in envelopes]
-        return cls(
-            deliver_at=np.fromiter((e.deliver_at_ns for e in envelopes),
-                                   np.int64, n),
-            src_shard=np.fromiter((e.src_shard for e in envelopes),
-                                  np.int32, n),
-            dst_shard=np.fromiter((e.dst_shard for e in envelopes),
-                                  np.int32, n),
-            kind_id=np.fromiter((kid[e.kind] for e in envelopes),
-                                np.uint16, n),
-            key_len=np.fromiter((len(k) for k in keys), np.uint32, n),
-            kinds=kinds,
-            keys_blob=b"".join(keys),
-        )
-
-    def to_envelopes(self) -> List[Envelope]:
-        """Materialize ``Envelope`` objects (the delivery side).
-
-        ``payload_key`` is the exact string the sender computed, so the
-        canonical sort key -- and therefore the delivery schedule -- is
-        bit-for-bit what the in-process path produces.
-        """
-        starts = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.key_len, out=starts[1:])
-        blob = self.keys_blob
-        out = []
-        for i in range(self.n):
-            key = bytes(blob[starts[i]:starts[i + 1]]).decode("utf-8")
-            out.append(Envelope(
-                deliver_at_ns=int(self.deliver_at[i]),
-                kind=self.kinds[self.kind_id[i]],
-                dst_shard=int(self.dst_shard[i]),
-                src_shard=int(self.src_shard[i]),
-                payload=json.loads(key),
-                payload_key=key,
-            ))
-        return out
-
-    # ------------------------------------------------------------------
-    def select(self, mask) -> "EnvelopeBatch":
-        """Row subset by boolean mask (copies; used for dst routing)."""
-        starts = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.key_len, out=starts[1:])
-        blob = self.keys_blob
-        picked = np.flatnonzero(mask)
-        keys = b"".join(bytes(blob[starts[i]:starts[i + 1]]) for i in picked)
-        return EnvelopeBatch(
-            deliver_at=self.deliver_at[picked],
-            src_shard=self.src_shard[picked],
-            dst_shard=self.dst_shard[picked],
-            kind_id=self.kind_id[picked],
-            key_len=self.key_len[picked],
-            kinds=list(self.kinds),
-            keys_blob=keys,
-        )
-
-    @classmethod
-    def concat(cls, batches: Sequence["EnvelopeBatch"]) -> "EnvelopeBatch":
-        """Merge frames (re-unifying their kind tables)."""
-        kinds = sorted({k for b in batches for k in b.kinds})
-        kid = {k: i for i, k in enumerate(kinds)}
-        remapped = []
-        for b in batches:
-            lut = np.fromiter((kid[k] for k in b.kinds), np.uint16,
-                              len(b.kinds)) if b.kinds else np.zeros(
-                                  0, np.uint16)
-            remapped.append(lut[b.kind_id] if b.n else b.kind_id)
-        return cls(
-            deliver_at=np.concatenate([b.deliver_at for b in batches]),
-            src_shard=np.concatenate([b.src_shard for b in batches]),
-            dst_shard=np.concatenate([b.dst_shard for b in batches]),
-            kind_id=np.concatenate(remapped),
-            key_len=np.concatenate([b.key_len for b in batches]),
-            kinds=kinds,
-            keys_blob=b"".join(bytes(b.keys_blob) for b in batches),
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def nbytes(self) -> int:
-        """Serialized frame size."""
-        kinds_blob = json.dumps(self.kinds).encode("utf-8")
-        return (self._HDR.size + 22 * self.n + len(kinds_blob)
-                + len(self.keys_blob))
-
-    def write_into(self, buf) -> int:
-        """Serialize into a writable buffer; returns bytes written."""
-        kinds_blob = json.dumps(self.kinds).encode("utf-8")
-        n = self.n
-        self._HDR.pack_into(buf, 0, self._MAGIC, n, len(kinds_blob),
-                            len(self.keys_blob))
-        off = self._HDR.size
-        for arr in (self.deliver_at, self.src_shard, self.dst_shard,
-                    self.key_len, self.kind_id):
-            raw = np.ascontiguousarray(arr).tobytes()
-            buf[off:off + len(raw)] = raw
-            off += len(raw)
-        buf[off:off + len(kinds_blob)] = kinds_blob
-        off += len(kinds_blob)
-        buf[off:off + len(self.keys_blob)] = bytes(self.keys_blob)
-        return off + len(self.keys_blob)
-
-    @classmethod
-    def read_from(cls, buf) -> "EnvelopeBatch":
-        """Deserialize a frame.
-
-        The columns are zero-copy views into ``buf`` -- callers that
-        outlive the buffer (ring slots are reused next window) must
-        copy first; the transport passes a one-shot ``bytes`` snapshot.
-        """
-        magic, n, kinds_nbytes, keys_nbytes = cls._HDR.unpack_from(buf, 0)
-        if magic != cls._MAGIC:
-            raise ParallelError("bad envelope-frame magic")
-        off = cls._HDR.size
-        cols = []
-        for dtype, width in ((np.int64, 8), (np.int32, 4), (np.int32, 4),
-                             (np.uint32, 4), (np.uint16, 2)):
-            cols.append(np.frombuffer(buf, dtype=dtype, count=n, offset=off))
-            off += width * n
-        kinds = json.loads(bytes(buf[off:off + kinds_nbytes]).decode("utf-8"))
-        off += kinds_nbytes
-        keys_blob = bytes(buf[off:off + keys_nbytes])
-        deliver_at, src, dst, key_len, kind_id = cols
-        return cls(deliver_at=deliver_at, src_shard=src, dst_shard=dst,
-                   kind_id=kind_id, key_len=key_len, kinds=kinds,
-                   keys_blob=keys_blob)
 
 
 class ShardContext:
@@ -468,11 +285,10 @@ class ShardGroup:
         """Route every reply's outbox to its destination and deliver.
 
         Returns ``(next-event times after delivery, envelopes moved)``.
-        The default walks per-envelope outboxes and hands each shard its
-        inbox through :meth:`deliver_all`; the shared-memory backend
-        overrides it to route columnar frames instead.  Either way the
-        receiving shard sorts its batch canonically, so the exchange
-        mechanics cannot perturb the delivery schedule.
+        Walks the per-envelope outboxes and hands each shard its inbox
+        through :meth:`deliver_all`; the receiving shard sorts its batch
+        canonically, so the exchange mechanics cannot perturb the
+        delivery schedule.
         """
         inboxes: List[List[Envelope]] = [[] for _ in range(self.size)]
         exchanged = 0

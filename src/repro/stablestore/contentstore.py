@@ -359,7 +359,8 @@ class DedupWriteStream:
         self.pack_key = f"{key}.pack"
         self.opened_ns = now_ns
         self.committed = False
-        self._inner_stream = None
+        self._inner_stream = None  # the pack, under pack_key
+        self._raw_stream = None  # a non-image object, under key
         self.refs: List[ChunkRef] = []
         self.pack: Dict[str, np.ndarray] = {}
         self.logical = 0
@@ -392,9 +393,13 @@ class DedupWriteStream:
         return self._inner_stream.send(new_bytes, now_ns)
 
     def send(self, nbytes: int, now_ns: int) -> int:
-        """Raw-extent sends are meaningless under dedup (payloads must be
-        fingerprinted); use :meth:`send_chunk`."""
-        raise StorageError("DedupWriteStream requires send_chunk (page payloads)")
+        """Stream raw bytes of a non-image object (a distributed-snapshot
+        manifest, say) to the inner backend under the object's own key;
+        :meth:`commit` publishes it there.  Page payloads go through
+        :meth:`send_chunk`, which fingerprints them."""
+        if self._raw_stream is None:
+            self._raw_stream = self.cs.inner.open_stream(self.key, now_ns)
+        return self._raw_stream.send(nbytes, now_ns)
 
     def commit(self, obj: Any, nbytes: int, now_ns: int) -> int:
         """Seal the pack, write the manifest, install the bookkeeping."""
@@ -403,8 +408,15 @@ class DedupWriteStream:
         self.committed = True
         cs = self.cs
         if not isinstance(obj, CheckpointImage):
-            # Passthrough blob (no payload was streamed): plain store.
+            # Passthrough blob: a plain inner store, through the raw
+            # stream when its bytes already travelled.
+            if self._raw_stream is not None:
+                return self._raw_stream.commit(obj, nbytes, now_ns)
             return cs.inner.store(self.key, obj, nbytes, now_ns)
+        if self._raw_stream is not None:
+            raise StorageError(
+                f"raw bytes were sent for {self.key!r}; an image must be "
+                "streamed with send_chunk")
         delay = 0
         pack_key: Optional[str] = None
         if self.pack:

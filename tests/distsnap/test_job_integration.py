@@ -13,9 +13,10 @@ from repro.stablestore.gc import GenerationGC
 from repro.workloads import SparseWriter
 
 
-def build_job(n_ranks=4, topology="ring", seed=42):
+def build_job(n_ranks=4, topology="ring", seed=42, content_dedup=False):
     cl = Cluster(n_nodes=4, n_spares=1, seed=seed,
-                 storage_servers=3, replication=2)
+                 storage_servers=3, replication=2,
+                 content_dedup=content_dedup)
     job = CommunicatingJob(
         cl, lambda r: SparseWriter(), n_ranks=n_ranks, name="cj",
         topology=topology, channel_latency_ns=30_000,
@@ -86,6 +87,25 @@ def test_whole_job_restore_onto_spare_after_node_failure():
     # Restored tasks are live bindings on up nodes.
     for rank in job.ranks:
         assert rank.node.up
+
+
+def test_marker_cut_and_restore_on_content_dedup_store():
+    """The cut streams its manifest as raw bytes; a dedup store passes
+    them through to its inner backend instead of rejecting them."""
+    cl, job, mechs, store = build_job(content_dedup=True)
+    drv = TrafficDriver(job.net, rate_per_s=10000.0)
+    drv.start()
+    cl.engine.run(until_ns=3_000_000)
+    proto = snapshot(cl, job, mechs, store)
+    assert store.exists(proto.manifest.key)
+    cl.engine.run(until_ns=cl.engine.now_ns + 3_000_000)
+    drv.stop()
+
+    victim = job.ranks[1].node.node_id
+    cl.fail_node(victim)
+    res = job.restore(store, proto.manifest.key, mechs)
+    assert job.ranks[1].node.node_id != victim
+    assert res.replayed == proto.manifest.logged_message_count()
 
 
 def test_stw_snapshot_through_cluster_path():

@@ -25,7 +25,7 @@ from repro.simkernel.parallel import (
     derive_lookahead,
     run_windows,
 )
-from repro.runner import run_parallel
+from repro.runner import ProcessShardGroup, WorkerDiedError, run_parallel
 
 
 def make_ctx(shard_id=0, n_shards=1, lookahead_ns=1000):
@@ -290,6 +290,7 @@ class TestByteIdentity:
     def test_process_backend_matches_local(self):
         local = _run("restart", 31, 24, 4, workers=1)
         procs = _run("restart", 31, 24, 4, workers=2)
+        assert (local.transport, procs.transport) == ("local", "pipe")
         assert procs.obs_json == local.obs_json
         assert procs.shard_results == local.shard_results
 
@@ -316,3 +317,64 @@ class TestByteIdentity:
                                    now_ns=0))
         with pytest.raises(ObservabilityError, match="shard identity"):
             fold_exports(docs)
+
+
+# ----------------------------------------------------------------------
+# Process backend: worker failure and the transport keyword
+# ----------------------------------------------------------------------
+def _ring_group():
+    hop = 50 * NS_PER_US
+    return ProcessShardGroup(
+        "repro.cluster.scenarios:ring_traffic",
+        {"n_ranks": 12, "hop_ns": hop, "hops": 5, "msgs_per_rank": 2}, 5,
+        n_shards=3, lookahead_ns=hop, workers=2,
+    )
+
+
+class TestProcessBackend:
+    def test_killed_worker_raises_named_error(self):
+        group = _ring_group()
+        try:
+            group.status_all()  # workers are alive and answering
+            victim = group._procs[1]
+            victim.kill()
+            victim.join(timeout=10)
+            with pytest.raises(WorkerDiedError) as exc_info:
+                for _ in range(3):  # send may outlive the pipe buffer
+                    group.window_all(NS_PER_S)
+            err = exc_info.value
+            assert err.worker == 1
+            assert err.shards == [1]  # shard 1 is round-robin worker 1
+            assert "shards [1]" in str(err)
+        finally:
+            group.close()
+
+    def test_pipe_matches_local(self):
+        local = _run("ring", 5, 12, 3, workers=1)
+        procs = _run("ring", 5, 12, 3, workers=2)
+        assert (local.transport, procs.transport) == ("local", "pipe")
+        assert procs.obs_json == local.obs_json
+        assert procs.shard_results == local.shard_results
+        assert (procs.stats.windows, procs.stats.exchanged,
+                procs.stats.events) == (local.stats.windows,
+                                        local.stats.exchanged,
+                                        local.stats.events)
+
+    def test_barrier_metrics_carried_by_pipe_frame(self):
+        procs = _run("ring", 5, 12, 3, workers=2)
+        # The barrier histograms hold one entry per window.
+        h = procs.barrier_obs["histograms"]
+        assert h["parallel.window_exchange"]["count"] == procs.stats.windows
+        assert h["parallel.window_span_ns"]["count"] == procs.stats.windows
+
+    def test_exit_leaves_no_error(self):
+        group = _ring_group()
+        group.status_all()
+        group.close()  # clean shutdown path
+
+    def test_unknown_transport_rejected(self):
+        with pytest.raises(ParallelError, match="unknown transport"):
+            run_parallel("repro.cluster.scenarios:fleet_storm",
+                         {"n_nodes": 4, "mtbf_s": 100.0}, 1,
+                         n_shards=2, horizon_ns=10**9, workers=2,
+                         transport="shm")

@@ -1,8 +1,8 @@
 """Tests for the hybrid timer-wheel scheduler.
 
 The engine overhaul replaced the single-``heapq`` schedule with a
-two-level timer wheel, a far heap, slab-pooled events and
-threshold-triggered compaction.  These tests pin the properties the
+two-level timer wheel, a far heap and threshold-triggered
+compaction.  These tests pin the properties the
 rewrite must preserve:
 
 * exact ``(time_ns, seq)`` order across every storage tier (current
@@ -191,17 +191,6 @@ def test_compaction_triggered_from_within_callback():
     assert fired == ["massacre", "same-slot-survivor", "later-survivor"]
     assert eng.metrics.counter("engine.compactions").value >= 1
     assert eng.pending() == 0
-
-
-def test_pooled_events_are_recycled():
-    eng = Engine()
-    fired = []
-    ev1 = eng.after(10, lambda: fired.append(1), pooled=True)
-    eng.run()
-    ev2 = eng.after(10, lambda: fired.append(2), pooled=True)
-    assert ev2 is ev1  # slab reuse
-    eng.run()
-    assert fired == [1, 2]
 
 
 def test_unpooled_events_are_not_recycled():

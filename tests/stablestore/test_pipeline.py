@@ -279,12 +279,39 @@ class TestDedupWriteStream:
         assert ra.size_bytes == rb.size_bytes
 
     def test_send_without_chunk_rejected(self):
+        """Raw sends carry a non-image object: committing an image after
+        them is rejected, since its pages were never fingerprinted."""
         engine = Engine(seed=1)
         sc = StorageCluster(engine, n_servers=3)
         store = ContentStore(ReplicatedStore(sc, replication=2))
-        st = store.open_stream("m/1/1", 0)
+        img = make_image("m/1/1", [1, 2])
+        st = store.open_stream(img.key, 0)
+        st.send(4096, 0)
         with pytest.raises(StorageError):
-            st.send(4096, 0)
+            st.commit(img, img.size_bytes, 0)
+
+    def test_raw_send_passes_through_to_inner_store(self):
+        """A non-image object streamed as raw bytes (a snapshot
+        manifest) lands under its own key in the inner store, with the
+        same traffic as a synchronous store and no pack."""
+        stores = []
+        for streamed in (True, False):
+            engine = Engine(seed=1)
+            sc = StorageCluster(engine, n_servers=3)
+            store = ContentStore(ReplicatedStore(sc, replication=2))
+            if streamed:
+                st = store.open_stream("snap/1", 0)
+                st.send(3000, 0)
+                st.send(1000, 0)
+                st.commit({"cut": 1}, 4096, 0)
+            else:
+                store.store("snap/1", {"cut": 1}, 4096, 0)
+            stores.append(store)
+        streamed, sync = stores
+        assert streamed.exists("snap/1")
+        assert streamed.load("snap/1", 0)[0] == {"cut": 1}
+        assert sorted(streamed.inner.keys()) == ["snap/1"]
+        assert streamed.inner.bytes_written == sync.inner.bytes_written
 
 
 class TestWritebackPipeline:
