@@ -104,6 +104,20 @@ class TestQuorumWrites:
         assert all(not s.holds("m/1/1") for s in sc.servers)
         assert not store.exists("m/1/1")
 
+    def test_refused_overwrite_keeps_existing_replicas(self):
+        _, sc, store = make_store(n=3, rf=3, write_quorum=3)
+        store.store("m/1/1", {"gen": 1}, 100, 0)
+        failed = store.holders("m/1/1")[0]
+        sc.fail_server(failed)
+        with pytest.raises(StorageLostError):
+            store.store("m/1/1", {"gen": 2}, 100, 0)
+        # The refused write installed nothing, and it must not delete
+        # the previous generation's replicas on the live servers either.
+        assert store.holders("m/1/1") == [
+            s.server_id for s in store.candidates("m/1/1") if s.server_id != failed
+        ]
+        assert store.load("m/1/1", 0)[0] == {"gen": 1}
+
 
 class TestQuorumReads:
     def test_read_from_surviving_replica(self):
