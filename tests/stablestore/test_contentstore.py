@@ -161,6 +161,50 @@ class TestRefcountedDelete:
         assert restored.chunk_index()[("heap", 0, 0)].data[0] == 1
 
 
+def payload_bytes(img):
+    return [c.data.tobytes() for c in img.chunks]
+
+
+class TestOverwriteKeepsLivePacks:
+    """Overwriting a generation whose pack still homes payloads that a
+    later image references must not replace that pack."""
+
+    @staticmethod
+    def _setup():
+        _, inner, store = make_replicated()
+        g1 = make_image("g/1", [1])  # P
+        g2 = make_image("g/2", [1, 2])  # P (homed in g/1's pack), Q
+        for img in (g1, g2):
+            store.store(img.key, img, img.size_bytes, 0)
+        return inner, store, g2, make_image("g/1", [3])  # R
+
+    def _check(self, inner, store, g2, g1b):
+        assert payload_bytes(store.load("g/2", 0)[0]) == payload_bytes(g2)
+        objs, _ = store.load_parallel(["g/2"], 0)
+        assert payload_bytes(objs["g/2"]) == payload_bytes(g2)
+        assert payload_bytes(store.load("g/1", 0)[0]) == payload_bytes(g1b)
+        # Each pack written without displacing a live one keeps the
+        # plain <key>.pack name; the refcounts still drain to empty.
+        assert inner.exists("g/1.pack") and inner.exists("g/2.pack")
+        assert store.peek("g/1").pack_key not in ("g/1.pack", "g/2.pack")
+        store.delete("g/2")
+        store.delete("g/1")
+        assert list(inner.keys()) == []
+
+    def test_store_overwrite(self):
+        inner, store, g2, g1b = self._setup()
+        store.store(g1b.key, g1b, g1b.size_bytes, 0)
+        self._check(inner, store, g2, g1b)
+
+    def test_stream_overwrite(self):
+        inner, store, g2, g1b = self._setup()
+        st = store.open_stream(g1b.key, 0)
+        for c in g1b.chunks:
+            st.send_chunk(c, 0)
+        st.commit(g1b, g1b.size_bytes, 0)
+        self._check(inner, store, g2, g1b)
+
+
 class TestMemoryBackendWrap:
     def test_wraps_any_backend(self):
         store = ContentStore(MemoryStorage())
