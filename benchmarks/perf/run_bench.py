@@ -464,7 +464,6 @@ def bench_grid_runner(sizes: List[int], node_mtbf_s: float, n_trials: int,
     import shutil
     import tempfile
 
-    from repro.cluster import ExponentialFailures
     from repro.runner import Cell, GridRunner, grid_to_json
     from repro.runner.experiments import e12_mtbf_cell
     from repro.simkernel.costs import NS_PER_S
@@ -475,10 +474,10 @@ def bench_grid_runner(sizes: List[int], node_mtbf_s: float, n_trials: int,
             ttfs = []
             for trial in range(n_trials):
                 eng = Engine(seed=12)
-                model = ExponentialFailures(
-                    node_mtbf_s, rng=np.random.default_rng(n * 1009 + trial))
+                rng = np.random.default_rng(n * 1009 + trial)
                 for _ in range(n):
-                    eng.after_anon(int(model.draw_ttf_s() * NS_PER_S), _noop)
+                    ttf_s = float(rng.exponential(node_mtbf_s))
+                    eng.after_anon(int(ttf_s * NS_PER_S), _noop)
                 eng.run(max_events=1)  # first failure ends the trial
                 ttfs.append(eng.now_ns / NS_PER_S)
             mtbfs.append(sum(ttfs) / len(ttfs))

@@ -10,8 +10,9 @@ completion."
 
 Analytic table across machine sizes, cross-validated against the
 discrete-event simulation at every size -- including the full 65,536
-nodes, which the vectorized :class:`~repro.cluster.NodeFleet` cohorts
-make cheap enough to run as an experiment-grid sweep.
+nodes, which the vectorized :class:`~repro.cluster.ShardFleet` cohort
+and its counter-based per-node streams make cheap enough to run as an
+experiment-grid sweep.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ def simulated_rows():
     """Fleet-vectorized system-MTBF sweep through the grid runner.
 
     Each cell measures mean time-to-first-failure over ``SIM_TRIALS``
-    pre-sampled cohorts; with :class:`~repro.cluster.NodeFleet` arrays a
-    65,536-node machine costs one vectorized draw per trial instead of
-    65,536 scheduled events, so BlueGene/L scale is just another row.
+    trials drawn from the per-node streams; a 65,536-node machine costs
+    one vectorized draw per trial instead of 65,536 scheduled events,
+    so BlueGene/L scale is just another row.
     """
     cells = [
         Cell(

@@ -20,8 +20,6 @@ Reported: makespan, lost work, checkpoint volume moved.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cluster import (
     CheckpointCoordinator,
     Cluster,
@@ -111,7 +109,7 @@ def run_at_scale():
     """The direction-forward regime on a BlueGene/L-size machine.
 
     The 4-rank job occupies four materialized nodes; the other 65,532
-    stay statistical -- a vectorized :class:`NodeFleet` cohort drives
+    stay statistical -- a vectorized :class:`ShardFleet` cohort drives
     background failure/repair churn without ever building a kernel for
     them -- and the same two scheduled failures hit the job's own nodes.
     """
@@ -119,7 +117,7 @@ def run_at_scale():
     job = ParallelJob(cl, wf, n_ranks=N_RANKS, name="scale",
                       node_ids=list(range(N_RANKS)))
     fleet = cl.attach_fleet(
-        ExponentialFailures(3600.0, rng=np.random.default_rng(18)),
+        ExponentialFailures(3600.0, stream_seed=18),
         repair_s=300.0,
     )
     mechs = {}

@@ -40,7 +40,7 @@ def run(protected: bool) -> dict:
     # Aggressive failure regime: node MTBF ~3 s, failures armed for the
     # first 2 s -- a few nodes will die while the job runs.
     cluster.schedule_failures(
-        ExponentialFailures(3.0, rng=cluster.engine.spawn_rng()), horizon_s=2.0
+        ExponentialFailures(3.0, stream_seed=5), horizon_s=2.0
     )
     job = ParallelJob(cluster, workload_factory, N_RANKS, name="capability-job")
     coord = None

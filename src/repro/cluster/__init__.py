@@ -10,7 +10,6 @@ from .failures import (
     p_survive,
     system_mtbf_s,
 )
-from .fleet import NodeFleet
 from .partition import shard_of, shard_range, shard_ranges
 from .shardfleet import ShardFleet, trial_first_failure_s
 from .job import (
@@ -27,7 +26,6 @@ __all__ = [
     "Cluster",
     "ClusterNode",
     "NodeState",
-    "NodeFleet",
     "FailureModel",
     "ExponentialFailures",
     "WeibullFailures",

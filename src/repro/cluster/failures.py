@@ -14,13 +14,10 @@ its processes (and local disk availability) with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional
 
 import numpy as np
 
 from ..errors import ClusterError
-from ..simkernel.costs import NS_PER_S
 
 __all__ = [
     "FailureModel",
@@ -87,41 +84,16 @@ def indexed_uniforms(
 class FailureModel:
     """Base class: draws per-node times-to-failure (seconds).
 
-    ``stream_seed`` opts the model into the *indexed* (counter-based)
-    per-node streams used by the sharded fleet path
-    (:meth:`draw_ttf_indexed`); the sequential ``rng`` stream is
-    untouched by indexed draws, so the two disciplines never perturb
-    each other.
+    Every draw comes from the counter-based per-node streams
+    (:meth:`draw_ttf_indexed`) keyed by ``stream_seed``, so a node's
+    failure times never depend on which other nodes share an engine,
+    a shard or a call.
     """
 
-    def __init__(
-        self,
-        rng: Optional[np.random.Generator] = None,
-        stream_seed: Optional[int] = None,
-    ) -> None:
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.stream_seed = stream_seed
-
-    def draw_ttf_s(self) -> float:
-        """Sample one time-to-failure, in seconds."""
-        raise NotImplementedError
-
-    def draw_ttf_array(self, n: int) -> np.ndarray:
-        """Sample ``n`` independent times-to-failure as a float array.
-
-        Subclasses override this with a single vectorized draw.  For the
-        NumPy distributions used here a size-``n`` draw consumes the
-        generator stream exactly like ``n`` scalar draws, so scalar and
-        vector paths produce identical samples from the same seed (the
-        cohort/per-node agreement tests rely on this).
-        """
-        return np.array([self.draw_ttf_s() for _ in range(n)], dtype=np.float64)
+    def __init__(self, stream_seed: int = 0) -> None:
+        self.stream_seed = int(stream_seed)
 
     def _indexed_u(self, node_ids: np.ndarray, draw_index: np.ndarray) -> np.ndarray:
-        if self.stream_seed is None:
-            raise ClusterError(
-                "indexed draws need a model built with stream_seed="
-            )
         ids = np.asarray(node_ids, dtype=np.int64)
         idx = np.asarray(draw_index, dtype=np.int64)
         if idx.shape != ids.shape:
@@ -135,39 +107,22 @@ class FailureModel:
 
         ``draw_index[k]`` selects which draw of node ``node_ids[k]``'s
         private stream to take (0 for the initial arming, 1 after the
-        first repair, ...).  Shard-partitioning the ids in any way
+        first repair, ...); a scalar index applies to every node.
+        Shard-partitioning the ids in any way
         reproduces the exact same values, which is the property the
         1-vs-N-shard byte-identity gate rests on.
         """
         raise NotImplementedError
 
-    def draws(self, n: int) -> Iterator[float]:
-        """Sample ``n`` independent times-to-failure."""
-        for _ in range(n):
-            yield self.draw_ttf_s()
-
 
 class ExponentialFailures(FailureModel):
     """Memoryless node failures with the given MTBF."""
 
-    def __init__(
-        self,
-        mtbf_s: float,
-        rng: Optional[np.random.Generator] = None,
-        stream_seed: Optional[int] = None,
-    ) -> None:
-        super().__init__(rng, stream_seed=stream_seed)
+    def __init__(self, mtbf_s: float, stream_seed: int = 0) -> None:
+        super().__init__(stream_seed)
         if mtbf_s <= 0:
             raise ClusterError("MTBF must be positive")
         self.mtbf_s = mtbf_s
-
-    def draw_ttf_s(self) -> float:
-        return float(self.rng.exponential(self.mtbf_s))
-
-    def draw_ttf_array(self, n: int) -> np.ndarray:
-        """One vectorized draw for the whole cohort (same stream as
-        ``n`` scalar draws)."""
-        return self.rng.exponential(self.mtbf_s, size=n)
 
     def draw_ttf_indexed(
         self, node_ids: np.ndarray, draw_index: np.ndarray
@@ -183,27 +138,15 @@ class WeibullFailures(FailureModel):
     observed regime on large clusters)."""
 
     def __init__(
-        self,
-        mtbf_s: float,
-        shape: float = 0.7,
-        rng: Optional[np.random.Generator] = None,
-        stream_seed: Optional[int] = None,
+        self, mtbf_s: float, shape: float = 0.7, stream_seed: int = 0
     ) -> None:
-        super().__init__(rng, stream_seed=stream_seed)
+        super().__init__(stream_seed)
         if mtbf_s <= 0 or shape <= 0:
             raise ClusterError("MTBF and shape must be positive")
         self.shape = shape
         # Scale chosen so the mean equals mtbf_s.
         self.scale = mtbf_s / math.gamma(1.0 + 1.0 / shape)
         self.mtbf_s = mtbf_s
-
-    def draw_ttf_s(self) -> float:
-        return float(self.scale * self.rng.weibull(self.shape))
-
-    def draw_ttf_array(self, n: int) -> np.ndarray:
-        """One vectorized draw for the whole cohort (same stream as
-        ``n`` scalar draws)."""
-        return self.scale * self.rng.weibull(self.shape, size=n)
 
     def draw_ttf_indexed(
         self, node_ids: np.ndarray, draw_index: np.ndarray

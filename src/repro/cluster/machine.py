@@ -31,7 +31,7 @@ from ..storage import LocalDiskStorage, RemoteStorage
 from ..storage.backends import MemoryStorage, StorageBackend
 from ..storage.devices import memory_device
 from .failures import FailureModel
-from .fleet import NodeFleet
+from .shardfleet import ShardFleet
 
 __all__ = ["NodeState", "ClusterNode", "Cluster"]
 
@@ -126,7 +126,7 @@ class _NodeVector:
     over materialized nodes -- a 65,536-node cluster where a job touches
     four nodes builds four kernels, not 65,536.  Unmaterialized nodes
     are implicitly UP; their failure churn belongs to a
-    :class:`NodeFleet` cohort, not to per-node kernels.
+    :class:`~repro.cluster.ShardFleet` cohort, not to per-node kernels.
     """
 
     def __init__(self, cluster: "Cluster", n_total: int) -> None:
@@ -223,7 +223,8 @@ class Cluster:
         job or failure actually reaches.  Iteration over
         ``cluster.nodes`` then covers materialized nodes only;
         unmaterialized nodes are implicitly up, with their failure
-        churn handled by an attached :class:`NodeFleet` cohort (see
+        churn handled by an attached
+        :class:`~repro.cluster.ShardFleet` cohort (see
         :meth:`attach_fleet`).
     """
 
@@ -249,8 +250,7 @@ class Cluster:
         self.costs = costs
         self.ncpus_per_node = ncpus_per_node
         #: Vectorized background-churn cohort (see :meth:`attach_fleet`).
-        self.fleet: Optional[NodeFleet] = None
-        self._promote_on_failure = False
+        self.fleet: Optional[ShardFleet] = None
         self.storage_cluster: Optional[StorageCluster] = None
         self.storage_repairer: Optional[ReplicationRepairer] = None
         #: The bare quorum client when the service is on (repair and
@@ -457,15 +457,13 @@ class Cluster:
         """Arm each listed node with a sampled time-to-failure.
 
         Returns how many failures were scheduled (those within the
-        horizon).  Only the *first* failure per node is armed; repairs
-        may re-arm explicitly.
+        horizon).  Only the *first* failure per node is armed (draw 0
+        of the node's stream, the same draw a fleet arms first);
+        repairs may re-arm explicitly.  Drawing touches -- and, on a
+        lazy cluster, materializes -- no node.
         """
         ids = node_ids if node_ids is not None else list(range(self.n_compute))
-        # One vectorized draw for the whole cohort: identical samples to
-        # the historical per-node loop (the NumPy size-n draw consumes
-        # the stream like n scalar draws), without touching -- or, on a
-        # lazy cluster, materializing -- any node.
-        ttf = model.draw_ttf_array(len(ids))
+        ttf = model.draw_ttf_indexed(ids, 0)
         scheduled = 0
         for nid, ttf_s in zip(ids, ttf.tolist()):
             if horizon_s is not None and ttf_s > horizon_s:
@@ -475,53 +473,33 @@ class Cluster:
             scheduled += 1
         return scheduled
 
-    def attach_fleet(
-        self,
-        model: FailureModel,
-        repair_s: float = 300.0,
-        batch_window_ns: int = 0,
-        promote_on_failure: bool = False,
-    ) -> NodeFleet:
-        """Drive compute-node failure churn through a vectorized
-        :class:`NodeFleet` cohort instead of per-node events.
+    def attach_fleet(self, model: FailureModel, repair_s: float = 300.0) -> ShardFleet:
+        """Drive compute-node failure churn on a lazy cluster through
+        one vectorized :class:`~repro.cluster.ShardFleet` cohort
+        instead of per-node events.
 
-        Nodes already materialized as full machines are detached from
-        the cohort (their failures stay per-node and exact); nodes
-        materialized later detach automatically.  With
-        ``promote_on_failure`` a cohort failure *promotes* the node --
-        it is materialized and fail-stopped for real (watchers fire,
-        ``node_failures`` counts), after which the fleet no longer
-        drives it.  Otherwise cohort failures are statistical only:
-        counted in the fleet's arrays, never building a kernel.
+        Cohort failures are statistical: counted in the fleet's arrays,
+        never building a kernel.  Nodes already materialized as full
+        machines are detached from the cohort (their failures stay
+        per-node and exact); nodes materialized later detach
+        automatically.  An eager cluster has no statistical nodes, so
+        attaching a fleet to one raises :class:`ClusterError`.
         """
         if self.fleet is not None:
             raise ClusterError("a fleet is already attached")
-        self._promote_on_failure = promote_on_failure
-        self.fleet = NodeFleet(
-            self.engine,
-            self.n_compute,
-            model,
-            repair_s=repair_s,
-            on_fail=self._on_fleet_fail,
-            batch_window_ns=batch_window_ns,
+        if not isinstance(self.nodes, _NodeVector):
+            raise ClusterError(
+                "attach_fleet needs a lazy cluster (lazy_nodes=True); every "
+                "node of an eager cluster is a full machine"
+            )
+        self.fleet = ShardFleet(
+            self.engine, 0, self.n_compute, model, repair_s=repair_s
         )
-        if isinstance(self.nodes, _NodeVector):
-            built = [nid for nid in range(self.n_compute)
-                     if self.nodes.materialized(nid)]
-            if built:
-                self.fleet.detach(built)
-        else:
-            # Eager cluster: every node is a real machine already, so a
-            # fleet only makes sense as a promotion driver.
-            if not promote_on_failure:
-                self.fleet.detach(list(range(self.n_compute)))
+        self.fleet.detach(
+            [n.node_id for n in self.nodes if n.node_id < self.n_compute]
+        )
         self.fleet.start()
         return self.fleet
-
-    def _on_fleet_fail(self, ids, times) -> None:
-        if self._promote_on_failure:
-            for nid in ids.tolist():
-                self.fail_node(nid)
 
     # ------------------------------------------------------------------
     def run_for(self, duration_ns: int) -> None:

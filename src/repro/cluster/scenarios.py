@@ -67,7 +67,6 @@ class _FleetScenario:
             _build_model(params, seed),
             repair_s=float(params.get("repair_s", 300.0)),
             on_fail=on_fail,
-            batch_window_ns=int(params.get("batch_window_ns", 0)),
         )
         self.stop_on_first_failure = bool(
             params.get("stop_on_first_failure", False))
@@ -92,7 +91,7 @@ def fleet_storm(ctx: ShardContext, params: Dict[str, Any],
     """Pure failure/repair churn -- the E12 workhorse.
 
     ``params``: ``n_nodes``, ``mtbf_s``, optional ``repair_s``,
-    ``model`` (``"exp"``/``"weibull"``), ``shape``, ``batch_window_ns``,
+    ``model`` (``"exp"``/``"weibull"``), ``shape``,
     ``stop_on_first_failure``.  No cross-shard channels: windows exist
     only to give the stop flag a deterministic sampling grid.
     """

@@ -1,27 +1,26 @@
-"""Shard-partitioned failure cohorts for million-node fleets.
+"""Vectorized failure cohorts, from one engine to many shards.
 
-:class:`ShardFleet` is the sharded sibling of
-:class:`~repro.cluster.fleet.NodeFleet`: one instance per shard owns
-the contiguous global-id range ``[lo, hi)`` of a fleet partitioned by
-:func:`~repro.cluster.partition.shard_ranges`, keeps that slice's
-failure/repair process in NumPy arrays, and drives it with one
-dispatcher event on the *shard-local* engine.
+Simulating 65,536 nodes as individually scheduled failure callbacks
+costs one Python closure plus one engine event per node up front.  A
+:class:`ShardFleet` keeps a cohort's failure/repair process in NumPy
+arrays instead and drives it with one dispatcher event at the earliest
+pending transition.  It owns the contiguous global-id range ``[lo, hi)``
+of a fleet partitioned by :func:`~repro.cluster.partition.shard_ranges`;
+a single-engine cohort is just ``ShardFleet(engine, 0, n, model)``.
 
-The difference that makes sharding deterministic is the draw
-discipline: where ``NodeFleet`` consumes one sequential generator
-stream in node order (so the draws a node sees depend on every node
-before it), ``ShardFleet`` uses the **counter-based per-node streams**
-of :meth:`~repro.cluster.FailureModel.draw_ttf_indexed` -- draw ``i``
-of node ``j`` is a pure function of ``(stream_seed, j, i)``.  Any
+Every draw comes from the **counter-based per-node streams** of
+:meth:`~repro.cluster.FailureModel.draw_ttf_indexed` -- draw ``i`` of
+node ``j`` is a pure function of ``(stream_seed, j, i)``.  Any
 partitioning of the cohort therefore reproduces the exact same
 transition times, which is what the 1-vs-N-shard byte-identity gate
 measures.
 
-Accounting matches ``NodeFleet`` exactly: failure and repair times are
-taken from the arrays (exact even under a batch window), downtime
-accrues per repair, and the ``fleet.failures`` / ``fleet.repairs``
-counters carry the same names so folded exports line up with the
-single-shard vocabulary.
+Accounting is exact: failure and repair times are taken from the
+arrays, downtime accrues per repair, and the ``fleet.failures`` /
+``fleet.repairs`` counters fold across shards by plain summation.
+Nodes a lazy :class:`~repro.cluster.Cluster` materializes as full
+machines are detached (:meth:`ShardFleet.detach`): the cohort stops
+driving them and they fail only through the per-node path.
 """
 
 from __future__ import annotations
@@ -34,9 +33,16 @@ from ..errors import ClusterError
 from ..simkernel.costs import NS_PER_S
 from ..simkernel.engine import Engine
 from .failures import FailureModel
-from .fleet import _HORIZON_NS, _NEVER
 
 __all__ = ["ShardFleet", "trial_first_failure_s"]
+
+#: Sentinel for "no transition pending" (int64 max).
+_NEVER = np.iinfo(np.int64).max
+
+#: Saturation point for drawn/derived times (~146 simulated years).
+#: Anything beyond it cannot fire inside a realistic sweep, and capping
+#: here keeps every int64 add below the sentinel without overflow.
+_HORIZON_NS = _NEVER // 2
 
 #: Indexed-draw offset for distributional trials, so probe trials and
 #: the engine-driven run (draw indices 0, 1, 2, ...) never overlap.
@@ -72,7 +78,7 @@ class ShardFleet:
     lo, hi:
         Global node-id range ``[lo, hi)`` this shard owns.
     model:
-        Failure model built with ``stream_seed=`` (indexed draws).
+        Failure model; its per-node streams drive every draw.
     repair_s:
         Fixed repair time; after it elapses the node re-arms with the
         next draw of its private stream.
@@ -80,13 +86,6 @@ class ShardFleet:
         Optional ``fn(global_ids, fail_times_ns)`` callback invoked
         from the dispatcher with the *global* node ids that just failed
         and their exact failure times (the restart-traffic hook).
-    on_repair:
-        Optional ``fn(global_ids)`` when nodes come back up.
-    batch_window_ns:
-        Dispatch quantum, as in ``NodeFleet``: 0 dispatches at exact
-        transition times; a positive window coalesces.  Accounting
-        stays exact either way, and because the quantization grid is
-        absolute (multiples of the window), it is shard-invariant.
     """
 
     def __init__(
@@ -97,15 +96,11 @@ class ShardFleet:
         model: FailureModel,
         repair_s: float = 300.0,
         on_fail: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
-        on_repair: Optional[Callable[[np.ndarray], None]] = None,
-        batch_window_ns: int = 0,
     ) -> None:
         if hi <= lo:
             raise ClusterError("shard fleet needs a non-empty node range")
         if repair_s < 0:
             raise ClusterError("repair time cannot be negative")
-        if model.stream_seed is None:
-            raise ClusterError("ShardFleet needs a model with stream_seed=")
         self.engine = engine
         self.lo = int(lo)
         self.hi = int(hi)
@@ -113,8 +108,6 @@ class ShardFleet:
         self.model = model
         self.repair_ns = min(int(repair_s * NS_PER_S), _HORIZON_NS)
         self.on_fail = on_fail
-        self.on_repair = on_repair
-        self.batch_window_ns = int(batch_window_ns)
 
         now = engine.now_ns
         self.global_ids = np.arange(self.lo, self.hi, dtype=np.int64)
@@ -124,11 +117,13 @@ class ShardFleet:
             self.global_ids, np.zeros(self.n_nodes, dtype=np.int64)
         )
         delta = np.minimum(ttf * NS_PER_S, _HORIZON_NS).astype(np.int64)
-        #: Next failure time per node; _NEVER while down.
+        #: Next failure time per node; _NEVER while down or detached.
         self.fail_at_ns = now + delta
         #: Repair-complete time per node; _NEVER while up.
         self.repair_at_ns = np.full(self.n_nodes, _NEVER, dtype=np.int64)
         self.down = np.zeros(self.n_nodes, dtype=bool)
+        #: Nodes no longer driven by the cohort (materialized machines).
+        self.detached = np.zeros(self.n_nodes, dtype=bool)
 
         self.failures = 0
         self.repairs = 0
@@ -147,9 +142,17 @@ class ShardFleet:
         """Stop driving transitions (arrays keep their state)."""
         self._running = False
 
+    def detach(self, global_ids) -> None:
+        """Stop driving the given nodes (a lazy cluster materialized
+        them as full machines, whose failures are per-node)."""
+        local = np.asarray(global_ids, dtype=np.int64) - self.lo
+        self.detached[local] = True
+        self.fail_at_ns[local] = _NEVER
+        self.repair_at_ns[local] = _NEVER
+
     def up_count(self) -> int:
-        """Nodes currently up in this shard's range."""
-        return int((~self.down).sum())
+        """Nodes currently up in this shard's range (detached excluded)."""
+        return int((~self.down & ~self.detached).sum())
 
     def next_transition_ns(self) -> int:
         """Earliest pending failure or repair (``_NEVER`` if none)."""
@@ -163,9 +166,8 @@ class ShardFleet:
         if t == _NEVER:
             self._armed_for = _NEVER
             return
-        if self.batch_window_ns:
-            w = self.batch_window_ns
-            t = (t // w + 1) * w
+        # A fleet (re)started after its engine advanced has transitions
+        # in the past; process them now rather than scheduling backwards.
         now = self.engine.now_ns
         if t < now:
             t = now
@@ -193,13 +195,8 @@ class ShardFleet:
             )
             self.draw_count[rep] += 1
             delta = np.minimum(ttf * NS_PER_S, _HORIZON_NS).astype(np.int64)
-            # Anchor the next failure at the *exact* repair-complete
-            # time, not the (possibly window-quantized) dispatch time,
-            # so transition times are batch-window-invariant.
             self.fail_at_ns[rep] = rtimes + delta
             self.engine.count("fleet.repairs", n_rep)
-            if self.on_repair is not None:
-                self.on_repair(self.global_ids[rep])
 
         due = self.fail_at_ns <= now
         n_due = int(due.sum())

@@ -24,7 +24,7 @@ documents.
 """
 
 from .export import SCHEMA_VERSION, export_obs, to_json, validate_export
-from .fold import fold_exports, fold_exports_arrays, strip_metrics
+from .fold import fold_exports, strip_metrics
 from .metrics import (
     BYTES_BUCKETS,
     Counter,
@@ -49,6 +49,5 @@ __all__ = [
     "to_json",
     "validate_export",
     "fold_exports",
-    "fold_exports_arrays",
     "strip_metrics",
 ]

@@ -40,15 +40,12 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import ObservabilityError
 from .export import SCHEMA_VERSION, to_json, validate_export
 
 __all__ = [
     "ENGINE_METRIC_PREFIXES",
     "fold_exports",
-    "fold_exports_arrays",
     "strip_metrics",
 ]
 
@@ -111,8 +108,13 @@ def _fold_gauge(name: str, a, b):
     )
 
 
-def _validate_foldable(docs: Sequence[Mapping[str, Any]]) -> None:
-    """Shared precondition of both fold paths."""
+def fold_exports(docs: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
+    """Fold per-shard export documents into one canonical document.
+
+    Raises :class:`~repro.errors.ObservabilityError` when the documents
+    are not foldable (mismatched meta, mismatched histogram buckets).
+    The result is re-validated before it is returned.
+    """
     if not docs:
         raise ObservabilityError("nothing to fold")
     for doc in docs:
@@ -125,61 +127,20 @@ def _validate_foldable(docs: Sequence[Mapping[str, Any]]) -> None:
                 "carry shard identity)"
             )
 
-
-def _fold_rest(docs: Sequence[Mapping[str, Any]]) -> Tuple[
-        Dict[str, Any], List[Dict[str, Any]], int, Any]:
-    """Fold the non-vectorizable pieces: gauges, spans, virtual time."""
+    counters: Dict[str, int] = {}
     gauges: Dict[str, Any] = {}
+    histograms: Dict[str, Dict[str, Any]] = {}
     spans: List[Dict[str, Any]] = []
     spans_dropped = 0
     virtual_time = None
     for doc in docs:
-        for name, v in doc["metrics"]["gauges"].items():
-            gauges[name] = v if name not in gauges else _fold_gauge(
-                name, gauges[name], v
-            )
-        spans.extend(dict(s) for s in doc["spans"])
-        spans_dropped += doc.get("spans_dropped", 0)
-        if doc.get("virtual_time_ns") is not None:
-            virtual_time = _max_opt(virtual_time, doc["virtual_time_ns"])
-    spans.sort(key=lambda s: (s["begin_ns"], s["span_id"]))
-    return gauges, spans, spans_dropped, virtual_time
-
-
-def _assemble(docs, counters, gauges, histograms, spans, spans_dropped,
-              virtual_time) -> Dict[str, Any]:
-    """Canonical folded document (shared by both fold paths)."""
-    out: Dict[str, Any] = {
-        "schema": SCHEMA_VERSION,
-        "meta": {str(k): v for k, v in sorted(docs[0]["meta"].items())},
-        "virtual_time_ns": virtual_time,
-        "metrics": {
-            "counters": {k: counters[k] for k in sorted(counters)},
-            "gauges": {k: gauges[k] for k in sorted(gauges)},
-            "histograms": {k: histograms[k] for k in sorted(histograms)},
-        },
-        "spans": spans,
-        "spans_dropped": spans_dropped,
-    }
-    validate_export(out)
-    return out
-
-
-def fold_exports(docs: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Fold per-shard export documents into one canonical document.
-
-    Raises :class:`~repro.errors.ObservabilityError` when the documents
-    are not foldable (mismatched meta, mismatched histogram buckets).
-    The result is re-validated before it is returned.
-    """
-    _validate_foldable(docs)
-
-    counters: Dict[str, int] = {}
-    histograms: Dict[str, Dict[str, Any]] = {}
-    for doc in docs:
         m = doc["metrics"]
         for name, v in m["counters"].items():
             counters[name] = counters.get(name, 0) + v
+        for name, v in m["gauges"].items():
+            gauges[name] = v if name not in gauges else _fold_gauge(
+                name, gauges[name], v
+            )
         for name, h in m["histograms"].items():
             acc = histograms.get(name)
             if acc is None:
@@ -202,70 +163,28 @@ def fold_exports(docs: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
                 acc["sum"] += h["sum"]
                 acc["min"] = _min_opt(acc["min"], h.get("min"))
                 acc["max"] = _max_opt(acc["max"], h.get("max"))
-    gauges, spans, spans_dropped, virtual_time = _fold_rest(docs)
-    return _assemble(docs, counters, gauges, histograms, spans,
-                     spans_dropped, virtual_time)
+        spans.extend(dict(s) for s in doc["spans"])
+        spans_dropped += doc.get("spans_dropped", 0)
+        if doc.get("virtual_time_ns") is not None:
+            virtual_time = _max_opt(virtual_time, doc["virtual_time_ns"])
+    spans.sort(key=lambda s: (s["begin_ns"], s["span_id"]))
+
+    out: Dict[str, Any] = {
+        "schema": SCHEMA_VERSION,
+        "meta": {str(k): v for k, v in sorted(docs[0]["meta"].items())},
+        "virtual_time_ns": virtual_time,
+        "metrics": {
+            "counters": {k: counters[k] for k in sorted(counters)},
+            "gauges": {k: gauges[k] for k in sorted(gauges)},
+            "histograms": {k: histograms[k] for k in sorted(histograms)},
+        },
+        "spans": spans,
+        "spans_dropped": spans_dropped,
+    }
+    validate_export(out)
+    return out
 
 
-def fold_exports_arrays(docs: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Array-backed fold: byte-identical output to :func:`fold_exports`.
-
-    The per-shard dict walk above touches every counter and every
-    histogram bucket once per document; with many shards the bucket
-    vectors dominate.  This path stacks same-name histogram
-    ``counts`` into one int64 matrix and sums along the shard axis, and
-    sums counters through a packed column when every document carries
-    the same counter set (the common case -- shards run the same
-    scenario code).  Scalar summaries (``sum``/``min``/``max``), gauges
-    and spans still fold sequentially in document order, so float
-    accumulation order -- and therefore the output bytes -- match the
-    dict fold exactly.  Property-tested against :func:`fold_exports` in
-    ``tests/obs/test_fold.py``.
-    """
-    _validate_foldable(docs)
-
-    cnames = sorted({n for d in docs for n in d["metrics"]["counters"]})
-    totals = np.zeros(len(cnames), dtype=np.int64)
-    index = {n: i for i, n in enumerate(cnames)}
-    for doc in docs:
-        c = doc["metrics"]["counters"]
-        if len(c) == len(cnames):
-            totals += np.fromiter((c[n] for n in cnames), np.int64,
-                                  len(cnames))
-        else:  # sparse document: fold only what it carries
-            for n, v in c.items():
-                totals[index[n]] += v
-    counters = {n: int(totals[i]) for i, n in enumerate(cnames)}
-
-    hnames = sorted({n for d in docs for n in d["metrics"]["histograms"]})
-    histograms: Dict[str, Dict[str, Any]] = {}
-    for name in hnames:
-        hs = [d["metrics"]["histograms"][name] for d in docs
-              if name in d["metrics"]["histograms"]]
-        buckets = list(hs[0]["buckets"])
-        for h in hs[1:]:
-            if list(h["buckets"]) != buckets:
-                raise ObservabilityError(
-                    f"histogram {name!r} bucket mismatch across shards"
-                )
-        counts = np.asarray([h["counts"] for h in hs], dtype=np.int64)
-        total = hs[0]["sum"]
-        mn, mx = hs[0].get("min"), hs[0].get("max")
-        count = hs[0]["count"]
-        for h in hs[1:]:
-            total += h["sum"]
-            count += h["count"]
-            mn = _min_opt(mn, h.get("min"))
-            mx = _max_opt(mx, h.get("max"))
-        histograms[name] = {
-            "buckets": buckets,
-            "counts": [int(x) for x in counts.sum(axis=0)],
-            "count": count,
-            "sum": total,
-            "min": mn,
-            "max": mx,
-        }
-
-    gauges, spans, spans_dropped, virtual_time = _fold_rest(docs)
-    return _assemble(docs, counters, gauges, histograms, spans,
-                     spans_dropped, virtual_time)
+#: Alias kept because ``perfbench/hosttrace.py`` traces this name;
+#: :func:`fold_exports` is the one fold.
+fold_exports_arrays = fold_exports

@@ -8,9 +8,10 @@ from its seed: running a cell twice, in any process, yields identical
 bytes -- the property the runner's deterministic merge and the CI
 worker-count smoke rest on.
 
-The E12 cell is the BlueGene/L-scale one: it measures system MTBF with
-a :class:`~repro.cluster.NodeFleet` cohort, so 65,536 nodes cost one
-vectorized draw per trial instead of 65,536 scheduled callbacks.
+The E12 cell is the BlueGene/L-scale one: it measures system MTBF on
+the counter-based per-node streams a :class:`~repro.cluster.ShardFleet`
+cohort draws from, so 65,536 nodes cost one vectorized draw per trial
+instead of 65,536 scheduled callbacks.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from ..cluster import (
     CheckpointCoordinator,
     Cluster,
     ExponentialFailures,
-    NodeFleet,
     ParallelJob,
+    ShardFleet,
     trial_first_failure_s,
 )
 from ..core.direction import AutonomicCheckpointer
@@ -61,29 +62,22 @@ def _writer(rank: int) -> SparseWriter:
 def e12_mtbf_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     """Measure time-to-first-failure for an ``n_nodes`` machine.
 
-    ``n_trials`` distributional trials read the pre-sampled cohort
-    arrays directly; one additional engine-driven run (dispatcher event
-    through the timer wheel) produces the cell's ``repro.obs`` export.
+    ``n_trials`` distributional trials read the per-node streams
+    directly (:func:`~repro.cluster.trial_first_failure_s`); one
+    additional engine-driven run (dispatcher event through the timer
+    wheel) produces the cell's ``repro.obs`` export.
     """
     n_nodes = int(params["n_nodes"])
     node_mtbf_s = float(params["node_mtbf_s"])
     n_trials = int(params.get("n_trials", 200))
 
-    rng = np.random.default_rng(seed)
-    model = ExponentialFailures(node_mtbf_s, rng=rng)
-    ttfs = []
-    for _ in range(n_trials):
-        eng = Engine(seed=seed)
-        fleet = NodeFleet(eng, n_nodes, model, repair_s=1e12)
-        ttfs.append(fleet.time_to_first_failure_s())
+    model = ExponentialFailures(node_mtbf_s, stream_seed=seed)
+    ttfs = [trial_first_failure_s(model, 0, n_nodes, t)
+            for t in range(n_trials)]
 
     # One run through the event loop for the observability export.
     eng = Engine(seed=seed)
-    fleet = NodeFleet(
-        eng, n_nodes,
-        ExponentialFailures(node_mtbf_s, rng=np.random.default_rng(seed)),
-        repair_s=1e12,
-    )
+    fleet = ShardFleet(eng, 0, n_nodes, model, repair_s=1e12)
     fleet.start()
     eng.run(until=lambda: fleet.failures > 0,
             until_ns=int(100 * node_mtbf_s * NS_PER_S))

@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import StorageError
-from ..simkernel.costs import NS_PER_S
 from ..storage.devices import Device, disk_device, network_device
 
 __all__ = ["StorageServerState", "StorageServer", "StorageCluster"]
@@ -143,32 +142,6 @@ class StorageCluster:
     def repair_server(self, server_id: int, data_survived: bool = True) -> None:
         """Bring a failed server back (disk intact unless told otherwise)."""
         self.server(server_id).recover(data_survived=data_survived)
-
-    def schedule_failures(
-        self,
-        model,
-        server_ids: Optional[List[int]] = None,
-        horizon_s: Optional[float] = None,
-    ) -> int:
-        """Arm servers with sampled times-to-failure (storage tier MTBF).
-
-        Mirrors :meth:`repro.cluster.Cluster.schedule_failures`: only the
-        first failure per server is armed; returns how many were
-        scheduled within the horizon.
-        """
-        ids = server_ids if server_ids is not None else [s.server_id for s in self.servers]
-        scheduled = 0
-        for sid in ids:
-            ttf_s = model.draw_ttf_s()
-            if horizon_s is not None and ttf_s > horizon_s:
-                continue
-            self.engine.after(
-                int(ttf_s * NS_PER_S),
-                lambda s=sid: self.fail_server(s),
-                label="storage-server-fail",
-            )
-            scheduled += 1
-        return scheduled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<StorageCluster {len(self.up_servers())}/{len(self.servers)} up>"

@@ -55,13 +55,13 @@ class TestFailureMath:
         assert p64k < p1 < 1.0
 
     def test_exponential_mean_close_to_mtbf(self):
-        model = ExponentialFailures(100.0, rng=np.random.default_rng(1))
-        samples = list(model.draws(4000))
+        model = ExponentialFailures(100.0, stream_seed=1)
+        samples = model.draw_ttf_indexed(np.arange(4000), 0)
         assert abs(np.mean(samples) - 100.0) < 8.0
 
     def test_weibull_mean_matches_mtbf(self):
-        model = WeibullFailures(50.0, shape=0.7, rng=np.random.default_rng(2))
-        samples = list(model.draws(6000))
+        model = WeibullFailures(50.0, shape=0.7, stream_seed=2)
+        samples = model.draw_ttf_indexed(np.arange(6000), 0)
         assert abs(np.mean(samples) - 50.0) < 5.0
 
     def test_invalid_params_rejected(self):
@@ -120,9 +120,30 @@ class TestClusterNodes:
 
     def test_schedule_failures_within_horizon(self):
         cl = Cluster(n_nodes=8, seed=5)
-        model = ExponentialFailures(10.0, rng=np.random.default_rng(5))
+        model = ExponentialFailures(10.0, stream_seed=5)
         n = cl.schedule_failures(model, horizon_s=5.0)
         assert 0 < n <= 8
+
+
+class TestLazyCluster:
+    def test_materializes_only_touched_nodes(self):
+        cl = Cluster(n_nodes=65_536, seed=0, lazy_nodes=True)
+        assert len(cl.nodes) == 65_536
+        assert cl.materialized_nodes() == 0
+        job = ParallelJob(cl, writer_factory(iterations=2_000, heap=64 * 1024),
+                          n_ranks=4, node_ids=[0, 1, 2, 3])
+        assert cl.materialized_nodes() == 4
+        assert job.run_to_completion(limit_ns=3600 * NS_PER_S)
+        assert cl.materialized_nodes() == 4
+
+    def test_spares_and_failures_work(self):
+        cl = Cluster(n_nodes=16, n_spares=2, seed=0, lazy_nodes=True)
+        cl.fail_node(3)
+        assert not cl.node(3).up
+        spare = cl.claim_spare()
+        assert spare.node_id == 16
+        assert cl.spares_left() == 1
+        assert cl.materialized_nodes() == 2
 
 
 class TestParallelJob:

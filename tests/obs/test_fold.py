@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
 from repro.obs import (
     MetricsRegistry,
+    Tracer,
     export_obs,
     fold_exports,
     strip_metrics,
@@ -121,8 +124,6 @@ class TestFoldExports:
 
     def test_spans_concatenate_sorted(self):
         reg = MetricsRegistry()
-        from repro.obs import Tracer
-
         t1, t2 = Tracer(clock=lambda: 10), Tracer(clock=lambda: 5)
         with t1.span("b"):
             pass
@@ -137,78 +138,61 @@ class TestFoldExports:
         assert len(out["spans"]) == 2
 
 
-class TestFoldExportsArrays:
-    """The array-backed fold must be byte-identical to the dict fold."""
+COUNTER_NAMES = ["a.x", "a.y", "b.z", "c.w"]
+HIST_NAMES = ["lat_ns", "queue_depth"]
 
-    def test_arrays_match_dict_fold_basic(self):
-        from repro.obs import fold_exports_arrays
 
-        docs = [
-            make_doc(counters=[("c", 3), ("d", 1)], gauges=[("g", 7)],
-                     hist=[("lat_ns", [100, 5000])], now_ns=50),
-            make_doc(counters=[("c", 4)], gauges=[("g", 5)],
-                     hist=[("lat_ns", [200_000])], now_ns=90),
-        ]
-        assert to_json(fold_exports_arrays(docs)) == to_json(
-            fold_exports(docs))
+@st.composite
+def export_doc(draw):
+    """Random export documents: sparse counter sets, string gauges,
+    float samples and span buffers."""
+    reg = MetricsRegistry()
+    for name in sorted(draw(st.sets(st.sampled_from(COUNTER_NAMES)))):
+        reg.inc(name, draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        reg.set_gauge("g.num", draw(st.integers(-5, 500)))
+    if draw(st.booleans()):
+        # Identical in every doc, as the fold contract requires.
+        reg.set_gauge("g.mode", "steady")
+    for name in sorted(draw(st.sets(st.sampled_from(HIST_NAMES)))):
+        for v in draw(st.lists(
+                st.integers(0, 10**9)
+                | st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+                max_size=6)):
+            reg.observe(name, v)
+    clock = {"t": draw(st.integers(0, 100))}
+    tracer = Tracer(clock=lambda: clock["t"])
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        clock["t"] += draw(st.integers(0, 100))
+        with tracer.span(draw(st.sampled_from(["s1", "s2"]))):
+            clock["t"] += draw(st.integers(1, 50))
+    return export_obs(reg, tracer=tracer, meta={"experiment": "prop-fold"},
+                      now_ns=clock["t"] + draw(st.integers(0, 100)))
 
-    def test_arrays_reject_bucket_mismatch(self):
-        from repro.obs import fold_exports_arrays
 
-        a = make_doc(hist=[("h", [5])])
-        b = make_doc()
-        b["metrics"]["histograms"]["h"] = {
-            "buckets": [1, 2], "counts": [0, 1, 0], "count": 1,
-            "sum": 2, "min": 2, "max": 2,
-        }
-        with pytest.raises(ObservabilityError, match="bucket mismatch"):
-            fold_exports_arrays([a, b])
+class TestFoldProperties:
+    """Properties of the one fold over random export documents."""
 
-    def test_arrays_property_identical_over_random_exports(self):
-        """Property gate: random documents -- sparse counter sets (both
-        the packed-column and per-name fallback run), string gauges,
-        float samples and span buffers -- fold to the same bytes
-        through both paths."""
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
+    @settings(deadline=None, max_examples=60)
+    @given(docs=st.lists(export_doc(), min_size=1, max_size=5))
+    def test_refolding_a_folded_document_is_identity(self, docs):
+        folded = fold_exports(docs)
+        assert to_json(fold_exports([folded])) == to_json(folded)
 
-        from repro.obs import Tracer, fold_exports_arrays
-
-        counter_names = ["a.x", "a.y", "b.z", "c.w"]
-        hist_names = ["lat_ns", "queue_depth"]
-
-        @st.composite
-        def export_doc(draw):
-            reg = MetricsRegistry()
-            for name in sorted(draw(st.sets(
-                    st.sampled_from(counter_names)))):
-                reg.inc(name, draw(st.integers(0, 10**6)))
-            if draw(st.booleans()):
-                reg.set_gauge("g.num", draw(st.integers(-5, 500)))
-            if draw(st.booleans()):
-                # Identical in every doc, as the fold contract requires.
-                reg.set_gauge("g.mode", "steady")
-            for name in sorted(draw(st.sets(st.sampled_from(hist_names)))):
-                for v in draw(st.lists(
-                        st.integers(0, 10**9)
-                        | st.floats(min_value=0.0, max_value=1e9,
-                                    allow_nan=False),
-                        max_size=6)):
-                    reg.observe(name, v)
-            clock = {"t": draw(st.integers(0, 100))}
-            tracer = Tracer(clock=lambda: clock["t"])
-            for _ in range(draw(st.integers(min_value=0, max_value=3))):
-                clock["t"] += draw(st.integers(0, 100))
-                with tracer.span(draw(st.sampled_from(["s1", "s2"]))):
-                    clock["t"] += draw(st.integers(1, 50))
-            return export_obs(reg, tracer=tracer,
-                              meta={"experiment": "prop-fold"},
-                              now_ns=clock["t"] + draw(st.integers(0, 100)))
-
-        @settings(deadline=None, max_examples=60)
-        @given(docs=st.lists(export_doc(), min_size=1, max_size=5))
-        def run(docs):
-            assert to_json(fold_exports_arrays(docs)) == to_json(
-                fold_exports(docs))
-
-        run()
+    @settings(deadline=None, max_examples=60)
+    @given(docs=st.lists(export_doc(), min_size=1, max_size=5))
+    def test_totals_equal_per_document_sums(self, docs):
+        out = fold_exports(docs)["metrics"]
+        for name in COUNTER_NAMES:
+            total = sum(d["metrics"]["counters"].get(name, 0) for d in docs)
+            assert out["counters"].get(name, 0) == total
+        for name in HIST_NAMES:
+            hs = [d["metrics"]["histograms"][name] for d in docs
+                  if name in d["metrics"]["histograms"]]
+            if not hs:
+                assert name not in out["histograms"]
+                continue
+            assert out["histograms"][name]["counts"] == [
+                sum(col) for col in zip(*(h["counts"] for h in hs))]
+            assert out["histograms"][name]["count"] == sum(
+                h["count"] for h in hs)

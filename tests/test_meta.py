@@ -23,7 +23,6 @@ _DOCUMENTED_IN_BASE = {
     "setup",
     "iteration",
     "scan_ops",
-    "draw_ttf_s",
     "checkpoint_op",
     "mechanism_for",
     "read",
