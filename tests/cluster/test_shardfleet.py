@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.cluster import (
     Cluster,
     ExponentialFailures,
+    FailureModel,
     ParallelJob,
     ShardFleet,
     WeibullFailures,
@@ -160,6 +161,13 @@ class TestShardFleet:
             ShardFleet(eng, 4, 4, ExponentialFailures(100.0, stream_seed=1))
         with pytest.raises(ClusterError, match="negative"):
             ShardFleet(eng, 0, 4, ExponentialFailures(10.0), repair_s=-1.0)
+
+    def test_requires_indexed_model_and_nonempty_range(self):
+        eng = Engine(seed=1)
+        with pytest.raises(NotImplementedError):
+            ShardFleet(eng, 0, 4, FailureModel())
+        with pytest.raises(ClusterError, match="non-empty"):
+            ShardFleet(eng, 4, 2, ExponentialFailures(100.0))
 
     def test_transitions_match_union_of_subranges(self):
         """A [0, n) fleet and per-shard [lo, hi) fleets driven on
