@@ -15,7 +15,8 @@ stdlib:
   shards (the identity above is not vacuous), every failed node's
   storage read is acknowledged, and the process backend (2 workers,
   4 shards) folds that envelope-carrying run to the same bytes as the
-  1-shard in-process run;
+  1-shard in-process run, over the same windows, envelopes and events
+  as the 4-shard in-process run;
 * a **speedup smoke**: aggregate events/s at 4 shards is at least 1.5x
   the 1-shard run.  The full >=3x acceptance bar lives in
   ``BENCH_PERF.json`` (``parallel_engine.speedup_4shard``); this bar is
@@ -129,6 +130,14 @@ def main() -> int:
     if rt1.obs_json != rt_procs.obs_json:
         print("FAIL: restart-traffic export over 2 worker processes differs "
               "from the 1-shard in-process run")
+        status = 1
+    barrier4 = (rt4.stats.windows, rt4.stats.exchanged, rt4.stats.events)
+    barrier_procs = (rt_procs.stats.windows, rt_procs.stats.exchanged,
+                     rt_procs.stats.events)
+    if barrier_procs != barrier4:
+        print(f"FAIL: restart-traffic (windows, envelopes, events) over 2 "
+              f"worker processes {barrier_procs} differ from the 4-shard "
+              f"in-process run's {barrier4}")
         status = 1
     if rt4.stats.exchanged == 0 or rt_procs.stats.exchanged == 0:
         print("FAIL: no envelopes crossed shards -- the identity checks "

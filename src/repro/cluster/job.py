@@ -438,16 +438,6 @@ class CheckpointCoordinator:
             if usable:
                 yield wave
 
-    def _usable_wave(self) -> Optional[Dict[int, str]]:
-        """Newest wave whose every image chain is currently readable.
-
-        Under an infallible storage tier this is always the latest wave
-        (identical to the historical behaviour); when storage servers
-        fail, restart falls back to the newest *surviving* generation
-        instead of dying on the first unreadable image.
-        """
-        return next(self._candidate_waves(), None)
-
     def _restart_from_scratch(self) -> None:
         job = self.job
         cluster = job.cluster

@@ -392,10 +392,6 @@ class Cluster:
         """
         return self.nodes[: self.n_compute]
 
-    def up_nodes(self) -> List[ClusterNode]:
-        """Every currently-serving node (materialized only, when lazy)."""
-        return [n for n in self.nodes if n.up]
-
     def materialized_nodes(self) -> int:
         """How many nodes have been built as full machines."""
         if isinstance(self.nodes, _NodeVector):

@@ -213,28 +213,15 @@ def copy_pages(
 ) -> Generator:
     """Copy the selected pages into the image, one cost op per page.
 
-    Contiguous runs of selected pages within a VMA coalesce into one
-    extent chunk (one array slice + one Chunk object instead of one per
-    page), capped at :data:`MAX_EXTENT_PAGES`.  The virtual cost is
-    unchanged -- still one Compute per page, so the capture stays
-    preemptible at page granularity (E10) and ``user_mode`` still pays
-    its per-page write() syscall.
+    Runs :func:`capture_extents` and yields one Compute per page of each
+    extent, so the capture stays preemptible at page granularity (E10)
+    and ``user_mode`` still pays its per-page write() syscall.
     """
-    page_size = kernel.costs.page_size
-    per_page_ns = kernel.costs.memcpy_ns(page_size)
+    per_page_ns = kernel.costs.memcpy_ns(kernel.costs.page_size)
     if user_mode:
         per_page_ns += kernel.costs.syscall_ns(0)  # write() per page buffer
-    if pages:
-        metrics = kernel.engine.metrics
-        metrics.inc("capture.pages", len(pages))
-        metrics.inc("capture.bytes", len(pages) * page_size)
-    for vma_name, start, npages in _extent_runs(pages):
-        vma = target.mm.vma(vma_name)
-        if npages == 1:
-            image.add_page(vma_name, start, vma.read_page(start))
-        else:
-            image.add_extent(vma_name, start, vma.read_pages(start, npages), npages)
-        for _ in range(npages):
+    for chunk, _ in capture_extents(kernel, target, image, pages):
+        for _ in range(chunk.npages):
             yield ops.Compute(ns=per_page_ns)
 
 
@@ -244,14 +231,15 @@ def capture_extents(
     image: CheckpointImage,
     pages: Sequence[Tuple[str, int]],
 ) -> Generator:
-    """Like :func:`copy_pages`, but yields ``(chunk, copy_cost_ns)``.
+    """Copy the selected pages into the image; yield ``(chunk, copy_cost_ns)``.
 
-    The pipelined COW drain needs the chunk *object* as soon as its
+    Contiguous runs of selected pages within a VMA coalesce into one
+    extent chunk (one array slice + one Chunk object instead of one per
+    page), capped at :data:`MAX_EXTENT_PAGES`.  The cost is one
+    page-memcpy per page, charged per extent.  The pipelined COW drain
+    uses this directly: it needs the chunk *object* as soon as its
     memcpy finishes so it can hand the extent to the writeback pipeline
-    and copy the next one while the bytes are on the wire.  The virtual
-    cost is identical to :func:`copy_pages` (one page-memcpy per page,
-    charged per extent); the caller yields the Compute op itself, then
-    submits the chunk.
+    and copy the next one while the bytes are on the wire.
     """
     page_size = kernel.costs.page_size
     per_page_ns = kernel.costs.memcpy_ns(page_size)

@@ -146,10 +146,6 @@ class Channel:
         """The messages currently on the wire, in delivery order."""
         return list(self._inflight)
 
-    def last_delivery_ns(self) -> int:
-        """Delivery instant of the newest in-flight message (or 0)."""
-        return self._last_delivery_ns if self._inflight else 0
-
     def send(self, msg: Message) -> int:
         """Put ``msg`` on the wire; returns its delivery delay.
 

@@ -14,6 +14,7 @@ from .parallel import (
     ParallelResult,
     ProcessShardGroup,
     WorkerDiedError,
+    WorkerHungError,
     run_parallel,
 )
 
@@ -27,5 +28,6 @@ __all__ = [
     "ParallelResult",
     "ProcessShardGroup",
     "WorkerDiedError",
+    "WorkerHungError",
     "run_parallel",
 ]

@@ -12,25 +12,25 @@ the one entry point experiments call:
     the determinism reference); ``workers > 1`` spreads shards over
     **persistent worker processes**.
 
-The process transport is length-delimited pickles over pipes: one
-pickled ``WindowReply`` (envelope objects included) per worker per
-barrier, one pickled obs document per shard at the end.  DESIGN.md
-section 10.5 records why it is the only one.
+Every worker steps its own shards with a
+:class:`~repro.simkernel.parallel.LocalShardGroup`, so one class steps
+shards at every worker count.  The worker protocol is the
+:class:`~repro.simkernel.parallel.ShardGroup` method names: the host
+sends ``(method, args)`` as a pickle over a pipe (DESIGN.md section
+10.5 records why pipes are the only transport) and the worker answers
+with that method's return value.  A barrier window costs one round trip
+(``window_all`` delivers the last barrier's inboxes, then runs),
+sent to all workers before any is collected, so shards advance
+concurrently.  Workers are persistent: spawned once per run, not per
+window.  A worker that dies raises :class:`WorkerDiedError`; one that
+sends nothing for :data:`_REPLY_DEADLINE_S` is killed and raises
+:class:`WorkerHungError`.  Both name the worker and its shards.
 
-The worker protocol is four lockstep verbs -- ``status`` / ``window``
-/ ``deliver`` / ``export`` -- broadcast to all workers and then
-collected from all, so shards advance concurrently between barriers.
-Workers are persistent (spawned once per run, not per window): at a
-few hundred windows per run, per-window process spawning would
-dominate the simulation itself.  A worker that dies mid-run surfaces
-as :class:`WorkerDiedError` naming the dead worker and its shards
-instead of a barrier that hangs forever.
-
-Determinism: the driver loop, the barrier exchange and the canonical
-envelope ordering are identical for both backends -- every receiving
-shard sorts its batch by the canonical envelope key -- so the folded
-export is byte-identical across ``workers`` *and* ``n_shards`` (the
-hard gate; see ``benchmarks/perf/check_parallel.py``).
+Determinism: both backends run the same driver loop and the same
+``LocalShardGroup``, and every receiving shard sorts its batch by the
+canonical envelope key, so the folded export is byte-identical across
+``workers`` *and* ``n_shards`` (the hard gate; see
+``benchmarks/perf/check_parallel.py``).
 """
 
 from __future__ import annotations
@@ -38,14 +38,14 @@ from __future__ import annotations
 import multiprocessing as mp
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
-from ..obs import MetricsRegistry, export_obs, to_json
+from ..obs import MetricsRegistry, to_json
 from ..obs.fold import fold_exports, strip_metrics
 from ..simkernel.engine import Engine
 from ..simkernel.parallel import (
-    Envelope,
+    Inboxes,
     LocalShardGroup,
     ParallelError,
     ShardContext,
@@ -59,6 +59,7 @@ __all__ = [
     "ParallelResult",
     "ProcessShardGroup",
     "WorkerDiedError",
+    "WorkerHungError",
     "run_parallel",
 ]
 
@@ -80,6 +81,26 @@ class WorkerDiedError(ParallelError):
         self.exitcode = exitcode
 
 
+class WorkerHungError(WorkerDiedError):
+    """A worker stayed alive but sent no reply within the deadline.
+
+    The host kills it (so shutdown does not wait on it) before raising;
+    ``worker`` and ``shards`` name it as for :class:`WorkerDiedError`.
+    """
+
+
+#: Longest the host waits for one worker reply before declaring the
+#: worker hung.  The slowest reply in the repository's multi-worker runs
+#: (a 65,536-node shard's build, window or export) takes about 10 ms on
+#: a 2-CPU host; the deadline is four orders of magnitude above that so
+#: a loaded host never trips it, yet a hang still ends in bounded time.
+_REPLY_DEADLINE_S = 120.0
+
+#: The ShardGroup methods a worker answers; anything else is a protocol
+#: error.  ``close`` ends the worker loop without a reply.
+_VERBS = ("status_all", "window_all", "deliver_all", "export_all", "close")
+
+
 def _resolve_factory(spec: FactorySpec) -> Callable:
     """Accept a top-level callable or a ``"module:function"`` name."""
     if callable(spec):
@@ -98,23 +119,22 @@ def _resolve_factory(spec: FactorySpec) -> Callable:
     raise ParallelError(f"bad scenario factory spec {spec!r}")
 
 
-def _factory_name(spec: FactorySpec) -> str:
-    fn = _resolve_factory(spec)
-    return f"{fn.__module__}:{fn.__qualname__}"
-
-
-def _build_shard(
-    factory: Callable,
+def _local_group(
+    factory: FactorySpec,
     params: Mapping[str, Any],
     seed: int,
-    shard_id: int,
+    shard_ids: Sequence[int],
     n_shards: int,
     lookahead_ns: Optional[int],
-) -> tuple:
-    engine = Engine(seed=seed)
-    ctx = ShardContext(engine, shard_id, n_shards, lookahead_ns=lookahead_ns)
-    scenario = factory(ctx, dict(params), seed)
-    return ctx, scenario
+) -> LocalShardGroup:
+    """Build shards ``shard_ids`` of an ``n_shards`` run in this process."""
+    fn = _resolve_factory(factory)
+    shards = []
+    for sid in shard_ids:
+        ctx = ShardContext(Engine(seed=seed), sid, n_shards,
+                           lookahead_ns=lookahead_ns)
+        shards.append((ctx, fn(ctx, dict(params), seed)))
+    return LocalShardGroup(shards)
 
 
 # ----------------------------------------------------------------------
@@ -133,48 +153,18 @@ def _worker_main(
     for p in reversed(paths):
         if p not in sys.path:
             sys.path.insert(0, p)
-    factory = _resolve_factory(factory_name)
-    shards = {
-        sid: _build_shard(factory, params, seed, sid, n_shards, lookahead_ns)
-        for sid in shard_ids
-    }
+    group = _local_group(factory_name, params, seed, shard_ids, n_shards,
+                         lookahead_ns)
     try:
         while True:
-            msg = conn.recv()
-            verb = msg[0]
-            if verb == "status":
-                conn.send([(sid, ctx.next_time_ns())
-                           for sid, (ctx, _) in shards.items()])
-            elif verb == "window":
-                end_ns = msg[1]
-                replies = []
-                for sid, (ctx, scenario) in shards.items():
-                    box, processed = ctx.run_window(end_ns)
-                    stop = bool(getattr(scenario, "stop", lambda: False)())
-                    replies.append((sid, WindowReply(
-                        box, ctx.next_time_ns(), processed, stop)))
-                conn.send(replies)
-            elif verb == "deliver":
-                out = []
-                for sid, envs in msg[1].items():
-                    ctx, _ = shards[sid]
-                    ctx.deliver(envs)
-                    out.append((sid, ctx.next_time_ns()))
-                conn.send(out)
-            elif verb == "export":
-                meta = msg[1]
-                conn.send([
-                    (sid,
-                     export_obs(ctx.engine.metrics, tracer=ctx.engine.tracer,
-                                meta=meta, now_ns=ctx.engine.now_ns),
-                     getattr(scenario, "result", lambda: None)())
-                    for sid, (ctx, scenario) in shards.items()
-                ])
-            elif verb == "exit":
-                break
-            else:  # pragma: no cover - protocol guard
+            verb, args = conn.recv()
+            if verb not in _VERBS:  # pragma: no cover - protocol guard
                 raise SimulationError(f"unknown worker verb {verb!r}")
+            if verb == "close":
+                break
+            conn.send(getattr(group, verb)(*args))
     finally:
+        group.close()
         conn.close()
 
 
@@ -182,10 +172,11 @@ class ProcessShardGroup(ShardGroup):
     """Shards spread over persistent worker processes.
 
     Shard ``i`` lives on worker ``i % workers`` (so a 4-shard run with
-    4 workers is one shard per process).  Every lockstep operation is
-    broadcast to all workers first and collected second -- the collect
-    order is by worker index, and replies are re-sorted by shard id, so
-    the driver sees the exact same reply layout as the local group.
+    4 workers is one shard per process), inside that worker's
+    :class:`~repro.simkernel.parallel.LocalShardGroup`.  Every method
+    is forwarded to all workers first and collected second, and the
+    answers are put back in shard-id order, so the driver sees the
+    exact same reply layout as the local group.
     """
 
     def __init__(
@@ -202,7 +193,8 @@ class ProcessShardGroup(ShardGroup):
             raise ParallelError("need at least one worker")
         self.size = int(n_shards)
         workers = min(workers, self.size)
-        name = _factory_name(factory)
+        fn = _resolve_factory(factory)
+        name = f"{fn.__module__}:{fn.__qualname__}"
         try:
             ctx = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
@@ -225,15 +217,16 @@ class ProcessShardGroup(ShardGroup):
             self._procs.append(proc)
 
     # ------------------------------------------------------------------
-    # Pipe wrappers: a dead worker raises a named error, not a hang.
+    # Pipe wrappers: a dead or hung worker raises a named error.
     # ------------------------------------------------------------------
-    def _died(self, w: int, exc: Exception) -> WorkerDiedError:
+    def _failure(self, w: int, reason: str,
+                 cls: type = WorkerDiedError) -> WorkerDiedError:
         proc = self._procs[w]
         proc.join(timeout=1)
         code = proc.exitcode
-        return WorkerDiedError(
-            f"worker {w} (shards {self._owned[w]}) died mid-run"
-            f"{f' (exit code {code})' if code is not None else ''}: {exc!r}",
+        return cls(
+            f"worker {w} (shards {self._owned[w]}) {reason}"
+            f"{f' (exit code {code})' if code is not None else ''}",
             worker=w, shards=self._owned[w], exitcode=code,
         )
 
@@ -241,72 +234,68 @@ class ProcessShardGroup(ShardGroup):
         try:
             self._conns[w].send(msg)
         except (BrokenPipeError, OSError) as exc:
-            raise self._died(w, exc) from exc
+            raise self._failure(w, f"died mid-run: {exc!r}") from exc
 
     def _recv(self, w: int) -> Any:
         try:
-            return self._conns[w].recv()
+            # Data or EOF ends the wait at once, so a dead worker still
+            # surfaces as WorkerDiedError from recv().
+            if self._conns[w].poll(_REPLY_DEADLINE_S):
+                return self._conns[w].recv()
         except (EOFError, OSError) as exc:
-            raise self._died(w, exc) from exc
+            raise self._failure(w, f"died mid-run: {exc!r}") from exc
+        self._procs[w].kill()  # so close() need not wait on it
+        raise self._failure(w, f"sent no reply within {_REPLY_DEADLINE_S} s "
+                               "and was killed", WorkerHungError)
 
-    def _broadcast(self, msg: tuple) -> List[Any]:
-        for w in range(len(self._conns)):
-            self._send(w, msg)
-        merged: List[Any] = []
-        for w in range(len(self._conns)):
-            merged.extend(self._recv(w))
-        return merged
+    def _forward(self, verb: str, *args: Any,
+                 inboxes: Optional[Inboxes] = None) -> List[Any]:
+        """Call ``verb`` on every worker's shard group, passing each only
+        its own shards' ``inboxes``; per-shard answers in shard-id order.
+
+        All workers are sent to before any is read, so they step
+        concurrently.
+        """
+        for w, owned in enumerate(self._owned):
+            extra = () if inboxes is None else (
+                {sid: inboxes[sid] for sid in owned if sid in inboxes},)
+            self._send(w, (verb, args + extra))
+        answers: List[Any] = [None] * self.size
+        for w, owned in enumerate(self._owned):
+            reply = self._recv(w)
+            if reply is not None:  # deliver_all answers nothing
+                for sid, answer in zip(owned, reply):
+                    answers[sid] = answer
+        return answers
 
     # ------------------------------------------------------------------
     def status_all(self) -> List[Optional[int]]:
         """Each shard's next pending event time (None when drained)."""
-        replies = dict(self._broadcast(("status",)))
-        return [replies[sid] for sid in range(self.size)]
+        return self._forward("status_all")
 
-    def window_all(self, end_ns: int) -> List[WindowReply]:
-        """Run every shard to ``end_ns``; one reply per shard."""
-        replies = dict(self._broadcast(("window", end_ns)))
-        return [replies[sid] for sid in range(self.size)]
+    def window_all(self, end_ns: int, inboxes: Inboxes) -> List[WindowReply]:
+        """Deliver ``inboxes`` and run every shard to ``end_ns``; one
+        reply per shard."""
+        return self._forward("window_all", end_ns, inboxes=inboxes)
 
     # Bound here (not just inherited) because the host-time benchmark
     # trace times the barrier exchange through this class attribute.
     exchange = ShardGroup.exchange
 
-    def deliver_all(
-        self, inboxes: List[List[Envelope]]
-    ) -> List[Optional[int]]:
-        """Hand each shard its inbox; only workers holding a non-empty
-        inbox are contacted.  Returns the post-delivery next-event time
-        for shards that received anything (None entries elsewhere)."""
-        nexts: List[Optional[int]] = [None] * self.size
-        contacted = []
-        for w in range(len(self._conns)):
-            inbox_map = {
-                sid: inboxes[sid]
-                for sid in range(w, self.size, len(self._conns))
-                if inboxes[sid]
-            }
-            if inbox_map:
-                self._send(w, ("deliver", inbox_map))
-                contacted.append(w)
-        for w in contacted:
-            for sid, t in self._recv(w):
-                nexts[sid] = t
-        return nexts
+    def deliver_all(self, inboxes: Inboxes) -> None:
+        """Deliver the last barrier's batches after a stopped run."""
+        self._forward("deliver_all", inboxes=inboxes)
 
-    def export_all(self, meta: Mapping[str, Any]):
-        """Collect one obs document and one scenario result per shard,
-        in shard-id order."""
-        replies = self._broadcast(("export", dict(meta)))
-        replies.sort(key=lambda r: r[0])
-        return ([doc for _, doc, _ in replies],
-                [result for _, _, result in replies])
+    def export_all(self, meta: Mapping[str, Any]) -> List[Tuple[Dict[str, Any], Any]]:
+        """One obs document and scenario result per shard, in shard-id
+        order."""
+        return self._forward("export_all", dict(meta))
 
     def close(self) -> None:
         """Shut the workers down (terminate any that hang on join)."""
         for conn in self._conns:
             try:
-                conn.send(("exit",))
+                conn.send(("close", ()))
                 conn.close()
             except (BrokenPipeError, OSError):  # pragma: no cover
                 pass
@@ -394,47 +383,32 @@ def run_parallel(
         )
     meta = dict(meta or {})
     registry = MetricsRegistry()
-
+    group: ShardGroup
     if workers == 1:
-        fn = _resolve_factory(factory)
-        shards = [
-            _build_shard(fn, params, seed, sid, n_shards, lookahead_ns)
-            for sid in range(n_shards)
-        ]
-        group: Any = LocalShardGroup(shards)
-        stats = run_windows(group, horizon_ns=horizon_ns,
-                            window_ns=window_ns, registry=registry)
-        shard_obs = [
-            export_obs(ctx.engine.metrics, tracer=ctx.engine.tracer,
-                       meta=meta, now_ns=ctx.engine.now_ns)
-            for ctx, _ in shards
-        ]
-        shard_results = [
-            getattr(scenario, "result", lambda: None)()
-            for _, scenario in shards
-        ]
+        group = _local_group(factory, params, seed, range(n_shards),
+                             n_shards, lookahead_ns)
         used_transport = "local"
     else:
         group = ProcessShardGroup(
             factory, params, seed,
             n_shards=n_shards, lookahead_ns=lookahead_ns, workers=workers,
         )
-        try:
-            stats = run_windows(group, horizon_ns=horizon_ns,
-                                window_ns=window_ns, registry=registry)
-            shard_obs, shard_results = group.export_all(meta)
-        finally:
-            group.close()
         used_transport = "pipe"
+    try:
+        stats = run_windows(group, horizon_ns=horizon_ns,
+                            window_ns=window_ns, registry=registry)
+        exports = group.export_all(meta)
+    finally:
+        group.close()
+    shard_obs = [doc for doc, _ in exports]
+    shard_results = [result for _, result in exports]
     folded = fold_exports([strip_metrics(doc) for doc in shard_obs])
-
-    barrier_obs = registry.to_dict()
     return ParallelResult(
         obs=folded,
         obs_json=to_json(folded),
         shard_obs=shard_obs,
         shard_results=shard_results,
         stats=stats,
-        barrier_obs=barrier_obs,
+        barrier_obs=registry.to_dict(),
         transport=used_transport,
     )

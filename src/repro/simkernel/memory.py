@@ -179,12 +179,6 @@ class VMA:
         """Whether ``addr`` falls inside this VMA."""
         return self.start <= addr < self.end
 
-    def page_of(self, addr: int) -> int:
-        """Page index of ``addr`` within this VMA."""
-        if not self.contains(addr):
-            raise MemoryError_(f"address {addr:#x} outside VMA {self.name!r}")
-        return (addr - self.start) // self.page_size
-
     # -- flag helpers ---------------------------------------------------
     def test(self, pidx: int, flag: int) -> bool:
         """Test a :class:`PageFlag` bit on page ``pidx``."""
@@ -385,10 +379,6 @@ class AddressSpace:
         """Total resident pages across all VMAs."""
         return int(sum(len(v.present_pages()) for v in self.vmas))
 
-    def total_mapped_bytes(self) -> int:
-        """Total mapped (not necessarily resident) bytes."""
-        return sum(v.size_bytes for v in self.vmas)
-
     def iter_present(self) -> Iterator[Tuple[VMA, int]]:
         """Yield (vma, page_index) for every resident page."""
         for vma in self.vmas:
@@ -465,12 +455,6 @@ class AddressSpace:
             vma.tracking_armed = True
             armed += int(present.sum())
         return armed
-
-    def clear_tracking(self, vma_names: Optional[List[str]] = None) -> None:
-        """Disarm tracking without touching dirty bits."""
-        for vma in self._tracked(vma_names):
-            vma.flags &= ~np.uint8(PageFlag.TRACK_WP)
-            vma.tracking_armed = False
 
     def dirty_page_count(self, vma_names: Optional[List[str]] = None) -> int:
         """Resident pages currently marked dirty."""

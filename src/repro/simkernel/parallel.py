@@ -53,10 +53,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, export_obs
 from .engine import Engine
 
 __all__ = [
@@ -252,13 +252,18 @@ class WindowReply:
     stop: bool
 
 
+#: Barrier batches keyed by destination shard id.
+Inboxes = Dict[int, List[Envelope]]
+
+
 class ShardGroup:
     """Backend interface the window driver runs against.
 
-    Implementations hold ``size`` shards and answer three lockstep
-    operations.  The in-process reference implementation is
-    :class:`LocalShardGroup`; :mod:`repro.runner.parallel` provides the
-    persistent-worker-process one.  Both execute the *same* driver loop
+    Implementations hold ``size`` shards and step them with one call per
+    window.  :class:`LocalShardGroup` is the only code that steps
+    shards: in-process, and inside every worker of
+    :mod:`repro.runner.parallel`'s ``ProcessShardGroup``, which forwards
+    these same calls.  Both run the same driver loop
     (:func:`run_windows`), which is what makes their outputs
     byte-identical.
     """
@@ -269,49 +274,47 @@ class ShardGroup:
         """Initial next-event time per shard."""
         raise NotImplementedError
 
-    def window_all(self, end_ns: int) -> List[WindowReply]:
-        """Run every shard to ``end_ns``; collect outboxes."""
+    def window_all(self, end_ns: int, inboxes: Inboxes) -> List[WindowReply]:
+        """Deliver the last barrier's ``inboxes``, then run every shard
+        to ``end_ns``; one reply per shard, in shard-id order."""
         raise NotImplementedError
 
-    def deliver_all(
-        self, inboxes: List[List[Envelope]]
-    ) -> List[Optional[int]]:
-        """Deliver barrier batches; return updated next-event times."""
+    def deliver_all(self, inboxes: Inboxes) -> None:
+        """Deliver barrier batches without running (a stopped run's last)."""
         raise NotImplementedError
 
-    def exchange(
-        self, replies: List["WindowReply"]
-    ) -> Tuple[List[Optional[int]], int]:
-        """Route every reply's outbox to its destination and deliver.
+    def export_all(self, meta: Mapping[str, Any]) -> List[Tuple[Dict[str, Any], Any]]:
+        """One ``(obs document, scenario result)`` pair per shard."""
+        raise NotImplementedError
 
-        Returns ``(next-event times after delivery, envelopes moved)``.
-        Walks the per-envelope outboxes and hands each shard its inbox
-        through :meth:`deliver_all`; the receiving shard sorts its batch
-        canonically, so the exchange mechanics cannot perturb the
-        delivery schedule.
+    def close(self) -> None:
+        """Release the group's resources."""
+        raise NotImplementedError
+
+    def exchange(self, replies: List[WindowReply]) -> Tuple[Inboxes, int]:
+        """Route every reply's outbox to its destination shard.
+
+        Returns ``(inboxes, envelopes moved)``.  Delivery is left to the
+        next :meth:`window_all`, where the receiving shard sorts its
+        batch canonically, so the routing cannot perturb the schedule.
         """
-        inboxes: List[List[Envelope]] = [[] for _ in range(self.size)]
+        inboxes: Inboxes = {}
         exchanged = 0
         for reply in replies:
             for env in reply.outbox:
-                inboxes[env.dst_shard].append(env)
-                exchanged += 1
-        nexts = [reply.next_ns for reply in replies]
-        if exchanged:
-            updated = self.deliver_all(inboxes)
-            nexts = [
-                updated[i] if inboxes[i] else nexts[i]
-                for i in range(self.size)
-            ]
-        return nexts, exchanged
+                inboxes.setdefault(env.dst_shard, []).append(env)
+            exchanged += len(reply.outbox)
+        return inboxes, exchanged
 
 
 class LocalShardGroup(ShardGroup):
-    """All shards in this process, stepped sequentially.
+    """Shards in this process, stepped sequentially.
 
-    The determinism reference: the N-worker process backend must fold
-    to the same bytes this group produces (and the 1-shard instance of
-    this group is the gate every multi-shard run is compared against).
+    The determinism reference, and the one stepping implementation: a
+    worker process runs one over its own shards (inboxes are looked up
+    by ``shard_id``, so any subset of a run's shards works), and the
+    1-shard instance is the gate every multi-shard run is compared
+    against.
     """
 
     def __init__(self, shards: Sequence[Tuple[ShardContext, Any]]) -> None:
@@ -320,15 +323,11 @@ class LocalShardGroup(ShardGroup):
         self._shards = list(shards)
         self.size = len(self._shards)
 
-    @property
-    def shards(self) -> List[Tuple[ShardContext, Any]]:
-        """The ``(context, scenario)`` pairs, in shard-id order."""
-        return self._shards
-
     def status_all(self) -> List[Optional[int]]:
         return [ctx.next_time_ns() for ctx, _ in self._shards]
 
-    def window_all(self, end_ns: int) -> List[WindowReply]:
+    def window_all(self, end_ns: int, inboxes: Inboxes) -> List[WindowReply]:
+        self.deliver_all(inboxes)
         replies = []
         for ctx, scenario in self._shards:
             outbox, processed = ctx.run_window(end_ns)
@@ -337,15 +336,21 @@ class LocalShardGroup(ShardGroup):
                                        processed, stop))
         return replies
 
-    def deliver_all(
-        self, inboxes: List[List[Envelope]]
-    ) -> List[Optional[int]]:
-        nexts: List[Optional[int]] = []
-        for (ctx, _), inbox in zip(self._shards, inboxes):
-            if inbox:
-                ctx.deliver(inbox)
-            nexts.append(ctx.next_time_ns())
-        return nexts
+    def deliver_all(self, inboxes: Inboxes) -> None:
+        for ctx, _ in self._shards:
+            if ctx.shard_id in inboxes:
+                ctx.deliver(inboxes[ctx.shard_id])
+
+    def export_all(self, meta: Mapping[str, Any]) -> List[Tuple[Dict[str, Any], Any]]:
+        return [
+            (export_obs(ctx.engine.metrics, tracer=ctx.engine.tracer,
+                        meta=meta, now_ns=ctx.engine.now_ns),
+             getattr(scenario, "result", lambda: None)())
+            for ctx, scenario in self._shards
+        ]
+
+    def close(self) -> None:
+        pass
 
 
 @dataclass
@@ -395,21 +400,26 @@ def run_windows(
     """Drive a shard group to ``horizon_ns`` in conservative windows.
 
     Each iteration: find the global minimum pending event time ``t0``
-    (skipping idle virtual time entirely), run every shard to
-    ``min(horizon, t0 + window)``, exchange the outboxes, deliver each
-    shard's batch in canonical order, and re-poll.  ``window_ns`` must
-    not exceed the scenario's lookahead; ``None`` means the shards
-    never interact (no channels registered), so each runs straight to
-    the horizon in a single window.
+    (skipping idle virtual time entirely), deliver the last barrier's
+    inboxes and run every shard to ``min(horizon, t0 + window)`` -- one
+    :meth:`ShardGroup.window_all` call -- and route the outboxes into
+    the next inboxes.  A shard's next event is the earlier of its
+    reply's ``next_ns`` and its inbox's first ``deliver_at_ns``: that is
+    exact, because :meth:`Engine.next_time_ns` is the minimum stored
+    entry time and delivery only adds entries.  ``window_ns`` must not
+    exceed the scenario's lookahead; ``None`` means the shards never
+    interact (no channels registered), so each runs straight to the
+    horizon in a single window.
 
     Stops early when any shard's scenario raises its stop flag at a
     barrier (all shards are then parked at the same instant -- the
-    window end), or when the horizon is reached.  Returns the
-    :class:`WindowStats` barrier tally.
+    window end -- and the last inboxes are delivered), or when the
+    horizon is reached.  Returns the :class:`WindowStats` barrier tally.
     """
     horizon_ns = int(horizon_ns)
     stats = WindowStats()
     nexts = group.status_all()
+    inboxes: Inboxes = {}
     while True:
         live = [t for t in nexts if t is not None]
         t0 = min(live) if live else None
@@ -417,14 +427,18 @@ def run_windows(
             break
         end = horizon_ns if window_ns is None else min(
             horizon_ns, t0 + int(window_ns))
-        replies = group.window_all(end)
+        replies = group.window_all(end, inboxes)
         stats.windows += 1
         stats.end_ns = end
         for reply in replies:
             stats.events += reply.processed
             if reply.processed == 0:
                 stats.idle_shard_windows += 1
-        nexts, exchanged = group.exchange(replies)
+        inboxes, exchanged = group.exchange(replies)
+        nexts = [reply.next_ns for reply in replies]
+        for sid, inbox in inboxes.items():
+            first = min(env.deliver_at_ns for env in inbox)
+            nexts[sid] = first if nexts[sid] is None else min(nexts[sid], first)
         stats.exchanged += exchanged
         stats.window_spans.append(end - t0)
         stats.window_exchanges.append(exchanged)
@@ -432,10 +446,12 @@ def run_windows(
             stats.stopped = True
             break
     if not stats.stopped:
-        # Park every clock at the horizon (no events remain at or
-        # before it, so this processes nothing).
-        group.window_all(horizon_ns)
+        # Deliver what is left and park every clock at the horizon (no
+        # events remain at or before it, so this processes nothing).
+        group.window_all(horizon_ns, inboxes)
         stats.end_ns = horizon_ns
+    elif inboxes:
+        group.deliver_all(inboxes)
     if registry is not None:
         stats.to_registry(registry)
     return stats

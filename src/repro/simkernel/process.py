@@ -257,11 +257,6 @@ class Task:
 
     # -- program execution machinery -------------------------------------
     @property
-    def has_program(self) -> bool:
-        """Whether any work remains (frames, queued or retry ops)."""
-        return bool(self._stack) or bool(self.op_queue) or self.retry_op is not None
-
-    @property
     def in_handler(self) -> bool:
         """Whether a pushed (signal/checkpoint) frame is executing."""
         return len(self._stack) > 1
@@ -361,10 +356,6 @@ class Task:
         self.main_steps = start_step
 
     # ------------------------------------------------------------------
-    def is_realtime(self) -> bool:
-        """FIFO/RR/CKPT tasks preempt all time-sharing tasks."""
-        return self.policy in (SchedPolicy.FIFO, SchedPolicy.RR, SchedPolicy.CKPT)
-
     def effective_prio(self) -> int:
         """Lower is more urgent.  CKPT < FIFO/RR (by rt_prio) < OTHER."""
         if self.policy == SchedPolicy.CKPT:

@@ -175,12 +175,3 @@ class Scheduler:
             self._beats(w, t) for w in self._runqueue if w.state == TaskState.READY
         )
 
-    # ------------------------------------------------------------------
-    def waiting_better_than(self, task: Task) -> Optional[Task]:
-        """The best waiting task that outranks ``task``, if any."""
-        best = None
-        for w in self._runqueue:
-            if w.state == TaskState.READY and self._beats(w, task):
-                if best is None or self._beats(w, best):
-                    best = w
-        return best

@@ -76,11 +76,6 @@ class SyscallTable:
         for n in names:
             table.setdefault(n, []).append(hook)
 
-    @staticmethod
-    def uninterpose(task: Task) -> None:
-        """Remove all wrappers from ``task``."""
-        task.annotations.pop("interpose", None)
-
     # ------------------------------------------------------------------
     def dispatch(
         self, kernel: "Kernel", task: Task, name: str, args: tuple

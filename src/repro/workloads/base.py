@@ -162,7 +162,3 @@ class Workload:
     def rng_for_iteration(self, it: int) -> np.random.Generator:
         """Deterministic per-iteration RNG (restart-safe patterns)."""
         return np.random.default_rng((self.seed * 1_000_003 + it) & 0x7FFFFFFF)
-
-    def total_pages(self, page_size: int = 4096) -> int:
-        """Heap pages this workload can touch."""
-        return self.heap_bytes // page_size

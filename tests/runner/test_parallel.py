@@ -10,6 +10,10 @@ send and deliver time, and the window driver skips idle virtual time.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +29,13 @@ from repro.simkernel.parallel import (
     derive_lookahead,
     run_windows,
 )
-from repro.runner import ProcessShardGroup, WorkerDiedError, run_parallel
+from repro.runner import (
+    ProcessShardGroup,
+    WorkerDiedError,
+    WorkerHungError,
+    run_parallel,
+)
+from repro.runner import parallel as runner_parallel
 
 
 def make_ctx(shard_id=0, n_shards=1, lookahead_ns=1000):
@@ -294,6 +304,29 @@ class TestByteIdentity:
         assert procs.obs_json == local.obs_json
         assert procs.shard_results == local.shard_results
 
+    def test_stopped_run_with_envelopes_in_flight(self):
+        """A stop-flag run ends with a routed, undelivered barrier batch:
+        the stop path delivers it the same way at every topology."""
+        prop = 2_000_000
+
+        def stopped(shards, workers):
+            return run_parallel(
+                "repro.cluster.scenarios:fleet_restart_traffic",
+                {"n_nodes": 64, "mtbf_s": 300.0, "repair_s": 60.0,
+                 "n_servers": 3, "image_bytes": 1 << 18,
+                 "propagation_ns": prop, "service_floor_ns": 4_000_000,
+                 "ns_per_byte": 0.05, "stop_on_first_failure": True},
+                7, n_shards=shards, horizon_ns=600 * NS_PER_S,
+                lookahead_ns=prop, workers=workers,
+                meta={"experiment": "stopped-restart", "seed": 7},
+            )
+
+        runs = [stopped(1, 1), stopped(4, 1), stopped(4, 2)]
+        for res in runs:
+            assert res.stats.stopped
+            assert res.stats.window_exchanges[-1] > 0
+        assert runs[0].obs_json == runs[1].obs_json == runs[2].obs_json
+
     def test_single_shard_requires_no_lookahead(self):
         res = run_parallel(
             "repro.cluster.scenarios:fleet_storm",
@@ -341,13 +374,45 @@ class TestProcessBackend:
             victim.join(timeout=10)
             with pytest.raises(WorkerDiedError) as exc_info:
                 for _ in range(3):  # send may outlive the pipe buffer
-                    group.window_all(NS_PER_S)
+                    group.window_all(NS_PER_S, {})
             err = exc_info.value
             assert err.worker == 1
             assert err.shards == [1]  # shard 1 is round-robin worker 1
             assert "shards [1]" in str(err)
         finally:
             group.close()
+
+    def test_hung_worker_raises_named_error(self, monkeypatch):
+        monkeypatch.setattr(runner_parallel, "_REPLY_DEADLINE_S", 1.0)
+        group = _ring_group()
+        try:
+            group.status_all()  # workers are alive and answering
+            os.kill(group._procs[1].pid, signal.SIGSTOP)
+            with pytest.raises(WorkerHungError) as exc_info:
+                group.window_all(NS_PER_S, {})
+            err = exc_info.value
+            assert err.worker == 1
+            assert err.shards == [1]
+            assert "shards [1]" in str(err)
+        finally:
+            t0 = time.monotonic()
+            group.close()
+        assert time.monotonic() - t0 < 5.0
+
+    def test_one_round_trip_per_window(self, monkeypatch):
+        sent = []
+        send = ProcessShardGroup._send
+
+        def counting_send(self, w, msg):
+            sent.append(msg[0])
+            return send(self, w, msg)
+
+        monkeypatch.setattr(ProcessShardGroup, "_send", counting_send)
+        res = _run("ring", 5, 12, 3, workers=2)
+        assert not res.stats.stopped
+        # One window_all per barrier window plus the horizon park.
+        assert sent.count("window_all") == 2 * (res.stats.windows + 1)
+        assert "deliver_all" not in sent
 
     def test_pipe_matches_local(self):
         local = _run("ring", 5, 12, 3, workers=1)

@@ -36,6 +36,8 @@ _DOCUMENTED_IN_BASE = {
     "status_all",
     "window_all",
     "deliver_all",
+    "export_all",
+    "close",
 }
 
 
