@@ -19,7 +19,11 @@ PR's perf claims live here:
   :func:`~repro.core.image.materialize_chain`.
 * ``dedup``       -- bytes pushed at the backing store with and without
   the content-addressed :class:`~repro.stablestore.ContentStore` for a
-  repeated-generation workload.
+  repeated-generation workload, plus ``digest_speedup``: one batched
+  :func:`~repro.core.digest.page_digests` call vs a per-page
+  :func:`~repro.core.digest.payload_digest` loop over the same page
+  stack, timed in the same run so the ratio does not depend on host
+  speed.
 * ``engine``      -- events/second through the hybrid timer-wheel
   :class:`~repro.simkernel.engine.Engine` vs a faithful
   reimplementation of the seed's scheduler (an ``order=True`` Event
@@ -54,7 +58,8 @@ PR's perf claims live here:
 Results are written as JSON (default: ``BENCH_PERF.json`` at the repo
 root -- the committed baseline).  ``--check BASELINE.json`` compares the
 fresh block-scan throughput against a committed baseline and exits
-non-zero on a more-than-``--max-regression``-fold slowdown; CI runs this
+non-zero on a more-than-``--max-regression``-fold slowdown (the batched
+digest speedup is guarded the same way); CI runs this
 against the committed file so the fast path cannot silently rot back
 into the scalar loop.
 
@@ -71,6 +76,7 @@ import argparse
 import heapq
 import itertools
 import json
+import os
 import sys
 import time
 import zlib
@@ -84,7 +90,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.capture import _extent_runs  # noqa: E402
-from repro.core.digest import block_digests  # noqa: E402
+from repro.core.digest import block_digests, page_digests, payload_digest  # noqa: E402
 from repro.core.image import CheckpointImage, materialize_chain  # noqa: E402
 from repro.simkernel.engine import Engine  # noqa: E402
 from repro.simkernel.memory import Prot, VMA, VMAKind  # noqa: E402
@@ -236,6 +242,7 @@ def bench_materialize(npages: int, ndeltas: int, repeats: int) -> Dict:
     t = best_of(lambda: materialize_chain(chain, page_size=PAGE), repeats)
     flat = materialize_chain(chain, page_size=PAGE)
     return {
+        "cpu_count": os.cpu_count(),
         "pages": npages,
         "deltas": ndeltas,
         "chain_chunks": sum(len(img.chunks) for img in chain),
@@ -247,10 +254,13 @@ def bench_materialize(npages: int, ndeltas: int, repeats: int) -> Dict:
 # ----------------------------------------------------------------------
 # 4. Dedup write traffic
 # ----------------------------------------------------------------------
-def bench_dedup(npages: int, generations: int, dirty_fraction: float) -> Dict:
+def bench_dedup(npages: int, generations: int, dirty_fraction: float,
+                repeats: int) -> Dict:
     """Backing-store bytes for repeated generations, plain vs dedup."""
     rng = np.random.default_rng(11)
     corpus = make_pages(npages)
+    t_scalar = best_of(lambda: [payload_digest(p) for p in corpus], repeats)
+    t_batch = best_of(lambda: page_digests(corpus, PAGE), repeats)
 
     def generation_images():
         data = corpus.copy()
@@ -278,6 +288,7 @@ def bench_dedup(npages: int, generations: int, dirty_fraction: float) -> Dict:
     store_s = time.perf_counter() - t0
 
     return {
+        "cpu_count": os.cpu_count(),
         "pages": npages,
         "generations": generations,
         "dirty_fraction": dirty_fraction,
@@ -290,6 +301,7 @@ def bench_dedup(npages: int, generations: int, dirty_fraction: float) -> Dict:
         "store_mbps": round(
             dedup.logical_payload_bytes / store_s / 1e6, 1
         ),
+        "digest_speedup": round(t_scalar / t_batch, 2),
     }
 
 
@@ -460,7 +472,6 @@ def bench_grid_runner(sizes: List[int], node_mtbf_s: float, n_trials: int,
     reported is serial vs cold (vectorization), with the warm ratio
     showing what a re-run of an unchanged sweep costs.
     """
-    import os
     import shutil
     import tempfile
 
@@ -552,8 +563,6 @@ def bench_parallel_engine(n_nodes: int, mtbf_s: float, horizon_s: float,
     folded obs exports of all runs are the same bytes.  ``transport``
     records the data path of the ``eps_4shard_procs`` row.
     """
-    import os
-
     from repro.runner import run_parallel
     from repro.simkernel.costs import NS_PER_S
 
@@ -956,7 +965,8 @@ def run(repeats: int) -> Dict:
         "block_scan": bench_block_scan(npages=256, bs=512, repeats=repeats),
         "capture": bench_capture(npages=1024, repeats=repeats),
         "materialize": bench_materialize(npages=512, ndeltas=8, repeats=repeats),
-        "dedup": bench_dedup(npages=256, generations=8, dirty_fraction=0.1),
+        "dedup": bench_dedup(npages=256, generations=8, dirty_fraction=0.1,
+                             repeats=repeats),
         "engine": bench_engine(n=100_000, span_ns=50_000_000, repeats=repeats),
         "grid_runner": bench_grid_runner(
             sizes=[1024, 4096, 16384], node_mtbf_s=50.0, n_trials=10,
@@ -983,6 +993,11 @@ def check_regression(current: Dict, baseline_path: Path, max_regression: float) 
         ("block_scan vectorized MB/s",
          baseline["block_scan"]["vectorized_mbps"],
          current["block_scan"]["vectorized_mbps"]),
+        # A same-run ratio (host speed cancels): the dedup write path
+        # rotting back into one digest call per page fails here.
+        ("dedup batched digest speedup",
+         baseline["dedup"]["digest_speedup"],
+         current["dedup"]["digest_speedup"]),
     ]
     if "engine" in baseline:
         guarded.append(("engine storm events/s",

@@ -10,7 +10,10 @@ Two consumers share these helpers:
   handful of NumPy passes.
 * :class:`~repro.stablestore.ContentStore` keys chunk payloads by
   content so byte-identical pages are written to the replicated service
-  once per *content*, not once per generation.
+  once per *content*, not once per generation.  It fingerprints whole
+  page stacks: :func:`page_digests` digests every row of an
+  ``(n, page_size)`` stack in one pass, and :func:`payload_digest` is
+  its one-row case, so the fingerprint has a single definition.
 
 The digest is a position-weighted word sum finished with the splitmix64
 avalanche: each 8-byte word of a block is multiplied by a per-position
@@ -32,7 +35,7 @@ from typing import Dict
 
 import numpy as np
 
-__all__ = ["block_digests", "payload_digest"]
+__all__ = ["block_digests", "page_digests", "payload_digest"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -80,22 +83,25 @@ def block_digests(data: np.ndarray, block_size: int) -> np.ndarray:
         return _mix64(acc + np.uint64(block_size))
 
 
-def payload_digest(data: np.ndarray) -> int:
-    """64-bit content fingerprint of an arbitrary-length uint8 payload.
-
-    Digests fixed 4096-byte blocks (padding the tail with zeros) and
-    combines the per-block digests with a second weighted sum, salted
-    with the true byte length so a zero-padded tail cannot alias a
-    longer payload.
-    """
-    data = np.ascontiguousarray(data, dtype=np.uint8)
-    n = int(data.size)
-    if n == 0:
-        return int(_mix64(np.uint64(1)))
-    pad = -n % 4096
-    if pad:
-        data = np.concatenate([data, np.zeros(pad, dtype=np.uint8)])
-    per_block = block_digests(data, 4096)
+def page_digests(stack: np.ndarray, page_size: int) -> np.ndarray:
+    """64-bit content fingerprint of every row of an ``(n, page_size)``
+    uint8 stack, in one pass: rows are zero-padded to 4096-byte blocks,
+    and each row's block digests are combined by a second weighted sum
+    salted with the true row length (so padding cannot alias)."""
+    stack = np.ascontiguousarray(stack, dtype=np.uint8)
+    n = stack.shape[0]
+    if page_size == 0:
+        return np.full(n, _mix64(np.uint64(1)))
+    if page_size % 4096:
+        stack = np.pad(stack, ((0, 0), (0, -page_size % 4096)))
+    per_block = block_digests(stack, 4096).reshape(n, stack.shape[1] // 4096)
     with np.errstate(over="ignore"):
-        acc = per_block @ _weights(per_block.size)
-        return int(_mix64(acc + np.uint64(n)))
+        acc = per_block @ _weights(per_block.shape[1])
+        return _mix64(acc + np.uint64(page_size))
+
+
+def payload_digest(data: np.ndarray) -> int:
+    """64-bit content fingerprint of one arbitrary-length uint8 payload
+    (the one-row case of :func:`page_digests`)."""
+    data = np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
+    return int(page_digests(data[None], data.size)[0])

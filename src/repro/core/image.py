@@ -14,7 +14,8 @@ ones (:func:`materialize_chain`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -277,11 +278,12 @@ def materialize_chain(
     ``images`` must be ordered base-first; the base must be a full image
     and each subsequent delta's ``parent_key`` must name its predecessor.
 
-    Chunks are merged through a per-page byte overlay: each chunk paints
-    its span in chain order, so a later sub-page delta correctly patches
-    *into* an earlier whole-page or extent chunk instead of replacing it
-    wholesale.  When ``page_size`` is given, fully covered neighbouring
-    pages are re-merged into extents in the flattened output.
+    Chunks apply in chain order, last writer wins.  With ``page_size``, a
+    whole page (an extent row, or ``page_size`` bytes at offset 0) is
+    kept as a view of its writer's bytes, and fully covered neighbouring
+    pages re-merge into extents.  Any other chunk paints its span into a
+    per-page byte overlay seeded with the page below it, so a sub-page
+    delta patches *into* an earlier page instead of replacing it.
     """
     if not images:
         raise RestartError("empty image chain")
@@ -296,81 +298,66 @@ def materialize_chain(
                 f"expected {prev_key!r}"
             )
         prev_key = delta.key
-    # ---- overlay pass: paint every chunk, chain order = write order ----
+    # ---- paint pass: chain order = write order, last writer wins -------
+    whole: Dict[Tuple[str, int], np.ndarray] = {}
     overlays: Dict[Tuple[str, int], Tuple[np.ndarray, np.ndarray]] = {}
     for img in images:
         for chunk in img.chunks:
+            n = chunk.npages
+            if page_size and chunk.offset == 0 and chunk.data.size == n * page_size:
+                if n == 1:
+                    keys = [(chunk.vma, chunk.page_index)]
+                    whole[keys[0]] = chunk.data
+                else:
+                    keys = [(chunk.vma, chunk.page_index + i) for i in range(n)]
+                    whole.update(zip(keys, chunk.data.reshape(n, page_size)))
+                for key in overlays.keys() & keys if overlays else ():
+                    entry = overlays[key]  # paint the page into its overlay
+                    entry[0][:page_size] = whole.pop(key)
+                    entry[1][:page_size] = True
+                continue
             for c in chunk.split_pages():
                 key = (c.vma, c.page_index)
                 end = c.offset + c.nbytes
                 entry = overlays.get(key)
-                if entry is None:
+                if entry is None or end > entry[0].size:
+                    # A new or grown overlay starts from what lies below.
+                    below, covered = entry or (whole.pop(key, None), True)
                     size = max(end, page_size or 0)
-                    entry = (np.zeros(size, np.uint8), np.zeros(size, bool))
-                    overlays[key] = entry
-                elif end > entry[0].size:
-                    buf = np.zeros(end, np.uint8)
-                    msk = np.zeros(end, bool)
-                    buf[: entry[0].size] = entry[0]
-                    msk[: entry[1].size] = entry[1]
-                    entry = (buf, msk)
-                    overlays[key] = entry
+                    entry = overlays[key] = (np.zeros(size, np.uint8), np.zeros(size, bool))
+                    if below is not None:
+                        entry[0][: below.size] = below
+                        entry[1][: below.size] = covered
                 entry[0][c.offset : end] = c.data
                 entry[1][c.offset : end] = True
-    # ---- emit pass: covered runs per page, extents re-merged ----------
+    # ---- emit pass: whole-page runs as extents, overlays as spans -----
+    # Every emitted array is a fresh copy: the flat image is memoized
+    # and stored, so it must not alias any chain chunk.
     merged: List[Chunk] = []
-    pending: Optional[Tuple[str, int, List[np.ndarray]]] = None
-
-    def flush() -> None:
-        nonlocal pending
-        if pending is None:
-            return
-        vma, first, bufs = pending
-        pending = None
-        if len(bufs) == 1:
-            merged.append(Chunk(vma=vma, page_index=first, offset=0, data=bufs[0]))
-        else:
-            merged.append(
-                Chunk(
-                    vma=vma,
-                    page_index=first,
-                    offset=0,
-                    data=np.concatenate(bufs),
-                    npages=len(bufs),
-                )
-            )
-
-    for (vma, pidx) in sorted(overlays):
-        buf, mask = overlays[(vma, pidx)]
-        if page_size is not None and buf.size == page_size and mask.all():
-            if pending is not None and pending[0] == vma and pending[1] + len(pending[2]) == pidx:
-                pending[2].append(buf)
-            else:
-                flush()
-                pending = (vma, pidx, [buf])
+    for (vma, pidx), (buf, mask) in overlays.items():
+        if buf.size == page_size and mask.all():
+            whole[(vma, pidx)] = buf
             continue
-        flush()
-        for start, length in _covered_runs(mask):
-            merged.append(
-                Chunk(vma=vma, page_index=pidx, offset=start, data=buf[start : start + length])
-            )
-    flush()
+        merged.extend(
+            Chunk(vma=vma, page_index=pidx, offset=start, data=buf[start : start + length])
+            for start, length in _covered_runs(mask)
+        )
+    # Consecutive pages of one vma share ``page_index - rank``.
+    for (vma, _), run in groupby(enumerate(sorted(whole)), lambda r: (r[1][0], r[1][1] - r[0])):
+        keys = [key for _, key in run]
+        merged.append(Chunk(vma=vma, page_index=keys[0][1], offset=0, npages=len(keys),
+                            data=np.concatenate([whole[key] for key in keys])))
+    merged.sort(key=lambda c: (c.vma, c.page_index))  # stable: spans keep offset order
     last = images[-1]
-    flat = CheckpointImage(
+    return replace(
+        last,
         key=last.key + "+flat",
-        mechanism=last.mechanism,
-        pid=last.pid,
-        task_name=last.task_name,
-        node_id=last.node_id,
-        step=last.step,
         registers=dict(last.registers),
         vmas=list(last.vmas),
         fds=list(last.fds),
         signals=dict(last.signals),
         chunks=merged,
         parent_key=None,
-        time_ns=last.time_ns,
         user_state=dict(last.user_state),
         pod=dict(last.pod) if last.pod else None,
     )
-    return flat

@@ -10,18 +10,18 @@ the simulated service.
 
 The design is manifest + pack:
 
-* Every per-page payload of an image is fingerprinted with
-  :func:`~repro.core.digest.payload_digest` (keyed by digest *and*
-  length).  Payloads never seen before are batched -- all of one image's
-  new payloads together -- into a single *pack* blob stored under
+* Every per-page payload of an image is fingerprinted (keyed by digest
+  *and* length), one :func:`~repro.core.digest.page_digests` call per
+  page stack.  Payloads never seen before are batched -- all of one
+  image's new payloads together -- into a single *pack* blob stored under
   ``<image key>.pack``, so dedup does not multiply quorum round-trips.
   (An overwritten generation whose old pack is still referenced writes
   its new pack under the first free ``<image key>.<n>.pack``.)
 * The image itself is stored as an :class:`ImageManifest`: the metadata
   of the original :class:`~repro.core.image.CheckpointImage` (chunks
-  stripped) plus an ordered list of :class:`ChunkRef` content references.
-  Loading a manifest reassembles a byte-exact image from the packs it
-  references.
+  stripped) plus one row per page in parallel columns -- content key,
+  vma, page index, offset and length.  Loading a manifest reassembles a
+  byte-exact image, one chunk per row, from the packs it references.
 * The store refcounts content keys across manifests.  Deleting a
   manifest (e.g. :class:`~repro.stablestore.GenerationGC` dropping a
   superseded generation) decrements them; a pack is deleted only when no
@@ -36,17 +36,17 @@ coordinator see exactly the key space they saw without dedup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.digest import payload_digest
+from ..core.digest import page_digests
 from ..core.image import CheckpointImage, Chunk
 from ..errors import StorageError
 from ..storage.backends import StorageBackend
 
-__all__ = ["ChunkRef", "ImageManifest", "ContentStore", "DedupWriteStream"]
+__all__ = ["ImageManifest", "ContentStore", "DedupWriteStream"]
 
 #: Accounted bytes per content reference in a manifest (vma id, page,
 #: offset, length, 64-bit digest).
@@ -54,37 +54,23 @@ REF_RECORD_BYTES = 32
 
 
 @dataclass
-class ChunkRef:
-    """One per-page content reference inside a manifest."""
-
-    vma: str
-    page_index: int
-    offset: int
-    nbytes: int
-    ckey: str
-
-
-@dataclass
 class ImageManifest:
-    """A checkpoint image with its payload replaced by content refs."""
+    """A checkpoint image with its payload replaced by content refs:
+    one row per page, held as parallel columns."""
 
     key: str
-    meta: CheckpointImage  # chunks stripped; metadata/registers/vmas/fds intact
-    refs: List[ChunkRef]
-    pack_key: Optional[str]
+    meta: Optional[CheckpointImage] = None  # chunks stripped; set on write
+    pack_key: Optional[str] = None
+    ckeys: List[str] = field(default_factory=list)
+    vma: List[str] = field(default_factory=list)
+    page_index: List[int] = field(default_factory=list)
+    offset: List[int] = field(default_factory=list)
+    nbytes: List[int] = field(default_factory=list)
 
     @property
     def parent_key(self) -> Optional[str]:
         """Delta-chain parent (GC and availability walks read this)."""
         return self.meta.parent_key
-
-
-def _page_refs(chunk: Chunk) -> Iterator[Tuple[np.ndarray, ChunkRef]]:
-    """Fingerprint each page of ``chunk``: ``(payload, content ref)``."""
-    for c in chunk.split_pages():
-        payload = np.ascontiguousarray(c.data)
-        ckey = f"{payload_digest(payload):016x}-{payload.size}"
-        yield payload, ChunkRef(c.vma, c.page_index, c.offset, int(payload.size), ckey)
 
 
 class ContentStore(StorageBackend):
@@ -141,28 +127,73 @@ class ContentStore(StorageBackend):
             # Overwrite of an existing generation: release the old refs
             # first so refcounts stay exact.
             self.delete(key)
-        refs: List[ChunkRef] = []
+        manifest = ImageManifest(key=key)
         pack: Dict[str, np.ndarray] = {}
-        logical = 0
-        dedup_hits = 0
-        for chunk in obj.chunks:
-            for payload, ref in _page_refs(chunk):
-                refs.append(ref)
-                logical += ref.nbytes
-                if ref.ckey not in self._home and ref.ckey not in pack:
-                    pack[ref.ckey] = np.array(payload, copy=True)
-                else:
-                    dedup_hits += 1
+        pack_bytes = self._fingerprint(obj.chunks, manifest, pack, {})
         delay = 0
         pack_key: Optional[str] = None
         if pack:
             pack_key = self._new_pack_key(key)
-            pack_bytes = int(sum(a.size for a in pack.values()))
             delay += self.inner.store(pack_key, pack, pack_bytes, now_ns)
-            self.unique_payload_bytes += pack_bytes
         return delay + self._write_manifest(
-            key, obj, refs, pack, logical, dedup_hits, pack_key, now_ns + delay
+            obj, manifest, pack, pack_bytes, pack_key, now_ns + delay
         )
+
+    def _fingerprint(
+        self,
+        chunks: Sequence[Chunk],
+        manifest: ImageManifest,
+        pack: Dict[str, np.ndarray],
+        homed: Dict[str, np.ndarray],
+    ) -> int:
+        """Append a manifest row per page of ``chunks``: copy each unseen
+        payload into ``pack``, note each committed hit's bytes in
+        ``homed``; return the bytes added to ``pack``.  One
+        :func:`page_digests` call per payload length: extents are
+        reshaped views, single-page chunks are stacked."""
+        payloads: List[np.ndarray] = []
+        by_len: Dict[int, List[np.ndarray]] = {}
+        m = manifest
+        vma, page_index, offset, sizes = m.vma, m.page_index, m.offset, m.nbytes
+        first = len(sizes)
+        for c in chunks:
+            n = c.npages
+            data = c.data
+            size = data.size // n
+            stack = data.reshape(n, size)
+            by_len.setdefault(size, []).append(stack)
+            if n == 1:
+                payloads.append(data)
+                vma.append(c.vma)
+                page_index.append(c.page_index)
+                offset.append(c.offset)
+                sizes.append(size)
+            else:
+                payloads.extend(stack)
+                vma.extend([c.vma] * n)
+                page_index.extend(range(c.page_index, c.page_index + n))
+                offset.extend([0] * n)
+                sizes.extend([size] * n)
+        keys: Dict[int, Iterator[str]] = {}
+        for size, parts in by_len.items():
+            stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            # f"{digest:016x}-{size}" for every row: big-endian hex, one
+            # 16-digit group per row.
+            hexes = page_digests(stack, size).astype(">u8").tobytes().hex(" ", 8)
+            suffix = f"-{size}"
+            keys[size] = iter([h + suffix for h in hexes.split(" ")])
+        ckeys = [next(keys[size]) for size in sizes[first:]]  # back in row order
+        m.ckeys.extend(ckeys)
+        added = 0
+        for ckey, payload in zip(ckeys, payloads):
+            if ckey in pack:
+                continue
+            if ckey in self._home:
+                homed.setdefault(ckey, payload)
+            else:
+                pack[ckey] = np.array(payload, copy=True)
+                added += payload.size
+        return added
 
     def _new_pack_key(self, key: str) -> str:
         """``<key>.pack``, unless a pack of that name is still live.
@@ -181,21 +212,22 @@ class ContentStore(StorageBackend):
 
     def _write_manifest(
         self,
-        key: str,
         image: CheckpointImage,
-        refs: List[ChunkRef],
+        manifest: ImageManifest,
         pack: Dict[str, np.ndarray],
-        logical: int,
-        dedup_hits: int,
+        pack_bytes: int,
         pack_key: Optional[str],
         now_ns: int,
     ) -> int:
         """Store the manifest of ``image`` once its pack is written, then
         install the client-side bookkeeping (shared by the synchronous
-        store and the pipelined stream commit); returns the delay."""
-        meta = replace(image, chunks=[])
-        manifest = ImageManifest(key=key, meta=meta, refs=refs, pack_key=pack_key)
-        manifest_bytes = meta.size_bytes + REF_RECORD_BYTES * len(refs)
+        store and the pipelined stream commit); returns the delay.  Each
+        row not in ``pack`` is a dedup hit."""
+        key = manifest.key
+        manifest.meta = replace(image, chunks=[])
+        manifest.pack_key = pack_key
+        ckeys = manifest.ckeys
+        manifest_bytes = manifest.meta.size_bytes + REF_RECORD_BYTES * len(ckeys)
         delay = self.inner.store(key, manifest, manifest_bytes, now_ns)
         if pack_key is not None:
             self._pack_members[pack_key] = list(pack)
@@ -208,17 +240,19 @@ class ContentStore(StorageBackend):
                     # its live references move to this pack with it.
                     self._pack_live[pack_key] += 1
                     self._unref_pack(old)
-        for r in refs:
-            n = self._refs.get(r.ckey, 0)
+        refs = self._refs
+        for ckey in ckeys:
+            n = refs.get(ckey, 0)
             if n == 0:
-                self._pack_live[self._home[r.ckey]] += 1
-            self._refs[r.ckey] = n + 1
-        self._manifest_refs[key] = [r.ckey for r in refs]
+                self._pack_live[self._home[ckey]] += 1
+            refs[ckey] = n + 1
+        self._manifest_refs[key] = ckeys
+        logical = sum(manifest.nbytes)
         self.logical_payload_bytes += logical
+        self.unique_payload_bytes += pack_bytes
         self.images_stored += 1
         if self.metrics is not None:
-            pack_bytes = int(sum(a.size for a in pack.values()))
-            self.metrics.inc("dedup.hits", dedup_hits)
+            self.metrics.inc("dedup.hits", len(ckeys) - len(pack))
             self.metrics.inc("dedup.misses", len(pack))
             self.metrics.inc("dedup.bytes_saved", logical - pack_bytes)
         return delay
@@ -227,7 +261,7 @@ class ContentStore(StorageBackend):
         obj, delay = self.inner.load(key, now_ns)
         if not isinstance(obj, ImageManifest):
             return obj, delay
-        needed = sorted({self._home[r.ckey] for r in obj.refs})
+        needed = sorted({self._home[ck] for ck in obj.ckeys})
         payloads: Dict[str, np.ndarray] = {}
         for pk in needed:
             pack, d = self.inner.load(pk, now_ns + delay)
@@ -239,11 +273,11 @@ class ContentStore(StorageBackend):
     def _reassemble(
         manifest: ImageManifest, payloads: Dict[str, np.ndarray]
     ) -> CheckpointImage:
-        chunks = [
-            Chunk(vma=r.vma, page_index=r.page_index, offset=r.offset, data=payloads[r.ckey])
-            for r in manifest.refs
-        ]
-        return replace(manifest.meta, chunks=chunks)
+        """One chunk per manifest row."""
+        m = manifest
+        chunks = [Chunk(vma=v, page_index=p, offset=o, data=payloads[ck])
+                  for v, p, o, ck in zip(m.vma, m.page_index, m.offset, m.ckeys)]
+        return replace(m.meta, chunks=chunks)
 
     def load_parallel(
         self, keys, now_ns: int
@@ -256,26 +290,16 @@ class ContentStore(StorageBackend):
         the slowest manifest, then the slowest pack.
         """
         manifests, delay = self.inner.load_parallel(keys, now_ns)
-        needed = sorted(
-            {
-                self._home[r.ckey]
-                for obj in manifests.values()
-                if isinstance(obj, ImageManifest)
-                for r in obj.refs
-            }
-        )
+        needed = sorted({self._home[ck] for obj in manifests.values()
+                         if isinstance(obj, ImageManifest) for ck in obj.ckeys})
         payloads: Dict[str, np.ndarray] = {}
         pack_delay = 0
         if needed:
             packs, pack_delay = self.inner.load_parallel(needed, now_ns + delay)
             for pk in needed:
                 payloads.update(packs[pk])
-        out: Dict[str, Any] = {}
-        for k, obj in manifests.items():
-            if isinstance(obj, ImageManifest):
-                out[k] = self._reassemble(obj, payloads)
-            else:
-                out[k] = obj
+        out = {k: self._reassemble(obj, payloads) if isinstance(obj, ImageManifest)
+               else obj for k, obj in manifests.items()}
         return out, delay + pack_delay
 
     def open_stream(self, key: str, now_ns: int) -> "DedupWriteStream":
@@ -380,12 +404,10 @@ class DedupWriteStream:
         self.committed = False
         self._inner_stream = None  # the pack, under pack_key
         self._raw_stream = None  # a non-image object, under key
-        self.refs: List[ChunkRef] = []
+        self.manifest = ImageManifest(key=key)
         self.pack: Dict[str, np.ndarray] = {}
         #: Payloads counted as hits against an already committed pack.
         self._homed: Dict[str, np.ndarray] = {}
-        self.logical = 0
-        self.dedup_hits = 0
         self.sent_bytes = 0  # unique payload bytes actually on the wire
 
     def send_chunk(self, chunk: Chunk, now_ns: int) -> int:
@@ -393,21 +415,9 @@ class DedupWriteStream:
         delay at which those bytes are quorum-durable (0 for an extent
         that dedups completely)."""
         cs = self.cs
-        new_bytes = 0
-        for payload, ref in _page_refs(chunk):
-            ckey = ref.ckey
-            self.refs.append(ref)
-            self.logical += ref.nbytes
-            if ckey in self.pack:
-                self.dedup_hits += 1
-            elif ckey in cs._home:
-                # Keep the bytes until commit: GC may collect that pack
-                # while this stream is open.
-                self._homed.setdefault(ckey, payload)
-                self.dedup_hits += 1
-            else:
-                self.pack[ckey] = np.array(payload, copy=True)
-                new_bytes += int(payload.size)
+        # Hits keep their bytes until commit: GC may collect their pack
+        # while this stream is open.
+        new_bytes = cs._fingerprint([chunk], self.manifest, self.pack, self._homed)
         if new_bytes == 0:
             return 0
         if self._inner_stream is None:
@@ -445,17 +455,14 @@ class DedupWriteStream:
                 # Its pack was collected after the hit: the payload joins
                 # this image's pack (charged in the commit's remainder).
                 self.pack[ckey] = np.array(payload, copy=True)
-                self.dedup_hits -= 1
         delay = 0
         pack_key: Optional[str] = None
+        pack_bytes = int(sum(a.size for a in self.pack.values()))
         if self.pack:
             pack_key = self.pack_key
-            pack_bytes = int(sum(a.size for a in self.pack.values()))
             if self._inner_stream is None:
                 self._inner_stream = cs.inner.open_stream(pack_key, now_ns)
             delay += self._inner_stream.commit(self.pack, pack_bytes, now_ns)
-            cs.unique_payload_bytes += pack_bytes
         return delay + cs._write_manifest(
-            self.key, obj, self.refs, self.pack, self.logical, self.dedup_hits,
-            pack_key, now_ns + delay,
+            obj, self.manifest, self.pack, pack_bytes, pack_key, now_ns + delay
         )

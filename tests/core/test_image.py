@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from typing import Dict, List, Optional, Sequence, Tuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.image import (
     CheckpointImage,
     Chunk,
     METADATA_BYTES,
+    _covered_runs,
     materialize_chain,
 )
 from repro.errors import RestartError
@@ -99,3 +104,116 @@ class TestChain:
         d2.add_page("heap", 0, page(3))
         flat = materialize_chain([base, d1, d2])
         assert flat.chunk_index()[("heap", 0, 0)].data[0] == 3
+
+
+# ----------------------------------------------------------------------
+# Flatten oracle: every page through a byte overlay
+# ----------------------------------------------------------------------
+def overlay_flatten(
+    images: Sequence[CheckpointImage], page_size: Optional[int]
+) -> List[Chunk]:
+    """Reference chain flatten: each chunk, in chain order, paints its
+    span into a zeroed per-page byte buffer and coverage mask; pages
+    fully covered at ``page_size`` re-merge into extents, any other
+    page emits its covered runs."""
+    overlays: Dict[Tuple[str, int], Tuple[np.ndarray, np.ndarray]] = {}
+    for img in images:
+        for chunk in img.chunks:
+            for c in chunk.split_pages():
+                key = (c.vma, c.page_index)
+                end = c.offset + c.nbytes
+                entry = overlays.get(key)
+                if entry is None:
+                    size = max(end, page_size or 0)
+                    entry = (np.zeros(size, np.uint8), np.zeros(size, bool))
+                    overlays[key] = entry
+                elif end > entry[0].size:
+                    buf = np.zeros(end, np.uint8)
+                    msk = np.zeros(end, bool)
+                    buf[: entry[0].size] = entry[0]
+                    msk[: entry[1].size] = entry[1]
+                    entry = (buf, msk)
+                    overlays[key] = entry
+                entry[0][c.offset : end] = c.data
+                entry[1][c.offset : end] = True
+    merged: List[Chunk] = []
+    pending: Optional[Tuple[str, int, List[np.ndarray]]] = None
+
+    def flush() -> None:
+        nonlocal pending
+        if pending is None:
+            return
+        vma, first, bufs = pending
+        pending = None
+        merged.append(Chunk(vma=vma, page_index=first, offset=0,
+                            data=np.concatenate(bufs), npages=len(bufs)))
+
+    for vma, pidx in sorted(overlays):
+        buf, mask = overlays[(vma, pidx)]
+        if page_size is not None and buf.size == page_size and mask.all():
+            if pending is not None and pending[0] == vma and pending[1] + len(pending[2]) == pidx:
+                pending[2].append(buf)
+            else:
+                flush()
+                pending = (vma, pidx, [buf])
+            continue
+        flush()
+        for start, length in _covered_runs(mask):
+            merged.append(
+                Chunk(vma=vma, page_index=pidx, offset=start, data=buf[start : start + length])
+            )
+    flush()
+    return merged
+
+
+PS = 32  # small pages keep the hypothesis chains cheap
+
+chunk_specs = st.one_of(
+    st.tuples(st.just("extent"), st.integers(0, 9), st.integers(2, 4)),
+    st.tuples(st.just("page"), st.integers(0, 11)),
+    st.tuples(st.just("block"), st.integers(0, 11), st.integers(0, PS - 1),
+              st.integers(1, PS)),
+    st.tuples(st.just("grow"), st.integers(0, 11), st.integers(0, PS - 1),
+              st.integers(PS + 1, 2 * PS)),
+)
+
+
+def build_chain(spec, seed: int) -> List[CheckpointImage]:
+    rng = np.random.default_rng(seed)
+    images: List[CheckpointImage] = []
+    for i, chunks in enumerate(spec):
+        img = make_image(f"k{i}", parent=f"k{i - 1}" if i else None, step=i)
+        for j, (kind, pidx, *rest) in enumerate(chunks):
+            vma = "heap" if j % 3 else "stack"
+            if kind == "extent":
+                n = rest[0]
+                img.add_extent(vma, pidx, rng.integers(0, 256, n * PS, dtype=np.uint8), n)
+            elif kind == "page":
+                img.add_page(vma, pidx, rng.integers(0, 256, PS, dtype=np.uint8))
+            else:
+                offset, length = rest
+                if kind == "block":
+                    length = min(length, PS - offset)
+                img.add_block(vma, pidx, offset,
+                              rng.integers(0, 256, length, dtype=np.uint8))
+        images.append(img)
+    return images
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    spec=st.lists(st.lists(chunk_specs, max_size=8), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flatten_matches_overlay_oracle_and_copies(spec, seed):
+    images = build_chain(spec, seed)
+    inputs = [c.data for img in images for c in img.chunks]
+    for page_size in (PS, None):
+        flat = materialize_chain(images, page_size=page_size)
+        want = overlay_flatten(images, page_size)
+        assert [(c.vma, c.page_index, c.offset, c.npages) for c in flat.chunks] == [
+            (c.vma, c.page_index, c.offset, c.npages) for c in want
+        ]
+        for got, ref in zip(flat.chunks, want):
+            assert got.data.tobytes() == ref.data.tobytes()
+            assert not any(np.shares_memory(got.data, x) for x in inputs)

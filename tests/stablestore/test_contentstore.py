@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.image import CheckpointImage
 from repro.errors import StorageError
+from repro.obs.metrics import MetricsRegistry
 from repro.simkernel import Engine
 from repro.stablestore import (
     ContentStore,
@@ -217,3 +218,80 @@ class TestMemoryBackendWrap:
         )
         with pytest.raises(StorageError):
             store.load("missing", 0)
+
+
+class TestShapeIndependence:
+    """Extents, per-page chunks and a streamed write of the same bytes
+    fingerprint, pack, refcount and count identically."""
+
+    RUNS = [(0, 5), (5, 1), (6, 3), (9, 1), (10, 6)]  # (first page, npages)
+
+    @staticmethod
+    def _pages(gen):
+        rng = np.random.default_rng(3)
+        pages = rng.integers(0, 256, size=(16, 4096), dtype=np.uint8)
+        pages[[2, 7, 12]] = 0  # zero pages recur
+        pages[9] = pages[4]  # a repeat inside one image
+        if gen:
+            pages[[1, 10]] = rng.integers(0, 256, size=(2, 4096), dtype=np.uint8)
+        return pages
+
+    def _image(self, gen, shape):
+        img = CheckpointImage(
+            key=f"m/1/{gen}", mechanism="m", pid=1, task_name="t", node_id=0,
+            step=gen, registers={"pc": 0},
+        )
+        pages = self._pages(gen)
+        if shape == "pages":
+            for i, page in enumerate(pages):
+                img.add_page("heap", i, page)
+        else:
+            for first, n in self.RUNS:
+                if n == 1:
+                    img.add_page("heap", first, pages[first])
+                else:
+                    img.add_extent("heap", first, pages[first : first + n].reshape(-1), n)
+        return img
+
+    def _store_all(self, how):
+        store = ContentStore(MemoryStorage(), metrics=MetricsRegistry())
+        for gen in range(2):
+            img = self._image(gen, "pages" if how == "pages" else "extents")
+            if how == "stream":
+                st = store.open_stream(img.key, 0)
+                for c in img.chunks:
+                    st.send_chunk(c, 0)
+                st.commit(img, img.size_bytes, 0)
+            else:
+                store.store(img.key, img, img.size_bytes, 0)
+        return store
+
+    @staticmethod
+    def _state(store):
+        return {
+            "ckeys": {k: store.peek(k).ckeys for k in store.keys()},
+            "packs": {pk: sorted(m) for pk, m in store._pack_members.items()},
+            "refs": dict(store._refs),
+            "logical": store.logical_payload_bytes,
+            "unique": store.unique_payload_bytes,
+            "dedup": {k: v for k, v in store.metrics.counters().items()
+                      if k.startswith("dedup.")},
+        }
+
+    def test_same_manifests_packs_refcounts_and_metrics(self):
+        stores = {how: self._store_all(how) for how in ("extents", "pages", "stream")}
+        states = {how: self._state(s) for how, s in stores.items()}
+        assert states["extents"] == states["pages"] == states["stream"]
+        ref = states["pages"]
+        assert ref["logical"] == 2 * 16 * 4096
+        assert ref["dedup"]["dedup.hits"] > 0 and ref["dedup"]["dedup.misses"] > 0
+        for store in stores.values():
+            for gen in range(2):
+                restored, _ = store.load(f"m/1/{gen}", 0)
+                assert len(restored.chunks) == 16  # one chunk per manifest row
+                got = np.stack([c.data for c in restored.chunks])
+                np.testing.assert_array_equal(got, self._pages(gen))
+            for key in list(store.keys()):
+                store.delete(key)
+            assert list(store.inner.keys()) == []
+            assert store._pack_members == {} and store._refs == {}
