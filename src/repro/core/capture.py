@@ -44,6 +44,7 @@ __all__ = [
     "copy_pages",
     "capture_extents",
     "store_image",
+    "charge_store",
     "load_image",
     "RestoreResult",
     "restore_image",
@@ -296,6 +297,11 @@ def store_image(
         )
     else:
         delay = storage.store(image.key, image, image.size_bytes, kernel.engine.now_ns)
+    yield from charge_store(kernel, delay)
+
+
+def charge_store(kernel: Kernel, delay: int) -> Generator:
+    """Count one stored image and charge its ``delay`` in slices."""
     metrics = kernel.engine.metrics
     metrics.inc("storage.images_stored")
     metrics.observe("storage.store_ns", delay)

@@ -91,11 +91,6 @@ class AutonomicCheckpointer(SystemLevelCheckpointer):
     #: walk the whole base+delta chain, so unbounded chains trade a tiny
     #: capture saving for ever-slower recovery.
     rebase_every = 6
-    #: > 1 switches captures to the fork/COW writeback pipeline: the app
-    #: stalls only for the fork while extents drain asynchronously with
-    #: this many quorum writes in flight (the direction-forward answer
-    #: to "the app is frozen for the whole synchronous drain").
-    pipeline_depth = 1
 
     def install(self) -> None:
         self._module = _AutoCkptModule(self).load(self.kernel)
@@ -160,26 +155,7 @@ class AutonomicCheckpointer(SystemLevelCheckpointer):
         make_delta = incremental and armed and chain_len < self.rebase_every
         req = self._new_request(task, incremental=make_delta)
         task.annotations["autockpt_chain"] = chain_len + 1 if make_delta else 0
-        if self.pipeline_depth > 1:
-            self.kthread_capture_pipelined(
-                task,
-                req,
-                pipeline_depth=self.pipeline_depth,
-                policy=self.kthread_policy,
-                rt_prio=self.kthread_rt_prio,
-                defer_irqs=self.defer_irqs,
-                rearm=True,
-            )
-        else:
-            self.kthread_capture(
-                task,
-                req,
-                stop_target=True,
-                policy=self.kthread_policy,
-                rt_prio=self.kthread_rt_prio,
-                defer_irqs=self.defer_irqs,
-                rearm=True,
-            )
+        self.kthread_capture(task, req)
         task.annotations["autockpt_armed"] = True
         return req
 
@@ -205,13 +181,7 @@ class AutonomicCheckpointer(SystemLevelCheckpointer):
                 return
             req = self.request_checkpoint(task)
             if on_complete is not None:
-                def watch() -> None:
-                    if req.completed_ns is not None:
-                        on_complete(req)
-                    else:
-                        self.kernel.engine.after(1_000_000, watch)
-
-                self.kernel.engine.after(1_000_000, watch)
+                req.add_done_callback(on_complete)
             self.kernel.engine.after(timer["interval_ns"], fire, label="autockpt")
 
         self.kernel.engine.after(int(interval_ns), fire, label="autockpt")

@@ -12,10 +12,15 @@ Two execution shapes cover all surveyed OS-level mechanisms:
   scheduling priority and can be preempted or interrupted (E10).
 
 * **Kernel-thread capture** (:meth:`SystemLevelCheckpointer.kthread_capture`):
-  a separate kernel thread does the work.  It must stop the target (or
-  fork it) for consistency, may pay an address-space switch + TLB flush
-  to reach the target's memory (E8), but can run at SCHED_FIFO or the
-  paper's dedicated checkpoint priority and can defer interrupts.
+  a separate kernel thread does the work -- CRAK, ZAP, UCLiK, BLCR (one
+  task or a whole thread group), LAM/MPI, PsncR/C, Checkpoint [5] and
+  the direction forward all run this one program.  It makes the image
+  consistent by stopping the target for the copy, or by reading a
+  fork/COW child (the caller's, or its own at ``pipeline_depth`` > 1,
+  drained through the writeback pipeline).  It may pay an address-space
+  switch + TLB flush to reach the memory (E8), but can run at
+  SCHED_FIFO or the paper's dedicated checkpoint priority and can defer
+  interrupts.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from typing import Generator, List, Optional, Sequence, Tuple
 
 from ...core.capture import (
     DEFAULT_SKIP_KINDS,
-    STORE_SLICE_NS,
     capture_extents,
+    charge_store,
     copy_pages,
     select_pages,
     snapshot_metadata,
@@ -33,7 +38,7 @@ from ...core.capture import (
 )
 from ...core.checkpointer import Checkpointer, CheckpointRequest, RequestState
 from ...errors import CheckpointError, StorageError
-from ...simkernel import Kernel, Mode, SchedPolicy, Task, TaskState, ops
+from ...simkernel import Mode, SchedPolicy, Task, TaskState, ops
 from .. import incremental as incr
 
 __all__ = ["SystemLevelCheckpointer"]
@@ -45,10 +50,15 @@ class SystemLevelCheckpointer(Checkpointer):
     #: VMA kinds excluded from images when ``features.data_filtering``.
     skip_kinds = DEFAULT_SKIP_KINDS
 
+    #: Scheduling class and real-time priority of the capture kernel
+    #: thread, and whether it defers interrupts on its CPU.
+    kthread_policy = SchedPolicy.FIFO
+    kthread_rt_prio = 50
+    defer_irqs = False
     #: In-flight window of the asynchronous COW writeback pipeline.
-    #: 1 (the default) keeps the surveyed synchronous capture shapes
-    #: bit-for-bit; > 1 switches kernel-thread captures to
-    #: :meth:`kthread_capture_pipelined`.
+    #: 1 (the default) keeps the surveyed synchronous capture shapes;
+    #: > 1 makes :meth:`kthread_capture` fork a single task and drain
+    #: the COW child through the pipeline.
     pipeline_depth: int = 1
 
     # ------------------------------------------------------------------
@@ -70,12 +80,7 @@ class SystemLevelCheckpointer(Checkpointer):
         )
 
     # ------------------------------------------------------------------
-    def capture_frame(
-        self,
-        task: Task,
-        req: CheckpointRequest,
-        rearm: bool = False,
-    ) -> None:
+    def capture_frame(self, task: Task, req: CheckpointRequest) -> None:
         """Push an in-context (kernel-mode) capture frame onto ``task``.
 
         The frame runs when the task is next scheduled; the application
@@ -92,12 +97,10 @@ class SystemLevelCheckpointer(Checkpointer):
             # Walking the task struct is nearly free in kernel mode.
             yield ops.Compute(ns=2_000)
             pages = self._page_set(task, req.incremental)
-            for op in copy_pages(kernel, task, image, pages):
-                yield op
+            yield from copy_pages(kernel, task, image, pages)
             store_start_ns = kernel.engine.now_ns
             try:
-                for op in store_image(kernel, self.storage, image):
-                    yield op
+                yield from store_image(kernel, self.storage, image)
             except StorageError as exc:
                 # Stable storage refused the image (lost backend, write
                 # quorum unreachable): this checkpoint fails, the
@@ -106,9 +109,6 @@ class SystemLevelCheckpointer(Checkpointer):
                 self._fail(req, f"stable-storage write failed: {exc}")
                 return
             req.storage_delay_ns = kernel.engine.now_ns - store_start_ns
-            if rearm and self.features.incremental:
-                self.arm_incremental(task)
-                yield ops.Compute(ns=30 * len(pages) + 1_000)
             req.target_stall_ns = kernel.engine.now_ns - req.started_ns
             self._complete(req, image)
 
@@ -119,233 +119,180 @@ class SystemLevelCheckpointer(Checkpointer):
         self,
         target: Task,
         req: CheckpointRequest,
-        stop_target: bool = True,
-        policy: SchedPolicy = SchedPolicy.FIFO,
-        rt_prio: int = 50,
-        defer_irqs: bool = False,
-        rearm: bool = False,
+        threads: Sequence[Task] = (),
         capture_mm_of: Optional[Task] = None,
-        destroy_capture_source: bool = False,
     ) -> Task:
-        """Spawn a kernel thread that captures ``target``.
+        """Spawn the kernel thread that captures ``target``.
 
-        ``capture_mm_of`` redirects the memory walk to another task (the
-        forked child in the Checkpoint [5] scheme) while metadata still
-        describes ``target``; ``destroy_capture_source`` reaps that task
-        afterwards.
+        The surveyed kernel-thread agents differ only in how the image is
+        made consistent:
+
+        * **stop** -- ``target`` (or every task of ``threads``, a thread
+          group that includes it) is frozen for the copy and resumed
+          before the image is written;
+        * **caller's COW child** -- ``capture_mm_of`` is a stopped fork of
+          ``target`` (Checkpoint [5]): memory is read from it, metadata
+          from ``target``, and the child is reaped afterwards;
+        * **own COW child** -- at :attr:`pipeline_depth` > 1 a single task
+          is forked here, so the application stalls only for the fork.
+
+        A COW capture at :attr:`pipeline_depth` > 1 drains its extents
+        through a :class:`~repro.stablestore.WritebackPipeline`: each
+        extent's memcpy overlaps the quorum write of the previous ones,
+        so the only storage waits on the drain's critical path are window
+        backpressure and the commit barrier.  Every other capture copies
+        the image, then writes it with :func:`store_image`.
         """
-        kernel = self.kernel
-
-        def prog(kt: Task, step: int) -> Generator:
-            def gen():
-                req.state = RequestState.RUNNING
-                req.started_ns = kernel.engine.now_ns
-                kernel.engine.metrics.inc("capture.kthread_captures")
-                if defer_irqs:
-                    kernel.disable_irqs_for(kt)
-                stopped_by_us = False
-                if stop_target and target.alive():
-                    # Only resume afterwards if WE froze it -- a task
-                    # parked by someone else (drain, safe pre-emption)
-                    # must stay frozen after the capture.
-                    already_stopped = target.state == TaskState.STOPPED
-                    kernel.stop_task(target)
-                    stopped_by_us = not already_stopped
-                    # Wait for the target to reach an op boundary (it may
-                    # be mid-op on another CPU).
-                    while target.alive() and target.state != TaskState.STOPPED:
-                        yield ops.Sleep(ns=50_000)
-                if not target.alive() and capture_mm_of is None:
-                    # With a forked capture source the frozen child still
-                    # holds the state even if the parent has since exited.
-                    if defer_irqs:
-                        kernel.enable_irqs_for(kt)
-                    self._fail(req, f"target pid {target.pid} exited before capture")
-                    return
-                source = capture_mm_of if capture_mm_of is not None else target
-                # Borrow the source's page tables (E8: free only if this
-                # CPU already holds them).
-                attach_ns = kernel.kthread_attach_mm(kt, source)
-                if attach_ns:
-                    yield ops.Compute(ns=attach_ns)
-                image = self._new_image(req, target)
-                snapshot_metadata(kernel, target, image)
-                yield ops.Compute(ns=2_000)
-                pages = self._page_set(source, req.incremental)
-                for op in copy_pages(kernel, source, image, pages):
-                    yield op
-                if rearm and self.features.incremental:
-                    self.arm_incremental(target)
-                    yield ops.Compute(ns=30 * len(pages) + 1_000)
-                if stopped_by_us:
-                    kernel.resume_task(target)
-                    req.target_stall_ns = kernel.engine.now_ns - req.started_ns
-                    # The freeze window is the application-visible cost
-                    # of this capture shape; record it as its own span.
-                    kernel.engine.tracer.record(
-                        "checkpoint.freeze",
-                        req.started_ns,
-                        kernel.engine.now_ns,
-                        pid=target.pid,
-                        key=req.key,
-                    )
-                # Storage write happens after the app resumes (copy-out
-                # already isolated the data in the image buffers).
-                store_start_ns = kernel.engine.now_ns
-                store_error: Optional[str] = None
-                try:
-                    for op in store_image(kernel, self.storage, image):
-                        yield op
-                except StorageError as exc:
-                    # Lost backend / write quorum unreachable: the
-                    # checkpoint fails but the target keeps running.
-                    store_error = str(exc)
-                else:
-                    req.storage_delay_ns = kernel.engine.now_ns - store_start_ns
-                if defer_irqs:
-                    kernel.enable_irqs_for(kt)
-                if destroy_capture_source and capture_mm_of is not None:
-                    kernel._exit_task(capture_mm_of, code=0)
-                    kernel.reap(capture_mm_of)
-                if store_error is not None:
-                    self._fail(req, f"stable-storage write failed: {store_error}")
-                    return
-                self._complete(req, image)
-
-            return gen()
-
-        return kernel.spawn_kthread(
-            f"k{self.mech_name.lower()}/{req.key.rsplit('/', 1)[-1]}",
-            prog,
-            policy=policy,
-            rt_prio=rt_prio,
-        )
-
-    # ------------------------------------------------------------------
-    def kthread_capture_pipelined(
-        self,
-        target: Task,
-        req: CheckpointRequest,
-        pipeline_depth: int = 4,
-        policy: SchedPolicy = SchedPolicy.FIFO,
-        rt_prio: int = 50,
-        defer_irqs: bool = False,
-        rearm: bool = False,
-    ) -> Task:
-        """Fork/COW capture draining through the writeback pipeline.
-
-        The application's stall is the fork (plus the incremental
-        re-arm) instead of the whole frozen copy: a COW child snapshots
-        the address space, the target resumes immediately, and the
-        kernel thread drains the child's extents through a bounded
-        :class:`~repro.stablestore.WritebackPipeline` -- each extent's
-        memcpy overlaps the quorum write of the previous ones, so the
-        only storage waits on the drain's critical path are window
-        backpressure and the commit barrier.
-
-        ``pipeline_depth <= 1`` delegates to :meth:`kthread_capture`
-        verbatim, so the synchronous seed path stays bit-compatible.
-        """
-        if pipeline_depth <= 1:
-            return self.kthread_capture(
-                target,
-                req,
-                stop_target=True,
-                policy=policy,
-                rt_prio=rt_prio,
-                defer_irqs=defer_irqs,
-                rearm=rearm,
-            )
         from ...stablestore.pipeline import WritebackPipeline
 
         kernel = self.kernel
+        engine = kernel.engine
+        depth = self.pipeline_depth
+        group = list(threads) or [target]
+        cow = capture_mm_of is not None or (depth > 1 and not threads)
+        fork = cow and capture_mm_of is None
+        pipelined = cow and depth > 1
+        rearm = self.features.incremental
+
+        def open_image(kt: Task, source: Task) -> Generator:
+            # Borrow the source's page tables (E8: free only if this CPU
+            # already holds them); the metadata describes ``target``.
+            attach_ns = kernel.kthread_attach_mm(kt, source)
+            if attach_ns:
+                yield ops.Compute(ns=attach_ns)
+            image = self._new_image(req, target)
+            snapshot_metadata(kernel, target, image)
+            yield ops.Compute(ns=2_000 * len(group))
+            if threads:
+                image.user_state["threads"] = [
+                    {
+                        "name": t.name,
+                        "registers": t.registers.snapshot(),
+                        "step": t.main_steps,
+                        "thread_index": t.annotations.get("thread_index", i),
+                    }
+                    for i, t in enumerate(threads)
+                    if t.alive()
+                ]
+            return image
+
+        def drain(image, source: Task, pages) -> Generator:
+            pipe = WritebackPipeline(self.storage, engine, req.key, depth=depth)
+            try:
+                for chunk, copy_ns in capture_extents(kernel, source, image, pages):
+                    yield ops.Compute(ns=copy_ns)
+                    stall = pipe.ns_until_slot()
+                    if stall > 0:
+                        yield ops.Sleep(ns=stall)
+                    pipe.submit(chunk)
+                barrier = pipe.barrier_ns()
+                if barrier > 0:
+                    yield ops.Sleep(ns=barrier)
+                image.time_ns = engine.now_ns
+                commit_ns = pipe.commit(image, image.size_bytes)
+            except StorageError as exc:
+                pipe.abort(str(exc))
+                raise
+            # Client-visible storage wait: backpressure stalls + the
+            # commit barrier + the manifest write -- the part the
+            # pipeline could NOT hide behind copying.
+            req.storage_delay_ns = pipe.stall_ns + barrier + commit_ns
+            yield from charge_store(kernel, commit_ns)
 
         def prog(kt: Task, step: int) -> Generator:
             def gen():
-                req.state = RequestState.RUNNING
-                req.started_ns = kernel.engine.now_ns
-                kernel.engine.metrics.inc("capture.pipelined_captures")
-                if defer_irqs:
-                    kernel.disable_irqs_for(kt)
-                if not target.alive():
-                    if defer_irqs:
+                child = capture_mm_of
+
+                def finish(image, error: Optional[str]) -> None:
+                    if self.defer_irqs:
                         kernel.enable_irqs_for(kt)
-                    self._fail(req, f"target pid {target.pid} exited before capture")
-                    return
-                # Freeze window: the COW fork snapshots the address
-                # space atomically; the target is runnable again the
-                # moment the fork cost has been paid.
-                child, fork_cost = kernel.do_fork(target, stopped=True)
-                pages = self._page_set(child, req.incremental)
-                rearm_now = rearm and self.features.incremental
-                if rearm_now:
-                    # Re-arm dirty tracking at the fork instant (the
-                    # child holds this interval's dirty set), so pages
-                    # the target touches during the drain land in the
-                    # *next* delta instead of being lost.
-                    self.arm_incremental(target)
-                yield ops.Compute(ns=fork_cost)
-                if rearm_now:
-                    yield ops.Compute(ns=30 * len(pages) + 1_000)
-                req.target_stall_ns = kernel.engine.now_ns - req.started_ns
-                kernel.engine.tracer.record(
-                    "checkpoint.freeze",
-                    req.started_ns,
-                    kernel.engine.now_ns,
-                    pid=target.pid,
-                    key=req.key,
+                    if child is not None:
+                        kernel._exit_task(child, code=0)
+                        kernel.reap(child)
+                    if error is None:
+                        self._complete(req, image)
+                    else:
+                        self._fail(req, error)
+
+                req.state = RequestState.RUNNING
+                req.started_ns = engine.now_ns
+                engine.metrics.inc(
+                    "capture.pipelined_captures" if pipelined else "capture.kthread_captures"
                 )
-                attach_ns = kernel.kthread_attach_mm(kt, child)
-                if attach_ns:
-                    yield ops.Compute(ns=attach_ns)
-                image = self._new_image(req, target)
-                snapshot_metadata(kernel, target, image)
-                yield ops.Compute(ns=2_000)
-                store_error: Optional[str] = None
-                pipe = None
-                try:
-                    pipe = WritebackPipeline(
-                        self.storage, kernel.engine, req.key, depth=pipeline_depth
-                    )
-                    for chunk, copy_ns in capture_extents(kernel, child, image, pages):
-                        yield ops.Compute(ns=copy_ns)
-                        stall = pipe.ns_until_slot()
-                        if stall > 0:
-                            yield ops.Sleep(ns=stall)
-                        pipe.submit(chunk)
-                    barrier = pipe.barrier_ns()
-                    if barrier > 0:
-                        yield ops.Sleep(ns=barrier)
-                    image.time_ns = kernel.engine.now_ns
-                    commit_delay = pipe.commit(image, image.size_bytes)
-                    kernel.engine.metrics.inc("storage.images_stored")
-                    kernel.engine.metrics.observe("storage.store_ns", commit_delay)
-                    # Client-visible storage wait: backpressure stalls +
-                    # the commit barrier + the manifest write -- the
-                    # part the pipeline could NOT hide behind copying.
-                    req.storage_delay_ns = pipe.stall_ns + barrier + commit_delay
-                    while commit_delay > 0:
-                        slice_ns = min(commit_delay, STORE_SLICE_NS)
-                        commit_delay -= slice_ns
-                        yield ops.Compute(ns=slice_ns)
-                except StorageError as exc:
-                    store_error = str(exc)
-                    if pipe is not None:
-                        pipe.abort(store_error)
-                if defer_irqs:
-                    kernel.enable_irqs_for(kt)
-                kernel._exit_task(child, code=0)
-                kernel.reap(child)
-                if store_error is not None:
-                    self._fail(req, f"stable-storage write failed: {store_error}")
+                if self.defer_irqs:
+                    kernel.disable_irqs_for(kt)
+                # Freeze.  Only tasks stopped HERE are resumed: one parked
+                # by someone else (drain, safe pre-emption) stays frozen.
+                frozen = []
+                if not cow:
+                    frozen = [t for t in group if t.alive() and t.state != TaskState.STOPPED]
+                    for t in group:
+                        kernel.stop_task(t)
+                    # Wait for every task to reach an op boundary (one may
+                    # be mid-op on another CPU).
+                    while any(t.alive() and t.state != TaskState.STOPPED for t in group):
+                        yield ops.Sleep(ns=50_000)
+                if capture_mm_of is None and not target.alive():
+                    # A caller's COW child would still hold the state.
+                    for t in frozen:
+                        if t.alive():
+                            kernel.resume_task(t)
+                    finish(None, f"target pid {target.pid} exited before capture")
                     return
-                self._complete(req, image)
+                if fork:
+                    # The COW fork snapshots the address space atomically.
+                    child, fork_cost = kernel.do_fork(target, stopped=True)
+                    pages = self._page_set(child, req.incremental)
+                else:
+                    source = target if child is None else child
+                    image = yield from open_image(kt, source)
+                    pages = self._page_set(source, req.incremental)
+                    if not pipelined:
+                        yield from copy_pages(kernel, source, image, pages)
+                # Re-arm dirty tracking at the snapshot instant, so pages
+                # the target writes from here on land in the next delta.
+                if rearm:
+                    self.arm_incremental(target)
+                if fork:
+                    yield ops.Compute(ns=fork_cost)
+                if rearm:
+                    yield ops.Compute(ns=30 * len(pages) + 1_000)
+                if frozen or fork:
+                    for t in frozen:
+                        kernel.resume_task(t)
+                    req.target_stall_ns = engine.now_ns - req.started_ns
+                    # The freeze window is the application-visible cost of
+                    # this capture; record it as its own span.
+                    engine.tracer.record(
+                        "checkpoint.freeze",
+                        req.started_ns,
+                        engine.now_ns,
+                        pid=target.pid,
+                        key=req.key,
+                    )
+                if fork:
+                    image = yield from open_image(kt, child)
+                try:
+                    if pipelined:
+                        yield from drain(image, child, pages)
+                    else:
+                        # The copy already isolated the data in the image
+                        # buffers, so the write runs after the thaw.
+                        store_start_ns = engine.now_ns
+                        yield from store_image(kernel, self.storage, image)
+                        req.storage_delay_ns = engine.now_ns - store_start_ns
+                except StorageError as exc:
+                    # Lost backend / write quorum unreachable: the
+                    # checkpoint fails, the application keeps running.
+                    finish(image, f"stable-storage write failed: {exc}")
+                else:
+                    finish(image, None)
 
             return gen()
 
         return kernel.spawn_kthread(
             f"k{self.mech_name.lower()}/{req.key.rsplit('/', 1)[-1]}",
             prog,
-            policy=policy,
-            rt_prio=rt_prio,
+            policy=self.kthread_policy,
+            rt_prio=self.kthread_rt_prio,
         )

@@ -63,16 +63,8 @@ class CheckpointMT(SystemLevelCheckpointer):
         COW page-table sweep); the page copying happens in a kernel
         thread against the child's frozen image while the caller runs.
         """
-        req = self._new_request(task)
-        child, fork_cost = kernel.do_fork(task, stopped=True)
-        self.kthread_capture(
-            task,
-            req,
-            stop_target=False,  # the whole point: the app keeps running
-            capture_mm_of=child,
-            destroy_capture_source=True,
-        )
-        return SyscallResult(req.key, fork_cost)
+        req = self.request_checkpoint(task)
+        return SyscallResult(req.key, req.target_stall_ns)
 
     def checkpoint_op(self):
         """Op a cooperating application yields to checkpoint itself."""
@@ -85,21 +77,8 @@ class CheckpointMT(SystemLevelCheckpointer):
     ) -> CheckpointRequest:
         """Model the application invoking the syscall now (see VMADump)."""
         req = self._new_request(task, incremental)
-        if self.pipeline_depth > 1:
-            # The pipelined capture performs the fork itself and drains
-            # the frozen child through the writeback pipeline.
-            self.kthread_capture_pipelined(
-                task, req, pipeline_depth=self.pipeline_depth
-            )
-            return req
         child, fork_cost = self.kernel.do_fork(task, stopped=True)
         # Charge the fork to the target as a stall (it executed the call).
         req.target_stall_ns = fork_cost
-        self.kthread_capture(
-            task,
-            req,
-            stop_target=False,
-            capture_mm_of=child,
-            destroy_capture_source=True,
-        )
+        self.kthread_capture(task, req, capture_mm_of=child)
         return req

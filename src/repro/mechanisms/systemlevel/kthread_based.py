@@ -11,15 +11,15 @@ target's memory (Section 4.1; experiments E7/E8/E10).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Generator, List, Optional
+from typing import List, Optional
 
-from ...core.capture import copy_pages, restore_image, snapshot_metadata, store_image
+from ...core.capture import restore_image
 from ...core.checkpointer import CheckpointRequest, RequestState
 from ...core.features import Features, Initiation
 from ...core.registry import register
 from ...core.taxonomy import Agent, Context, TaxonomyPosition
 from ...errors import CheckpointError, RestartError
-from ...simkernel import Kernel, SchedPolicy, Task, TaskState, ops
+from ...simkernel import Kernel, Task
 from ...simkernel.memory import VMAKind
 from ...simkernel.modules import KernelModule
 from ...simkernel.process import Registers
@@ -72,10 +72,6 @@ class CRAK(SystemLevelCheckpointer):
 
     dev_path = "/dev/crak"
     module_name = "crak"
-    #: Scheduling class of the capture kernel thread.
-    kthread_policy = SchedPolicy.FIFO
-    kthread_rt_prio = 50
-    defer_irqs = False
 
     def install(self) -> None:
         self._module = _DeviceModule(self, self.dev_path, self.module_name).load(
@@ -93,26 +89,7 @@ class CRAK(SystemLevelCheckpointer):
             incremental = bool(arg.get("incremental", False)) if isinstance(arg, dict) else False
             target = self.kernel.task_by_pid(pid)
             req = self._new_request(target, incremental)
-            if self.pipeline_depth > 1:
-                self.kthread_capture_pipelined(
-                    target,
-                    req,
-                    pipeline_depth=self.pipeline_depth,
-                    policy=self.kthread_policy,
-                    rt_prio=self.kthread_rt_prio,
-                    defer_irqs=self.defer_irqs,
-                    rearm=incremental or self.features.incremental,
-                )
-            else:
-                self.kthread_capture(
-                    target,
-                    req,
-                    stop_target=True,
-                    policy=self.kthread_policy,
-                    rt_prio=self.kthread_rt_prio,
-                    defer_irqs=self.defer_irqs,
-                    rearm=incremental or self.features.incremental,
-                )
+            self.kthread_capture(target, req)
             return req
         raise CheckpointError(f"{self.mech_name}: unknown ioctl {cmd!r}")
 
@@ -128,16 +105,15 @@ class CRAK(SystemLevelCheckpointer):
         req = self.request_checkpoint(task)
         kernel = self.kernel
 
-        def on_done() -> None:
+        def on_done(req: CheckpointRequest) -> None:
             if req.state != RequestState.DONE:
-                kernel.engine.after(500_000, on_done)
-                return
+                return  # nothing to move: the source keeps running
             self.restart(req.key, target_kernel=dest_kernel)
             if task.alive():
                 kernel.stop_task(task)
                 kernel._exit_task(task, code=0)
 
-        kernel.engine.after(500_000, on_done)
+        req.add_done_callback(on_done)
         return req
 
 
@@ -289,58 +265,13 @@ class BLCR(CRAK):
             self._require_registered(target)
             group = target.annotations.get("thread_group")
             if group and len(group) > 1:
-                return self._checkpoint_group(target, group)
+                # Multithreaded: stop every thread, one shared image.
+                kernel = self.kernel
+                threads = [kernel.task_by_pid(p) for p in group if p in kernel.tasks]
+                req = self._new_request(target)
+                self.kthread_capture(target, req, threads=threads)
+                return req
         return super()._ioctl(requester, cmd, arg)
-
-    # -- multithreaded support -------------------------------------------
-    def _checkpoint_group(self, leader: Task, group: List[int]) -> CheckpointRequest:
-        """Stop and capture every thread of a group; one shared image."""
-        kernel = self.kernel
-        threads = [kernel.task_by_pid(p) for p in group if p in kernel.tasks]
-        req = self._new_request(leader)
-
-        def prog(kt: Task, step: int) -> Generator:
-            def gen():
-                req.state = RequestState.RUNNING
-                req.started_ns = kernel.engine.now_ns
-                for t in threads:
-                    if t.alive():
-                        kernel.stop_task(t)
-                while any(
-                    t.alive() and t.state != TaskState.STOPPED for t in threads
-                ):
-                    yield ops.Sleep(ns=50_000)
-                attach = kernel.kthread_attach_mm(kt, leader)
-                if attach:
-                    yield ops.Compute(ns=attach)
-                image = self._new_image(req, leader)
-                snapshot_metadata(kernel, leader, image)
-                yield ops.Compute(ns=2_000 * len(threads))
-                image.user_state["threads"] = [
-                    {
-                        "name": t.name,
-                        "registers": t.registers.snapshot(),
-                        "step": t.main_steps,
-                        "thread_index": t.annotations.get("thread_index", i),
-                    }
-                    for i, t in enumerate(threads)
-                    if t.alive()
-                ]
-                pages = self._page_set(leader, False)
-                for op in copy_pages(kernel, leader, image, pages):
-                    yield op
-                for t in threads:
-                    if t.alive():
-                        kernel.resume_task(t)
-                req.target_stall_ns = kernel.engine.now_ns - req.started_ns
-                for op in store_image(kernel, self.storage, image):
-                    yield op
-                self._complete(req, image)
-
-            return gen()
-
-        kernel.spawn_kthread(f"kblcr/{req.key.rsplit('/', 1)[-1]}", prog, rt_prio=50)
-        return req
 
     def restart_group(self, key: str, target_kernel: Optional[Kernel] = None):
         """Restore a multithreaded image: all threads share one mm."""
@@ -446,7 +377,7 @@ class LamMpi(BLCR):
         def start_captures() -> None:
             for r, req in zip(ranks, reqs):
                 if r.alive():
-                    self.kthread_capture(r, req, stop_target=True)
+                    self.kthread_capture(r, req)
                 else:
                     self._fail(req, f"rank pid {r.pid} dead at checkpoint")
 
@@ -516,7 +447,7 @@ class PsncRC(SystemLevelCheckpointer):
         pid = arg["pid"] if isinstance(arg, dict) else int(arg)
         target = self.kernel.task_by_pid(pid)
         req = self._new_request(target)
-        self.kthread_capture(target, req, stop_target=True)
+        self.kthread_capture(target, req)
         return req
 
     def request_checkpoint(

@@ -99,10 +99,15 @@ class TestDirectionForward:
         k, mech = make_mech()
         t = writer(iterations=100_000).spawn(k)
         seen = []
-        mech.enable_automatic(t, 20 * NS_PER_MS, on_complete=seen.append)
+        mech.enable_automatic(
+            t, 20 * NS_PER_MS,
+            on_complete=lambda req: seen.append((req, k.engine.now_ns)),
+        )
         k.run_for(150 * NS_PER_MS)
         assert len(mech.completed_requests()) >= 4
         assert seen  # completion callbacks fired
+        # Each callback runs at its request's completion instant.
+        assert all(now == req.completed_ns for req, now in seen)
         mech.disable_automatic(t)
         n = len(mech.requests)
         k.run_for(100 * NS_PER_MS)

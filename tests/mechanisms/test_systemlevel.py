@@ -200,6 +200,33 @@ class TestCRAKFamily:
         moved = [x for x in k_dst.tasks.values() if x.name.endswith(":r")]
         assert len(moved) == 1
 
+    def test_failed_migration_keeps_source_and_stops_watching(self):
+        def run(migrate):
+            k_src = Kernel(ncpus=2, seed=11, node_id=0)
+            k_dst = Kernel(ncpus=2, seed=13, node_id=1)
+            storage = LocalDiskStorage(0)
+            mech = CRAK(k_src, storage)
+            t = make_writer(iterations=3000).spawn(k_src)
+            k_src.run_for(5_000_000)
+            storage.mark_node_failed()
+            if migrate:
+                req = mech.migrate(t, k_dst)
+            else:
+                req = mech.request_checkpoint(t)
+            run_request(k_src, req)
+            assert req.state == RequestState.FAILED
+            assert t.alive()  # nothing was moved, so nothing is killed
+            before = k_src.engine.metrics.counters()["engine.events"]
+            k_src.run_for(10 * 10**9)
+            events = k_src.engine.metrics.counters()["engine.events"] - before
+            assert t.exit_code == 0
+            assert not k_dst.tasks
+            return events, k_src.engine.pending()
+
+        # A failed migrate schedules nothing beyond what a failed
+        # checkpoint does: no poll re-arms itself forever.
+        assert run(migrate=True) == run(migrate=False)
+
     def test_uclik_restores_pid_and_deleted_files(self):
         k = Kernel(ncpus=2, seed=11)
         mech = UCLiK(k, LocalDiskStorage(0))
