@@ -19,13 +19,12 @@ scenario experiment E15/E18 contrasts with in-kernel initiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..core.checkpointer import Checkpointer, CheckpointRequest
 from ..errors import ClusterError
 from .job import CheckpointCoordinator, ParallelJob
-from .machine import Cluster, ClusterNode
+from .machine import Cluster
 
 __all__ = ["BatchManager"]
 
@@ -99,7 +98,6 @@ class BatchManager:
         self._require_alive()
         node = self.cluster.node(node_id)
         reqs: List[CheckpointRequest] = []
-        engine = self.cluster.engine
         for coord in self.coordinators.values():
             for rank in coord.job.ranks:
                 if rank.node is node and rank.task.alive():
@@ -108,16 +106,14 @@ class BatchManager:
                     req = mech.request_checkpoint(rank.task)
                     reqs.append(req)
 
-                    # Freeze once the image is durable (the capture path
-                    # itself stops/resumes the task; we park it after).
-                    def park(req=req, task=rank.task, kernel=node.kernel) -> None:
-                        if req.completed_ns is not None:
-                            if task.alive():
-                                kernel.stop_task(task)
-                        else:
-                            engine.after(1_000_000, park)
+                    # Freeze once the request settles, DONE or FAILED
+                    # (the capture path itself stops/resumes the task;
+                    # we park it after).
+                    def park(_, task=rank.task, kernel=node.kernel) -> None:
+                        if task.alive():
+                            kernel.stop_task(task)
 
-                    engine.after(1_000_000, park)
+                    req.add_done_callback(park)
         self._drained.append(node_id)
         return reqs
 

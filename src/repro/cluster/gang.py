@@ -103,7 +103,6 @@ class GangScheduler:
 
     def _park(self, gang: _GangState) -> None:
         """Safe park: checkpoint every rank, freeze when images are durable."""
-        engine = self.cluster.engine
         for rank in gang.job.ranks:
             if not rank.task.alive():
                 continue
@@ -112,20 +111,15 @@ class GangScheduler:
                 rank.node.kernel.stop_task(rank.task)
                 continue
             mech.prepare_target(rank.task)
-            req = mech.request_checkpoint(rank.task)
 
-            def freeze(req=req, rank=rank, gang=gang) -> None:
+            def freeze(req, rank=rank) -> None:
+                # DONE leaves a park image; FAILED freezes all the same.
                 if req.state == RequestState.DONE:
                     gang.park_images[rank.index] = req.key
-                    if rank.task.alive():
-                        rank.node.kernel.stop_task(rank.task)
-                elif req.state == RequestState.FAILED:
-                    if rank.task.alive():
-                        rank.node.kernel.stop_task(rank.task)
-                else:
-                    engine.after(1_000_000, freeze)
+                if rank.task.alive():
+                    rank.node.kernel.stop_task(rank.task)
 
-            engine.after(1_000_000, freeze)
+            mech.request_checkpoint(rank.task).add_done_callback(freeze)
 
     def _thaw(self, gang: _GangState) -> None:
         for rank in gang.job.ranks:

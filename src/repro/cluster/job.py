@@ -20,7 +20,7 @@ Two recovery policies bracket the design space:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..core.checkpointer import Checkpointer, CheckpointRequest, RequestState
@@ -32,7 +32,7 @@ from ..distsnap.protocols import (
     StopTheWorldProtocol,
 )
 from ..distsnap.restart import JobRestoreResult, restore_snapshot
-from ..errors import ClusterError, DistSnapError, StorageLostError
+from ..errors import ClusterError, DistSnapError, StorageError, StorageLostError
 from ..simkernel import Task
 from ..simkernel.costs import NS_PER_S
 from ..storage.backends import StorageBackend
@@ -46,6 +46,12 @@ __all__ = [
     "CheckpointCoordinator",
     "CommunicatingJob",
 ]
+
+
+def _node_mechanism(mechanisms: Dict[int, Checkpointer], node) -> Checkpointer:
+    """``node``'s mechanism, else the first installed one (a spare or a
+    node without its own mechanism restores through shared storage)."""
+    return mechanisms.get(node.node_id) or next(iter(mechanisms.values()))
 
 
 @dataclass
@@ -100,23 +106,58 @@ class ParallelJob:
             nodes = [n for n in cluster.compute_nodes() if n.up]
         if not nodes:
             raise ClusterError("no healthy compute nodes to place the job on")
-        for r in range(n_ranks):
-            node = nodes[r % len(nodes)]
-            wl = workload_factory(r)
-            task = wl.spawn(node.kernel, name=f"{name}/r{r}")
-            self.ranks.append(Rank(index=r, node=node, task=task, workload=wl))
         self.started_ns = cluster.engine.now_ns
+        #: Virtual instant the last rank exited successfully.
         self.completed_ns: Optional[int] = None
         self.restarts = 0
+        #: Whether :meth:`run_to_completion` is driving the engine (the
+        #: last rank's exit then stops it).
+        self._driving = False
+        for r in range(n_ranks):
+            rank = Rank(index=r, node=nodes[r % len(nodes)], task=None, workload=None)
+            self.ranks.append(rank)
+            self._spawn(rank, rank.node)
 
     # ------------------------------------------------------------------
+    def bind(self, rank: Rank, node: ClusterNode, task: Task) -> None:
+        """Make ``task`` on ``node`` the live process of ``rank`` and
+        watch it exit (initial placement, restores and respawns)."""
+        rank.node = node
+        rank.task = task
+        node.kernel.on_exit(task, self._rank_exited)
+
+    def _spawn(self, rank: Rank, node: ClusterNode) -> None:
+        rank.workload = self.workload_factory(rank.index)
+        task = rank.workload.spawn(node.kernel, name=f"{self.name}/r{rank.index}")
+        self.bind(rank, node, task)
+
+    def _rank_exited(self, task: Task) -> None:
+        if self.completed_ns is None and all(r.done for r in self.ranks):
+            self.completed_ns = self.cluster.engine.now_ns
+            if self._driving:
+                self.cluster.engine.stop()
+
+    def respawn(self) -> bool:
+        """Kill every live rank and start them all from iteration 0, on
+        a claimed spare where a rank's node is down.  False when no
+        healthy node is left to place a rank on (the job is stranded
+        until an operator repairs hardware)."""
+        try:
+            for rank in self.ranks:
+                # Kill survivors (gang semantics), then respawn everyone.
+                if rank.task.alive():
+                    rank.node.kernel.stop_task(rank.task)
+                    rank.node.kernel._exit_task(rank.task, code=-1)
+                node = rank.node if rank.node.up else self.cluster.claim_spare()
+                self._spawn(rank, node)
+        except ClusterError:
+            return False
+        return True
+
     @property
     def finished(self) -> bool:
         """All ranks completed successfully."""
-        done = all(r.done for r in self.ranks)
-        if done and self.completed_ns is None:
-            self.completed_ns = self.cluster.engine.now_ns
-        return done
+        return self.completed_ns is not None
 
     @property
     def failed_ranks(self) -> List[Rank]:
@@ -134,8 +175,14 @@ class ParallelJob:
         return (self.completed_ns - self.started_ns) / NS_PER_S
 
     def run_to_completion(self, limit_ns: int) -> bool:
-        """Drive the cluster until the job finishes or the limit trips."""
-        self.cluster.run_until(lambda: self.finished, limit_ns)
+        """Drive the cluster until the job finishes (the last rank's exit
+        stops the engine) or the limit trips; a finished job returns."""
+        if self.completed_ns is None:
+            self._driving = True
+            try:
+                self.cluster.run_for(limit_ns)
+            finally:
+                self._driving = False
         return self.finished
 
 
@@ -158,23 +205,7 @@ class ScratchRestartPolicy:
             return
         self.lost_steps += job.total_progress_steps()
         job.restarts += 1
-        cluster = job.cluster
-        try:
-            for rank in job.ranks:
-                # Kill survivors (gang semantics), then respawn everyone.
-                if rank.task.alive():
-                    rank.node.kernel.stop_task(rank.task)
-                    rank.node.kernel._exit_task(rank.task, code=-1)
-                    rank.task.state = rank.task.state.__class__.DEAD
-                target = rank.node if rank.node.up else cluster.claim_spare()
-                rank.node = target
-                wl = job.workload_factory(rank.index)
-                rank.workload = wl
-                rank.task = wl.spawn(target.kernel, name=f"{job.name}/r{rank.index}")
-        except ClusterError:
-            # No healthy node to place a rank on: the job is stranded
-            # until an operator repairs hardware.
-            self.stuck = True
+        self.stuck = not job.respawn()
 
 
 class CheckpointCoordinator:
@@ -268,12 +299,17 @@ class CheckpointCoordinator:
                     break
             if reqs:
                 self._inflight = reqs
-                self._poll_wave()
+                # Subscribe only now that the dict is whole: a request
+                # can settle inside request_checkpoint.
+                for req in reqs.values():
+                    req.add_done_callback(lambda _, reqs=reqs: self._poll_wave(reqs))
         self.job.cluster.engine.after(self.interval_ns, self._wave, label="ckpt-wave")
 
-    def _poll_wave(self) -> None:
-        reqs = self._inflight
-        if reqs is None:
+    def _poll_wave(self, reqs: Dict[int, CheckpointRequest]) -> None:
+        """Done-callback of every request in wave ``reqs``: the wave
+        lands when the last request is DONE and is void on the first
+        FAILED one.  Requests of a voided or landed wave are ignored."""
+        if reqs is not self._inflight:
             return
         states = [r.state for r in reqs.values()]
         if all(s == RequestState.DONE for s in states):
@@ -282,11 +318,8 @@ class CheckpointCoordinator:
             )
             self._inflight = None
             self._gc_old_waves()
-            return
-        if any(s == RequestState.FAILED for s in states):
+        elif RequestState.FAILED in states:
             self._inflight = None  # aborted wave (failure mid-capture)
-            return
-        self.job.cluster.engine.after(1_000_000, self._poll_wave, label="wave-poll")
 
     def _gc_old_waves(self) -> None:
         """Drop waves beyond ``keep_waves`` and delete their blobs.
@@ -303,21 +336,24 @@ class CheckpointCoordinator:
         retained = self.waves[-self.keep_waves:]
         retained_keys = {key for wave in retained for key, _ in wave.values()}
         # Collect every ancestor of a retained image: those must survive.
+        # The walk peeks (no I/O is charged), once per key, through the
+        # first mechanism whose storage holds it.
         protected = set(retained_keys)
-        for mech in set(self.mechanisms.values()):
-            for key in list(retained_keys):
+        mechs = list(dict.fromkeys(self.mechanisms.values()))
+        for key in retained_keys:
+            for mech in mechs:
                 try:
-                    chain, _ = mech.image_chain(key)
-                except Exception:
+                    protected.update(mech._chain_keys(key))
+                except StorageError:
                     continue
-                protected.update(img.key for img in chain)
+                break
         doomed = self.waves[: -self.keep_waves]
         self.waves = list(retained)
         for wave in doomed:
             for key, _ in wave.values():
                 if key in protected:
                     continue
-                for mech in set(self.mechanisms.values()):
+                for mech in mechs:
                     mech.storage.delete(key)
             self.waves_pruned += 1
 
@@ -329,12 +365,11 @@ class CheckpointCoordinator:
         if not any(r.node is node for r in job.ranks):
             return
         self._inflight = None  # any in-flight wave is void
-        cluster = job.cluster
         if not self.waves:
             # Nothing to recover from: degenerate to scratch restart.
             self.lost_steps += job.total_progress_steps()
             job.restarts += 1
-            self._restart_from_scratch()
+            self.unrecoverable = not job.respawn()
             return
         # Progress snapshot before any task is stopped: lost work is
         # measured against whichever wave the recovery finally lands on.
@@ -389,9 +424,7 @@ class CheckpointCoordinator:
             if rank.task.alive():
                 rank.node.kernel.stop_task(rank.task)
             target = rank.node if rank.node.up else cluster.claim_spare()
-            mech = self.mechanisms.get(rank.node.node_id) or next(
-                iter(self.mechanisms.values())
-            )
+            mech = _node_mechanism(self.mechanisms, rank.node)
             if rank.index in wave:
                 key, _ = wave[rank.index]
             else:
@@ -418,8 +451,7 @@ class CheckpointCoordinator:
                 res = mech.restart(
                     key, target_kernel=target.kernel, prefetch=False
                 )
-            rank.node = target
-            rank.task = res.task
+            job.bind(rank, target, res.task)
 
     def _candidate_waves(self):
         """Waves whose every image chain is currently readable, newest
@@ -429,30 +461,12 @@ class CheckpointCoordinator:
             for rank in self.job.ranks:
                 if rank.index not in wave:
                     continue
-                mech = self.mechanisms.get(rank.node.node_id) or next(
-                    iter(self.mechanisms.values())
-                )
+                mech = _node_mechanism(self.mechanisms, rank.node)
                 if not mech.chain_available(wave[rank.index][0]):
                     usable = False
                     break
             if usable:
                 yield wave
-
-    def _restart_from_scratch(self) -> None:
-        job = self.job
-        cluster = job.cluster
-        try:
-            for rank in job.ranks:
-                if rank.task.alive():
-                    rank.node.kernel.stop_task(rank.task)
-                    rank.node.kernel._exit_task(rank.task, code=-1)
-                target = rank.node if rank.node.up else cluster.claim_spare()
-                rank.node = target
-                wl = job.workload_factory(rank.index)
-                rank.workload = wl
-                rank.task = wl.spawn(target.kernel, name=f"{job.name}/r{rank.index}")
-        except ClusterError:
-            self.unrecoverable = True
 
 
 class CommunicatingJob(ParallelJob):
@@ -525,9 +539,7 @@ class CommunicatingJob(ParallelJob):
         for rank in self.ranks:
             mech = None
             if mechanisms is not None:
-                mech = mechanisms.get(rank.node.node_id) or next(
-                    iter(mechanisms.values())
-                )
+                mech = _node_mechanism(mechanisms, rank.node)
             out.append(
                 SnapRank(
                     pid=rank.index,
@@ -578,9 +590,7 @@ class CommunicatingJob(ParallelJob):
         for rank in self.ranks:
             if not rank.node.up:
                 rank.node = self.cluster.claim_spare()
-            mech_by_rank[rank.index] = mechanisms.get(
-                rank.node.node_id
-            ) or next(iter(mechanisms.values()))
+            mech_by_rank[rank.index] = _node_mechanism(mechanisms, rank.node)
             kernels[rank.index] = rank.node.kernel
         result = restore_snapshot(
             store,
@@ -593,6 +603,6 @@ class CommunicatingJob(ParallelJob):
         for rank in self.ranks:
             res = result.rank_results.get(rank.index)
             if res is not None:
-                rank.task = res.task
+                self.bind(rank, rank.node, res.task)
         self.restarts += 1
         return result

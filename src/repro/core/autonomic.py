@@ -18,8 +18,7 @@ system or *safe* pre-emption by another process".  Built here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..analysis.interval import daly_interval_s
 from ..errors import CheckpointError
@@ -211,43 +210,37 @@ class SafePreemption:
     node was reclaimed entirely).
     """
 
-    #: How often the parking watcher re-checks the request.
-    poll_interval_ns: int = 1_000_000
     #: How long a preemption may stay in flight before parking is
-    #: abandoned.  Bounds the watcher: without it, a request stuck in
-    #: PENDING/RUNNING (capture generator abandoned, storage hung)
-    #: rescheduled the 1 ms poll forever.
+    #: abandoned: a request stuck in PENDING/RUNNING (capture generator
+    #: abandoned, storage hung) must not hold the park open forever.
     park_deadline_ns: int = 300 * NS_PER_S
 
     def __init__(
         self,
         mechanism: Checkpointer,
-        poll_interval_ns: Optional[int] = None,
         park_deadline_ns: Optional[int] = None,
     ) -> None:
         self.mechanism = mechanism
         self.parked: dict = {}
         #: pid -> reason for preemptions whose parking never happened.
         self.park_failures: Dict[int, str] = {}
-        if poll_interval_ns is not None:
-            self.poll_interval_ns = int(poll_interval_ns)
         if park_deadline_ns is not None:
             self.park_deadline_ns = int(park_deadline_ns)
 
     def preempt(self, task: Task) -> CheckpointRequest:
         """Checkpoint ``task`` and freeze it when the image is durable.
 
-        The parking watcher is *bounded*: it stops (and surfaces a
-        ``preempt.park_failed`` metric) when the request fails or when
-        :attr:`park_deadline_ns` of virtual time passes without the
-        image becoming durable, instead of polling forever.
+        Parking runs when the request settles.  It is *bounded*: a
+        failed request, or one still in flight after
+        :attr:`park_deadline_ns` of virtual time, gives up (and surfaces
+        a ``preempt.park_failed`` metric); a request that settles after
+        the deadline does not park.
         """
         kernel = self.mechanism.kernel
         engine = kernel.engine
         self.mechanism.prepare_target(task)
         req = self.mechanism.request_checkpoint(task)
         engine.metrics.inc("preempt.requests")
-        deadline_ns = engine.now_ns + self.park_deadline_ns
 
         def give_up(reason: str) -> None:
             self.park_failures[task.pid] = reason
@@ -256,24 +249,27 @@ class SafePreemption:
                 "preempt.park_failed", pid=task.pid, key=req.key, reason=reason
             )
 
-        def park_when_done() -> None:
-            if req.state == RequestState.DONE:
-                if task.alive():
-                    kernel.stop_task(task)
-                self.parked[task.pid] = req.key
-                self.park_failures.pop(task.pid, None)
-                engine.metrics.inc("preempt.parked")
-            elif req.state == RequestState.FAILED:
-                give_up("checkpoint failed; nothing durable, task left running")
-            elif engine.now_ns >= deadline_ns:
-                give_up(
-                    f"checkpoint still {req.state.value} after "
-                    f"{self.park_deadline_ns} ns; abandoning park"
-                )
-            else:
-                engine.after(self.poll_interval_ns, park_when_done, label="park-poll")
+        def expire() -> None:
+            give_up(
+                f"checkpoint still {req.state.value} after "
+                f"{self.park_deadline_ns} ns; abandoning park"
+            )
 
-        engine.after(self.poll_interval_ns, park_when_done, label="park-poll")
+        def park_when_done(_) -> None:
+            if deadline.popped:
+                return  # settled after the deadline gave up
+            deadline.cancel()
+            if req.state == RequestState.FAILED:
+                give_up("checkpoint failed; nothing durable, task left running")
+                return
+            if task.alive():
+                kernel.stop_task(task)
+            self.parked[task.pid] = req.key
+            self.park_failures.pop(task.pid, None)
+            engine.metrics.inc("preempt.parked")
+
+        deadline = engine.after(self.park_deadline_ns, expire, label="park-deadline")
+        req.add_done_callback(park_when_done)
         return req
 
     def resume_in_place(self, task: Task) -> None:

@@ -85,3 +85,22 @@ def test_gc_protects_incremental_ancestors():
     for key, _ in wave.values():
         chain, _ = mech.image_chain(key)
         assert chain[0].parent_key is None  # base reachable and full
+
+
+def test_gc_sweep_charges_no_reads():
+    """Finding a retained image's ancestors peeks at the store: a sweep
+    must not add to its read bytes or occupy its device."""
+    cl, job, coord = build(keep_waves=1, mech_cls=AutonomicCheckpointer)
+    store = cl.remote_storage
+    sweep = coord._gc_old_waves
+    charged = []
+
+    def watched_sweep():
+        before = (store.bytes_read, store.device.busy_until_ns)
+        sweep()
+        charged.append((before, (store.bytes_read, store.device.busy_until_ns)))
+
+    coord._gc_old_waves = watched_sweep
+    cl.run_for(200 * NS_PER_MS)
+    assert coord.waves_pruned > 0
+    assert all(before == after for before, after in charged)

@@ -92,7 +92,7 @@ class TestBoundedParking:
         k = Kernel(ncpus=2, seed=11)
         mech = AutonomicCheckpointer(k, RemoteStorage())
         sp = SafePreemption(
-            mech, poll_interval_ns=NS_PER_MS, park_deadline_ns=50 * NS_PER_MS
+            mech, park_deadline_ns=50 * NS_PER_MS
         )
         t = writer().spawn(k)
         stuck = CheckpointRequest(
@@ -117,7 +117,7 @@ class TestBoundedParking:
         is left running (nothing durable to park against)."""
         k = Kernel(ncpus=2, seed=11)
         mech = AutonomicCheckpointer(k, BrokenRemote())
-        sp = SafePreemption(mech, poll_interval_ns=NS_PER_MS)
+        sp = SafePreemption(mech)
         t = writer().spawn(k)
         k.run_for(5 * NS_PER_MS)
         req = sp.preempt(t)
