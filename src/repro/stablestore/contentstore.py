@@ -120,24 +120,9 @@ class ContentStore(StorageBackend):
     # ------------------------------------------------------------------
     # StorageBackend protocol
     # ------------------------------------------------------------------
-    def store(self, key: str, obj: Any, nbytes: int, now_ns: int) -> int:
-        if not isinstance(obj, CheckpointImage):
-            return self.inner.store(key, obj, nbytes, now_ns)
-        if key in self._manifest_refs:
-            # Overwrite of an existing generation: release the old refs
-            # first so refcounts stay exact.
-            self.delete(key)
-        manifest = ImageManifest(key=key)
-        pack: Dict[str, np.ndarray] = {}
-        pack_bytes = self._fingerprint(obj.chunks, manifest, pack, {})
-        delay = 0
-        pack_key: Optional[str] = None
-        if pack:
-            pack_key = self._new_pack_key(key)
-            delay += self.inner.store(pack_key, pack, pack_bytes, now_ns)
-        return delay + self._write_manifest(
-            obj, manifest, pack, pack_bytes, pack_key, now_ns + delay
-        )
+    #: The one synchronous write: :class:`DedupWriteStream` opened and
+    #: committed at once (named here so per-class tracing can wrap it).
+    store = StorageBackend.store
 
     def _fingerprint(
         self,
@@ -220,8 +205,7 @@ class ContentStore(StorageBackend):
         now_ns: int,
     ) -> int:
         """Store the manifest of ``image`` once its pack is written, then
-        install the client-side bookkeeping (shared by the synchronous
-        store and the pipelined stream commit); returns the delay.  Each
+        install the client-side bookkeeping; returns the delay.  Each
         row not in ``pack`` is a dedup hit."""
         key = manifest.key
         manifest.meta = replace(image, chunks=[])
@@ -379,10 +363,10 @@ class DedupWriteStream:
     only never-seen payload bytes to the inner backend's write stream
     under the image's pack key; duplicate pages cost no wire or disk
     time at all, so a mostly-clean generation acknowledges almost
-    instantly.  :meth:`commit` seals the pack, writes the manifest, and
-    installs the refcount bookkeeping -- identical end state and metric
-    stream to a synchronous :meth:`ContentStore.store` of the same
-    image.
+    instantly.  :meth:`commit` fingerprints the image itself when no
+    chunk came through :meth:`send_chunk` (a synchronous
+    :meth:`ContentStore.store`), seals the pack, writes the manifest,
+    and installs the refcount bookkeeping.
 
     The stream takes no reference before :meth:`commit`, so one that is
     abandoned (an aborted drain) leaves every refcount as it was.  A
@@ -450,6 +434,8 @@ class DedupWriteStream:
             raise StorageError(
                 f"raw bytes were sent for {self.key!r}; an image must be "
                 "streamed with send_chunk")
+        if not self.manifest.ckeys:
+            cs._fingerprint(obj.chunks, self.manifest, self.pack, self._homed)
         for ckey, payload in self._homed.items():
             if ckey not in cs._home and ckey not in self.pack:
                 # Its pack was collected after the hit: the payload joins

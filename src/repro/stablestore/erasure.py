@@ -69,7 +69,7 @@ from ..errors import StorageError, StorageLostError
 from ..simkernel.costs import NS_PER_MS, NS_PER_US
 from ..storage.backends import StorageBackend, WriteStream
 from .repair import ReplicationRepairer
-from .replicated import Placed, QuorumStore
+from .replicated import QuorumStore, QuorumWriteStream
 from .server import StorageCluster, StorageServer
 
 __all__ = [
@@ -672,47 +672,9 @@ class ErasureStore(QuorumStore):
     # ------------------------------------------------------------------
     # StorageBackend protocol
     # ------------------------------------------------------------------
-    def store(self, key: str, obj: Any, nbytes: int, now_ns: int) -> int:
-        """Stripe ``obj`` onto ``k+m`` distinct servers.
-
-        Returns the client-visible delay: the retry-walk penalty plus
-        the instant the ``write_shards``-th shard is durable.
-        """
-        snb = self.shard_size(nbytes)
-        shards = self._encode(obj)
-        placed, _ = self._walk(self.candidates(key), self.k + self.m, "write")
-        delay = self._fan_out(placed, snb, now_ns, self.write_shards)
-        if len(placed) < self.write_shards:
-            raise self._lost(
-                "write",
-                f"erasure write quorum unreachable for {key!r}: "
-                f"{len(placed)} of {self.write_shards} required shards placed "
-                f"({len(self.storage.up_servers())}/{len(self.storage.servers)} "
-                f"servers up)",
-            )
-        self._publish(
-            key, nbytes, [(s, shards[i]) for i, (s, _) in enumerate(placed)], delay
-        )
-        return delay
-
-    def _publish(
-        self,
-        key: str,
-        nbytes: int,
-        placed: List[Tuple[StorageServer, Shard]],
-        delay: int,
-    ) -> None:
-        """Install each ``(server, shard)`` and the directory entry of a
-        full-stripe write."""
-        snb = self.shard_size(nbytes)
-        for server, shard in placed:
-            server.put_replica(_skey(key), shard, snb)
-        self._directory[key] = nbytes
-        self.bytes_written += snb * len(placed)
-        metrics = self.storage.engine.metrics
-        metrics.inc("storage.erasure_writes")
-        metrics.inc("storage.shard_bytes_written", snb * len(placed))
-        metrics.observe("storage.write_ns", delay)
+    #: The one synchronous write: :class:`ErasureWriteStream` opened and
+    #: committed at once (named here so per-class tracing can wrap it).
+    store = StorageBackend.store
 
     def store_delta(
         self,
@@ -853,79 +815,44 @@ class ErasureStore(QuorumStore):
         )
 
 
-class ErasureWriteStream(WriteStream):
-    """An open pipelined striped write of one blob.
+class ErasureWriteStream(QuorumWriteStream):
+    """A quorum write of one blob's ``k+m`` shards.
 
-    Mirrors :class:`~repro.stablestore.ReplicaWriteStream`: opening
-    performs the rendezvous retry walk once and pins ``k+m`` servers
-    (one shard index each); each :meth:`send` forwards one extent's
-    worth of shard slices (``ceil(nbytes/k)`` per pinned server) over
-    the shared link and onto the pinned disks; :meth:`commit` encodes
-    the finished object (through :func:`rs_encode`'s bounded-chunk
-    streaming kernel, so even a huge stripe never materializes more
-    than ``k * _CODE_CHUNK`` working bytes at once), charges the
-    remainder, installs the shards and the directory entry.  The blob
-    is visible only at commit, so a crash mid-stream never publishes a
-    torn stripe.  If pinned servers fail mid-stream and fewer than
-    ``write_shards`` remain, the next send/commit raises
-    :class:`~repro.errors.StorageLostError`.
+    The :class:`~repro.stablestore.replicated.QuorumWriteStream` walk
+    pins up to ``k+m`` servers, shard index by placement order, and
+    ``write_shards`` of them must ack.  Each server gets
+    ``ceil(nbytes/k)`` bytes per ``nbytes`` sent, and at commit its
+    shard of the finished object, encoded through :func:`rs_encode`'s
+    bounded-chunk streaming kernel (so even a huge stripe never
+    materializes more than ``k * _CODE_CHUNK`` working bytes at once).
     """
 
+    what = "erasure write"
+    unit = "shards"
+
     def __init__(self, store: ErasureStore, key: str, now_ns: int) -> None:
-        super().__init__(store, key, now_ns)
-        self.store = store
-        self.sent_shard_bytes = 0
-        pinned, self.open_penalty_ns = store._walk(
-            store.candidates(key), store.k + store.m, "write"
-        )
-        if len(pinned) < store.write_shards:
-            raise store._lost(
-                "write",
-                f"erasure write quorum unreachable for {key!r}: "
-                f"{len(pinned)} of {store.write_shards} required shard "
-                f"servers reachable",
-            )
-        #: shard index -> pinned server, assigned at open time.
-        self.servers: Dict[int, StorageServer] = {
-            i: s for i, (s, _) in enumerate(pinned)
-        }
+        super().__init__(store, key, now_ns, store.k + store.m, store.write_shards)
 
-    def _live(self) -> List[Placed]:
-        st = self.store
-        return st._live(
-            self.servers.values(), st.write_shards, self.key, "erasure write"
-        )
+    #: Named here so per-class tracing can wrap them.
+    send = QuorumWriteStream.send
+    commit = QuorumWriteStream.commit
 
-    def send(self, nbytes: int, now_ns: int) -> int:
-        """Forward one extent's shard slices to every live pinned
-        server; returns the delay at which the ``write_shards``-th
-        slice is durable."""
-        st = self.store
-        snb = st.shard_size(nbytes)
-        delay = st._fan_out(self._live(), snb, now_ns, st.write_shards)
-        self.sent_bytes += int(nbytes)
-        self.sent_shard_bytes += snb
-        return delay
+    def _server_bytes(self, nbytes: int) -> int:
+        return self.store.shard_size(nbytes)
 
-    def commit(self, obj: Any, nbytes: int, now_ns: int) -> int:
-        """Encode the finished object, charge the shard remainders and
-        make the blob visible.  Total traffic matches a monolithic
-        :meth:`ErasureStore.store` of the same image."""
-        if self.committed:
-            raise StorageError(f"stream for {self.key!r} already committed")
+    def _publish(self, obj: Any, nbytes: int, delay: int) -> None:
         st = self.store
-        live = self._live()
-        remainder = max(0, st.shard_size(nbytes) - self.sent_shard_bytes)
         shards = st._encode(obj)
-        delay = st._fan_out(live, remainder, now_ns, st.write_shards)
-        self.committed = True
-        st._publish(
-            self.key,
-            nbytes,
-            [(s, shards[i]) for i, s in self.servers.items() if s.up],
-            delay,
-        )
-        return delay
+        snb = st.shard_size(nbytes)
+        live = [(s, shards[i]) for i, s in enumerate(self.servers) if s.up]
+        for server, shard in live:
+            server.put_replica(_skey(self.key), shard, snb)
+        st._directory[self.key] = nbytes
+        st.bytes_written += snb * len(live)
+        metrics = st.storage.engine.metrics
+        metrics.inc("storage.erasure_writes")
+        metrics.inc("storage.shard_bytes_written", snb * len(live))
+        metrics.observe("storage.write_ns", delay)
 
 
 class DeltaWriteStream(WriteStream):

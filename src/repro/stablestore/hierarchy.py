@@ -33,7 +33,7 @@ added.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import StorageError, StorageLostError
 from ..simkernel.costs import NS_PER_MS
@@ -202,16 +202,13 @@ class HierarchicalStore(StorageBackend):
     # ------------------------------------------------------------------
     # StorageBackend protocol: writes
     # ------------------------------------------------------------------
-    def store(self, key: str, obj: Any, nbytes: int, now_ns: int) -> int:
-        """Write through the synchronous levels; schedule the rest.
-
-        The client-visible delay is the slowest write-through level
-        (they run concurrently on their own devices).  A write-through
-        level that cannot accept the blob (its quorum is unreachable)
-        is skipped and counted; the store fails only when *no* level
-        accepted it.
-        """
-        return self._write_through(key, obj, nbytes, now_ns)
+    #: The one synchronous write: :class:`HierarchyWriteStream` opened
+    #: and committed at once (named here so per-class tracing can wrap
+    #: it).  The client-visible delay is the slowest write-through level
+    #: (they run concurrently on their own devices); a level that
+    #: cannot accept the blob is skipped and counted, and the store
+    #: fails only when *no* level accepted it.
+    store = StorageBackend.store
 
     def store_delta(
         self,
@@ -234,18 +231,8 @@ class HierarchicalStore(StorageBackend):
         rebasing level consumes it, and the level residency follows.
         Write-back levels get the dirty extents too, so the
         asynchronous copy is also O(dirty) where the backend allows.
+        A level that refuses the write is skipped as in :meth:`store`.
         """
-        return self._write_through(key, obj, nbytes, now_ns, dirty_extents, base_key)
-
-    def _write_through(
-        self,
-        key: str,
-        obj: Any,
-        nbytes: int,
-        now_ns: int,
-        dirty_extents: Optional[Extents] = None,
-        base_key: Optional[str] = None,
-    ) -> int:
         metrics = self._metrics()
         delays: List[int] = []
         for level in self.levels:
@@ -260,9 +247,8 @@ class HierarchicalStore(StorageBackend):
                 continue
             delays.append(d)
         if not delays:
-            what = "write" if dirty_extents is None else "delta write"
             raise StorageLostError(
-                f"no hierarchy level accepted the {what} of {key!r}"
+                f"no hierarchy level accepted the delta write of {key!r}"
             )
         self._directory[key] = nbytes
         self.bytes_written += nbytes
@@ -559,9 +545,10 @@ class HierarchyWriteStream(WriteStream):
     Each level contributes its own stream (quorum-aware for replicated
     and erasure levels); sends and the commit return the slowest
     level's delay.  Write-back levels receive their copy after the
-    commit, exactly like :meth:`HierarchicalStore.store`.  A level
-    whose stream cannot open (quorum unreachable) is skipped -- the
-    stream fails only when no level can accept it.
+    commit.  A level whose stream refuses to open, send or commit
+    (:class:`~repro.errors.StorageLostError`: its quorum is
+    unreachable) is dropped and counted in ``hierarchy.write_errors``;
+    the stream fails only when no level is left.
     """
 
     def __init__(self, store: HierarchicalStore, key: str, now_ns: int) -> None:
@@ -575,24 +562,40 @@ class HierarchyWriteStream(WriteStream):
                 self.streams.append((level, level.backend.open_stream(key, now_ns)))
             except StorageLostError:
                 store._metrics().inc("hierarchy.write_errors")
+        self._check_left()
+
+    def _each(self, call: Callable[[StorageLevel, Any], int]) -> int:
+        """``call(level, stream)`` on every level stream; returns the
+        slowest delay.  A level that raises StorageLostError is dropped
+        and counted; none left is the stream's own StorageLostError."""
+        delay = 0
+        kept = []
+        for level, stream in self.streams:
+            try:
+                delay = max(delay, call(level, stream))
+            except StorageLostError:
+                self.store._metrics().inc("hierarchy.write_errors")
+                continue
+            kept.append((level, stream))
+        self.streams = kept
+        self._check_left()
+        return delay
+
+    def _check_left(self) -> None:
         if not self.streams:
             raise StorageLostError(
-                f"no hierarchy level can open a write stream for {key!r}"
+                f"no hierarchy level accepted the write of {self.key!r}"
             )
 
     def send(self, nbytes: int, now_ns: int) -> int:
         """Forward one extent to every level stream; slowest wins."""
-        delay = 0
-        for _, stream in self.streams:
-            delay = max(delay, stream.send(nbytes, now_ns))
+        delay = self._each(lambda _lv, stream: stream.send(nbytes, now_ns))
         self.sent_bytes += int(nbytes)
         return delay
 
     def send_chunk(self, chunk: Any, now_ns: int) -> int:
         """Forward one captured chunk to every level stream."""
-        delay = 0
-        for _, stream in self.streams:
-            delay = max(delay, stream.send_chunk(chunk, now_ns))
+        delay = self._each(lambda _lv, stream: stream.send_chunk(chunk, now_ns))
         self.sent_bytes += int(chunk.nbytes)
         return delay
 
@@ -601,10 +604,13 @@ class HierarchyWriteStream(WriteStream):
         if self.committed:
             raise StorageError(f"stream for {self.key!r} already committed")
         st = self.store
-        delay = 0
-        for level, stream in self.streams:
-            delay = max(delay, stream.commit(obj, nbytes, now_ns))
+
+        def land(level: StorageLevel, stream: Any) -> int:
+            delay = stream.commit(obj, nbytes, now_ns)
             st._landed(level, self.key, nbytes)
+            return delay
+
+        delay = self._each(land)
         self.committed = True
         st._directory[self.key] = nbytes
         st.bytes_written += nbytes

@@ -30,7 +30,7 @@ from ..simkernel.costs import NS_PER_MS, NS_PER_US
 from ..storage.backends import StorageBackend, StorageKind, WriteStream
 from .server import StorageCluster, StorageServer
 
-__all__ = ["QuorumStore", "ReplicatedStore", "ReplicaWriteStream"]
+__all__ = ["QuorumStore", "QuorumWriteStream", "ReplicatedStore", "ReplicaWriteStream"]
 
 #: A server reached by the retry walk and the delay (ns) paid before it.
 Placed = Tuple[StorageServer, int]
@@ -49,7 +49,8 @@ class QuorumStore(StorageBackend):
     in what they put on each server.  Both use this class for the
     rendezvous placement, the retry walk past failed servers, the
     quorum-failure accounting, the link-then-disk write fan-out, the
-    disk-then-link read gather and the key directory.  ``timeout_ns``
+    disk-then-link read gather, the key directory and the one write
+    path, :class:`QuorumWriteStream`.  ``timeout_ns``
     and the ``backoff_*`` arguments parameterize the retry walk
     (:meth:`_walk`).
     """
@@ -140,22 +141,6 @@ class QuorumStore(StorageBackend):
             self.quorum_read_failures += 1
         self.storage.engine.metrics.inc(f"storage.quorum_{op}_failures")
         return StorageLostError(message)
-
-    def _live(
-        self, pinned: Iterable[StorageServer], quorum: int, key: str, what: str
-    ) -> List[Placed]:
-        """The live check of an open stream: its ``pinned`` servers that
-        are still up, each at zero penalty (the stream paid its retry
-        walk when it opened).  Fewer than ``quorum`` of them is a
-        counted write-quorum failure."""
-        live = [(s, 0) for s in pinned if s.up]
-        if len(live) < quorum:
-            raise self._lost(
-                "write",
-                f"{what} quorum lost mid-stream for {key!r}: "
-                f"{len(live)} of {quorum} pinned servers up",
-            )
-        return live
 
     def _fan_out(
         self, placed: Iterable[Placed], nbytes: int, now_ns: int, quorum: int
@@ -293,43 +278,9 @@ class ReplicatedStore(QuorumStore):
     # ------------------------------------------------------------------
     # StorageBackend protocol
     # ------------------------------------------------------------------
-    def store(self, key: str, obj: Any, nbytes: int, now_ns: int) -> int:
-        """Replicate ``obj`` onto up to ``replication`` servers.
-
-        Returns the client-visible delay: retry penalties plus the time
-        at which the W-th replica is durable (later replicas complete in
-        the background, as quorum systems do).
-        """
-        placed, _ = self._walk(self.candidates(key), self.replication, "write")
-        delay = self._fan_out(placed, nbytes, now_ns, self.write_quorum)
-        if len(placed) < self.write_quorum:
-            # Nothing is installed before the quorum is met, so a refused
-            # write leaves no orphan copies -- and leaves the replicas of
-            # an earlier write of ``key`` alone.
-            raise self._lost(
-                "write",
-                f"write quorum unreachable for {key!r}: "
-                f"{len(placed)} of {self.write_quorum} required replicas placed "
-                f"({len(self.storage.up_servers())}/{len(self.storage.servers)} "
-                f"servers up)",
-            )
-        self._publish(key, obj, nbytes, [s for s, _ in placed], delay)
-        return delay
-
-    def _publish(
-        self, key: str, obj: Any, nbytes: int, servers: List[StorageServer], delay: int
-    ) -> None:
-        """Install the replicas and the directory entry of a quorum write."""
-        for server in servers:
-            server.put_replica(key, obj, nbytes)
-        self._directory[key] = nbytes
-        self.bytes_written += nbytes * len(servers)
-        metrics = self.storage.engine.metrics
-        metrics.inc("storage.quorum_writes")
-        metrics.inc("storage.replica_bytes_written", nbytes * len(servers))
-        metrics.observe("storage.write_ns", delay)
-        self.last_write_latency_ns = delay
-        self._latency_ewma_ns = self._ewma(self._latency_ewma_ns, delay)
+    #: The one synchronous write: :class:`ReplicaWriteStream` opened and
+    #: committed at once (named here so per-class tracing can wrap it).
+    store = StorageBackend.store
 
     def _ewma(self, prev: Optional[float], delay: int) -> float:
         if prev is None:
@@ -465,68 +416,133 @@ class ReplicatedStore(QuorumStore):
         )
 
 
-class ReplicaWriteStream(WriteStream):
-    """An open pipelined write of one blob across its replica set.
+class QuorumWriteStream(WriteStream):
+    """The one write of a :class:`QuorumStore`: an open pipelined write
+    of one blob across the servers it pins.
 
-    Opening the stream performs the rendezvous retry walk once (paying
-    the ``timeout + backoff`` penalty for each dead preferred server,
-    recorded in ``open_penalty_ns``) and pins the replica set.  Each
-    :meth:`send` then forwards one extent over the shared ingress link
-    and onto every pinned replica disk, returning the delay at which the
-    write-quorum-th copy of that extent is durable -- the writeback
-    pipeline schedules that instant as the extent's acknowledgement
-    event.  :meth:`commit` charges the metadata remainder, installs the
-    replicas and the directory entry; the blob becomes visible only
-    then, so a crash mid-stream loses time but never publishes a torn
-    image.
+    Opening the stream performs the rendezvous retry walk once over
+    ``width`` servers and pins the servers it placed, each with the
+    ``timeout + backoff`` penalty paid before reaching it (their sum is
+    ``open_penalty_ns``).  Each :meth:`send` then forwards one extent
+    over the shared ingress link and onto every pinned server that is
+    up, returning the delay at which the ``quorum``-th copy is durable
+    -- the writeback pipeline schedules that instant as the extent's
+    acknowledgement event.  :meth:`commit` charges the metadata
+    remainder and publishes; the blob becomes visible only then, so a
+    crash mid-stream loses time but never publishes a torn blob.  The
+    first submit, send or commit, starts each server's transfer its
+    walk penalty late; later ones pay none.  The store's ``store()`` is
+    this stream committed at once.
 
-    If servers fail mid-stream and fewer than W pinned replicas remain
-    up, the next ``send``/``commit`` raises
-    :class:`~repro.errors.StorageLostError` exactly like a failed
-    synchronous quorum write, which the capture paths already handle.
+    Two refusals, both :class:`~repro.errors.StorageLostError` and both
+    counted quorum-write failures:
+
+    * the walk placed fewer than ``quorum`` servers: the first submit
+      charges the servers it reached, then raises (nothing is installed,
+      so an earlier write of the key keeps its copies);
+    * fewer than ``quorum`` pinned servers are still up: the submit
+      raises before it charges anything.
+
+    Subclasses say what differs: the bytes each server gets per blob
+    byte (:meth:`_server_bytes`) and what each receives at publish
+    (:meth:`_publish`).
     """
 
-    def __init__(self, store: ReplicatedStore, key: str, now_ns: int) -> None:
+    #: What is written, and what each server holds (error messages).
+    what = "write"
+    unit = "replicas"
+
+    def __init__(
+        self, store: QuorumStore, key: str, now_ns: int, width: int, quorum: int
+    ) -> None:
         super().__init__(store, key, now_ns)
         self.store = store
-        placed, self.open_penalty_ns = store._walk(
-            store.candidates(key), store.replication, "write"
+        self.quorum = quorum
+        self.placed, self.open_penalty_ns = store._walk(
+            store.candidates(key), width, "write"
         )
-        if len(placed) < store.write_quorum:
-            raise store._lost(
-                "write",
-                f"write quorum unreachable for {key!r}: "
-                f"{len(placed)} of {store.write_quorum} required replicas reachable",
-            )
-        self.servers: List[StorageServer] = [s for s, _ in placed]
+        #: The pinned servers, in placement order.
+        self.servers: List[StorageServer] = [s for s, _ in self.placed]
+        self.sent_server_bytes = 0
+        self._first = True
 
-    def _live(self) -> List[Placed]:
+    def _server_bytes(self, nbytes: int) -> int:
+        """Bytes each pinned server receives for ``nbytes`` of blob."""
+        return int(nbytes)
+
+    def _submit(self, nbytes: int, now_ns: int) -> int:
+        """Fan ``nbytes`` out to the pinned servers that are up; returns
+        the delay at which the ``quorum``-th copy is durable."""
         st = self.store
-        return st._live(self.servers, st.write_quorum, self.key, "write")
+        first, self._first = self._first, False
+        if first and len(self.placed) < self.quorum:
+            st._fan_out(self.placed, nbytes, now_ns, self.quorum)
+            raise st._lost(
+                "write",
+                f"{self.what} quorum unreachable for {self.key!r}: "
+                f"{len(self.placed)} of {self.quorum} required {self.unit} placed "
+                f"({len(st.storage.up_servers())}/{len(st.storage.servers)} "
+                f"servers up)",
+            )
+        live = [(s, p if first else 0) for s, p in self.placed if s.up]
+        if len(live) < self.quorum:
+            raise st._lost(
+                "write",
+                f"{self.what} quorum lost mid-stream for {self.key!r}: "
+                f"{len(live)} of {self.quorum} pinned servers up",
+            )
+        return st._fan_out(live, nbytes, now_ns, self.quorum)
 
     def send(self, nbytes: int, now_ns: int) -> int:
-        """Forward one extent to every live pinned replica; returns the
-        delay at which the write-quorum-th copy is durable."""
-        delay = self.store._fan_out(
-            self._live(), nbytes, now_ns, self.store.write_quorum
-        )
+        """Forward one extent to every live pinned server; returns the
+        delay at which the ``quorum``-th copy is durable."""
+        snb = self._server_bytes(nbytes)
+        delay = self._submit(snb, now_ns)
         self.sent_bytes += int(nbytes)
+        self.sent_server_bytes += snb
         return delay
 
     def commit(self, obj: Any, nbytes: int, now_ns: int) -> int:
         """Write the metadata remainder and make the blob visible.
 
-        Charges only ``nbytes - sent_bytes`` (payload extents already
-        travelled during :meth:`send`), so total link and disk traffic
-        matches a monolithic :meth:`ReplicatedStore.store` of the same
-        image.
+        Charges only what :meth:`send` has not already moved, so total
+        link and disk traffic is the same however the blob was split.
         """
         if self.committed:
             raise StorageError(f"stream for {self.key!r} already committed")
-        st = self.store
-        live = self._live()
-        remainder = max(0, int(nbytes) - self.sent_bytes)
-        delay = st._fan_out(live, remainder, now_ns, st.write_quorum)
+        remainder = max(0, self._server_bytes(nbytes) - self.sent_server_bytes)
+        delay = self._submit(remainder, now_ns)
         self.committed = True
-        st._publish(self.key, obj, nbytes, [s for s, _ in live], delay)
+        self._publish(obj, nbytes, delay)
         return delay
+
+    def _publish(self, obj: Any, nbytes: int, delay: int) -> None:
+        """Install the blob on the pinned servers that are up and in the
+        key directory."""
+        raise NotImplementedError
+
+
+class ReplicaWriteStream(QuorumWriteStream):
+    """A quorum write of whole-blob replicas: up to ``replication``
+    servers, ``write_quorum`` acks, every server gets every byte."""
+
+    def __init__(self, store: ReplicatedStore, key: str, now_ns: int) -> None:
+        super().__init__(store, key, now_ns, store.replication, store.write_quorum)
+
+    #: Named here so per-class tracing can wrap them.
+    send = QuorumWriteStream.send
+    commit = QuorumWriteStream.commit
+
+    def _publish(self, obj: Any, nbytes: int, delay: int) -> None:
+        st = self.store
+        servers = [s for s in self.servers if s.up]
+        for server in servers:
+            server.put_replica(self.key, obj, nbytes)
+        st._directory[self.key] = nbytes
+        st.bytes_written += nbytes * len(servers)
+        metrics = st.storage.engine.metrics
+        metrics.inc("storage.quorum_writes")
+        metrics.inc("storage.replica_bytes_written", nbytes * len(servers))
+        metrics.observe("storage.write_ns", delay)
+        st.last_write_latency_ns = delay
+        st._latency_ewma_ns = st._ewma(st._latency_ewma_ns, delay)

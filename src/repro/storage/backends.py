@@ -18,7 +18,6 @@ reboots."  The backends encode exactly those semantics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
@@ -56,6 +55,8 @@ class StorageBackend:
     kind: StorageKind = StorageKind.NONE
     #: Whether data outlives a fail-stop of the node that wrote it.
     survives_node_failure: bool = False
+    #: Whether a commit drops every older blob (a migration pipe).
+    keeps_only_newest: bool = False
 
     def __init__(self, device: Device) -> None:
         self.device = device
@@ -65,12 +66,13 @@ class StorageBackend:
 
     # ------------------------------------------------------------------
     def store(self, key: str, obj: Any, nbytes: int, now_ns: int) -> int:
-        """Persist ``obj`` (accounted as ``nbytes``); returns delay_ns."""
-        self._check_available()
-        delay = self.device.submit(now_ns, nbytes)
-        self._blobs[key] = (obj, nbytes)
-        self.bytes_written += nbytes
-        return delay
+        """Persist ``obj`` (accounted as ``nbytes``); returns delay_ns.
+
+        The one synchronous write of every backend: a stream opened and
+        committed at once, so a store and a streamed write of the same
+        blob charge and publish alike.
+        """
+        return self.open_stream(key, now_ns).commit(obj, nbytes, now_ns)
 
     def load(self, key: str, now_ns: int) -> Tuple[Any, int]:
         """Fetch ``obj``; returns (obj, delay_ns)."""
@@ -172,7 +174,8 @@ class StorageBackend:
         object once, charging only the metadata remainder -- total
         device traffic is identical to a monolithic :meth:`store`, but
         the slices overlap with whatever the caller does between sends.
-        Replicated backends override this with a quorum-aware stream.
+        Every backend that overrides this defines its writes there:
+        :meth:`store` is the same stream committed at once.
         """
         return WriteStream(self, key, now_ns)
 
@@ -221,9 +224,12 @@ class WriteStream:
             raise StorageError(f"stream for {self.key!r} already committed")
         self.committed = True
         remainder = max(0, int(nbytes) - self.sent_bytes)
-        delay = self.backend.device.submit(now_ns, remainder)
-        self.backend._blobs[self.key] = (obj, nbytes)
-        self.backend.bytes_written += nbytes
+        backend = self.backend
+        delay = backend.device.submit(now_ns, remainder)
+        if backend.keeps_only_newest:
+            backend._blobs.clear()
+        backend._blobs[self.key] = (obj, nbytes)
+        backend.bytes_written += nbytes
         return delay
 
 
@@ -286,16 +292,13 @@ class NullStorage(StorageBackend):
 
     kind = StorageKind.NONE
     survives_node_failure = False
+    # Charges transfer time (the state is streamed to the peer) but
+    # retains only the most recent image transiently, mirroring a
+    # migration pipe: once consumed, it is gone.
+    keeps_only_newest = True
 
     def __init__(self, device: Optional[Device] = None) -> None:
         super().__init__(device or network_device("nic[migrate]"))
-
-    def store(self, key: str, obj: Any, nbytes: int, now_ns: int) -> int:
-        # Charges transfer time (the state is streamed to the peer) but
-        # retains only the most recent image transiently, mirroring a
-        # migration pipe: once consumed, it is gone.
-        self._blobs.clear()
-        return super().store(key, obj, nbytes, now_ns)
 
     def load(self, key: str, now_ns: int) -> Tuple[Any, int]:
         obj, delay = super().load(key, now_ns)

@@ -121,10 +121,28 @@ class TestReplicaWriteStream:
             st.send(4096, 0)
 
     def test_open_fails_without_write_quorum(self):
-        _, sc, store = make_store(n=3, rf=3, write_quorum=3)
+        # The open pins what the walk placed; the first send charges the
+        # servers it reached, exactly as a refused store() does, and
+        # then raises.  Nothing is published.
+        _, sc, refused = make_store(n=3, rf=3, write_quorum=3)
+        _, sc_b, store = make_store(n=3, rf=3, write_quorum=3)
         sc.fail_server(0)
-        with pytest.raises(StorageLostError):
-            store.open_stream("m/1/1", 0)
+        sc_b.fail_server(0)
+        with pytest.raises(StorageLostError, match="unreachable"):
+            refused.store("m/1/1", "obj", 4096, 0)
+        st = store.open_stream("m/1/1", 0)
+        with pytest.raises(StorageLostError, match="unreachable"):
+            st.send(4096, 0)
+        assert store.quorum_write_failures == refused.quorum_write_failures == 1
+
+        def charges(s, c):
+            devices = [s.device] + [srv.disk for srv in c.servers]
+            return [(d.busy_until_ns, d.total_bytes, d.total_ops) for d in devices]
+
+        assert charges(store, sc_b) == charges(refused, sc)
+        assert store.device.total_bytes == 2 * 4096  # the two live servers
+        assert not store.exists("m/1/1") and list(store.keys()) == []
+        assert all(not s.holds("m/1/1") for s in sc_b.servers)
 
 
 class TestFanoutRead:
