@@ -15,6 +15,14 @@ from repro.core.direction import AutonomicCheckpointer
 from repro.mechanisms import CRAK
 from repro.simkernel import Kernel
 from repro.simkernel.costs import NS_PER_MS
+from repro.stablestore import (
+    ContentStore,
+    ErasureStore,
+    HierarchicalStore,
+    ReplicatedStore,
+    StorageCluster,
+    StorageLevel,
+)
 from repro.storage import RemoteStorage
 from repro.workloads import (
     DenseWriter,
@@ -86,12 +94,47 @@ def test_checkpoint_restart_equals_clean_run(name, ckpt_at_ms):
     )
 
 
+def _replicated(engine):
+    return ReplicatedStore(StorageCluster(engine, n_servers=3), replication=2)
+
+
+def _hierarchy(engine, delta_updates=True):
+    """A partner level plus a 4+2 write-back erasure level."""
+    erasure = ErasureStore(StorageCluster(engine, n_servers=6), 4, 2)
+    return HierarchicalStore(
+        engine,
+        [
+            StorageLevel("partner", _replicated(engine)),
+            StorageLevel("erasure", erasure, write="back"),
+        ],
+        delta_updates=delta_updates,
+    )
+
+
+#: Every storage stack the cluster can build, on one kernel's engine.
+STACKS = {
+    "remote": lambda engine: RemoteStorage(),
+    "replicated": _replicated,
+    "dedup": lambda engine: ContentStore(_replicated(engine), metrics=engine.metrics),
+    "hierarchy-delta": _hierarchy,
+    "hierarchy-full": lambda engine: _hierarchy(engine, delta_updates=False),
+    "dedup-hierarchy": lambda engine: ContentStore(
+        _hierarchy(engine), metrics=engine.metrics
+    ),
+}
+
+
 @pytest.mark.parametrize("name", ["sparse", "hotcold", "gups"])
-def test_incremental_chain_restart_equals_clean_run(name):
-    """Same invariant through a base + two-delta incremental chain."""
+@pytest.mark.parametrize("stack", sorted(STACKS))
+@pytest.mark.parametrize("depth", [1, 4])
+def test_incremental_chain_restart_equals_clean_run(name, stack, depth):
+    """Same invariant through a base + two-delta incremental chain, on
+    every storage stack, written synchronously or through the
+    pipelined drain."""
     ctor = WORKLOADS[name]
     k = Kernel(ncpus=2, seed=51)
-    mech = AutonomicCheckpointer(k, RemoteStorage())
+    mech = AutonomicCheckpointer(k, STACKS[stack](k.engine))
+    mech.pipeline_depth = depth
     t = ctor().spawn(k)
     last = None
     for at_ms in (2, 5, 8):
