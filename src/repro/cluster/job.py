@@ -131,6 +131,14 @@ class ParallelJob:
         task = rank.workload.spawn(node.kernel, name=f"{self.name}/r{rank.index}")
         self.bind(rank, node, task)
 
+    def retire(self, rank: Rank) -> None:
+        """Kill ``rank``'s live task (exit code -1) before a replacement
+        takes its place, so nothing left pending for it -- a restore's
+        resume timer, say -- can run it beside the replacement."""
+        if rank.task.alive():
+            rank.node.kernel.stop_task(rank.task)
+            rank.node.kernel._exit_task(rank.task, code=-1)
+
     def _rank_exited(self, task: Task) -> None:
         if self.completed_ns is None and all(r.done for r in self.ranks):
             self.completed_ns = self.cluster.engine.now_ns
@@ -145,9 +153,7 @@ class ParallelJob:
         try:
             for rank in self.ranks:
                 # Kill survivors (gang semantics), then respawn everyone.
-                if rank.task.alive():
-                    rank.node.kernel.stop_task(rank.task)
-                    rank.node.kernel._exit_task(rank.task, code=-1)
+                self.retire(rank)
                 node = rank.node if rank.node.up else self.cluster.claim_spare()
                 self._spawn(rank, node)
         except ClusterError:
@@ -421,8 +427,9 @@ class CheckpointCoordinator:
         job = self.job
         cluster = job.cluster
         for rank in job.ranks:
-            if rank.task.alive():
-                rank.node.kernel.stop_task(rank.task)
+            # A restore still in flight from a superseded recovery is
+            # retired too, or its resume timer would run it later.
+            job.retire(rank)
             target = rank.node if rank.node.up else cluster.claim_spare()
             mech = _node_mechanism(self.mechanisms, rank.node)
             if rank.index in wave:
