@@ -386,10 +386,8 @@ def restore_image(
     for chunk in image.chunks:
         vma = mm.vma(chunk.vma)
         if chunk.npages > 1:
-            ps = vma.page_size
-            for i in range(chunk.npages):
-                vma.install_page(chunk.page_index + i, chunk.data[i * ps : (i + 1) * ps])
-            install_ns += costs.memcpy_ns(ps) * chunk.npages
+            vma.install_pages(chunk.page_index, chunk.data.reshape(chunk.npages, -1))
+            install_ns += costs.memcpy_ns(vma.page_size) * chunk.npages
             continue
         if chunk.offset == 0 and chunk.nbytes == vma.page_size:
             vma.install_page(chunk.page_index, chunk.data)

@@ -331,8 +331,9 @@ def materialize_chain(
                 entry[0][c.offset : end] = c.data
                 entry[1][c.offset : end] = True
     # ---- emit pass: whole-page runs as extents, overlays as spans -----
-    # Every emitted array is a fresh copy: the flat image is memoized
-    # and stored, so it must not alias any chain chunk.
+    # Every emitted array is a fresh copy, so it aliases no chain chunk,
+    # and read-only: the flat image is memoized and stored, and restore
+    # adopts its pages (see VMA.install_page).
     merged: List[Chunk] = []
     for (vma, pidx), (buf, mask) in overlays.items():
         if buf.size == page_size and mask.all():
@@ -348,6 +349,8 @@ def materialize_chain(
         merged.append(Chunk(vma=vma, page_index=keys[0][1], offset=0, npages=len(keys),
                             data=np.concatenate([whole[key] for key in keys])))
     merged.sort(key=lambda c: (c.vma, c.page_index))  # stable: spans keep offset order
+    for chunk in merged:
+        chunk.data.flags.writeable = False
     last = images[-1]
     return replace(
         last,

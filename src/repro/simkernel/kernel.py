@@ -288,7 +288,6 @@ class Kernel:
             return
         task = self.scheduler.pick_next(cpu)
         if task is None:
-            cpu.idle_since_ns = self.engine.now_ns
             return
         cpu.need_resched = False
         switch_ns = self.costs.context_switch_ns
@@ -534,7 +533,7 @@ class Kernel:
         first = op.offset // vma.page_size
         last = (op.offset + max(op.nbytes, 1) - 1) // vma.page_size
         for pidx in range(first, last + 1):
-            _, allocated = vma.ensure_page(pidx)
+            _, allocated = vma.ensure_page(pidx, write=False)
             if allocated:
                 duration += self.costs.page_fault_ns + self.costs.page_alloc_ns
                 task.acct.page_faults += 1

@@ -24,7 +24,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -157,6 +157,10 @@ class VMA:
         #: Sparse page contents: page index -> uint8 array.  Arrays may be
         #: shared with a forked sibling until a COW fault copies them.
         self.pages: Dict[int, np.ndarray] = {}
+        #: Pages whose array is an adopted read-only checkpoint payload
+        #: (:meth:`install_page`); :meth:`ensure_page` copies one before
+        #: its first in-place write.  Empty unless the VMA was restored.
+        self.adopted: Set[int] = set()
         #: Per-page flag word.
         self.flags: np.ndarray = np.zeros(npages, dtype=np.uint8)
         #: Dirty tracking armed on the whole VMA: ``mprotect`` covers the
@@ -204,10 +208,12 @@ class VMA:
         return np.nonzero(mask)[0]
 
     # -- content helpers --------------------------------------------------
-    def ensure_page(self, pidx: int) -> Tuple[np.ndarray, bool]:
+    def ensure_page(self, pidx: int, write: bool = True) -> Tuple[np.ndarray, bool]:
         """Return the backing array for ``pidx``, allocating if needed.
 
-        Returns ``(array, allocated_now)``.
+        Returns ``(array, allocated_now)``.  Unless ``write`` is False, an
+        adopted page is first swapped for a private copy, so the array
+        returned may be mutated in place.
         """
         arr = self.pages.get(pidx)
         if arr is None:
@@ -215,6 +221,9 @@ class VMA:
             self.pages[pidx] = arr
             self.set_flag(pidx, PageFlag.PRESENT)
             return arr, True
+        if write and pidx in self.adopted:
+            self.adopted.remove(pidx)
+            arr = self.pages[pidx] = arr.copy()
         return arr, False
 
     def read_page(self, pidx: int) -> np.ndarray:
@@ -239,15 +248,38 @@ class VMA:
         return out.reshape(-1)
 
     def install_page(self, pidx: int, data: np.ndarray, dirty: bool = False) -> None:
-        """Install page contents (used by restart)."""
+        """Install page contents (used by restart).
+
+        A read-only ``data`` is an immutable checkpoint payload and is
+        adopted as is; a writable one is copied, so a caller's buffer is
+        never aliased.
+        """
         if data.shape != (self.page_size,):
             raise MemoryError_(
                 f"page data shape {data.shape} != ({self.page_size},)"
             )
-        self.pages[pidx] = np.array(data, dtype=np.uint8, copy=True)
-        self.set_flag(pidx, PageFlag.PRESENT)
+        self.install_pages(pidx, data.reshape(1, -1))
         if dirty:
             self.set_flag(pidx, PageFlag.DIRTY)
+
+    def install_pages(self, p0: int, rows: np.ndarray) -> None:
+        """Install whole pages ``p0 ..`` from the rows of a page stack.
+
+        Read-only rows are adopted without a copy (see :meth:`install_page`).
+        """
+        n = len(rows)
+        if rows.shape != (n, self.page_size):
+            raise MemoryError_(
+                f"page stack shape {rows.shape} != ({n}, {self.page_size})"
+            )
+        span = range(p0, p0 + n)
+        if rows.flags.writeable or rows.dtype != np.uint8:
+            rows = rows.astype(np.uint8)
+            self.adopted.difference_update(span)
+        else:
+            self.adopted.update(span)
+        self.pages.update(zip(span, rows))
+        self.flags[p0 : p0 + n] |= PageFlag.PRESENT
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -405,12 +437,13 @@ class AddressSpace:
         if offset < 0 or offset + length > vma.page_size:
             raise MemoryError_("write crosses page boundary; split it first")
         out = WriteOutcome(vma=vma, page_index=pidx)
-        _, out.allocated = vma.ensure_page(pidx)
         if vma.test(pidx, PageFlag.COW) and not vma.shared:
-            src = vma.pages[pidx]
-            vma.pages[pidx] = src.copy()
+            # The COW copy also makes an adopted page private: one copy.
+            vma.adopted.discard(pidx)
+            vma.pages[pidx] = vma.pages[pidx].copy()
             vma.clear_flag(pidx, PageFlag.COW)
             out.cow_copied = True
+        _, out.allocated = vma.ensure_page(pidx)
         if vma.test(pidx, PageFlag.TRACK_WP):
             out.tracking_fault = True
             # The kernel decides whether to clear TRACK_WP (system-level
@@ -495,8 +528,10 @@ class AddressSpace:
             cv.flags = vma.flags.copy()
             if vma.shared:
                 cv.pages = vma.pages  # genuinely shared object
+                cv.adopted = vma.adopted
             else:
                 cv.pages = dict(vma.pages)  # share page arrays, COW both
+                cv.adopted = set(vma.adopted)
                 present = (vma.flags & PageFlag.PRESENT) != 0
                 vma.flags[present] |= PageFlag.COW
                 cv.flags[present] |= PageFlag.COW

@@ -49,7 +49,6 @@ class CPU:
     irq_backlog_ns: int = 0
     #: IRQs that arrived while disabled, replayed on enable.
     deferred_irqs: int = 0
-    idle_since_ns: int = 0
 
 
 class Scheduler:

@@ -73,6 +73,14 @@ class ImageManifest:
         return self.meta.parent_key
 
 
+def _frozen_copy(payload: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``payload``: pack payloads are immutable once
+    written, so a restore adopts them into VMAs without copying."""
+    out = np.array(payload, copy=True)
+    out.flags.writeable = False
+    return out
+
+
 class ContentStore(StorageBackend):
     """Content-addressed dedup wrapper around another backend.
 
@@ -176,7 +184,7 @@ class ContentStore(StorageBackend):
             if ckey in self._home:
                 homed.setdefault(ckey, payload)
             else:
-                pack[ckey] = np.array(payload, copy=True)
+                pack[ckey] = _frozen_copy(payload)
                 added += payload.size
         return added
 
@@ -440,7 +448,7 @@ class DedupWriteStream:
             if ckey not in cs._home and ckey not in self.pack:
                 # Its pack was collected after the hit: the payload joins
                 # this image's pack (charged in the commit's remainder).
-                self.pack[ckey] = np.array(payload, copy=True)
+                self.pack[ckey] = _frozen_copy(payload)
         delay = 0
         pack_key: Optional[str] = None
         pack_bytes = int(sum(a.size for a in self.pack.values()))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.core.capture import (
@@ -12,7 +15,7 @@ from repro.core.capture import (
     snapshot_metadata,
 )
 from repro.core.checkpointer import Checkpointer, RequestState
-from repro.core.image import CheckpointImage
+from repro.core.image import CheckpointImage, materialize_chain
 from repro.errors import (
     CheckpointError,
     IncompatibleStateError,
@@ -23,7 +26,7 @@ from repro.mechanisms import CRAK
 from repro.simkernel import Kernel, ops
 from repro.simkernel.memory import VMAKind
 from repro.storage import LocalDiskStorage, MemoryStorage, RemoteStorage, StorageKind
-from repro.workloads import SparseWriter
+from repro.workloads import SharedMemoryApp, SparseWriter, memory_digest
 
 
 def checkpoint_of(kernel, mech, task):
@@ -215,3 +218,95 @@ class TestCheckpointerBase:
         storage.store("junk", {"not": "an image"}, 10, 0)
         with pytest.raises(RestartError):
             load_image(k, storage, "junk")
+
+
+class TestZeroCopyRestore:
+    """Restore adopts read-only checkpoint payloads and copies a page
+    only on its first in-place write; nothing simulated may change."""
+
+    def _flat(self, wl, seed=3):
+        k = Kernel(seed=seed)
+        mech = CRAK(k, RemoteStorage())
+        t = wl.spawn(k)
+        k.run_for(3_000_000)
+        req = checkpoint_of(k, mech, t)
+        return materialize_chain([req.image], page_size=k.costs.page_size)
+
+    def test_tasks_restored_from_one_memoized_flat_stay_independent(self):
+        from repro.core.direction import AutonomicCheckpointer
+
+        k = Kernel(seed=5)
+        mech = AutonomicCheckpointer(k, RemoteStorage())
+        wl = SparseWriter(iterations=10**6, dirty_fraction=0.05,
+                          heap_bytes=128 * 1024, compute_ns=200_000)
+        t = wl.spawn(k)
+        k.run_for(3_000_000)
+        checkpoint_of(k, mech, t)
+        k.run_for(1_000_000)
+        last = checkpoint_of(k, mech, t)
+        a = mech.restart(last.key, target_kernel=Kernel(seed=6)).task
+        b = mech.restart(last.key, target_kernel=Kernel(seed=7)).task
+        flat = mech._flat_cache[last.key]
+        flat_bytes = [bytes(c.data) for c in flat.chunks]
+        heap_a, heap_b = a.mm.vma("heap"), b.mm.vma("heap")
+        page = int(heap_a.present_pages()[0])
+        assert np.shares_memory(heap_a.pages[page], heap_b.pages[page])
+        digest_b = memory_digest(b)
+        a.mm.write_access(heap_a, page, 16, 64)
+        a.mm.fill_pattern(heap_a, page, 16, 64, seed=99)
+        assert memory_digest(a) != digest_b
+        assert memory_digest(b) == digest_b
+        assert [bytes(c.data) for c in flat.chunks] == flat_bytes
+
+    def test_fork_of_adopted_task_charges_like_a_copied_one(self):
+        flat = self._flat(SparseWriter(iterations=10**6, dirty_fraction=0.2,
+                                       heap_bytes=128 * 1024))
+        copied = replace(flat, chunks=[replace(c, data=c.data.copy())
+                                       for c in flat.chunks])
+        runs = []
+        for image in (flat, copied):
+            k = Kernel(seed=8)
+            task = restore_image(k, image).task
+            child, fork_ns = k.do_fork(task)
+            adopted = len(child.mm.vma("heap").adopted)
+            k.run_for(20_000_000)
+            acct = task.acct
+            runs.append((adopted, fork_ns, acct.page_faults, acct.cow_copies,
+                         acct.cpu_ns, task.main_steps, k.engine.now_ns,
+                         memory_digest(task), memory_digest(child)))
+        adopted, private = runs
+        assert adopted[0] > 0 and private[0] == 0
+        assert adopted[3] > 0  # the parent's writes hit COW pages
+        assert adopted[1:] == private[1:]
+
+    def test_install_page_copies_a_writable_array(self):
+        vma = Kernel(seed=1).make_address_space(layout=[]).map("m", 8 * 4096)
+        data = np.full(vma.page_size, 7, dtype=np.uint8)
+        vma.install_page(0, data)
+        data[:] = 9
+        assert vma.pages[0][0] == 7 and not vma.adopted
+        frozen = np.full(vma.page_size, 3, dtype=np.uint8)
+        frozen.flags.writeable = False
+        vma.install_page(1, frozen)
+        assert np.shares_memory(vma.pages[1], frozen) and vma.adopted == {1}
+        # A writable page installed over an adopted one drops the adoption.
+        vma.install_pages(1, np.zeros((2, vma.page_size), dtype=np.uint8))
+        assert not vma.adopted
+
+    def test_restored_shm_vma_stays_shared_after_a_write(self):
+        flat = self._flat(SharedMemoryApp(iterations=10**6, shm_key=41,
+                                          shm_bytes=16 * 1024))
+        k = Kernel(seed=9)
+        task = restore_image(k, flat, virtualize=True).task
+        child, _ = k.do_fork(task)
+        shm, child_shm = task.mm.vma("shm:41"), child.mm.vma("shm:41")
+        page = int(shm.present_pages()[0])
+        assert page in shm.adopted
+        task.mm.write_access(shm, page, 0, 128)
+        task.mm.fill_pattern(shm, page, 0, 128, seed=5)
+        assert child_shm.pages[page] is shm.pages[page]
+        assert page not in child_shm.adopted  # the copy is the segment's
+        child.mm.write_access(child_shm, page, 128, 128)
+        child.mm.fill_pattern(child_shm, page, 128, 128, seed=6)
+        assert child_shm.pages[page] is shm.pages[page]
+        assert memory_digest(child)["shm:41"] == memory_digest(task)["shm:41"]

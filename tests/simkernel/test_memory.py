@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -161,3 +164,46 @@ def test_total_present_pages_and_iter(mm):
     assert mm.total_present_pages() == 3
     pages = [(v.name, p) for v, p in mm.iter_present()]
     assert ("heap", 3) in pages
+
+
+def _writes_into_pages(tree):
+    """Lines that assign into ``<x>.pages[...]`` or into a slice of one
+    of its arrays (``<x>.pages[...][...]``), or update ``<x>.pages``."""
+
+    def into_pages(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+            if isinstance(node, ast.Attribute) and node.attr == "pages":
+                return True
+        return False
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            fn = node.func
+            if (fn.attr in ("update", "setdefault", "pop")
+                    and isinstance(fn.value, ast.Attribute) and fn.value.attr == "pages"):
+                yield node.lineno
+            continue
+        else:
+            continue
+        for target in targets:
+            if any(isinstance(t, ast.Subscript) and into_pages(t) for t in ast.walk(target)):
+                yield node.lineno
+
+
+def test_only_the_memory_module_writes_page_contents():
+    """Page arrays may be adopted read-only checkpoint payloads, so every
+    in-place write goes through ``VMA.ensure_page`` (which copies an
+    adopted page first) or ``VMA.install_page(s)``."""
+    src = pathlib.Path(__file__).parents[2] / "src" / "repro"
+    found = [
+        f"{path.relative_to(src)}:{line}"
+        for path in sorted(src.rglob("*.py"))
+        if path.relative_to(src).as_posix() != "simkernel/memory.py"
+        for line in _writes_into_pages(ast.parse(path.read_text()))
+    ]
+    assert found == [], f"page contents written outside simkernel/memory.py: {found}"

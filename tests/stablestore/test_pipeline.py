@@ -532,11 +532,17 @@ class TestChainCompaction:
         flat_b = mech._materialize(last.key, chain)
         assert flat_a is flat_b  # memo hit
         res1 = mech.restart(last.key, target_kernel=node.kernel)
-        # Restores must not alias the cached arrays into live VMAs.
+        # The restore adopts the cached pages read-only; a write through
+        # the VMA's write path copies first and leaves the cache alone.
         t1 = res1.task
         heap = next(v for v in t1.mm.vmas if "heap" in v.name)
         page = sorted(heap.pages)[0]
-        before = bytes(heap.pages[page])
-        heap.pages[page][:] = 0xEE
+        assert page in heap.adopted
+        with pytest.raises(ValueError):
+            heap.pages[page][:] = 0xEE
         cached = next(v for v in flat_a.chunks if v.vma == heap.name)
-        assert bytes(cached.data[: len(before)]) != b"\xee" * len(before)
+        before = bytes(cached.data)
+        t1.mm.write_bytes(heap, page, 0, b"\xee" * heap.page_size)
+        assert bytes(heap.pages[page]) == b"\xee" * heap.page_size
+        assert page not in heap.adopted
+        assert bytes(cached.data) == before
