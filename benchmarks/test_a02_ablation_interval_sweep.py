@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.cluster import CheckpointCoordinator, Cluster, ParallelJob
 from repro.core.direction import AutonomicCheckpointer
 from repro.simkernel.costs import NS_PER_MS, NS_PER_S
-from repro.workloads import HotColdWriter
+from repro.workloads import HotColdWriter, memory_digest
 from repro.reporting import render_table
 
 from conftest import report
@@ -53,15 +53,24 @@ def run_interval(interval_ms):
         "makespan_s": job.makespan_s(),
         "waves": len(coord.waves),
         "lost_steps": coord.lost_steps,
+        "digests": [memory_digest(r.task) for r in job.ranks],
     }
 
 
+def uninterrupted_digests():
+    """Each rank's final memory in a run without failures."""
+    job = ParallelJob(Cluster(n_nodes=2, seed=42), wf, n_ranks=2, name="ref")
+    assert job.run_to_completion(limit_ns=300 * NS_PER_S)
+    return [memory_digest(r.task) for r in job.ranks]
+
+
 def measure():
-    return {ms: run_interval(ms) for ms in INTERVALS_MS}
+    out = {ms: run_interval(ms) for ms in INTERVALS_MS}
+    return out, uninterrupted_digests()
 
 
 def test_a02_interval_sweep(run_once):
-    out = run_once(measure)
+    out, clean = run_once(measure)
     rows = [
         (
             f"{ms} ms",
@@ -81,6 +90,10 @@ def test_a02_interval_sweep(run_once):
     report("a02_interval_sweep", text)
 
     assert all(d["completed"] for d in out.values())
+    # Every interval restarts correctly: each rank ends with the memory
+    # of an uninterrupted run.
+    for ms, d in out.items():
+        assert d["digests"] == clean, f"{ms} ms"
     makespans = {ms: d["makespan_s"] for ms, d in out.items()}
     # Rework grows with the interval (less frequent waves lose more).
     lost = [out[ms]["lost_steps"] for ms in INTERVALS_MS]

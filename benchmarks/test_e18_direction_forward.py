@@ -31,7 +31,7 @@ from repro.core.direction import AutonomicCheckpointer
 from repro.mechanisms import CRAK, Condor
 from repro.runner.experiments import e18_parallel_cell
 from repro.simkernel.costs import NS_PER_MS, NS_PER_S
-from repro.workloads import HotColdWriter
+from repro.workloads import HotColdWriter, memory_digest
 from repro.reporting import render_table
 
 from conftest import report
@@ -60,6 +60,18 @@ def build_cluster():
     return cl
 
 
+def rank_digests(job):
+    return [memory_digest(r.task) for r in job.ranks]
+
+
+def uninterrupted_digests():
+    """Every rank's final memory in a run without failures: a regime
+    that restarts correctly ends with exactly these."""
+    job = ParallelJob(Cluster(n_nodes=4, seed=18), wf, n_ranks=N_RANKS, name="ref")
+    assert job.run_to_completion(limit_ns=LIMIT_NS)
+    return rank_digests(job)
+
+
 def run_regime(key):
     cl = build_cluster()
     job = ParallelJob(cl, wf, n_ranks=N_RANKS, name=key)
@@ -76,7 +88,10 @@ def run_regime(key):
                 n.node_id: AutonomicCheckpointer(n.kernel, cl.remote_storage)
                 for n in cl.nodes
             }
-        coord = CheckpointCoordinator(job, mechs, INTERVAL_NS)
+        # Every checkpointing regime fetches a rank's chain in parallel
+        # at recovery; only the incremental regime reads more than one
+        # image per rank.
+        coord = CheckpointCoordinator(job, mechs, INTERVAL_NS, restore_prefetch=True)
         coord.start()
     done = job.run_to_completion(limit_ns=LIMIT_NS)
     moved = cl.remote_storage.bytes_written
@@ -89,6 +104,7 @@ def run_regime(key):
         ),
         "ckpt_bytes": moved,
         "waves": len(coord.waves) if coord is not None else 0,
+        "digests": rank_digests(job),
     }
 
 
@@ -124,7 +140,7 @@ def run_at_scale():
     for nid in list(range(N_RANKS)) + list(range(SCALE_NODES, SCALE_NODES + 3)):
         n = cl.node(nid)
         mechs[n.node_id] = AutonomicCheckpointer(n.kernel, cl.remote_storage)
-    coord = CheckpointCoordinator(job, mechs, INTERVAL_NS)
+    coord = CheckpointCoordinator(job, mechs, INTERVAL_NS, restore_prefetch=True)
     coord.start()
     for i, ms in enumerate(FAIL_TIMES_MS):
         cl.engine.after(ms * NS_PER_MS, lambda n=i: cl.fail_node(n))
@@ -138,6 +154,7 @@ def run_at_scale():
         "waves": len(coord.waves),
         "fleet_failures": fleet.failures,
         "materialized": cl.materialized_nodes(),
+        "digests": rank_digests(job),
     }
 
 
@@ -162,12 +179,14 @@ def measure():
     out = {key: run_regime(key) for key in regimes}
     out[SCALE_KEY] = run_at_scale()
     out["parallel"] = run_parallel_fleet()
+    out["uninterrupted"] = uninterrupted_digests()
     return out
 
 
 def test_e18_direction_forward(run_once):
     out = run_once(measure)
     par = out.pop("parallel")
+    clean = out.pop("uninterrupted")
     rows = []
     for name, d in out.items():
         rows.append(
@@ -218,6 +237,11 @@ def test_e18_direction_forward(run_once):
 
     # Everyone eventually finishes on this small machine...
     assert all(d["completed"] for d in out.values())
+    # ...and every checkpointing regime restarts correctly: each rank
+    # ends with the memory of an uninterrupted run.
+    for name, d in out.items():
+        if name != "no checkpointing (scratch)":
+            assert d["digests"] == clean, name
     # ...but checkpointing beats running from scratch,
     assert fwd["makespan_s"] < scratch["makespan_s"]
     assert crak["makespan_s"] < scratch["makespan_s"]

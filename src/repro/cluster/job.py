@@ -330,23 +330,26 @@ class CheckpointCoordinator:
     def _gc_old_waves(self) -> None:
         """Drop waves beyond ``keep_waves`` and delete their blobs.
 
-        Incremental mechanisms chain deltas back to a full base, so only
-        keys that are no longer any retained image's ancestor are safe to
-        delete; to stay conservative we only GC when every retained key
-        is a *full* image or its whole chain lies within retained waves.
-        In practice the direction-forward mechanism re-bases periodically
-        (a stopped/restarted rank starts a fresh chain), so GC proceeds.
+        Incremental mechanisms chain deltas back to a full base, so a
+        doomed wave's key survives while it is the ancestor of a key
+        that must stay restorable: an image of a retained wave, or a
+        rank's live chain tip, which its next delta extends.  A rank
+        that sat out the retained waves (parked mid-restore, say) still
+        extends an image of a doomed wave.
         """
         if self.keep_waves <= 0 or len(self.waves) <= self.keep_waves:
             return
         retained = self.waves[-self.keep_waves:]
-        retained_keys = {key for wave in retained for key, _ in wave.values()}
-        # Collect every ancestor of a retained image: those must survive.
-        # The walk peeks (no I/O is charged), once per key, through the
-        # first mechanism whose storage holds it.
-        protected = set(retained_keys)
+        roots = {key for wave in retained for key, _ in wave.values()}
+        roots.update(
+            r.task.chain_tip[1] for r in self.job.ranks if r.task.chain_tip
+        )
+        # Collect every ancestor of a root: those must survive.  The walk
+        # peeks (no I/O is charged), once per key, through the first
+        # mechanism whose storage holds it.
+        protected = set(roots)
         mechs = list(dict.fromkeys(self.mechanisms.values()))
-        for key in retained_keys:
+        for key in roots:
             for mech in mechs:
                 try:
                     protected.update(mech._chain_keys(key))
@@ -434,17 +437,13 @@ class CheckpointCoordinator:
             mech = _node_mechanism(self.mechanisms, rank.node)
             if rank.index in wave:
                 key, _ = wave[rank.index]
+            elif rank.task.chain_tip is not None:
+                # The rank sat out the wave (it was parked, e.g.
+                # mid-restore): its state IS its chain tip, which wave
+                # GC keeps even once no retained wave names it.
+                key = rank.task.chain_tip[1]
             else:
-                # The rank sat out the latest wave (it was parked,
-                # e.g. mid-restore -- its state IS an older image).
-                # Fall back to the most recent wave that covers it.
-                key = None
-                for older in reversed(self.waves):
-                    if rank.index in older:
-                        key = older[rank.index][0]
-                        break
-                if key is None:
-                    raise ClusterError(f"no wave covers rank {rank.index}")
+                raise ClusterError(f"no image covers rank {rank.index}")
             try:
                 res = mech.restart(
                     key,

@@ -429,7 +429,6 @@ def restore_image(
         task.signals.post(Sig(s))
     task.annotations.update(image.user_state.get("annotations", {}))
     task.annotations["workload"] = workload
-    task.annotations["restored_from"] = image.key
 
     # ---- file descriptors ------------------------------------------------
     for fdd in image.fds:

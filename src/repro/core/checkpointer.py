@@ -142,8 +142,6 @@ class Checkpointer:
         self.kernel = kernel
         self.storage = storage
         self.requests: List[CheckpointRequest] = []
-        #: key -> image for chain bookkeeping (images live in storage too).
-        self._last_key_for_pid: Dict[int, str] = {}
         #: chain tip key -> materialized flat image (memo: multi-rank
         #: restart_job re-flattens the identical chain per rank otherwise;
         #: wall-clock only, I/O is still charged per restart).
@@ -223,8 +221,13 @@ class Checkpointer:
         self.requests.append(req)
         return req
 
+    def _chain_parent(self, task: Task) -> Optional[str]:
+        """The key a delta of ``task`` extends: the task's chain tip, if
+        it lives in this mechanism's storage (else a capture is full)."""
+        tip = task.chain_tip
+        return tip[1] if tip is not None and tip[0] is self.storage else None
+
     def _new_image(self, req: CheckpointRequest, task: Task) -> CheckpointImage:
-        parent = self._last_key_for_pid.get(task.pid) if req.incremental else None
         return CheckpointImage(
             key=req.key,
             mechanism=self.mech_name,
@@ -233,14 +236,16 @@ class Checkpointer:
             node_id=self.kernel.node_id,
             step=task.main_steps,
             registers=task.registers.snapshot(),
-            parent_key=parent,
+            parent_key=self._chain_parent(task) if req.incremental else None,
         )
 
-    def _complete(self, req: CheckpointRequest, image: CheckpointImage) -> None:
+    def _complete(
+        self, req: CheckpointRequest, image: CheckpointImage, task: Task
+    ) -> None:
         req.image = image
         req.state = RequestState.DONE
         req.completed_ns = self.kernel.engine.now_ns
-        self._last_key_for_pid[req.target_pid] = image.key
+        task.chain_tip = (self.storage, image.key)
         metrics = self.kernel.engine.metrics
         metrics.inc("checkpoint.completed")
         metrics.observe("checkpoint.stall_ns", req.target_stall_ns)
@@ -328,7 +333,7 @@ class Checkpointer:
             image, delay = load_image(kernel, self.storage, alias)
             kernel.engine.metrics.inc("restart.compacted_hits")
             return [image], delay
-        if prefetch and hasattr(self.storage, "load_parallel"):
+        if prefetch:
             keys = self._chain_keys(key)
             objs, total_delay = self.storage.load_parallel(
                 keys, kernel.engine.now_ns
@@ -480,6 +485,9 @@ class Checkpointer:
             engine.metrics.inc("restart.failed")
             span.end(state="failed", error=str(exc))
             raise
+        # The next delta extends the requested key, never a compacted
+        # ``+flat`` blob (compaction deletes those when it re-flattens).
+        result.task.chain_tip = (self.storage, key)
         engine.metrics.inc("restart.count")
         engine.metrics.observe(
             "restart.total_ns", result.io_delay_ns + result.install_delay_ns

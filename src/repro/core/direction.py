@@ -115,8 +115,8 @@ class AutonomicCheckpointer(SystemLevelCheckpointer):
         """
         self._controller = controller
 
-    def _complete(self, req, image) -> None:
-        super()._complete(req, image)
+    def _complete(self, req, image, task) -> None:
+        super()._complete(req, image, task)
         if self._controller is None:
             return
         self._controller.observe_checkpoint(req)
@@ -145,18 +145,22 @@ class AutonomicCheckpointer(SystemLevelCheckpointer):
     ) -> CheckpointRequest:
         """Checkpoint ``task`` from the dedicated kernel thread.
 
-        The first checkpoint of a process is full; later ones save only
-        kernel-tracked dirty pages (tracking is re-armed each time), with
-        a periodic full re-base every :attr:`rebase_every` deltas so the
-        restart chain stays short.
+        A process with no chain tip in this mechanism's storage (its
+        first checkpoint) gets a full image; later checkpoints, and the
+        first one after a restore, save only kernel-tracked dirty pages
+        (tracking is re-armed each time), with a periodic full re-base
+        every :attr:`rebase_every` deltas so the restart chain stays
+        short.
         """
-        armed = bool(task.annotations.get("autockpt_armed"))
         chain_len = int(task.annotations.get("autockpt_chain", 0))
-        make_delta = incremental and armed and chain_len < self.rebase_every
+        make_delta = (
+            incremental
+            and self._chain_parent(task) is not None
+            and chain_len < self.rebase_every
+        )
         req = self._new_request(task, incremental=make_delta)
         task.annotations["autockpt_chain"] = chain_len + 1 if make_delta else 0
         self.kthread_capture(task, req)
-        task.annotations["autockpt_armed"] = True
         return req
 
     # ------------------------------------------------------------------

@@ -95,7 +95,7 @@ class HardwareCheckpointer(Checkpointer):
         done_at = self.epoch_flush_ns + delay
 
         def finish() -> None:
-            self._complete(req, image)
+            self._complete(req, image, task)
 
         self.kernel.engine.after(done_at, finish, label="hw-epoch")
         return req
@@ -126,6 +126,7 @@ class HardwareCheckpointer(Checkpointer):
                 arr[c.offset : c.offset + c.nbytes] = c.data
             rewritten += chunk.nbytes
         task.registers = Registers.from_snapshot(image.registers)
+        task.chain_tip = (self.storage, key)
         workload = image.user_state.get("workload")
         if workload is not None:
             task.rebuild_program(workload.align_step(image.step))

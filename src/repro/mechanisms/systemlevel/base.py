@@ -70,11 +70,15 @@ class SystemLevelCheckpointer(Checkpointer):
             )
         return incr.arm_system_tracking(self.kernel, task)
 
-    def _page_set(self, task: Task, incremental: bool) -> List[Tuple[str, int]]:
+    def _page_set(
+        self, task: Task, parent_key: Optional[str]
+    ) -> List[Tuple[str, int]]:
+        """Pages to save: only the dirty ones when the image extends
+        ``parent_key``, every resident one for a full image."""
         return select_pages(
             self.kernel,
             task,
-            incremental=incremental,
+            incremental=parent_key is not None,
             skip_kinds=self.skip_kinds,
             data_filtering=self.features.data_filtering,
         )
@@ -96,7 +100,7 @@ class SystemLevelCheckpointer(Checkpointer):
             snapshot_metadata(kernel, task, image)
             # Walking the task struct is nearly free in kernel mode.
             yield ops.Compute(ns=2_000)
-            pages = self._page_set(task, req.incremental)
+            pages = self._page_set(task, image.parent_key)
             yield from copy_pages(kernel, task, image, pages)
             store_start_ns = kernel.engine.now_ns
             try:
@@ -110,7 +114,7 @@ class SystemLevelCheckpointer(Checkpointer):
                 return
             req.storage_delay_ns = kernel.engine.now_ns - store_start_ns
             req.target_stall_ns = kernel.engine.now_ns - req.started_ns
-            self._complete(req, image)
+            self._complete(req, image, task)
 
         task.push_frame(frame(), Mode.KERNEL)
 
@@ -210,7 +214,7 @@ class SystemLevelCheckpointer(Checkpointer):
                         kernel._exit_task(child, code=0)
                         kernel.reap(child)
                     if error is None:
-                        self._complete(req, image)
+                        self._complete(req, image, target)
                     else:
                         self._fail(req, error)
 
@@ -242,11 +246,14 @@ class SystemLevelCheckpointer(Checkpointer):
                 if fork:
                     # The COW fork snapshots the address space atomically.
                     child, fork_cost = kernel.do_fork(target, stopped=True)
-                    pages = self._page_set(child, req.incremental)
+                    # Pages are chosen at the snapshot; the image opens,
+                    # and reads its parent, once the fork is paid for.
+                    parent = self._chain_parent(target) if req.incremental else None
+                    pages = self._page_set(child, parent)
                 else:
                     source = target if child is None else child
                     image = yield from open_image(kt, source)
-                    pages = self._page_set(source, req.incremental)
+                    pages = self._page_set(source, image.parent_key)
                     if not pipelined:
                         yield from copy_pages(kernel, source, image, pages)
                 # Re-arm dirty tracking at the snapshot instant, so pages

@@ -214,7 +214,7 @@ class SoftwareSuspend(SystemLevelCheckpointer):
                 yield ops.Compute(ns=delay)
                 # Represent the system image by its first process image so
                 # the generic bookkeeping has something to point at.
-                self._complete(req, images[0])
+                self._complete(req, images[0], rep)
                 if power_down:
                     kernel.halt()
 

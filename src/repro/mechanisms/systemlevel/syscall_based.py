@@ -130,12 +130,12 @@ class BProc(VMADump):
             image = self._new_image(req, task)
             snapshot_metadata(kernel, task, image)
             yield ops.Compute(ns=2_000)
-            pages = self._page_set(task, False)
+            pages = self._page_set(task, image.parent_key)
             for op in copy_pages(kernel, task, image, pages):
                 yield op
             for op in store_image(kernel, self.storage, image):
                 yield op
-            self._complete(req, image)
+            self._complete(req, image, task)
             # Recreate on the destination, then vanish locally.
             self.restart(req.key, target_kernel=dest_kernel, strict_kernel_state=True)
             yield ops.Exit(code=0)

@@ -15,6 +15,7 @@ from typing import Generator, List, Optional, Tuple
 
 from ...core.capture import (
     DEFAULT_SKIP_KINDS,
+    RestoreResult,
     copy_pages,
     select_pages,
     store_image,
@@ -101,10 +102,9 @@ class UserLevelCheckpointer(Checkpointer):
             # Handler-local buffering work (the malloc the paper warns
             # about happens here).
             yield ops.Compute(ns=5_000, non_reentrant=self.handler_uses_malloc)
-            # The first checkpoint of a chain is always full (no parent);
-            # later ones save only the shadow-tracked dirty pages.
-            use_shadow = req.incremental and image.parent_key is not None
-            if use_shadow:
+            # A full image (no parent) saves every page; a delta saves only
+            # the shadow-tracked dirty ones.
+            if image.parent_key is not None:
                 pages = self._shadow_pages(task)
             else:
                 pages = select_pages(
@@ -127,9 +127,21 @@ class UserLevelCheckpointer(Checkpointer):
                 # Re-arm: a full mprotect sweep, one syscall per VMA.
                 yield from self._forward(incr.user_arm_ops(task))
             req.target_stall_ns = self.kernel.engine.now_ns - req.started_ns
-            self._complete(req, image)
+            self._complete(req, image, task)
 
         return handler()
+
+    def restart(self, key: str, *args, **kwargs) -> RestoreResult:
+        """Restart, then re-arm dirty tracking as the relinked library's
+        restart code does: the restored task starts a fresh shadow set,
+        so its first delta holds exactly the pages it writes."""
+        result = super().restart(key, *args, **kwargs)
+        if self.features.incremental:
+            task = result.task
+            task.annotations["shadow_dirty"] = set()
+            incr.arm_user_tracking(self.kernel, task)
+            task.mm.protect_for_tracking()
+        return result
 
     @staticmethod
     def _forward(inner) -> Generator:

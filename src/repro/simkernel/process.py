@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import SimulationError
 from .memory import AddressSpace
@@ -226,6 +226,10 @@ class Task:
         self.stopped_for_checkpoint = False
         #: Arbitrary per-mechanism annotations (shadow state, pods, ...).
         self.annotations: Dict[str, Any] = {}
+        #: ``(storage, key)`` of the image this task's next delta extends:
+        #: the last completed checkpoint, restore or rollback.  A task
+        #: attribute, not an annotation, so no image ever captures it.
+        self.chain_tip: Optional[Tuple[Any, str]] = None
         #: Opaque owner node id (set by the cluster layer).
         self.node_id: Optional[int] = None
         #: Set while the kernel has asked this task to stop at the next op

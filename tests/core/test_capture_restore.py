@@ -151,7 +151,7 @@ class TestRestoreEdgeCases:
         wl = t.annotations["workload"]
         res = mech.restart(req.key)
         assert res.task.main_steps == wl.align_step(req.image.step)
-        assert res.task.annotations["restored_from"] == req.key
+        assert res.task.chain_tip == (mech.storage, req.key)
 
     def test_restore_charges_io_and_install_time(self):
         k, mech, t, req = self._image()
