@@ -25,6 +25,7 @@ compose them inside whatever execution context they own:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
@@ -104,7 +105,9 @@ def snapshot_metadata(
     wl = target.annotations.get("workload")
     image.user_state = {
         "workload": wl,
-        "annotations": {
+        # Deep-copied: values such as libckpt's ``shadow_dirty`` set keep
+        # changing in the live task, and a stored image never may.
+        "annotations": copy.deepcopy({
             k: v
             for k, v in target.annotations.items()
             if k
@@ -118,7 +121,7 @@ def snapshot_metadata(
                 "thread_group",
                 "tgid",
             )
-        },
+        }),
         "handlers": dict(target.signals.handlers),
         "blocked": set(target.signals.blocked),
         "policy": target.policy,
@@ -250,13 +253,8 @@ def capture_extents(
         metrics.inc("capture.bytes", len(pages) * page_size)
     for vma_name, start, npages in _extent_runs(pages):
         vma = target.mm.vma(vma_name)
-        if npages == 1:
-            chunk = image.add_page(vma_name, start, vma.read_page(start))
-        else:
-            chunk = image.add_extent(
-                vma_name, start, vma.read_pages(start, npages), npages
-            )
-        yield chunk, per_page_ns * npages
+        data = vma.read_page(start) if npages == 1 else vma.read_pages(start, npages)
+        yield image.take_pages(vma_name, start, data, npages), per_page_ns * npages
 
 
 #: Stores are issued in slices of roughly this much virtual time so the
@@ -385,16 +383,14 @@ def restore_image(
     install_ns = 0
     for chunk in image.chunks:
         vma = mm.vma(chunk.vma)
-        if chunk.npages > 1:
-            vma.install_pages(chunk.page_index, chunk.data.reshape(chunk.npages, -1))
+        if chunk.npages > 1 or (chunk.offset == 0 and chunk.nbytes == vma.page_size):
+            # Whole pages: a row extent hands over its rows as they are.
+            vma.install_pages(chunk.page_index, chunk.page_rows())
             install_ns += costs.memcpy_ns(vma.page_size) * chunk.npages
-            continue
-        if chunk.offset == 0 and chunk.nbytes == vma.page_size:
-            vma.install_page(chunk.page_index, chunk.data)
         else:
             arr, _ = vma.ensure_page(chunk.page_index)
             arr[chunk.offset : chunk.offset + chunk.nbytes] = chunk.data
-        install_ns += costs.memcpy_ns(chunk.nbytes)
+            install_ns += costs.memcpy_ns(chunk.nbytes)
 
     # ---- program --------------------------------------------------------
     workload = image.user_state.get("workload")
@@ -427,7 +423,7 @@ def restore_image(
     task.signals.blocked = set(image.user_state.get("blocked", set()))
     for s in image.signals.get("pending", []):
         task.signals.post(Sig(s))
-    task.annotations.update(image.user_state.get("annotations", {}))
+    task.annotations.update(copy.deepcopy(image.user_state.get("annotations", {})))
     task.annotations["workload"] = workload
 
     # ---- file descriptors ------------------------------------------------

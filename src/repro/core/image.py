@@ -15,7 +15,6 @@ ones (:func:`materialize_chain`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,31 +32,74 @@ VMA_RECORD_BYTES = 64
 FD_RECORD_BYTES = 48
 
 
-@dataclass
 class Chunk:
-    """One contiguous span of saved memory.
+    """One span of saved memory.
 
     ``offset``/``nbytes`` allow sub-page blocks; page-granularity
     mechanisms use offset 0 and nbytes == page_size.  ``npages > 1``
-    marks an *extent*: ``data`` covers that many contiguous pages
-    starting at ``page_index`` (offset must be 0).  Extents collapse
-    thousands of per-page Chunk objects into a handful of array slices;
-    everything that consumes chunks either handles extents natively or
-    splits them with :meth:`split_pages`.
+    marks an *extent* of that many pages starting at ``page_index``
+    (offset must be 0).  Extents collapse thousands of per-page Chunk
+    objects into a handful; everything that consumes chunks either
+    handles extents natively or splits them with :meth:`split_pages`.
+
+    A whole-page payload takes one of two forms:
+
+    * ``data``: one contiguous array (a capture's page copy);
+    * ``rows``: a *row extent*, one array per page.  The rows are their
+      writers' own read-only arrays -- dedup pack payloads, or the pages
+      a chain flatten kept -- so a row extent aliases what it was built
+      from instead of copying it.  :meth:`page_rows`,
+      :meth:`split_pages` and :attr:`nbytes` read the rows; ``data`` is
+      concatenated only if some consumer asks for it.
     """
 
-    vma: str
-    page_index: int
-    offset: int
-    data: np.ndarray  # uint8 copy of the saved bytes
-    npages: int = 1
-    #: Lazily computed on first access (many chunks are captured, sent
-    #: and dropped without anyone reading the checksum).
-    _checksum: Optional[int] = field(default=None, repr=False)
+    __slots__ = ("vma", "page_index", "offset", "npages", "rows", "_data", "_checksum")
 
-    def __post_init__(self) -> None:
-        if self.npages > 1 and self.offset != 0:
+    def __init__(
+        self,
+        vma: str,
+        page_index: int,
+        offset: int = 0,
+        data: Optional[np.ndarray] = None,
+        npages: int = 1,
+        rows: Optional[Tuple[np.ndarray, ...]] = None,
+    ) -> None:
+        if rows is not None:
+            if data is not None or offset != 0 or not rows:
+                raise CheckpointError("a row extent holds whole pages only")
+            npages = len(rows)
+        elif data is None:
+            raise CheckpointError("chunk needs data or rows")
+        elif npages > 1 and offset != 0:
             raise CheckpointError("multi-page extent must start at offset 0")
+        self.vma = vma
+        self.page_index = page_index
+        self.offset = offset
+        self.npages = npages
+        self.rows = rows
+        self._data = data
+        #: Lazily computed on first access (many chunks are captured, sent
+        #: and dropped without anyone reading the checksum).
+        self._checksum: Optional[int] = None
+
+    @property
+    def data(self) -> np.ndarray:
+        """The payload as one contiguous uint8 array (a row extent's rows
+        are concatenated on first access; read-only if they all are)."""
+        if self._data is None:
+            rows = self.rows
+            if len(rows) == 1:
+                self._data = rows[0]
+            else:
+                self._data = np.concatenate(rows)
+                self._data.flags.writeable = any(r.flags.writeable for r in rows)
+        return self._data
+
+    @property
+    def whole(self) -> bool:
+        """Whether the chunk is known to hold whole pages (a row extent or
+        a multi-page extent) without knowing the page size."""
+        return self.rows is not None or self.npages > 1
 
     @property
     def checksum(self) -> int:
@@ -69,21 +111,30 @@ class Chunk:
     @property
     def nbytes(self) -> int:
         """Saved payload size."""
-        return int(self.data.size)
+        if self.rows is not None:
+            return self.npages * int(self.rows[0].size)
+        return int(self._data.size)
+
+    def page_rows(self) -> Sequence[np.ndarray]:
+        """One array per page: the rows of a row extent, else row views
+        of ``data`` as an ``(npages, nbytes // npages)`` stack."""
+        if self.rows is not None:
+            return self.rows
+        return self._data.reshape(self.npages, -1)
 
     def split_pages(self) -> Iterator["Chunk"]:
         """Yield per-page chunks (self if not an extent; views, no copies)."""
         if self.npages == 1:
             yield self
             return
-        ps = self.data.size // self.npages
-        for i in range(self.npages):
-            yield Chunk(
-                vma=self.vma,
-                page_index=self.page_index + i,
-                offset=0,
-                data=self.data[i * ps : (i + 1) * ps],
-            )
+        for i, row in enumerate(self.page_rows()):
+            yield Chunk(vma=self.vma, page_index=self.page_index + i, offset=0, data=row)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        form = "rows" if self.rows is not None else "data"
+        return (f"Chunk(vma={self.vma!r}, page_index={self.page_index}, "
+                f"offset={self.offset}, npages={self.npages}, {form}, "
+                f"nbytes={self.nbytes})")
 
 
 @dataclass
@@ -163,19 +214,35 @@ class CheckpointImage:
         )
 
     # ------------------------------------------------------------------
-    def add_page(self, vma_name: str, page_index: int, data: np.ndarray) -> Chunk:
-        """Append one whole-page chunk (copying ``data``)."""
-        chunk = Chunk(vma=vma_name, page_index=page_index, offset=0, data=np.array(data, copy=True))
+    def take_pages(
+        self, vma_name: str, page_index: int, data: np.ndarray, npages: int = 1
+    ) -> Chunk:
+        """Append ``npages`` whole pages from ``data``, a fresh array the
+        image takes over: it is frozen in place, not copied (a capture's
+        :meth:`VMA.read_page <repro.simkernel.memory.VMA.read_page>` or
+        ``read_pages`` result).  A single page becomes a one-row extent,
+        so a store can tell it is a whole page."""
+        data.flags.writeable = False
+        if npages == 1:
+            chunk = Chunk(vma=vma_name, page_index=page_index, rows=(data,))
+        else:
+            chunk = Chunk(vma=vma_name, page_index=page_index, offset=0,
+                          data=data.reshape(-1), npages=npages)
         self.chunks.append(chunk)
         return chunk
+
+    def add_page(self, vma_name: str, page_index: int, data: np.ndarray) -> Chunk:
+        """Append one whole-page chunk (copying ``data``)."""
+        return self.take_pages(vma_name, page_index, np.array(data, copy=True))
 
     def add_block(
         self, vma_name: str, page_index: int, offset: int, data: np.ndarray
     ) -> Chunk:
-        """Append a sub-page block chunk (probabilistic/hardware modes)."""
-        chunk = Chunk(
-            vma=vma_name, page_index=page_index, offset=offset, data=np.array(data, copy=True)
-        )
+        """Append a sub-page block chunk (probabilistic/hardware modes),
+        copying ``data``: callers pass a view of a live page."""
+        block = np.array(data, copy=True)
+        block.flags.writeable = False
+        chunk = Chunk(vma=vma_name, page_index=page_index, offset=offset, data=block)
         self.chunks.append(chunk)
         return chunk
 
@@ -183,15 +250,7 @@ class CheckpointImage:
         self, vma_name: str, page_index: int, data: np.ndarray, npages: int
     ) -> Chunk:
         """Append a multi-page extent chunk (copying ``data``)."""
-        chunk = Chunk(
-            vma=vma_name,
-            page_index=page_index,
-            offset=0,
-            data=np.array(data, copy=True).reshape(-1),
-            npages=npages,
-        )
-        self.chunks.append(chunk)
-        return chunk
+        return self.take_pages(vma_name, page_index, np.array(data, copy=True), npages)
 
     # ------------------------------------------------------------------
     def verify_against(self, task: Task) -> List[str]:
@@ -259,6 +318,20 @@ class CheckpointImage:
         return out
 
 
+def _frozen_rows(chunk: Chunk) -> Sequence[np.ndarray]:
+    """A whole-page chunk's page rows, read-only: a writable payload is
+    copied (once, whole), a read-only one is returned as is."""
+    rows = chunk.page_rows()
+    if isinstance(rows, np.ndarray):
+        writable = rows.flags.writeable
+    else:
+        writable = any(r.flags.writeable for r in rows)
+    if writable:
+        rows = np.array(rows, dtype=np.uint8)
+        rows.flags.writeable = False
+    return rows
+
+
 def _covered_runs(mask: np.ndarray) -> List[Tuple[int, int]]:
     """(start, length) runs of True in a boolean byte mask."""
     idx = np.flatnonzero(mask)
@@ -280,10 +353,17 @@ def materialize_chain(
 
     Chunks apply in chain order, last writer wins.  With ``page_size``, a
     whole page (an extent row, or ``page_size`` bytes at offset 0) is
-    kept as a view of its writer's bytes, and fully covered neighbouring
-    pages re-merge into extents.  Any other chunk paints its span into a
-    per-page byte overlay seeded with the page below it, so a sub-page
-    delta patches *into* an earlier page instead of replacing it.
+    kept as its writer's own array, and fully covered neighbouring pages
+    re-merge into row extents (see :class:`Chunk`): nothing is
+    concatenated.  Any other chunk paints its span into a per-page byte
+    overlay seeded with the page below it, so a sub-page delta patches
+    *into* an earlier page instead of replacing it.
+
+    Every emitted array is read-only: the flat image is memoized and
+    stored, and restore adopts its pages (see ``VMA.install_pages``).
+    A whole page is therefore emitted as is when its writer's array is
+    read-only (a dedup pack payload, a captured page) and copied only
+    when it is writable; a page built from overlays is frozen in place.
     """
     if not images:
         raise RestartError("empty image chain")
@@ -299,58 +379,63 @@ def materialize_chain(
             )
         prev_key = delta.key
     # ---- paint pass: chain order = write order, last writer wins -------
-    whole: Dict[Tuple[str, int], np.ndarray] = {}
-    overlays: Dict[Tuple[str, int], Tuple[np.ndarray, np.ndarray]] = {}
+    # Per VMA, page index -> the page's array (``whole``), or its byte
+    # overlay and coverage mask (pages a sub-page chunk patched).
+    whole: Dict[str, Dict[int, np.ndarray]] = {}
+    overlays: Dict[str, Dict[int, Tuple[np.ndarray, np.ndarray]]] = {}
     for img in images:
         for chunk in img.chunks:
             n = chunk.npages
-            if page_size and chunk.offset == 0 and chunk.data.size == n * page_size:
-                if n == 1:
-                    keys = [(chunk.vma, chunk.page_index)]
-                    whole[keys[0]] = chunk.data
-                else:
-                    keys = [(chunk.vma, chunk.page_index + i) for i in range(n)]
-                    whole.update(zip(keys, chunk.data.reshape(n, page_size)))
-                for key in overlays.keys() & keys if overlays else ():
-                    entry = overlays[key]  # paint the page into its overlay
-                    entry[0][:page_size] = whole.pop(key)
-                    entry[1][:page_size] = True
+            if page_size and chunk.offset == 0 and chunk.nbytes == n * page_size:
+                span = range(chunk.page_index, chunk.page_index + n)
+                pages = whole.setdefault(chunk.vma, {})
+                pages.update(zip(span, _frozen_rows(chunk)))
+                ov = overlays.get(chunk.vma)
+                for pidx in ov.keys() & span if ov else ():
+                    buf, mask = ov[pidx]
+                    if buf.size == page_size:
+                        del ov[pidx]  # the page replaces its overlay outright
+                    else:  # paint it into the grown overlay
+                        buf[:page_size] = pages.pop(pidx)
+                        mask[:page_size] = True
                 continue
+            pages = whole.get(chunk.vma, {})
+            ov = overlays.setdefault(chunk.vma, {})
             for c in chunk.split_pages():
-                key = (c.vma, c.page_index)
                 end = c.offset + c.nbytes
-                entry = overlays.get(key)
+                entry = ov.get(c.page_index)
                 if entry is None or end > entry[0].size:
                     # A new or grown overlay starts from what lies below.
-                    below, covered = entry or (whole.pop(key, None), True)
+                    below, covered = entry or (pages.pop(c.page_index, None), True)
                     size = max(end, page_size or 0)
-                    entry = overlays[key] = (np.zeros(size, np.uint8), np.zeros(size, bool))
+                    entry = ov[c.page_index] = (np.zeros(size, np.uint8), np.zeros(size, bool))
                     if below is not None:
                         entry[0][: below.size] = below
                         entry[1][: below.size] = covered
                 entry[0][c.offset : end] = c.data
                 entry[1][c.offset : end] = True
-    # ---- emit pass: whole-page runs as extents, overlays as spans -----
-    # Every emitted array is a fresh copy, so it aliases no chain chunk,
-    # and read-only: the flat image is memoized and stored, and restore
-    # adopts its pages (see VMA.install_page).
+    # ---- emit pass: whole-page runs as row extents, overlays as spans --
     merged: List[Chunk] = []
-    for (vma, pidx), (buf, mask) in overlays.items():
-        if buf.size == page_size and mask.all():
-            whole[(vma, pidx)] = buf
+    for vma, ov in overlays.items():
+        pages = whole.setdefault(vma, {})
+        for pidx, (buf, mask) in ov.items():
+            buf.flags.writeable = False
+            if buf.size == page_size and mask.all():
+                pages[pidx] = buf
+                continue
+            merged.extend(
+                Chunk(vma=vma, page_index=pidx, offset=start, data=buf[start : start + length])
+                for start, length in _covered_runs(mask)
+            )
+    for vma, pages in whole.items():
+        if not pages:
             continue
-        merged.extend(
-            Chunk(vma=vma, page_index=pidx, offset=start, data=buf[start : start + length])
-            for start, length in _covered_runs(mask)
-        )
-    # Consecutive pages of one vma share ``page_index - rank``.
-    for (vma, _), run in groupby(enumerate(sorted(whole)), lambda r: (r[1][0], r[1][1] - r[0])):
-        keys = [key for _, key in run]
-        merged.append(Chunk(vma=vma, page_index=keys[0][1], offset=0, npages=len(keys),
-                            data=np.concatenate([whole[key] for key in keys])))
+        order = sorted(pages)
+        cuts = (np.flatnonzero(np.diff(order) != 1) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [len(order)]):
+            rows = tuple(map(pages.__getitem__, order[lo:hi]))
+            merged.append(Chunk(vma=vma, page_index=order[lo], rows=rows))
     merged.sort(key=lambda c: (c.vma, c.page_index))  # stable: spans keep offset order
-    for chunk in merged:
-        chunk.data.flags.writeable = False
     last = images[-1]
     return replace(
         last,

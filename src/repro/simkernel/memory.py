@@ -24,7 +24,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -262,22 +262,29 @@ class VMA:
         if dirty:
             self.set_flag(pidx, PageFlag.DIRTY)
 
-    def install_pages(self, p0: int, rows: np.ndarray) -> None:
-        """Install whole pages ``p0 ..`` from the rows of a page stack.
+    def install_pages(self, p0: int, rows: Sequence[np.ndarray]) -> None:
+        """Install whole pages ``p0 ..`` from ``rows``: the rows of an
+        ``(n, page_size)`` stack, or a row extent's tuple of page arrays.
 
-        Read-only rows are adopted without a copy (see :meth:`install_page`).
+        Read-only rows are adopted without a copy (see :meth:`install_page`);
+        if any row is writable, all of them are copied into one stack.
         """
         n = len(rows)
-        if rows.shape != (n, self.page_size):
-            raise MemoryError_(
-                f"page stack shape {rows.shape} != ({n}, {self.page_size})"
-            )
-        span = range(p0, p0 + n)
-        if rows.flags.writeable or rows.dtype != np.uint8:
-            rows = rows.astype(np.uint8)
-            self.adopted.difference_update(span)
+        ps = self.page_size
+        if isinstance(rows, np.ndarray):
+            shaped = rows.shape == (n, ps)
+            frozen = not rows.flags.writeable and rows.dtype == np.uint8
         else:
+            shaped = all(r.shape == (ps,) for r in rows)
+            frozen = not any(r.flags.writeable or r.dtype != np.uint8 for r in rows)
+        if not shaped:
+            raise MemoryError_(f"page rows are not {n} arrays of shape ({ps},)")
+        span = range(p0, p0 + n)
+        if frozen:
             self.adopted.update(span)
+        else:
+            rows = np.array(rows, dtype=np.uint8)
+            self.adopted.difference_update(span)
         self.pages.update(zip(span, rows))
         self.flags[p0 : p0 + n] |= PageFlag.PRESENT
 

@@ -20,8 +20,11 @@ The design is manifest + pack:
 * The image itself is stored as an :class:`ImageManifest`: the metadata
   of the original :class:`~repro.core.image.CheckpointImage` (chunks
   stripped) plus one row per page in parallel columns -- content key,
-  vma, page index, offset and length.  Loading a manifest reassembles a
-  byte-exact image, one chunk per row, from the packs it references.
+  vma, page index, offset, length and whether the row is a whole page.
+  Loading a manifest reassembles a byte-exact image from the packs it
+  references: each run of consecutive whole-page rows of one VMA
+  becomes one row extent of the (read-only) pack payloads themselves,
+  and every other row one chunk.
 * The store refcounts content keys across manifests.  Deleting a
   manifest (e.g. :class:`~repro.stablestore.GenerationGC` dropping a
   superseded generation) decrements them; a pack is deleted only when no
@@ -66,6 +69,9 @@ class ImageManifest:
     page_index: List[int] = field(default_factory=list)
     offset: List[int] = field(default_factory=list)
     nbytes: List[int] = field(default_factory=list)
+    #: Whether the row is a whole page (of a row or multi-page extent):
+    #: the store does not know the page size, so the writer's chunk says.
+    whole: List[bool] = field(default_factory=list)
 
     @property
     def parent_key(self) -> Optional[str]:
@@ -151,22 +157,18 @@ class ContentStore(StorageBackend):
         first = len(sizes)
         for c in chunks:
             n = c.npages
-            data = c.data
-            size = data.size // n
-            stack = data.reshape(n, size)
-            by_len.setdefault(size, []).append(stack)
-            if n == 1:
-                payloads.append(data)
-                vma.append(c.vma)
-                page_index.append(c.page_index)
-                offset.append(c.offset)
-                sizes.append(size)
-            else:
-                payloads.extend(stack)
-                vma.extend([c.vma] * n)
-                page_index.extend(range(c.page_index, c.page_index + n))
-                offset.extend([0] * n)
-                sizes.extend([size] * n)
+            size = c.nbytes // n
+            rows = c.page_rows()
+            payloads.extend(rows)
+            if isinstance(rows, np.ndarray):
+                by_len.setdefault(size, []).append(rows)
+            else:  # a row extent: stacked for the digest only, not kept
+                by_len.setdefault(size, []).extend(r[None] for r in rows)
+            vma.extend([c.vma] * n)
+            page_index.extend(range(c.page_index, c.page_index + n))
+            offset.extend([c.offset] * n)
+            sizes.extend([size] * n)
+            m.whole.extend([c.whole] * n)
         keys: Dict[int, Iterator[str]] = {}
         for size, parts in by_len.items():
             stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -265,10 +267,23 @@ class ContentStore(StorageBackend):
     def _reassemble(
         manifest: ImageManifest, payloads: Dict[str, np.ndarray]
     ) -> CheckpointImage:
-        """One chunk per manifest row."""
+        """One row extent of pack payloads per run of consecutive
+        whole-page rows of one VMA; one chunk per other row."""
         m = manifest
-        chunks = [Chunk(vma=v, page_index=p, offset=o, data=payloads[ck])
-                  for v, p, o, ck in zip(m.vma, m.page_index, m.offset, m.ckeys)]
+        vmas, pages, whole = m.vma, m.page_index, m.whole
+        data = [payloads[ck] for ck in m.ckeys]
+        chunks: List[Chunk] = []
+        i, n = 0, len(data)
+        while i < n:
+            v, p = vmas[i], pages[i]
+            j = i + 1
+            if whole[i]:
+                while j < n and whole[j] and pages[j] == p + j - i and vmas[j] == v:
+                    j += 1
+                chunks.append(Chunk(vma=v, page_index=p, rows=tuple(data[i:j])))
+            else:
+                chunks.append(Chunk(vma=v, page_index=p, offset=m.offset[i], data=data[i]))
+            i = j
         return replace(m.meta, chunks=chunks)
 
     def load_parallel(

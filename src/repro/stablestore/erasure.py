@@ -791,7 +791,7 @@ class ErasureStore(QuorumStore):
 
     def delete(self, key: str) -> None:
         """Drop every shard (idempotent)."""
-        self._directory.pop(key, None)
+        self._forget(key)
         for server in self.storage.servers:
             server.drop_replica(_skey(key))
 
@@ -1052,7 +1052,7 @@ class DeltaWriteStream(WriteStream):
         self.committed = True
         st._directory[self.key] = int(nbytes)
         if rebase:
-            st._directory.pop(self.base_key, None)
+            st._forget(self.base_key)
         st.bytes_written += dsnb * len(holders)
         st.delta_writes += 1
         delay = read_worst + write_delay

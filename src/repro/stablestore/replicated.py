@@ -74,6 +74,9 @@ class QuorumStore(StorageBackend):
         self.backoff_cap_ns = int(backoff_cap_ns)
         #: key -> accounted nbytes of every blob the service has accepted.
         self._directory: Dict[str, int] = {}
+        #: key -> its rendezvous order (:meth:`candidates`); an entry is
+        #: dropped with its key (:meth:`_forget`).
+        self._candidates: Dict[str, Tuple[StorageServer, ...]] = {}
         # Retry / failure statistics (the E19 quorum-behaviour evidence).
         self.write_retries = 0
         self.read_retries = 0
@@ -89,17 +92,22 @@ class QuorumStore(StorageBackend):
     # ------------------------------------------------------------------
     # Placement, retries, quorum
     # ------------------------------------------------------------------
-    def candidates(self, key: str) -> List[StorageServer]:
+    def candidates(self, key: str) -> Tuple[StorageServer, ...]:
         """All servers in rendezvous-preference order for ``key``.
 
         The first entries are the preferred placement; the rest are the
-        fallback walk order when preferred servers are down.
+        fallback walk order when preferred servers are down.  The order
+        depends only on the key and the fixed server list, so it is
+        computed once per key.
         """
-        return sorted(
-            self.storage.servers,
-            key=lambda s: (_score(key, s.server_id), s.server_id),
-            reverse=True,
-        )
+        order = self._candidates.get(key)
+        if order is None:
+            order = self._candidates[key] = tuple(sorted(
+                self.storage.servers,
+                key=lambda s: (_score(key, s.server_id), s.server_id),
+                reverse=True,
+            ))
+        return order
 
     def _walk(
         self, servers: Iterable[StorageServer], want: int, op: str
@@ -186,6 +194,11 @@ class QuorumStore(StorageBackend):
     def blob_size(self, key: str) -> int:
         """Accounted size of a stored blob (0 when absent)."""
         return self._directory.get(key, 0)
+
+    def _forget(self, key: str) -> None:
+        """Drop ``key`` from the directory, with its memoized placement."""
+        self._directory.pop(key, None)
+        self._candidates.pop(key, None)
 
     def _require_key(self, key: str) -> int:
         """The accounted size of ``key``; StorageError when absent."""
@@ -374,7 +387,7 @@ class ReplicatedStore(QuorumStore):
     def delete(self, key: str) -> None:
         """Drop every replica (idempotent; failed servers apply the
         deletion on recovery, modelled as immediate tombstones)."""
-        self._directory.pop(key, None)
+        self._forget(key)
         for server in self.storage.servers:
             server.drop_replica(key)
 

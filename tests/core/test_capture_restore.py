@@ -15,7 +15,7 @@ from repro.core.capture import (
     snapshot_metadata,
 )
 from repro.core.checkpointer import Checkpointer, RequestState
-from repro.core.image import CheckpointImage, materialize_chain
+from repro.core.image import CheckpointImage, Chunk, materialize_chain
 from repro.errors import (
     CheckpointError,
     IncompatibleStateError,
@@ -258,11 +258,55 @@ class TestZeroCopyRestore:
         assert memory_digest(b) == digest_b
         assert [bytes(c.data) for c in flat.chunks] == flat_bytes
 
+    def test_restores_from_one_dedup_chain_share_the_pack_payloads(self):
+        from repro.core.direction import AutonomicCheckpointer
+        from repro.stablestore import ContentStore
+
+        store = ContentStore(RemoteStorage())
+        k = Kernel(seed=5)
+        mech = AutonomicCheckpointer(k, store)
+        wl = SparseWriter(iterations=10**6, dirty_fraction=0.05,
+                          heap_bytes=128 * 1024, compute_ns=200_000)
+        t = wl.spawn(k)
+        k.run_for(3_000_000)
+        checkpoint_of(k, mech, t)
+        k.run_for(1_000_000)
+        last = checkpoint_of(k, mech, t)
+        assert last.image.is_incremental
+        payloads = [a for pk in store._pack_members
+                    for a in store.inner.peek(pk).values()]
+        payload_bytes = [a.tobytes() for a in payloads]
+
+        def restore(seed):
+            # A fresh mechanism each time: its own chain load and flatten.
+            other = AutonomicCheckpointer(Kernel(seed=seed), store)
+            return other.restart(last.key, target_kernel=other.kernel).task
+
+        a, b = restore(6), restore(7)
+        heap_a, heap_b = a.mm.vma("heap"), b.mm.vma("heap")
+        present = [int(p) for p in heap_a.present_pages()]
+        assert present and present == [int(p) for p in heap_b.present_pages()]
+        for p in present:
+            assert any(np.shares_memory(heap_a.pages[p], x) for x in payloads)
+            assert heap_a.pages[p] is heap_b.pages[p]
+        digest_b = memory_digest(b)
+        page = present[0]
+        a.mm.write_access(heap_a, page, 16, 64)
+        a.mm.fill_pattern(heap_a, page, 16, 64, seed=99)
+        assert memory_digest(a) != digest_b
+        assert memory_digest(b) == digest_b
+        assert [x.tobytes() for x in payloads] == payload_bytes
+        assert memory_digest(restore(8)) == digest_b
+
     def test_fork_of_adopted_task_charges_like_a_copied_one(self):
         flat = self._flat(SparseWriter(iterations=10**6, dirty_fraction=0.2,
                                        heap_bytes=128 * 1024))
-        copied = replace(flat, chunks=[replace(c, data=c.data.copy())
-                                       for c in flat.chunks])
+        assert any(c.rows is not None for c in flat.chunks)  # adopted rows
+        copied = replace(flat, chunks=[
+            Chunk(vma=c.vma, page_index=c.page_index, offset=c.offset,
+                  data=c.data.copy(), npages=c.npages)
+            for c in flat.chunks
+        ])
         runs = []
         for image in (flat, copied):
             k = Kernel(seed=8)

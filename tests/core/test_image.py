@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -166,11 +167,71 @@ def overlay_flatten(
     return merged
 
 
+# ----------------------------------------------------------------------
+# Concatenating oracle: the flatten as it was before row extents
+# ----------------------------------------------------------------------
+def concatenating_flatten(
+    images: Sequence[CheckpointImage], page_size: Optional[int]
+) -> List[Chunk]:
+    """Reference chain flatten that emits every whole-page run as one
+    fresh contiguous extent (``np.concatenate``) instead of a row
+    extent of its writers' arrays.  Same paint pass, same partition."""
+    whole: Dict[Tuple[str, int], np.ndarray] = {}
+    overlays: Dict[Tuple[str, int], Tuple[np.ndarray, np.ndarray]] = {}
+    for img in images:
+        for chunk in img.chunks:
+            n = chunk.npages
+            if page_size and chunk.offset == 0 and chunk.data.size == n * page_size:
+                keys = [(chunk.vma, chunk.page_index + i) for i in range(n)]
+                whole.update(zip(keys, chunk.data.reshape(n, page_size)))
+                for key in overlays.keys() & keys if overlays else ():
+                    entry = overlays[key]
+                    entry[0][:page_size] = whole.pop(key)
+                    entry[1][:page_size] = True
+                continue
+            for c in chunk.split_pages():
+                key = (c.vma, c.page_index)
+                end = c.offset + c.nbytes
+                entry = overlays.get(key)
+                if entry is None or end > entry[0].size:
+                    below, covered = entry or (whole.pop(key, None), True)
+                    size = max(end, page_size or 0)
+                    entry = overlays[key] = (np.zeros(size, np.uint8), np.zeros(size, bool))
+                    if below is not None:
+                        entry[0][: below.size] = below
+                        entry[1][: below.size] = covered
+                entry[0][c.offset : end] = c.data
+                entry[1][c.offset : end] = True
+    merged: List[Chunk] = []
+    for (vma, pidx), (buf, mask) in overlays.items():
+        if buf.size == page_size and mask.all():
+            whole[(vma, pidx)] = buf
+            continue
+        merged.extend(
+            Chunk(vma=vma, page_index=pidx, offset=start, data=buf[start : start + length])
+            for start, length in _covered_runs(mask)
+        )
+    for (vma, _), run in groupby(enumerate(sorted(whole)), lambda r: (r[1][0], r[1][1] - r[0])):
+        keys = [key for _, key in run]
+        merged.append(Chunk(vma=vma, page_index=keys[0][1], offset=0, npages=len(keys),
+                            data=np.concatenate([whole[key] for key in keys])))
+    merged.sort(key=lambda c: (c.vma, c.page_index))
+    return merged
+
+
+def page_contents(chunks: Sequence[Chunk]) -> List[Tuple[str, int, int, bytes]]:
+    """Every chunk split into per-page (vma, page, offset, bytes) rows."""
+    return [(c.vma, c.page_index, c.offset, c.data.tobytes())
+            for chunk in chunks for c in chunk.split_pages()]
+
+
 PS = 32  # small pages keep the hypothesis chains cheap
 
 chunk_specs = st.one_of(
     st.tuples(st.just("extent"), st.integers(0, 9), st.integers(2, 4)),
+    st.tuples(st.just("rows"), st.integers(0, 9), st.integers(1, 4)),
     st.tuples(st.just("page"), st.integers(0, 11)),
+    st.tuples(st.just("raw"), st.integers(0, 11)),
     st.tuples(st.just("block"), st.integers(0, 11), st.integers(0, PS - 1),
               st.integers(1, PS)),
     st.tuples(st.just("grow"), st.integers(0, 11), st.integers(0, PS - 1),
@@ -179,7 +240,13 @@ chunk_specs = st.one_of(
 
 
 def build_chain(spec, seed: int) -> List[CheckpointImage]:
+    """A chain mixing contiguous extents, read-only row extents, captured
+    single pages, writable single pages ("raw") and sub-page blocks."""
     rng = np.random.default_rng(seed)
+
+    def fresh(n):
+        return rng.integers(0, 256, n, dtype=np.uint8)
+
     images: List[CheckpointImage] = []
     for i, chunks in enumerate(spec):
         img = make_image(f"k{i}", parent=f"k{i - 1}" if i else None, step=i)
@@ -187,17 +254,29 @@ def build_chain(spec, seed: int) -> List[CheckpointImage]:
             vma = "heap" if j % 3 else "stack"
             if kind == "extent":
                 n = rest[0]
-                img.add_extent(vma, pidx, rng.integers(0, 256, n * PS, dtype=np.uint8), n)
+                img.add_extent(vma, pidx, fresh(n * PS), n)
+            elif kind == "rows":
+                rows = tuple(fresh(PS) for _ in range(rest[0]))
+                for row in rows:
+                    row.flags.writeable = False
+                img.chunks.append(Chunk(vma=vma, page_index=pidx, rows=rows))
             elif kind == "page":
-                img.add_page(vma, pidx, rng.integers(0, 256, PS, dtype=np.uint8))
+                img.add_page(vma, pidx, fresh(PS))
+            elif kind == "raw":
+                img.chunks.append(Chunk(vma=vma, page_index=pidx, offset=0, data=fresh(PS)))
             else:
                 offset, length = rest
                 if kind == "block":
                     length = min(length, PS - offset)
-                img.add_block(vma, pidx, offset,
-                              rng.integers(0, 256, length, dtype=np.uint8))
+                img.add_block(vma, pidx, offset, fresh(length))
         images.append(img)
     return images
+
+
+def input_arrays(images, writable):
+    """The chain's payload arrays (per page) that are (not) writable."""
+    return [row for img in images for c in img.chunks for row in c.page_rows()
+            if row.flags.writeable == writable]
 
 
 @settings(deadline=None, max_examples=80)
@@ -206,8 +285,10 @@ def build_chain(spec, seed: int) -> List[CheckpointImage]:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_flatten_matches_overlay_oracle_and_copies(spec, seed):
+    """Same bytes as the byte-overlay oracle; every emitted array is
+    read-only, and writable inputs are copied, never aliased."""
     images = build_chain(spec, seed)
-    inputs = [c.data for img in images for c in img.chunks]
+    writable = input_arrays(images, writable=True)
     for page_size in (PS, None):
         flat = materialize_chain(images, page_size=page_size)
         want = overlay_flatten(images, page_size)
@@ -216,4 +297,42 @@ def test_flatten_matches_overlay_oracle_and_copies(spec, seed):
         ]
         for got, ref in zip(flat.chunks, want):
             assert got.data.tobytes() == ref.data.tobytes()
-            assert not any(np.shares_memory(got.data, x) for x in inputs)
+            for row in got.page_rows():
+                assert not row.flags.writeable
+                assert not any(np.shares_memory(row, x) for x in writable)
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(
+    spec=st.lists(st.lists(chunk_specs, max_size=8), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flatten_matches_concatenating_oracle(spec, seed):
+    """Row extents hold the same page bytes, in the same partition, as
+    the concatenating flatten, and a whole page whose last writer is a
+    read-only array is emitted as that very array (no copy)."""
+    images = build_chain(spec, seed)
+    for page_size in (PS, None):
+        flat = materialize_chain(images, page_size=page_size)
+        want = concatenating_flatten(images, page_size)
+        assert [(c.vma, c.page_index, c.offset, c.npages) for c in flat.chunks] == [
+            (c.vma, c.page_index, c.offset, c.npages) for c in want
+        ]
+        assert page_contents(flat.chunks) == page_contents(want)
+        assert flat.payload_bytes == sum(c.nbytes for c in want)
+        last: Dict[Tuple[str, int], np.ndarray] = {}
+        for img in images:
+            for c in img.chunks:
+                if page_size and c.offset == 0 and c.nbytes == c.npages * PS:
+                    last.update(((c.vma, c.page_index + i), row)
+                                for i, row in enumerate(c.page_rows()))
+                else:
+                    for p in c.split_pages():
+                        last.pop((p.vma, p.page_index), None)
+        for chunk in flat.chunks:
+            if chunk.rows is None:
+                continue
+            for i, row in enumerate(chunk.rows):
+                src = last.get((chunk.vma, chunk.page_index + i))
+                if src is not None and not src.flags.writeable:
+                    assert np.shares_memory(row, src)

@@ -101,6 +101,28 @@ class TestLibckptIncremental:
         # The delta is much smaller than the full image.
         assert 0 < r2.image.payload_bytes < r1.image.payload_bytes / 2
 
+    def test_stored_image_annotations_do_not_follow_the_task(self):
+        """The captured ``shadow_dirty`` set is a copy: re-arming and later
+        tracking faults change the task's set, never the stored image's."""
+        k = Kernel(ncpus=1, seed=11)
+        mech = Libckpt(k, RemoteStorage())
+        wl = SparseWriter(
+            iterations=30_000, dirty_fraction=0.02, heap_bytes=1 << 20, seed=3
+        )
+        t = wl.spawn(k)
+        mech.prepare_target(t)
+        k.run_for(20_000_000)
+        run_request(k, mech.request_checkpoint(t))
+        k.run_for(2_000_000)
+        r2 = mech.request_checkpoint(t)
+        run_request(k, r2)
+        stored = r2.image.user_state["annotations"]["shadow_dirty"]
+        assert stored is not t.annotations["shadow_dirty"]
+        size = len(stored)
+        k.run_for(5_000_000)
+        assert t.annotations["shadow_dirty"]  # the task kept dirtying pages
+        assert len(stored) == size
+
     def test_sigsegv_tracking_faults_charged_to_app(self):
         k = Kernel(ncpus=1, seed=11)
         mech = Libckpt(k, RemoteStorage())

@@ -163,7 +163,10 @@ class TestRefcountedDelete:
 
 
 def payload_bytes(img):
-    return [c.data.tobytes() for c in img.chunks]
+    """Per-page (vma, page, offset, bytes) rows of ``img``, whatever its
+    chunk partition (a load reassembles runs of pages as row extents)."""
+    return [(c.vma, c.page_index, c.offset, c.data.tobytes())
+            for chunk in img.chunks for c in chunk.split_pages()]
 
 
 class TestOverwriteKeepsLivePacks:
@@ -204,6 +207,30 @@ class TestOverwriteKeepsLivePacks:
             st.send_chunk(c, 0)
         st.commit(g1b, g1b.size_bytes, 0)
         self._check(inner, store, g2, g1b)
+
+
+class TestRowExtentReassembly:
+    def test_runs_of_whole_pages_become_row_extents_of_pack_payloads(self):
+        store = ContentStore(MemoryStorage())
+        img = make_image("m/1/1", [1, 2])  # heap 0, 1
+        img.add_block("heap", 2, 512, np.full(64, 5, dtype=np.uint8))
+        for pidx, val in ((3, 3), (4, 4), (7, 7)):
+            img.add_page("heap", pidx, np.full(4096, val, dtype=np.uint8))
+        img.add_page("stack", 8, np.full(4096, 8, dtype=np.uint8))
+        store.store(img.key, img, img.size_bytes, 0)
+        assert store.peek(img.key).whole == [True, True, False, True, True, True, True]
+        restored, _ = store.load(img.key, 0)
+        shape = [(c.vma, c.page_index, c.offset, c.npages, c.rows is not None)
+                 for c in restored.chunks]
+        assert shape == [("heap", 0, 0, 2, True), ("heap", 2, 512, 1, False),
+                         ("heap", 3, 0, 2, True), ("heap", 7, 0, 1, True),
+                         ("stack", 8, 0, 1, True)]
+        assert payload_bytes(restored) == payload_bytes(img)
+        pack = store.inner.peek(store.peek(img.key).pack_key)
+        for chunk in restored.chunks:
+            for row in chunk.page_rows():
+                assert not row.flags.writeable
+                assert any(np.shares_memory(row, p) for p in pack.values())
 
 
 class TestMemoryBackendWrap:
@@ -288,8 +315,10 @@ class TestShapeIndependence:
         for store in stores.values():
             for gen in range(2):
                 restored, _ = store.load(f"m/1/{gen}", 0)
-                assert len(restored.chunks) == 16  # one chunk per manifest row
-                got = np.stack([c.data for c in restored.chunks])
+                # Sixteen whole-page rows of one VMA: one row extent.
+                assert [(c.page_index, c.npages) for c in restored.chunks] == [(0, 16)]
+                got = np.stack([c.data for chunk in restored.chunks
+                                for c in chunk.split_pages()])
                 np.testing.assert_array_equal(got, self._pages(gen))
             for key in list(store.keys()):
                 store.delete(key)

@@ -40,6 +40,13 @@ def make_image(key, values, parent=None, vma="heap"):
     return img
 
 
+def page_contents(img):
+    """Per-page (vma, page, offset, bytes) rows of ``img``, whatever its
+    chunk partition (a load reassembles runs of pages as row extents)."""
+    return [(c.vma, c.page_index, c.offset, c.data.tobytes())
+            for chunk in img.chunks for c in chunk.split_pages()]
+
+
 class TestWriteStream:
     """The single-device stream (plain StorageBackend.open_stream)."""
 
@@ -265,9 +272,7 @@ class TestDedupWriteStream:
         assert not inner.exists("g/1.pack")
         st.commit(g2, g2.size_bytes, 0)
         restored, _ = store.load(g2.key, 0)
-        assert [c.data.tobytes() for c in restored.chunks] == [
-            c.data.tobytes() for c in g2.chunks
-        ]
+        assert page_contents(restored) == page_contents(g2)
         # P was packed again with this image, so it counts as unique.
         assert store.unique_payload_bytes == 3 * 4096
         store.delete(g2.key)
@@ -288,9 +293,7 @@ class TestDedupWriteStream:
         restored, _ = store.load("a/1", 0)
         objs, _ = store.load_parallel(["a/1"], 0)
         for got in (restored, objs["a/1"]):
-            assert [c.data.tobytes() for c in got.chunks] == [
-                c.data.tobytes() for c in a.chunks
-            ]
+            assert page_contents(got) == page_contents(a)
         store.delete("a/1")
         assert list(inner.keys()) == []
 
@@ -319,7 +322,7 @@ class TestDedupWriteStream:
         assert store.unique_payload_bytes == 2 * 4096
         assert store.logical_payload_bytes == 4 * 4096
         restored, _ = store.load(img.key, 0)
-        assert restored.chunks[2].data.tobytes() == img.chunks[2].data.tobytes()
+        assert page_contents(restored) == page_contents(img)
 
     def test_stream_matches_sync_store_dedup_state(self):
         engine_a = Engine(seed=1)

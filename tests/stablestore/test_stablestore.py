@@ -35,6 +35,17 @@ class TestPlacement:
                 s.server_id for s in b.candidates(key)
             ]
 
+    def test_candidates_memoized_per_key_until_delete(self):
+        _, sc, store = make_store(n=5)
+        order = store.candidates("m/1/1")
+        assert isinstance(order, tuple) and store.candidates("m/1/1") is order
+        assert sorted(s.server_id for s in order) == [s.server_id for s in sc.servers]
+        store.store("m/1/1", b"", 100, 0)
+        assert store.candidates("m/1/1") is order
+        store.delete("m/1/1")
+        assert "m/1/1" not in store._candidates
+        assert store.candidates("m/1/1") == order  # same rendezvous order
+
     def test_replicas_spread_over_servers(self):
         _, sc, store = make_store(n=3, rf=2)
         for i in range(30):
