@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import CheckpointError, RestartError
-from ..simkernel.memory import VMAKind, page_checksum
+from ..simkernel.memory import VMAKind, is_frozen, page_checksum
 from ..simkernel.process import Task
 
 __all__ = ["Chunk", "VMADescriptor", "FDDescriptor", "CheckpointImage", "materialize_chain"]
@@ -319,14 +319,17 @@ class CheckpointImage:
 
 
 def _frozen_rows(chunk: Chunk) -> Sequence[np.ndarray]:
-    """A whole-page chunk's page rows, read-only: a writable payload is
-    copied (once, whole), a read-only one is returned as is."""
+    """A whole-page chunk's page rows, frozen: a payload that is not
+    read-only down to its memory's owner (see ``is_frozen``) is copied
+    (once, whole), a frozen one is returned as is."""
     rows = chunk.page_rows()
     if isinstance(rows, np.ndarray):
-        writable = rows.flags.writeable
+        frozen = is_frozen(rows)
     else:
-        writable = any(r.flags.writeable for r in rows)
-    if writable:
+        # is_frozen(r), inlined for an owner (base None)
+        frozen = not any(r.flags.writeable or r.base is not None and not is_frozen(r.base)
+                         for r in rows)
+    if not frozen:
         rows = np.array(rows, dtype=np.uint8)
         rows.flags.writeable = False
     return rows
@@ -362,8 +365,8 @@ def materialize_chain(
     Every emitted array is read-only: the flat image is memoized and
     stored, and restore adopts its pages (see ``VMA.install_pages``).
     A whole page is therefore emitted as is when its writer's array is
-    read-only (a dedup pack payload, a captured page) and copied only
-    when it is writable; a page built from overlays is frozen in place.
+    frozen (a dedup pack payload, a captured page) and copied only when
+    it is not; a page built from overlays is frozen in place.
     """
     if not images:
         raise RestartError("empty image chain")

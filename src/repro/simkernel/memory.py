@@ -38,6 +38,7 @@ __all__ = [
     "VMA",
     "AddressSpace",
     "WriteOutcome",
+    "is_frozen",
     "page_checksum",
 ]
 
@@ -78,6 +79,24 @@ class PageFlag:
     #: Explicitly unprotected by the user-level fault handler: exempt
     #: from armed-VMA first-touch faults until tracking is re-armed.
     UNPROT = 1 << 5
+
+
+_U8 = np.dtype(np.uint8)
+
+#: ``(167 * i) mod 256`` for every byte ``i`` of a page: the pattern
+#: :meth:`AddressSpace.fill_pattern` writes before adding its base byte.
+#: It has period 256, so a longer write tiles it.
+_PATTERN = ((np.arange(4096) * 167) & 0xFF).astype(np.uint8)
+_PATTERN.flags.writeable = False
+
+
+def is_frozen(data: np.ndarray) -> bool:
+    """Whether ``data`` and the arrays whose memory it views are all
+    read-only: only such an array may be adopted without a copy (a
+    read-only view of a writable buffer may not)."""
+    base = data.base
+    return not data.flags.writeable and (
+        base is None or isinstance(base, np.ndarray) and is_frozen(base))
 
 
 def page_checksum(data: np.ndarray) -> int:
@@ -234,25 +253,24 @@ class VMA:
         return arr.copy()
 
     def read_pages(self, pidx: int, npages: int) -> np.ndarray:
-        """Contiguous copy of ``npages`` pages starting at ``pidx``.
+        """Contiguous copy of ``npages`` pages starting at ``pidx``: one
+        fresh 1-D array that owns its memory, so a caller may freeze it
+        in place (``CheckpointImage.take_pages``).
 
         Absent pages read as zeros.  This is the extent-capture fast
-        path: one allocation and ``npages`` row copies instead of
-        ``npages`` separate page copies and Chunk objects.
+        path: one ``np.concatenate`` of the page arrays.
         """
-        out = np.zeros((npages, self.page_size), dtype=np.uint8)
-        for i in range(npages):
-            arr = self.pages.get(pidx + i)
-            if arr is not None:
-                out[i] = arr
-        return out.reshape(-1)
+        zero = np.zeros(self.page_size, dtype=np.uint8)
+        get = self.pages.get
+        return np.concatenate([get(p, zero) for p in range(pidx, pidx + npages)])
 
     def install_page(self, pidx: int, data: np.ndarray, dirty: bool = False) -> None:
         """Install page contents (used by restart).
 
-        A read-only ``data`` is an immutable checkpoint payload and is
-        adopted as is; a writable one is copied, so a caller's buffer is
-        never aliased.
+        A ``data`` that is read-only down to the memory it views is an
+        immutable checkpoint payload and is adopted as is; any other
+        (a writable array, or a read-only view of a writable buffer) is
+        copied, so a caller's buffer is never aliased.
         """
         if data.shape != (self.page_size,):
             raise MemoryError_(
@@ -266,21 +284,29 @@ class VMA:
         """Install whole pages ``p0 ..`` from ``rows``: the rows of an
         ``(n, page_size)`` stack, or a row extent's tuple of page arrays.
 
-        Read-only rows are adopted without a copy (see :meth:`install_page`);
-        if any row is writable, all of them are copied into one stack.
+        Frozen ``uint8`` rows are adopted without a copy (see
+        :meth:`install_page` and :func:`is_frozen`); if any row is not,
+        all of them are copied into one stack.
         """
         n = len(rows)
         ps = self.page_size
         if isinstance(rows, np.ndarray):
             shaped = rows.shape == (n, ps)
-            frozen = not rows.flags.writeable and rows.dtype == np.uint8
+            adopt = rows.dtype is _U8 and is_frozen(rows)
         else:
-            shaped = all(r.shape == (ps,) for r in rows)
-            frozen = not any(r.flags.writeable or r.dtype != np.uint8 for r in rows)
+            shaped, adopt, shape = True, True, (ps,)
+            for r in rows:
+                if r.shape != shape:
+                    shaped = False
+                    break
+                # is_frozen(r), inlined for an owner (base None)
+                if adopt and (r.dtype is not _U8 or r.flags.writeable
+                              or r.base is not None and not is_frozen(r.base)):
+                    adopt = False
         if not shaped:
             raise MemoryError_(f"page rows are not {n} arrays of shape ({ps},)")
         span = range(p0, p0 + n)
-        if frozen:
+        if adopt:
             self.adopted.update(span)
         else:
             rows = np.array(rows, dtype=np.uint8)
@@ -474,9 +500,9 @@ class AddressSpace:
         without storing the expected data anywhere else.
         """
         arr, _ = vma.ensure_page(pidx)
-        base = (seed * 2654435761 + vma.start + pidx * 977 + offset) & 0xFFFFFFFF
-        vals = (np.arange(length, dtype=np.uint32) * 167 + base) & 0xFF
-        arr[offset : offset + length] = vals.astype(np.uint8)
+        base = (seed * 2654435761 + vma.start + pidx * 977 + offset) & 0xFF
+        pattern = _PATTERN[:length] if length <= _PATTERN.size else np.resize(_PATTERN, length)
+        np.add(pattern, base, out=arr[offset : offset + length])
 
     # -- tracking --------------------------------------------------------
     def protect_for_tracking(self, vma_names: Optional[List[str]] = None) -> int:

@@ -112,8 +112,13 @@ class ContentStore(StorageBackend):
         self._refs: Dict[str, int] = {}
         #: content key -> pack blob that holds its payload.
         self._home: Dict[str, str] = {}
-        #: pack key -> content keys packed in it.
-        self._pack_members: Dict[str, List[str]] = {}
+        #: pack key -> its payloads by content key.
+        self._pack_members: Dict[str, Dict[str, np.ndarray]] = {}
+        #: id(payload) -> (payload, content key) for every payload array
+        #: of a live pack, so a flat built from pack rows (a compaction)
+        #: is not digested again.  Only a shortcut: any other array,
+        #: however equal its bytes, is digested.
+        self._payload_keys: Dict[int, Tuple[np.ndarray, str]] = {}
         #: pack key -> distinct referenced content keys still alive.
         self._pack_live: Dict[str, int] = {}
         #: manifest key -> the content keys it references (for delete).
@@ -147,11 +152,15 @@ class ContentStore(StorageBackend):
     ) -> int:
         """Append a manifest row per page of ``chunks``: copy each unseen
         payload into ``pack``, note each committed hit's bytes in
-        ``homed``; return the bytes added to ``pack``.  One
-        :func:`page_digests` call per payload length: extents are
-        reshaped views, single-page chunks are stacked."""
+        ``homed``; return the bytes added to ``pack``.  A row that is a
+        live pack's read-only payload array takes its content key from
+        the store; the others are digested, one :func:`page_digests`
+        call per payload length: extents are reshaped views, the other
+        rows of row extents are stacked."""
         payloads: List[np.ndarray] = []
         by_len: Dict[int, List[np.ndarray]] = {}
+        known: List[Optional[str]] = []  # per row: its key, if stored
+        payload_keys = self._payload_keys
         m = manifest
         vma, page_index, offset, sizes = m.vma, m.page_index, m.offset, m.nbytes
         first = len(sizes)
@@ -162,8 +171,15 @@ class ContentStore(StorageBackend):
             payloads.extend(rows)
             if isinstance(rows, np.ndarray):
                 by_len.setdefault(size, []).append(rows)
-            else:  # a row extent: stacked for the digest only, not kept
-                by_len.setdefault(size, []).extend(r[None] for r in rows)
+                known.extend([None] * n)
+            else:  # a row extent: unknown rows stacked for the digest only
+                for r in rows:
+                    entry = payload_keys.get(id(r))
+                    if entry is not None and entry[0] is r and not r.flags.writeable:
+                        known.append(entry[1])
+                    else:
+                        known.append(None)
+                        by_len.setdefault(size, []).append(r[None])
             vma.extend([c.vma] * n)
             page_index.extend(range(c.page_index, c.page_index + n))
             offset.extend([c.offset] * n)
@@ -177,7 +193,8 @@ class ContentStore(StorageBackend):
             hexes = page_digests(stack, size).astype(">u8").tobytes().hex(" ", 8)
             suffix = f"-{size}"
             keys[size] = iter([h + suffix for h in hexes.split(" ")])
-        ckeys = [next(keys[size]) for size in sizes[first:]]  # back in row order
+        # Back in row order.
+        ckeys = [k or next(keys[size]) for k, size in zip(known, sizes[first:])]
         m.ckeys.extend(ckeys)
         added = 0
         for ckey, payload in zip(ckeys, payloads):
@@ -224,9 +241,10 @@ class ContentStore(StorageBackend):
         manifest_bytes = manifest.meta.size_bytes + REF_RECORD_BYTES * len(ckeys)
         delay = self.inner.store(key, manifest, manifest_bytes, now_ns)
         if pack_key is not None:
-            self._pack_members[pack_key] = list(pack)
+            self._pack_members[pack_key] = pack
             self._pack_live.setdefault(pack_key, 0)
-            for ckey in pack:
+            for ckey, payload in pack.items():
+                self._payload_keys[id(payload)] = (payload, ckey)
                 old = self._home.get(ckey)
                 self._home[ckey] = pack_key
                 if old not in (None, pack_key) and self._refs.get(ckey, 0):
@@ -353,7 +371,8 @@ class ContentStore(StorageBackend):
         self._pack_live[home] -= 1
         if self._pack_live[home] > 0:
             return
-        for member in self._pack_members.pop(home, []):
+        for member, payload in self._pack_members.pop(home, {}).items():
+            del self._payload_keys[id(payload)]
             if self._home.get(member) == home:  # not re-homed since
                 del self._home[member]
                 self._refs.pop(member, None)

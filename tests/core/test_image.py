@@ -96,6 +96,22 @@ class TestChain:
         assert flat.step == 20
         assert not flat.is_incremental
 
+    def test_readonly_views_of_a_writable_buffer_are_copied(self):
+        """A row whose memory owner is writable is not a frozen payload:
+        the flat holds a copy, so a later write to the buffer is not seen."""
+        buf = np.full((2, 4096), 5, dtype=np.uint8)
+        rows = tuple(buf[:])
+        for row in rows:
+            row.flags.writeable = False
+        base = make_image("a")
+        base.chunks.append(Chunk(vma="heap", page_index=0, rows=rows))
+        flat = materialize_chain([base], page_size=4096)
+        buf[:] = 9
+        [chunk] = flat.chunks
+        for row in chunk.page_rows():
+            assert not row.flags.writeable and row[0] == 5
+            assert not np.shares_memory(row, buf)
+
     def test_three_level_chain(self):
         base = make_image("a")
         base.add_page("heap", 0, page(1))

@@ -7,14 +7,18 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MemoryError_
 from repro.simkernel.costs import CostModel
 from repro.simkernel.memory import (
+    VMA,
     AddressSpace,
     PageFlag,
     Prot,
     VMAKind,
+    is_frozen,
     page_checksum,
 )
 
@@ -155,6 +159,129 @@ def test_install_and_read_page_roundtrip(mm):
     heap.install_page(5, data)
     assert heap.test(5, PageFlag.PRESENT)
     np.testing.assert_array_equal(heap.read_page(5), data)
+
+
+def test_install_copies_a_readonly_view_of_a_writable_buffer(mm):
+    """Only an array whose memory owner is read-only is adopted: a
+    read-only view of a caller's writable buffer is copied, so a later
+    write to the buffer does not reach the VMA."""
+    heap = mm.vma("heap")
+    ps = COSTS.page_size
+    buf = np.full(2 * ps, 4, dtype=np.uint8)
+    view = buf[:ps]
+    view.flags.writeable = False
+    heap.install_page(0, view)
+    rows = buf.reshape(2, ps)
+    rows.flags.writeable = False
+    heap.install_pages(2, rows)
+    heap.install_pages(4, tuple(rows))
+    buf[:] = 9
+    for pidx in (0, 2, 3, 4, 5):
+        assert heap.read_page(pidx)[0] == 4
+        assert not np.shares_memory(heap.pages[pidx], buf)
+    assert not heap.adopted
+    assert not is_frozen(view) and not is_frozen(rows)
+
+
+def fill_oracle(vma, pidx, offset, length, seed):
+    """The pattern ``AddressSpace.fill_pattern`` writes, as first defined:
+    ``(167 * i + base) & 0xFF`` over a uint32 ``arange``."""
+    base = (seed * 2654435761 + vma.start + pidx * 977 + offset) & 0xFFFFFFFF
+    return ((np.arange(length, dtype=np.uint32) * 167 + base) & 0xFF).astype(np.uint8)
+
+
+HELPERS = dict(deadline=None, max_examples=60, derandomize=True)
+
+
+@settings(**HELPERS)
+@given(
+    pidx=st.integers(0, 3),
+    offset=st.integers(0, 3 * 4096),
+    length=st.integers(0, 5 * 4096),
+    seed=st.integers(-2**40, 2**40),
+)
+def test_fill_pattern_matches_the_arange_oracle(pidx, offset, length, seed):
+    mm = AddressSpace(CostModel(page_size=8 * 4096))
+    heap = mm.map("heap", 4 * 8 * 4096)
+    offset = min(offset, heap.page_size - length)
+    mm.fill_pattern(heap, pidx, offset, length, seed)
+    got = heap.read_page(pidx)
+    np.testing.assert_array_equal(
+        got[offset : offset + length], fill_oracle(heap, pidx, offset, length, seed))
+    assert not got[:offset].any() and not got[offset + length :].any()
+
+
+@settings(**HELPERS)
+@given(
+    present=st.lists(st.booleans(), min_size=1, max_size=12),
+    start=st.integers(0, 11),
+    npages=st.integers(1, 12),
+)
+def test_read_pages_equals_concatenated_read_page(present, start, npages):
+    mm = AddressSpace(COSTS)
+    heap = mm.map("heap", 24 * COSTS.page_size)
+    for pidx, here in enumerate(present):
+        if here:
+            mm.fill_pattern(heap, pidx, 0, COSTS.page_size, seed=pidx)
+    got = heap.read_pages(start, npages)
+    want = np.concatenate([heap.read_page(p) for p in range(start, start + npages)])
+    np.testing.assert_array_equal(got, want)
+    assert got.base is None  # owns its memory: take_pages freezes it
+    for pidx in range(start, start + npages):
+        mm.fill_pattern(heap, pidx, 0, COSTS.page_size, seed=99)
+    np.testing.assert_array_equal(got, want)
+
+
+rows_kind = st.sampled_from(["frozen", "writable", "int16", "view"])
+
+
+def make_rows(kind, n, ps, as_stack):
+    """``n`` page rows as one stack or a tuple of arrays that each own
+    their memory; "view" rows are read-only views of a writable buffer."""
+    dtype = np.uint16 if kind == "int16" else np.uint8
+    owners = [np.arange(i, i + ps).astype(dtype) for i in range(n)]
+    if as_stack:
+        owners = [np.stack(owners)]
+    rows = [a[:] if kind == "view" else a for a in owners]
+    for a in rows:
+        a.flags.writeable = kind == "writable"
+    return rows[0] if as_stack else tuple(rows)
+
+
+@settings(**HELPERS)
+@given(kind=rows_kind, n=st.integers(1, 6), as_stack=st.booleans())
+def test_install_pages_adopts_only_frozen_uint8_rows(kind, n, as_stack):
+    ps = 64
+    vma = VMA("m", 0, 8, Prot.RW, VMAKind.ANON, ps)
+    rows = make_rows(kind, n, ps, as_stack)
+    vma.install_pages(1, rows)
+    span = range(1, 1 + n)
+    for i, pidx in enumerate(span):
+        page = vma.pages[pidx]
+        assert page.dtype == np.uint8 and page.shape == (ps,)
+        np.testing.assert_array_equal(page, np.asarray(rows[i]).astype(np.uint8))
+        if kind == "frozen":
+            assert page is rows[i] if not as_stack else np.shares_memory(page, rows)
+        else:
+            assert not np.shares_memory(page, np.asarray(rows[i]))
+    assert vma.adopted == (set(span) if kind == "frozen" else set())
+    assert all(vma.test(p, PageFlag.PRESENT) for p in span)
+
+
+@settings(**HELPERS)
+@given(n=st.integers(1, 4), bad=st.sampled_from([(63,), (65,), (1, 64), (64, 1)]),
+       where=st.integers(0, 3), as_stack=st.booleans())
+def test_install_pages_rejects_a_bad_shape(n, bad, where, as_stack):
+    vma = VMA("m", 0, 8, Prot.RW, VMAKind.ANON, 64)
+    if as_stack:
+        rows = np.zeros((n,) + bad, dtype=np.uint8)
+    else:
+        rows = [np.zeros(64, dtype=np.uint8) for _ in range(n)]
+        rows[where % n] = np.zeros(bad, dtype=np.uint8)
+        rows = tuple(rows)
+    with pytest.raises(MemoryError_):
+        vma.install_pages(0, rows)
+    assert not vma.pages and not vma.adopted
 
 
 def test_total_present_pages_and_iter(mm):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.image import CheckpointImage
+import repro.core.digest as digest
+from repro.core.image import CheckpointImage, materialize_chain
 from repro.errors import StorageError
 from repro.obs.metrics import MetricsRegistry
 from repro.simkernel import Engine
@@ -194,6 +195,7 @@ class TestOverwriteKeepsLivePacks:
         store.delete("g/2")
         store.delete("g/1")
         assert list(inner.keys()) == []
+        assert store._payload_keys == {}
 
     def test_store_overwrite(self):
         inner, store, g2, g1b = self._setup()
@@ -324,3 +326,69 @@ class TestShapeIndependence:
                 store.delete(key)
             assert list(store.inner.keys()) == []
             assert store._pack_members == {} and store._refs == {}
+            assert store._payload_keys == {}
+
+
+class TestDigestOnce:
+    """A stored pack payload is digested once: a flat built from pack
+    rows (a compaction) takes their content keys from the store."""
+
+    @pytest.fixture
+    def digested(self, monkeypatch):
+        """Bytes passed to ``block_digests`` while the test runs."""
+        counted = [0]
+        real = digest.block_digests
+
+        def counting(data, block_size):
+            counted[0] += data.size
+            return real(data, block_size)
+
+        monkeypatch.setattr(digest, "block_digests", counting)
+        return counted
+
+    @staticmethod
+    def _chain(store):
+        base = make_image("m/1/1", [1, 2, 3, 4, 5, 6])
+        delta = make_image("m/1/2", [7, 8], parent="m/1/1")
+        for img in (base, delta):
+            store.store(img.key, img, img.size_bytes, 0)
+        loaded = [store.load(k, 0)[0] for k in ("m/1/1", "m/1/2")]
+        return materialize_chain(loaded, page_size=4096)
+
+    def test_compacted_flat_is_stored_without_a_digest(self, digested):
+        store = ContentStore(MemoryStorage())
+        flat = self._chain(store)
+        assert all(c.rows is not None for c in flat.chunks)  # pack rows
+        before = digested[0]
+        store.store(flat.key, flat, flat.size_bytes, 0)
+        assert digested[0] == before  # 0 bytes digested
+        cold = ContentStore(MemoryStorage())
+        cold.store(flat.key, flat, flat.size_bytes, 0)
+        assert digested[0] == before + 6 * 4096
+        assert store.peek(flat.key).ckeys == cold.peek(flat.key).ckeys
+        assert store.peek(flat.key).pack_key is None  # every row a hit
+
+    def test_equal_bytes_that_are_not_a_payload_are_digested(self, digested):
+        store = ContentStore(MemoryStorage())
+        flat = self._chain(store)
+        for chunk in flat.chunks:  # same bytes, fresh read-only arrays
+            rows = []
+            for row in chunk.rows:
+                row = row.copy()
+                row.flags.writeable = False
+                rows.append(row)
+            chunk.rows = tuple(rows)
+        before = digested[0]
+        store.store(flat.key, flat, flat.size_bytes, 0)
+        assert digested[0] == before + 6 * 4096
+        assert store.peek(flat.key).pack_key is None  # still all hits
+
+    def test_identity_map_empties_with_the_packs(self):
+        store = ContentStore(MemoryStorage())
+        flat = self._chain(store)
+        store.store(flat.key, flat, flat.size_bytes, 0)
+        assert len(store._payload_keys) == 8  # the two packs' payloads
+        for key in list(store.keys()):
+            store.delete(key)
+        assert store._pack_members == {} and store._payload_keys == {}
+        assert list(store.inner.keys()) == []
