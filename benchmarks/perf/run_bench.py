@@ -11,9 +11,9 @@ PR's perf claims live here:
   vs a faithful reimplementation of the seed's scalar per-block loop
   (``zlib.adler32`` per slice plus a dict lookup per block).  The
   acceptance bar is a >=3x speedup.
-* ``capture``     -- extent-coalesced page capture (``read_pages`` +
-  ``add_extent`` per run) vs the seed's per-page ``read_page`` +
-  ``add_page`` loop.
+* ``capture``     -- the capture path, one ``take_pages`` row extent of
+  the live arrays ``read_pages`` freezes per run, vs a per-page copy
+  loop (``read_page`` + the copying ``add_page``).
 * ``materialize`` -- flattening an incremental chain (extent base plus
   sub-page delta generations) with the overlay-based
   :func:`~repro.core.image.materialize_chain`.
@@ -201,10 +201,7 @@ def bench_capture(npages: int, repeats: int) -> Dict:
     def extents() -> None:
         img = meta()
         for name, start, n in _extent_runs(pages):
-            if n == 1:
-                img.add_page(name, start, vma.read_page(start))
-            else:
-                img.add_extent(name, start, vma.read_pages(start, n), n)
+            img.take_pages(name, start, vma.read_pages(start, n))
 
     t_page = best_of(per_page, repeats)
     t_ext = best_of(extents, repeats)

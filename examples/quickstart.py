@@ -28,7 +28,7 @@ def main() -> None:
     kernel = Kernel(ncpus=2, seed=42)
 
     # --- 2. an application: a Jacobi-style stencil sweep ----------------
-    app = StencilKernel(iterations=2_000, heap_bytes=2 * 1024 * 1024, seed=7)
+    app = StencilKernel(iterations=200, heap_bytes=2 * 1024 * 1024, seed=7)
     task = app.spawn(kernel)
     kernel.run_for(20 * NS_PER_MS)
     print(f"app running: pid={task.pid}, {task.main_steps} ops completed, "
@@ -45,7 +45,7 @@ def main() -> None:
     )
     image = request.image
     print(f"checkpoint {image.key!r}: {fmt_bytes(image.size_bytes)} "
-          f"({len(image.chunks)} pages), app stalled {fmt_ns(request.target_stall_ns)}, "
+          f"({sum(c.npages for c in image.chunks)} pages), app stalled {fmt_ns(request.target_stall_ns)}, "
           f"capture took {fmt_ns(request.capture_duration_ns)}")
 
     # --- 4. restart into a fresh process --------------------------------
@@ -57,7 +57,7 @@ def main() -> None:
     # --- 5. byte-exact equivalence with an uninterrupted run ------------
     clean_kernel = Kernel(ncpus=2, seed=42)
     clean_task = StencilKernel(
-        iterations=2_000, heap_bytes=2 * 1024 * 1024, seed=7
+        iterations=200, heap_bytes=2 * 1024 * 1024, seed=7
     ).spawn(clean_kernel)
     clean_kernel.run_until_exit(clean_task, limit_ns=10**14)
     same = memory_digest(restored.task)["heap"] == memory_digest(clean_task)["heap"]

@@ -238,8 +238,10 @@ def capture_extents(
     """Copy the selected pages into the image; yield ``(chunk, copy_cost_ns)``.
 
     Contiguous runs of selected pages within a VMA coalesce into one
-    extent chunk (one array slice + one Chunk object instead of one per
-    page), capped at :data:`MAX_EXTENT_PAGES`.  The cost is one
+    row extent (one Chunk object instead of one per page), capped at
+    :data:`MAX_EXTENT_PAGES`.  The rows are the VMA's live page arrays,
+    frozen in place: the host copies a page only when the task next
+    writes it (``VMA.ensure_page``).  The simulated cost is still one
     page-memcpy per page, charged per extent.  The pipelined COW drain
     uses this directly: it needs the chunk *object* as soon as its
     memcpy finishes so it can hand the extent to the writeback pipeline
@@ -253,8 +255,8 @@ def capture_extents(
         metrics.inc("capture.bytes", len(pages) * page_size)
     for vma_name, start, npages in _extent_runs(pages):
         vma = target.mm.vma(vma_name)
-        data = vma.read_page(start) if npages == 1 else vma.read_pages(start, npages)
-        yield image.take_pages(vma_name, start, data, npages), per_page_ns * npages
+        rows = vma.read_pages(start, npages)
+        yield image.take_pages(vma_name, start, rows), per_page_ns * npages
 
 
 #: Stores are issued in slices of roughly this much virtual time so the
@@ -383,10 +385,10 @@ def restore_image(
     install_ns = 0
     for chunk in image.chunks:
         vma = mm.vma(chunk.vma)
-        if chunk.npages > 1 or (chunk.offset == 0 and chunk.nbytes == vma.page_size):
+        if chunk.rows is not None:
             # Whole pages: a row extent hands over its rows as they are.
-            vma.install_pages(chunk.page_index, chunk.page_rows())
-            install_ns += costs.memcpy_ns(vma.page_size) * chunk.npages
+            vma.install_pages(chunk.page_index, chunk.rows)
+            install_ns += costs.memcpy_ns(vma.page_size) * len(chunk.rows)
         else:
             arr, _ = vma.ensure_page(chunk.page_index)
             arr[chunk.offset : chunk.offset + chunk.nbytes] = chunk.data

@@ -36,24 +36,22 @@ class Chunk:
     """One span of saved memory.
 
     ``offset``/``nbytes`` allow sub-page blocks; page-granularity
-    mechanisms use offset 0 and nbytes == page_size.  ``npages > 1``
-    marks an *extent* of that many pages starting at ``page_index``
-    (offset must be 0).  Extents collapse thousands of per-page Chunk
-    objects into a handful; everything that consumes chunks either
-    handles extents natively or splits them with :meth:`split_pages`.
+    mechanisms save whole pages.  Whole pages are always a **row
+    extent**: ``rows`` holds one read-only array per page, ``npages``
+    of them starting at ``page_index`` (offset 0).  The rows are their
+    writers' own frozen arrays -- the captured VMA's live pages, dedup
+    pack payloads, or the pages a chain flatten kept -- so a row extent
+    aliases what it was built from instead of copying it.  Extents
+    collapse thousands of per-page Chunk objects into a handful;
+    everything that consumes chunks either handles extents natively or
+    splits them with :meth:`split_pages`.  :meth:`page_rows`,
+    :meth:`split_pages` and :attr:`nbytes` read the rows; ``data`` is
+    concatenated only if some consumer asks for it.
 
-    A whole-page payload takes one of two forms:
-
-    * ``data``: one contiguous array (a capture's page copy);
-    * ``rows``: a *row extent*, one array per page.  The rows are their
-      writers' own read-only arrays -- dedup pack payloads, or the pages
-      a chain flatten kept -- so a row extent aliases what it was built
-      from instead of copying it.  :meth:`page_rows`,
-      :meth:`split_pages` and :attr:`nbytes` read the rows; ``data`` is
-      concatenated only if some consumer asks for it.
+    Any other payload is one ``data`` array: a sub-page block.
     """
 
-    __slots__ = ("vma", "page_index", "offset", "npages", "rows", "_data", "_checksum")
+    __slots__ = ("vma", "page_index", "offset", "rows", "_data", "_checksum")
 
     def __init__(
         self,
@@ -61,26 +59,26 @@ class Chunk:
         page_index: int,
         offset: int = 0,
         data: Optional[np.ndarray] = None,
-        npages: int = 1,
         rows: Optional[Tuple[np.ndarray, ...]] = None,
     ) -> None:
         if rows is not None:
             if data is not None or offset != 0 or not rows:
                 raise CheckpointError("a row extent holds whole pages only")
-            npages = len(rows)
         elif data is None:
             raise CheckpointError("chunk needs data or rows")
-        elif npages > 1 and offset != 0:
-            raise CheckpointError("multi-page extent must start at offset 0")
         self.vma = vma
         self.page_index = page_index
         self.offset = offset
-        self.npages = npages
         self.rows = rows
         self._data = data
         #: Lazily computed on first access (many chunks are captured, sent
         #: and dropped without anyone reading the checksum).
         self._checksum: Optional[int] = None
+
+    @property
+    def npages(self) -> int:
+        """Pages in the extent (1 for a block)."""
+        return 1 if self.rows is None else len(self.rows)
 
     @property
     def data(self) -> np.ndarray:
@@ -96,12 +94,6 @@ class Chunk:
         return self._data
 
     @property
-    def whole(self) -> bool:
-        """Whether the chunk is known to hold whole pages (a row extent or
-        a multi-page extent) without knowing the page size."""
-        return self.rows is not None or self.npages > 1
-
-    @property
     def checksum(self) -> int:
         """Deterministic checksum of the payload, computed on demand."""
         if self._checksum is None:
@@ -112,23 +104,23 @@ class Chunk:
     def nbytes(self) -> int:
         """Saved payload size."""
         if self.rows is not None:
-            return self.npages * int(self.rows[0].size)
+            return len(self.rows) * int(self.rows[0].size)
         return int(self._data.size)
 
     def page_rows(self) -> Sequence[np.ndarray]:
-        """One array per page: the rows of a row extent, else row views
-        of ``data`` as an ``(npages, nbytes // npages)`` stack."""
+        """One array per page: the rows of a row extent, else ``data``."""
         if self.rows is not None:
             return self.rows
-        return self._data.reshape(self.npages, -1)
+        return (self._data,)
 
     def split_pages(self) -> Iterator["Chunk"]:
-        """Yield per-page chunks (self if not an extent; views, no copies)."""
-        if self.npages == 1:
+        """Yield per-page chunks (self if not an extent; no copies)."""
+        rows = self.rows
+        if rows is None or len(rows) == 1:
             yield self
             return
-        for i, row in enumerate(self.page_rows()):
-            yield Chunk(vma=self.vma, page_index=self.page_index + i, offset=0, data=row)
+        for i, row in enumerate(rows):
+            yield Chunk(vma=self.vma, page_index=self.page_index + i, rows=(row,))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         form = "rows" if self.rows is not None else "data"
@@ -215,25 +207,22 @@ class CheckpointImage:
 
     # ------------------------------------------------------------------
     def take_pages(
-        self, vma_name: str, page_index: int, data: np.ndarray, npages: int = 1
+        self, vma_name: str, page_index: int, rows: Sequence[np.ndarray]
     ) -> Chunk:
-        """Append ``npages`` whole pages from ``data``, a fresh array the
-        image takes over: it is frozen in place, not copied (a capture's
-        :meth:`VMA.read_page <repro.simkernel.memory.VMA.read_page>` or
-        ``read_pages`` result).  A single page becomes a one-row extent,
-        so a store can tell it is a whole page."""
-        data.flags.writeable = False
-        if npages == 1:
-            chunk = Chunk(vma=vma_name, page_index=page_index, rows=(data,))
-        else:
-            chunk = Chunk(vma=vma_name, page_index=page_index, offset=0,
-                          data=data.reshape(-1), npages=npages)
+        """Append whole pages ``page_index ..`` as a row extent of
+        ``rows``, frozen page arrays the image shares instead of copying
+        (a capture passes :meth:`VMA.read_page(s)
+        <repro.simkernel.memory.VMA.read_pages>`, the VMA's own live
+        arrays, frozen in place)."""
+        chunk = Chunk(vma=vma_name, page_index=page_index, rows=tuple(rows))
         self.chunks.append(chunk)
         return chunk
 
     def add_page(self, vma_name: str, page_index: int, data: np.ndarray) -> Chunk:
         """Append one whole-page chunk (copying ``data``)."""
-        return self.take_pages(vma_name, page_index, np.array(data, copy=True))
+        data = np.array(data, copy=True)
+        data.flags.writeable = False
+        return self.take_pages(vma_name, page_index, (data,))
 
     def add_block(
         self, vma_name: str, page_index: int, offset: int, data: np.ndarray
@@ -249,8 +238,11 @@ class CheckpointImage:
     def add_extent(
         self, vma_name: str, page_index: int, data: np.ndarray, npages: int
     ) -> Chunk:
-        """Append a multi-page extent chunk (copying ``data``)."""
-        return self.take_pages(vma_name, page_index, np.array(data, copy=True), npages)
+        """Append ``npages`` whole pages from the contiguous ``data``
+        (copied once, frozen, one row per page)."""
+        data = np.array(data, copy=True)
+        data.flags.writeable = False
+        return self.take_pages(vma_name, page_index, data.reshape(npages, -1))
 
     # ------------------------------------------------------------------
     def verify_against(self, task: Task) -> List[str]:
@@ -308,7 +300,7 @@ class CheckpointImage:
     def chunk_index(self) -> Dict[Any, Chunk]:
         """Last-writer-wins index of chunks by (vma, page, offset).
 
-        Extents are split into per-page entries (data views, no copies)
+        Extents are split into per-page entries (the rows themselves, no copies)
         so callers see the same keys regardless of capture coalescing.
         """
         out: Dict[Any, Chunk] = {}
@@ -319,17 +311,12 @@ class CheckpointImage:
 
 
 def _frozen_rows(chunk: Chunk) -> Sequence[np.ndarray]:
-    """A whole-page chunk's page rows, frozen: a payload that is not
-    read-only down to its memory's owner (see ``is_frozen``) is copied
-    (once, whole), a frozen one is returned as is."""
+    """A whole-page chunk's page rows, frozen: if a row is not read-only
+    down to its memory's owner (see ``is_frozen``), all are copied into
+    one frozen stack; frozen rows are returned as they are."""
     rows = chunk.page_rows()
-    if isinstance(rows, np.ndarray):
-        frozen = is_frozen(rows)
-    else:
-        # is_frozen(r), inlined for an owner (base None)
-        frozen = not any(r.flags.writeable or r.base is not None and not is_frozen(r.base)
-                         for r in rows)
-    if not frozen:
+    # is_frozen(r), inlined for an owner (base None)
+    if any(r.flags.writeable or r.base is not None and not is_frozen(r.base) for r in rows):
         rows = np.array(rows, dtype=np.uint8)
         rows.flags.writeable = False
     return rows

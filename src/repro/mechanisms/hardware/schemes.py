@@ -79,8 +79,7 @@ class HardwareCheckpointer(Checkpointer):
             for vma in task.mm.vmas:
                 resident = [(vma.name, int(p)) for p in vma.present_pages()]
                 for name, start, npages in _extent_runs(resident):
-                    data = vma.read_page(start) if npages == 1 else vma.read_pages(start, npages)
-                    image.take_pages(name, start, data, npages)
+                    image.take_pages(name, start, vma.read_pages(start, npages))
             self.tracker.drain_into(task, CheckpointImage(
                 key="discard", mechanism="", pid=0, task_name="", node_id=0,
                 step=0, registers={},

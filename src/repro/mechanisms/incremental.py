@@ -314,7 +314,7 @@ class AdaptiveBlockTracker:
             density = self._density.get(key, 0.0)
             if density >= self.dense_threshold:
                 vma = target.mm.vma(vma_name)
-                image.take_pages(vma_name, pidx, vma.read_page(pidx))
+                image.take_pages(vma_name, pidx, (vma.read_page(pidx),))
                 self.pages_saved_whole += 1
                 # Whole page assumed changed; refresh digests lazily by
                 # dropping them (they will be rebuilt on the next scan).

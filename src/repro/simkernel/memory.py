@@ -24,7 +24,8 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,11 +93,19 @@ _PATTERN.flags.writeable = False
 
 def is_frozen(data: np.ndarray) -> bool:
     """Whether ``data`` and the arrays whose memory it views are all
-    read-only: only such an array may be adopted without a copy (a
+    read-only: only such an array may be kept without a copy (a
     read-only view of a writable buffer may not)."""
     base = data.base
     return not data.flags.writeable and (
         base is None or isinstance(base, np.ndarray) and is_frozen(base))
+
+
+@lru_cache(maxsize=None)
+def _zero_page(page_size: int) -> np.ndarray:
+    """The shared read-only zero page of ``page_size`` bytes."""
+    page = np.zeros(page_size, dtype=np.uint8)
+    page.flags.writeable = False
+    return page
 
 
 def page_checksum(data: np.ndarray) -> int:
@@ -173,13 +182,12 @@ class VMA:
         self.shared = shared
         self.file_path = file_path
         self.shm_key = shm_key
-        #: Sparse page contents: page index -> uint8 array.  Arrays may be
-        #: shared with a forked sibling until a COW fault copies them.
+        #: Sparse page contents: page index -> uint8 array.  A writable
+        #: array belongs to this VMA alone (or to its forked siblings,
+        #: until a COW fault copies it); a read-only one is frozen -- a
+        #: checkpoint image holds it too -- and :meth:`ensure_page`
+        #: copies it before its first in-place write.
         self.pages: Dict[int, np.ndarray] = {}
-        #: Pages whose array is an adopted read-only checkpoint payload
-        #: (:meth:`install_page`); :meth:`ensure_page` copies one before
-        #: its first in-place write.  Empty unless the VMA was restored.
-        self.adopted: Set[int] = set()
         #: Per-page flag word.
         self.flags: np.ndarray = np.zeros(npages, dtype=np.uint8)
         #: Dirty tracking armed on the whole VMA: ``mprotect`` covers the
@@ -230,8 +238,8 @@ class VMA:
     def ensure_page(self, pidx: int, write: bool = True) -> Tuple[np.ndarray, bool]:
         """Return the backing array for ``pidx``, allocating if needed.
 
-        Returns ``(array, allocated_now)``.  Unless ``write`` is False, an
-        adopted page is first swapped for a private copy, so the array
+        Returns ``(array, allocated_now)``.  Unless ``write`` is False, a
+        frozen page is first swapped for a private copy, so the array
         returned may be mutated in place.
         """
         arr = self.pages.get(pidx)
@@ -240,35 +248,32 @@ class VMA:
             self.pages[pidx] = arr
             self.set_flag(pidx, PageFlag.PRESENT)
             return arr, True
-        if write and pidx in self.adopted:
-            self.adopted.remove(pidx)
+        if write and not arr.flags.writeable:
             arr = self.pages[pidx] = arr.copy()
         return arr, False
 
     def read_page(self, pidx: int) -> np.ndarray:
-        """Copy of page ``pidx`` contents (zeros if never touched)."""
+        """Page ``pidx``'s live array, frozen in place (no copy): the
+        VMA's next write to the page copies it first (see
+        :meth:`ensure_page`).  A page never touched reads as the shared
+        read-only zero page."""
         arr = self.pages.get(pidx)
         if arr is None:
-            return np.zeros(self.page_size, dtype=np.uint8)
-        return arr.copy()
+            return _zero_page(self.page_size)
+        arr.flags.writeable = False
+        return arr
 
-    def read_pages(self, pidx: int, npages: int) -> np.ndarray:
-        """Contiguous copy of ``npages`` pages starting at ``pidx``: one
-        fresh 1-D array that owns its memory, so a caller may freeze it
-        in place (``CheckpointImage.take_pages``).
-
-        Absent pages read as zeros.  This is the extent-capture fast
-        path: one ``np.concatenate`` of the page arrays.
-        """
-        zero = np.zeros(self.page_size, dtype=np.uint8)
-        get = self.pages.get
-        return np.concatenate([get(p, zero) for p in range(pidx, pidx + npages)])
+    def read_pages(self, pidx: int, npages: int) -> List[np.ndarray]:
+        """The live arrays of ``npages`` pages from ``pidx``, each frozen
+        in place like :meth:`read_page`: the rows of a capture's row
+        extent (``CheckpointImage.take_pages``)."""
+        return [self.read_page(p) for p in range(pidx, pidx + npages)]
 
     def install_page(self, pidx: int, data: np.ndarray, dirty: bool = False) -> None:
         """Install page contents (used by restart).
 
         A ``data`` that is read-only down to the memory it views is an
-        immutable checkpoint payload and is adopted as is; any other
+        immutable checkpoint payload and is kept as is; any other
         (a writable array, or a read-only view of a writable buffer) is
         copied, so a caller's buffer is never aliased.
         """
@@ -276,42 +281,34 @@ class VMA:
             raise MemoryError_(
                 f"page data shape {data.shape} != ({self.page_size},)"
             )
-        self.install_pages(pidx, data.reshape(1, -1))
+        self.install_pages(pidx, (data,))
         if dirty:
             self.set_flag(pidx, PageFlag.DIRTY)
 
     def install_pages(self, p0: int, rows: Sequence[np.ndarray]) -> None:
-        """Install whole pages ``p0 ..`` from ``rows``: the rows of an
-        ``(n, page_size)`` stack, or a row extent's tuple of page arrays.
+        """Install whole pages ``p0 ..`` from ``rows``, one array per page
+        (a row extent's rows).
 
-        Frozen ``uint8`` rows are adopted without a copy (see
+        Frozen ``uint8`` rows are kept without a copy (see
         :meth:`install_page` and :func:`is_frozen`); if any row is not,
-        all of them are copied into one stack.
+        all of them are copied into one writable stack.
         """
         n = len(rows)
         ps = self.page_size
-        if isinstance(rows, np.ndarray):
-            shaped = rows.shape == (n, ps)
-            adopt = rows.dtype is _U8 and is_frozen(rows)
-        else:
-            shaped, adopt, shape = True, True, (ps,)
-            for r in rows:
-                if r.shape != shape:
-                    shaped = False
-                    break
-                # is_frozen(r), inlined for an owner (base None)
-                if adopt and (r.dtype is not _U8 or r.flags.writeable
-                              or r.base is not None and not is_frozen(r.base)):
-                    adopt = False
+        shaped, adopt, shape = True, True, (ps,)
+        for r in rows:
+            if r.shape != shape:
+                shaped = False
+                break
+            # is_frozen(r), inlined for an owner (base None)
+            if adopt and (r.dtype is not _U8 or r.flags.writeable
+                          or r.base is not None and not is_frozen(r.base)):
+                adopt = False
         if not shaped:
             raise MemoryError_(f"page rows are not {n} arrays of shape ({ps},)")
-        span = range(p0, p0 + n)
-        if adopt:
-            self.adopted.update(span)
-        else:
+        if not adopt:
             rows = np.array(rows, dtype=np.uint8)
-            self.adopted.difference_update(span)
-        self.pages.update(zip(span, rows))
+        self.pages.update(zip(range(p0, p0 + n), rows))
         self.flags[p0 : p0 + n] |= PageFlag.PRESENT
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -471,8 +468,7 @@ class AddressSpace:
             raise MemoryError_("write crosses page boundary; split it first")
         out = WriteOutcome(vma=vma, page_index=pidx)
         if vma.test(pidx, PageFlag.COW) and not vma.shared:
-            # The COW copy also makes an adopted page private: one copy.
-            vma.adopted.discard(pidx)
+            # The COW copy also makes a frozen page private: one copy.
             vma.pages[pidx] = vma.pages[pidx].copy()
             vma.clear_flag(pidx, PageFlag.COW)
             out.cow_copied = True
@@ -561,10 +557,8 @@ class AddressSpace:
             cv.flags = vma.flags.copy()
             if vma.shared:
                 cv.pages = vma.pages  # genuinely shared object
-                cv.adopted = vma.adopted
             else:
                 cv.pages = dict(vma.pages)  # share page arrays, COW both
-                cv.adopted = set(vma.adopted)
                 present = (vma.flags & PageFlag.PRESENT) != 0
                 vma.flags[present] |= PageFlag.COW
                 cv.flags[present] |= PageFlag.COW

@@ -69,7 +69,7 @@ class ImageManifest:
     page_index: List[int] = field(default_factory=list)
     offset: List[int] = field(default_factory=list)
     nbytes: List[int] = field(default_factory=list)
-    #: Whether the row is a whole page (of a row or multi-page extent):
+    #: Whether the row is a whole page (of a row extent):
     #: the store does not know the page size, so the writer's chunk says.
     whole: List[bool] = field(default_factory=list)
 
@@ -154,9 +154,8 @@ class ContentStore(StorageBackend):
         payload into ``pack``, note each committed hit's bytes in
         ``homed``; return the bytes added to ``pack``.  A row that is a
         live pack's read-only payload array takes its content key from
-        the store; the others are digested, one :func:`page_digests`
-        call per payload length: extents are reshaped views, the other
-        rows of row extents are stacked."""
+        the store; the others are collected per payload length and
+        digested in one :func:`page_digests` call per length."""
         payloads: List[np.ndarray] = []
         by_len: Dict[int, List[np.ndarray]] = {}
         known: List[Optional[str]] = []  # per row: its key, if stored
@@ -165,29 +164,32 @@ class ContentStore(StorageBackend):
         vma, page_index, offset, sizes = m.vma, m.page_index, m.offset, m.nbytes
         first = len(sizes)
         for c in chunks:
-            n = c.npages
-            size = c.nbytes // n
             rows = c.page_rows()
+            n = len(rows)
+            size = int(rows[0].size)
             payloads.extend(rows)
-            if isinstance(rows, np.ndarray):
-                by_len.setdefault(size, []).append(rows)
-                known.extend([None] * n)
-            else:  # a row extent: unknown rows stacked for the digest only
-                for r in rows:
-                    entry = payload_keys.get(id(r))
+            unknown = by_len.setdefault(size, [])
+            entries = list(map(payload_keys.get, map(id, rows)))
+            if not any(entries):  # no pack payload among them: digest all
+                known.extend(entries)
+                unknown.extend(rows)
+            else:
+                for r, entry in zip(rows, entries):
                     if entry is not None and entry[0] is r and not r.flags.writeable:
                         known.append(entry[1])
                     else:
                         known.append(None)
-                        by_len.setdefault(size, []).append(r[None])
+                        unknown.append(r)
             vma.extend([c.vma] * n)
             page_index.extend(range(c.page_index, c.page_index + n))
             offset.extend([c.offset] * n)
             sizes.extend([size] * n)
-            m.whole.extend([c.whole] * n)
+            m.whole.extend([c.rows is not None] * n)
         keys: Dict[int, Iterator[str]] = {}
-        for size, parts in by_len.items():
-            stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for size, rows in by_len.items():
+            if not rows:
+                continue
+            stack = np.stack(rows)
             # f"{digest:016x}-{size}" for every row: big-endian hex, one
             # 16-digit group per row.
             hexes = page_digests(stack, size).astype(">u8").tobytes().hex(" ", 8)

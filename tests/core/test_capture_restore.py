@@ -303,8 +303,9 @@ class TestZeroCopyRestore:
                                        heap_bytes=128 * 1024))
         assert any(c.rows is not None for c in flat.chunks)  # adopted rows
         copied = replace(flat, chunks=[
-            Chunk(vma=c.vma, page_index=c.page_index, offset=c.offset,
-                  data=c.data.copy(), npages=c.npages)
+            Chunk(vma=c.vma, page_index=c.page_index, rows=tuple(r.copy() for r in c.rows))
+            if c.rows is not None else
+            Chunk(vma=c.vma, page_index=c.page_index, offset=c.offset, data=c.data.copy())
             for c in flat.chunks
         ])
         runs = []
@@ -312,7 +313,7 @@ class TestZeroCopyRestore:
             k = Kernel(seed=8)
             task = restore_image(k, image).task
             child, fork_ns = k.do_fork(task)
-            adopted = len(child.mm.vma("heap").adopted)
+            adopted = sum(not a.flags.writeable for a in child.mm.vma("heap").pages.values())
             k.run_for(20_000_000)
             acct = task.acct
             runs.append((adopted, fork_ns, acct.page_faults, acct.cow_copies,
@@ -328,14 +329,15 @@ class TestZeroCopyRestore:
         data = np.full(vma.page_size, 7, dtype=np.uint8)
         vma.install_page(0, data)
         data[:] = 9
-        assert vma.pages[0][0] == 7 and not vma.adopted
+        assert vma.pages[0][0] == 7 and vma.pages[0].flags.writeable
         frozen = np.full(vma.page_size, 3, dtype=np.uint8)
         frozen.flags.writeable = False
         vma.install_page(1, frozen)
-        assert np.shares_memory(vma.pages[1], frozen) and vma.adopted == {1}
-        # A writable page installed over an adopted one drops the adoption.
+        assert vma.pages[1] is frozen
+        # A writable page installed over a frozen one is a private copy.
         vma.install_pages(1, np.zeros((2, vma.page_size), dtype=np.uint8))
-        assert not vma.adopted
+        assert vma.pages[1] is not frozen
+        assert all(vma.pages[p].flags.writeable for p in vma.pages)
 
     def test_restored_shm_vma_stays_shared_after_a_write(self):
         flat = self._flat(SharedMemoryApp(iterations=10**6, shm_key=41,
@@ -345,11 +347,11 @@ class TestZeroCopyRestore:
         child, _ = k.do_fork(task)
         shm, child_shm = task.mm.vma("shm:41"), child.mm.vma("shm:41")
         page = int(shm.present_pages()[0])
-        assert page in shm.adopted
+        assert not shm.pages[page].flags.writeable  # frozen: the flat's row
         task.mm.write_access(shm, page, 0, 128)
         task.mm.fill_pattern(shm, page, 0, 128, seed=5)
         assert child_shm.pages[page] is shm.pages[page]
-        assert page not in child_shm.adopted  # the copy is the segment's
+        assert child_shm.pages[page].flags.writeable  # the copy is the segment's
         child.mm.write_access(child_shm, page, 128, 128)
         child.mm.fill_pattern(child_shm, page, 128, 128, seed=6)
         assert child_shm.pages[page] is shm.pages[page]

@@ -162,8 +162,8 @@ def overlay_flatten(
             return
         vma, first, bufs = pending
         pending = None
-        merged.append(Chunk(vma=vma, page_index=first, offset=0,
-                            data=np.concatenate(bufs), npages=len(bufs)))
+        merged.append(Chunk(vma=vma, page_index=first,
+                            rows=tuple(np.concatenate(bufs).reshape(len(bufs), -1))))
 
     for vma, pidx in sorted(overlays):
         buf, mask = overlays[(vma, pidx)]
@@ -229,8 +229,8 @@ def concatenating_flatten(
         )
     for (vma, _), run in groupby(enumerate(sorted(whole)), lambda r: (r[1][0], r[1][1] - r[0])):
         keys = [key for _, key in run]
-        merged.append(Chunk(vma=vma, page_index=keys[0][1], offset=0, npages=len(keys),
-                            data=np.concatenate([whole[key] for key in keys])))
+        stack = np.concatenate([whole[key] for key in keys]).reshape(len(keys), -1)
+        merged.append(Chunk(vma=vma, page_index=keys[0][1], rows=tuple(stack)))
     merged.sort(key=lambda c: (c.vma, c.page_index))
     return merged
 

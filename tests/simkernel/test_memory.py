@@ -162,9 +162,10 @@ def test_install_and_read_page_roundtrip(mm):
 
 
 def test_install_copies_a_readonly_view_of_a_writable_buffer(mm):
-    """Only an array whose memory owner is read-only is adopted: a
-    read-only view of a caller's writable buffer is copied, so a later
-    write to the buffer does not reach the VMA."""
+    """Only an array whose memory owner is read-only is kept as is: a
+    read-only view of a caller's writable buffer is copied into a
+    writable array the VMA owns, so a later write to the buffer does not
+    reach the VMA."""
     heap = mm.vma("heap")
     ps = COSTS.page_size
     buf = np.full(2 * ps, 4, dtype=np.uint8)
@@ -175,11 +176,11 @@ def test_install_copies_a_readonly_view_of_a_writable_buffer(mm):
     rows.flags.writeable = False
     heap.install_pages(2, rows)
     heap.install_pages(4, tuple(rows))
+    assert all(heap.pages[pidx].flags.writeable for pidx in (0, 2, 3, 4, 5))
     buf[:] = 9
     for pidx in (0, 2, 3, 4, 5):
         assert heap.read_page(pidx)[0] == 4
         assert not np.shares_memory(heap.pages[pidx], buf)
-    assert not heap.adopted
     assert not is_frozen(view) and not is_frozen(rows)
 
 
@@ -225,11 +226,15 @@ def test_read_pages_equals_concatenated_read_page(present, start, npages):
             mm.fill_pattern(heap, pidx, 0, COSTS.page_size, seed=pidx)
     got = heap.read_pages(start, npages)
     want = np.concatenate([heap.read_page(p) for p in range(start, start + npages)])
-    np.testing.assert_array_equal(got, want)
-    assert got.base is None  # owns its memory: take_pages freezes it
+    np.testing.assert_array_equal(np.concatenate(got), want)
+    # The live arrays themselves, frozen in place: take_pages shares them.
+    assert all(is_frozen(row) for row in got)
+    for pidx, row in zip(range(start, start + npages), got):
+        assert row is heap.pages[pidx] if pidx in heap.pages else not row.any()
     for pidx in range(start, start + npages):
         mm.fill_pattern(heap, pidx, 0, COSTS.page_size, seed=99)
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.concatenate(got), want)
+    assert not any(row is heap.pages[pidx] for pidx, row in zip(range(start, start + npages), got))
 
 
 rows_kind = st.sampled_from(["frozen", "writable", "int16", "view"])
@@ -264,7 +269,8 @@ def test_install_pages_adopts_only_frozen_uint8_rows(kind, n, as_stack):
             assert page is rows[i] if not as_stack else np.shares_memory(page, rows)
         else:
             assert not np.shares_memory(page, np.asarray(rows[i]))
-    assert vma.adopted == (set(span) if kind == "frozen" else set())
+    # A kept page stays frozen; a copied one is the VMA's own, writable.
+    assert all(vma.pages[p].flags.writeable == (kind != "frozen") for p in span)
     assert all(vma.test(p, PageFlag.PRESENT) for p in span)
 
 
@@ -281,7 +287,7 @@ def test_install_pages_rejects_a_bad_shape(n, bad, where, as_stack):
         rows = tuple(rows)
     with pytest.raises(MemoryError_):
         vma.install_pages(0, rows)
-    assert not vma.pages and not vma.adopted
+    assert not vma.pages and not vma.flags.any()
 
 
 def test_total_present_pages_and_iter(mm):
@@ -323,9 +329,9 @@ def _writes_into_pages(tree):
 
 
 def test_only_the_memory_module_writes_page_contents():
-    """Page arrays may be adopted read-only checkpoint payloads, so every
-    in-place write goes through ``VMA.ensure_page`` (which copies an
-    adopted page first) or ``VMA.install_page(s)``."""
+    """Page arrays may be frozen, shared with checkpoint images, so every
+    in-place write goes through ``VMA.ensure_page`` (which copies a
+    frozen page first) or ``VMA.install_page(s)``."""
     src = pathlib.Path(__file__).parents[2] / "src" / "repro"
     found = [
         f"{path.relative_to(src)}:{line}"

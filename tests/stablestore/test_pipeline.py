@@ -540,12 +540,13 @@ class TestChainCompaction:
         t1 = res1.task
         heap = next(v for v in t1.mm.vmas if "heap" in v.name)
         page = sorted(heap.pages)[0]
-        assert page in heap.adopted
+        cached = next(v for v in flat_a.chunks if v.vma == heap.name)
+        assert not heap.pages[page].flags.writeable
+        assert any(heap.pages[page] is row for row in cached.page_rows())
         with pytest.raises(ValueError):
             heap.pages[page][:] = 0xEE
-        cached = next(v for v in flat_a.chunks if v.vma == heap.name)
         before = bytes(cached.data)
         t1.mm.write_bytes(heap, page, 0, b"\xee" * heap.page_size)
         assert bytes(heap.pages[page]) == b"\xee" * heap.page_size
-        assert page not in heap.adopted
+        assert heap.pages[page].flags.writeable
         assert bytes(cached.data) == before
