@@ -45,7 +45,7 @@ def run_scenario(with_other_process):
         # effective priority runs ahead of the target.
         other = writer(2).spawn(k, name="other", static_prio=100)
         k.run_for(60 * NS_PER_MS)  # quantum rotation puts `other` on CPU
-    mm_switches_before = k.engine.counters.get("kthread_mm_switches", 0)
+    mm_switches_before = k.engine.metrics.counters().get("kthread_mm_switches", 0)
     tlb_before = target.acct.tlb_refill_ns
     req = mech.request_checkpoint(target)
     k.start()
@@ -55,7 +55,7 @@ def run_scenario(with_other_process):
     )
     k.run_for(20 * NS_PER_MS)  # let the displaced task pay its refills
     return {
-        "mm_switches": k.engine.counters.get("kthread_mm_switches", 0)
+        "mm_switches": k.engine.metrics.counters().get("kthread_mm_switches", 0)
         - mm_switches_before,
         "capture_ns": req.capture_duration_ns,
         "victim_tlb_refill_ns": (

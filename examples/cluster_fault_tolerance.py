@@ -57,7 +57,7 @@ def run(protected: bool) -> dict:
     return {
         "completed": done,
         "makespan_s": job.makespan_s(),
-        "node_failures": cluster.engine.counters.get("node_failures", 0),
+        "node_failures": cluster.engine.metrics.counters().get("node_failures", 0),
         "restarts": job.restarts,
         "waves": len(coord.waves) if coord else 0,
         "recoveries": coord.recoveries if coord else 0,

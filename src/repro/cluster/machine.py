@@ -98,7 +98,7 @@ class ClusterNode:
         )
         self.local_storage.mark_node_recovered(data_survived=disk_survived)
         self.failed_at_ns = None
-        self.engine.count("node_repairs")
+        self.engine.metrics.inc("node_repairs")
         self.engine.tracer.instant(
             "node.repair", node=self.node_id, disk_survived=disk_survived
         )
@@ -428,7 +428,7 @@ class Cluster:
         if not node.up:
             return
         node.fail()
-        self.engine.count("node_failures")
+        self.engine.metrics.inc("node_failures")
         for fn in list(self._failure_watchers):
             fn(node)
 

@@ -196,7 +196,7 @@ class ShardFleet:
             self.draw_count[rep] += 1
             delta = np.minimum(ttf * NS_PER_S, _HORIZON_NS).astype(np.int64)
             self.fail_at_ns[rep] = rtimes + delta
-            self.engine.count("fleet.repairs", n_rep)
+            self.engine.metrics.inc("fleet.repairs", n_rep)
 
         due = self.fail_at_ns <= now
         n_due = int(due.sum())
@@ -210,7 +210,7 @@ class ShardFleet:
             self.repair_at_ns[due] = (
                 np.minimum(times, _NEVER - self.repair_ns) + self.repair_ns
             )
-            self.engine.count("fleet.failures", n_due)
+            self.engine.metrics.inc("fleet.failures", n_due)
             if self.on_fail is not None:
                 self.on_fail(self.global_ids[due], times)
 

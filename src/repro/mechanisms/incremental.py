@@ -325,8 +325,7 @@ class AdaptiveBlockTracker:
                 sparse.append(key)
         if not sparse:
             return
-        for op in self._hash.scan_ops(kernel, target, image, sparse):
-            yield op
+        yield from self._hash.scan_ops(kernel, target, image, sparse)
         for key in sparse:
             frac = self._hash.last_scan_saved.get(key, 0) / per_page
             self.pages_block_scanned += 1

@@ -204,98 +204,95 @@ class SystemLevelCheckpointer(Checkpointer):
             yield from charge_store(kernel, commit_ns)
 
         def prog(kt: Task, step: int) -> Generator:
-            def gen():
-                child = capture_mm_of
+            child = capture_mm_of
 
-                def finish(image, error: Optional[str]) -> None:
-                    if self.defer_irqs:
-                        kernel.enable_irqs_for(kt)
-                    if child is not None:
-                        kernel._exit_task(child, code=0)
-                        kernel.reap(child)
-                    if error is None:
-                        self._complete(req, image, target)
-                    else:
-                        self._fail(req, error)
-
-                req.state = RequestState.RUNNING
-                req.started_ns = engine.now_ns
-                engine.metrics.inc(
-                    "capture.pipelined_captures" if pipelined else "capture.kthread_captures"
-                )
+            def finish(image, error: Optional[str]) -> None:
                 if self.defer_irqs:
-                    kernel.disable_irqs_for(kt)
-                # Freeze.  Only tasks stopped HERE are resumed: one parked
-                # by someone else (drain, safe pre-emption) stays frozen.
-                frozen = []
-                if not cow:
-                    frozen = [t for t in group if t.alive() and t.state != TaskState.STOPPED]
-                    for t in group:
-                        kernel.stop_task(t)
-                    # Wait for every task to reach an op boundary (one may
-                    # be mid-op on another CPU).
-                    while any(t.alive() and t.state != TaskState.STOPPED for t in group):
-                        yield ops.Sleep(ns=50_000)
-                if capture_mm_of is None and not target.alive():
-                    # A caller's COW child would still hold the state.
-                    for t in frozen:
-                        if t.alive():
-                            kernel.resume_task(t)
-                    finish(None, f"target pid {target.pid} exited before capture")
-                    return
-                if fork:
-                    # The COW fork snapshots the address space atomically.
-                    child, fork_cost = kernel.do_fork(target, stopped=True)
-                    # Pages are chosen at the snapshot; the image opens,
-                    # and reads its parent, once the fork is paid for.
-                    parent = self._chain_parent(target) if req.incremental else None
-                    pages = self._page_set(child, parent)
+                    kernel.enable_irqs_for(kt)
+                if child is not None:
+                    kernel._exit_task(child, code=0)
+                    kernel.reap(child)
+                if error is None:
+                    self._complete(req, image, target)
                 else:
-                    source = target if child is None else child
-                    image = yield from open_image(kt, source)
-                    pages = self._page_set(source, image.parent_key)
-                    if not pipelined:
-                        yield from copy_pages(kernel, source, image, pages)
-                # Re-arm dirty tracking at the snapshot instant, so pages
-                # the target writes from here on land in the next delta.
-                if rearm:
-                    self.arm_incremental(target)
-                if fork:
-                    yield ops.Compute(ns=fork_cost)
-                if rearm:
-                    yield ops.Compute(ns=30 * len(pages) + 1_000)
-                if frozen or fork:
-                    for t in frozen:
-                        kernel.resume_task(t)
-                    req.target_stall_ns = engine.now_ns - req.started_ns
-                    # The freeze window is the application-visible cost of
-                    # this capture; record it as its own span.
-                    engine.tracer.record(
-                        "checkpoint.freeze",
-                        req.started_ns,
-                        engine.now_ns,
-                        pid=target.pid,
-                        key=req.key,
-                    )
-                if fork:
-                    image = yield from open_image(kt, child)
-                try:
-                    if pipelined:
-                        yield from drain(image, child, pages)
-                    else:
-                        # The copy already isolated the data in the image
-                        # buffers, so the write runs after the thaw.
-                        store_start_ns = engine.now_ns
-                        yield from store_image(kernel, self.storage, image)
-                        req.storage_delay_ns = engine.now_ns - store_start_ns
-                except StorageError as exc:
-                    # Lost backend / write quorum unreachable: the
-                    # checkpoint fails, the application keeps running.
-                    finish(image, f"stable-storage write failed: {exc}")
-                else:
-                    finish(image, None)
+                    self._fail(req, error)
 
-            return gen()
+            req.state = RequestState.RUNNING
+            req.started_ns = engine.now_ns
+            engine.metrics.inc(
+                "capture.pipelined_captures" if pipelined else "capture.kthread_captures"
+            )
+            if self.defer_irqs:
+                kernel.disable_irqs_for(kt)
+            # Freeze.  Only tasks stopped HERE are resumed: one parked
+            # by someone else (drain, safe pre-emption) stays frozen.
+            frozen = []
+            if not cow:
+                frozen = [t for t in group if t.alive() and t.state != TaskState.STOPPED]
+                for t in group:
+                    kernel.stop_task(t)
+                # Wait for every task to reach an op boundary (one may
+                # be mid-op on another CPU).
+                while any(t.alive() and t.state != TaskState.STOPPED for t in group):
+                    yield ops.Sleep(ns=50_000)
+            if capture_mm_of is None and not target.alive():
+                # A caller's COW child would still hold the state.
+                for t in frozen:
+                    if t.alive():
+                        kernel.resume_task(t)
+                finish(None, f"target pid {target.pid} exited before capture")
+                return
+            if fork:
+                # The COW fork snapshots the address space atomically.
+                child, fork_cost = kernel.do_fork(target, stopped=True)
+                # Pages are chosen at the snapshot; the image opens,
+                # and reads its parent, once the fork is paid for.
+                parent = self._chain_parent(target) if req.incremental else None
+                pages = self._page_set(child, parent)
+            else:
+                source = target if child is None else child
+                image = yield from open_image(kt, source)
+                pages = self._page_set(source, image.parent_key)
+                if not pipelined:
+                    yield from copy_pages(kernel, source, image, pages)
+            # Re-arm dirty tracking at the snapshot instant, so pages
+            # the target writes from here on land in the next delta.
+            if rearm:
+                self.arm_incremental(target)
+            if fork:
+                yield ops.Compute(ns=fork_cost)
+            if rearm:
+                yield ops.Compute(ns=30 * len(pages) + 1_000)
+            if frozen or fork:
+                for t in frozen:
+                    kernel.resume_task(t)
+                req.target_stall_ns = engine.now_ns - req.started_ns
+                # The freeze window is the application-visible cost of
+                # this capture; record it as its own span.
+                engine.tracer.record(
+                    "checkpoint.freeze",
+                    req.started_ns,
+                    engine.now_ns,
+                    pid=target.pid,
+                    key=req.key,
+                )
+            if fork:
+                image = yield from open_image(kt, child)
+            try:
+                if pipelined:
+                    yield from drain(image, child, pages)
+                else:
+                    # The copy already isolated the data in the image
+                    # buffers, so the write runs after the thaw.
+                    store_start_ns = engine.now_ns
+                    yield from store_image(kernel, self.storage, image)
+                    req.storage_delay_ns = engine.now_ns - store_start_ns
+            except StorageError as exc:
+                # Lost backend / write quorum unreachable: the
+                # checkpoint fails, the application keeps running.
+                finish(image, f"stable-storage write failed: {exc}")
+            else:
+                finish(image, None)
 
         return kernel.spawn_kthread(
             f"k{self.mech_name.lower()}/{req.key.rsplit('/', 1)[-1]}",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional
 
-from ...core.capture import restore_image
+from ...core.capture import copy_pages, restore_image, snapshot_metadata
 from ...core.checkpointer import CheckpointRequest, RequestState
 from ...core.features import Features, Initiation
 from ...core.image import CheckpointImage
@@ -178,47 +178,37 @@ class SoftwareSuspend(SystemLevelCheckpointer):
             kernel.post_signal(t.pid, Sig.SIGFREEZE)
 
         def suspender(kt: Task, step: int) -> Generator:
-            def gen():
-                req.state = RequestState.RUNNING
-                req.started_ns = kernel.engine.now_ns
-                # Wait until every process is frozen.
-                while any(
-                    v.alive() and v.state != TaskState.STOPPED for v in victims
-                ):
-                    yield ops.Sleep(ns=200_000)
-                images: List[CheckpointImage] = []
-                total = 0
-                for v in victims:
-                    if not v.alive():
-                        continue
-                    sub = self._new_image(req, v)
-                    sub.key = f"{req.key}/pid{v.pid}"
-                    from ...core.capture import copy_pages, snapshot_metadata
-
-                    snapshot_metadata(kernel, v, sub)
-                    yield ops.Compute(ns=2_000)
-                    # The RAM image is everything -- no filtering.
-                    pages = [
-                        (vma.name, int(p))
-                        for vma in v.mm.vmas
-                        for p in vma.present_pages()
-                    ]
-                    for op in copy_pages(kernel, v, sub, pages):
-                        yield op
-                    total += sub.size_bytes
-                    images.append(sub)
-                system_image = {"images": images, "victim_pids": [v.pid for v in victims]}
-                delay = self.storage.store(
-                    self.SYSTEM_KEY, system_image, total, kernel.engine.now_ns
-                )
-                yield ops.Compute(ns=delay)
-                # Represent the system image by its first process image so
-                # the generic bookkeeping has something to point at.
-                self._complete(req, images[0], rep)
-                if power_down:
-                    kernel.halt()
-
-            return gen()
+            req.state = RequestState.RUNNING
+            req.started_ns = kernel.engine.now_ns
+            # Wait until every process is frozen.
+            while any(v.alive() and v.state != TaskState.STOPPED for v in victims):
+                yield ops.Sleep(ns=200_000)
+            images: List[CheckpointImage] = []
+            total = 0
+            for v in victims:
+                if not v.alive():
+                    continue
+                sub = self._new_image(req, v)
+                sub.key = f"{req.key}/pid{v.pid}"
+                snapshot_metadata(kernel, v, sub)
+                yield ops.Compute(ns=2_000)
+                # The RAM image is everything -- no filtering.
+                pages = [
+                    (vma.name, int(p)) for vma in v.mm.vmas for p in vma.present_pages()
+                ]
+                yield from copy_pages(kernel, v, sub, pages)
+                total += sub.size_bytes
+                images.append(sub)
+            system_image = {"images": images, "victim_pids": [v.pid for v in victims]}
+            delay = self.storage.store(
+                self.SYSTEM_KEY, system_image, total, kernel.engine.now_ns
+            )
+            yield ops.Compute(ns=delay)
+            # Represent the system image by its first process image so
+            # the generic bookkeeping has something to point at.
+            self._complete(req, images[0], rep)
+            if power_down:
+                kernel.halt()
 
         kernel.spawn_kthread("swsusp", suspender, rt_prio=80)
         return req
@@ -237,6 +227,22 @@ class SoftwareSuspend(SystemLevelCheckpointer):
                 )
             )
         return results
+
+    def image_chain(self, key: str, target_kernel: Optional[Kernel] = None,
+                    prefetch: bool = False):
+        """Find ``key``'s process image inside the stored system image.
+
+        A suspend stores one blob under :attr:`SYSTEM_KEY`, not one per
+        request.  ``key`` names one ``<request>/pid<N>`` process image, or
+        a request, which restores the process its request represents
+        (its first image).
+        """
+        kernel = target_kernel or self.kernel
+        blob, delay = self.storage.load(self.SYSTEM_KEY, kernel.engine.now_ns)
+        for image in blob["images"]:
+            if image.key in (key, f"{key}/pid{image.pid}"):
+                return [image], delay
+        raise RestartError(f"{key!r} is not in the stored system image")
 
     def unfreeze(self) -> int:
         """Thaw every stopped process (suspend cancelled / standby wake)."""

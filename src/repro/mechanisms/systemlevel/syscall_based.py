@@ -131,10 +131,8 @@ class BProc(VMADump):
             snapshot_metadata(kernel, task, image)
             yield ops.Compute(ns=2_000)
             pages = self._page_set(task, image.parent_key)
-            for op in copy_pages(kernel, task, image, pages):
-                yield op
-            for op in store_image(kernel, self.storage, image):
-                yield op
+            yield from copy_pages(kernel, task, image, pages)
+            yield from store_image(kernel, self.storage, image)
             self._complete(req, image, task)
             # Recreate on the destination, then vanish locally.
             self.restart(req.key, target_kernel=dest_kernel, strict_kernel_state=True)

@@ -98,7 +98,7 @@ class UserLevelCheckpointer(Checkpointer):
             self.kernel.engine.metrics.inc("capture.handler_captures")
             image = self._new_image(req, task)
             # Kernel-state extraction: one syscall per datum (E3).
-            yield from self._forward(user_extract_metadata(self.kernel, task, image))
+            yield from user_extract_metadata(self.kernel, task, image)
             # Handler-local buffering work (the malloc the paper warns
             # about happens here).
             yield ops.Compute(ns=5_000, non_reentrant=self.handler_uses_malloc)
@@ -110,12 +110,10 @@ class UserLevelCheckpointer(Checkpointer):
                 pages = select_pages(
                     self.kernel, task, incremental=False, skip_kinds=self.skip_kinds
                 )
-            for op in copy_pages(self.kernel, task, image, pages, user_mode=True):
-                yield op
+            yield from copy_pages(self.kernel, task, image, pages, user_mode=True)
             store_start_ns = self.kernel.engine.now_ns
             try:
-                for op in store_image(self.kernel, self.storage, image):
-                    yield op
+                yield from store_image(self.kernel, self.storage, image)
             except StorageError as exc:
                 # Lost backend / write quorum unreachable: the
                 # checkpoint fails, the application continues.
@@ -125,7 +123,7 @@ class UserLevelCheckpointer(Checkpointer):
             req.storage_delay_ns = self.kernel.engine.now_ns - store_start_ns
             if self.features.incremental:
                 # Re-arm: a full mprotect sweep, one syscall per VMA.
-                yield from self._forward(incr.user_arm_ops(task))
+                yield from incr.user_arm_ops(task)
             req.target_stall_ns = self.kernel.engine.now_ns - req.started_ns
             self._complete(req, image, task)
 
@@ -142,16 +140,6 @@ class UserLevelCheckpointer(Checkpointer):
             incr.arm_user_tracking(self.kernel, task)
             task.mm.protect_for_tracking()
         return result
-
-    @staticmethod
-    def _forward(inner) -> Generator:
-        send = None
-        while True:
-            try:
-                op = inner.send(send)
-            except StopIteration:
-                return
-            send = yield op
 
     def _shadow_pages(self, task: Task) -> List[Tuple[str, int]]:
         """Pages recorded by the user-level SIGSEGV tracking handler."""

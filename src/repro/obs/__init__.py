@@ -6,13 +6,13 @@ source of truth for those measurements.  This package provides it:
 
 * :class:`MetricsRegistry` -- typed counters, gauges and fixed-bucket
   histograms, keyed by a flat dotted name (``checkpoint.stall_ns``,
-  ``dedup.hits``).  The engine owns one registry; every subsystem
-  records into it, replacing the untyped ``Engine.counters`` dict
-  (which survives as a compatibility view over the registry).
+  ``dedup.hits``).  The engine owns one registry (``Engine.metrics``);
+  every subsystem records into it with ``metrics.inc`` / ``observe`` /
+  ``set_gauge`` and reads it back with ``metrics.counters()``.
 * :class:`Tracer` / :class:`Span` -- span-based tracing on virtual
-  time: begin/end timestamps, parent spans, attributes.  Replaces the
-  flat ``TraceRecord`` list for structural analysis; ordering of the
-  exported span log is deterministic for a given seed + call sequence.
+  time (``Engine.tracer``): begin/end timestamps, parent spans,
+  attributes.  Ordering of the exported span log is deterministic for
+  a given seed + call sequence.
 * :func:`export_obs` / :func:`to_json` / :func:`validate_export` --
   one canonical, schema-checked JSON document (``repro.obs/v1``) that
   experiments dump alongside their text tables and the timeline

@@ -4,7 +4,7 @@ A :class:`MetricsRegistry` holds every metric under a flat dotted name.
 Metrics are created on first use and strongly typed from then on --
 bumping a histogram as a counter raises
 :class:`~repro.errors.ObservabilityError` instead of silently recording
-garbage, which is what the untyped ``Engine.counters`` dict allowed.
+garbage, as an untyped counters dict would.
 
 Histograms use *fixed* bucket boundaries chosen at creation (by default
 inferred from the metric name suffix: ``*_ns`` gets virtual-time
@@ -16,7 +16,7 @@ no adaptive resizing, no wall-clock dependence.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -312,32 +312,3 @@ class MetricsRegistry:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MetricsRegistry {len(self._metrics)} metrics>"
 
-
-class CountersView(Mapping):
-    """Dict-like compatibility view of a registry's counters.
-
-    ``Engine.counters`` used to be a bare ``Dict[str, int]``; this view
-    preserves that reading (and writing) surface while the data lives in
-    the typed registry.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-
-    def __getitem__(self, name: str) -> int:
-        m = self._registry.get(name)
-        if not isinstance(m, Counter):
-            raise KeyError(name)
-        return m.value
-
-    def __setitem__(self, name: str, value: int) -> None:
-        self._registry.counter(name).value = int(value)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._registry.counters())
-
-    def __len__(self) -> int:
-        return len(self._registry.counters())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CountersView({self._registry.counters()!r})"

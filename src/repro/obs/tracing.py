@@ -1,11 +1,10 @@
 """Span-based tracing on the virtual clock.
 
 A :class:`Span` is a named interval of virtual time with attributes and
-an optional parent.  Spans replace the engine's flat ``TraceRecord``
-list for structural analysis: a checkpoint is one span whose begin/end
-are the request's initiation and completion, a node failure is an
-instant (zero-length) span, a storage repair is a span covering the
-copy.
+an optional parent, so a run's log has structure: a checkpoint is one
+span whose begin/end are the request's initiation and completion, a
+node failure is an instant (zero-length) span, a storage repair is a
+span covering the copy.
 
 Determinism guarantees:
 

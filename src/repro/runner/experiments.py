@@ -43,7 +43,6 @@ __all__ = [
     "e13_survivability_cell",
     "e18_parallel_cell",
     "e19_replication_cell",
-    "e22_parallel_cell",
     "e23_hierarchy_cell",
 ]
 
@@ -186,48 +185,6 @@ def e18_parallel_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
         "restart_acks": counters.get("sstore.acks", 0),
         "restart_bytes": counters.get("sstore.req_bytes", 0),
         "availability": 1.0 - downtime_ns / (n_nodes * horizon_s * NS_PER_S),
-        "windows": res.stats.windows,
-        "envelopes": res.stats.exchanged,
-        "obs": res.obs,
-    }
-
-
-# ----------------------------------------------------------------------
-# E22 stressor: all-cross-shard ring traffic
-# ----------------------------------------------------------------------
-def e22_parallel_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
-    """Ring-traffic stressor: every message hop crosses the barrier
-    exchange, and the order-invariant xor digest proves exactly-once
-    delivery independent of shard count."""
-    n_ranks = int(params.get("n_ranks", 64))
-    shards = int(params.get("shards", 4))
-    hop_ns = int(params.get("hop_ns", 50_000))
-    run_params = {
-        "n_ranks": n_ranks,
-        "hop_ns": hop_ns,
-        "hops": int(params.get("hops", 8)),
-        "msgs_per_rank": int(params.get("msgs_per_rank", 4)),
-    }
-    res = run_parallel(
-        "repro.cluster.scenarios:ring_traffic",
-        run_params, seed,
-        n_shards=shards,
-        horizon_ns=int(params.get("horizon_ns", NS_PER_S)),
-        lookahead_ns=hop_ns,
-        meta={"experiment": "e22p", "n_ranks": n_ranks, "seed": seed},
-    )
-    digest = 0
-    for r in res.shard_results:
-        digest ^= r["digest"]
-    counters = res.obs["metrics"]["counters"]
-    return {
-        "n_ranks": n_ranks,
-        "shards": shards,
-        "sent": counters.get("ring.sent", 0),
-        "recv": counters.get("ring.recv", 0),
-        "exactly_once": counters.get("ring.sent", 0) ==
-        counters.get("ring.recv", -1),
-        "digest": f"{digest:016x}",
         "windows": res.stats.windows,
         "envelopes": res.stats.exchanged,
         "obs": res.obs,

@@ -46,9 +46,8 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..obs import MetricsRegistry, Tracer
-from ..obs.metrics import CountersView
 
-__all__ = ["Event", "Completion", "Engine", "TraceRecord"]
+__all__ = ["Event", "Completion", "Engine"]
 
 # Timer-wheel geometry.  Level-0 slots are 2**17 ns (131.072 us), level-1
 # slots cover one full level-0 window (2**25 ns, 33.554 ms); with 256
@@ -213,20 +212,6 @@ class Completion:
         return f"<Completion {state}>"
 
 
-class TraceRecord:
-    """One line of the (optional) engine trace, for debugging/analysis."""
-
-    __slots__ = ("time_ns", "category", "message")
-
-    def __init__(self, time_ns: int, category: str, message: str) -> None:
-        self.time_ns = time_ns
-        self.category = category
-        self.message = message
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TraceRecord({self.time_ns}, {self.category!r}, {self.message!r})"
-
-
 class Engine:
     """Hybrid timer wheel + virtual clock.
 
@@ -237,12 +222,9 @@ class Engine:
         stochastic behaviour in the simulation (failure processes,
         randomized write patterns) draws from this generator or from
         generators derived from it, so a run is reproducible end to end.
-    trace:
-        When true, keep an in-memory list of :class:`TraceRecord` entries.
-        Off by default; tracing a long simulation is memory-hungry.
     """
 
-    def __init__(self, seed: int = 0, trace: bool = False) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._now_ns: int = 0
         #: Schedules issued so far; doubles as the tiebreak sequence.
         self._seq: int = 0
@@ -270,16 +252,11 @@ class Engine:
         self._far: List[_Entry] = []
         # ------------------------------------------------------------
         self.rng: np.random.Generator = np.random.default_rng(seed)
-        self._trace_enabled = trace
-        self.trace_log: List[TraceRecord] = []
         self._stopped = False
         #: Typed metrics (counters / gauges / histograms) on virtual time.
         self.metrics = MetricsRegistry(clock=lambda: self._now_ns)
         #: Structured span log on virtual time (see :mod:`repro.obs`).
         self.tracer = Tracer(clock=lambda: self._now_ns)
-        #: Compatibility view: the historical untyped counters dict now
-        #: reads and writes the typed registry's counters.
-        self.counters: Dict[str, int] = CountersView(self.metrics)
         self._events_counter = self.metrics.counter("engine.events")
         #: Per-namespace monotonic id sequences (checkpoint keys etc.).
         #: Engine-scoped, so same-seed runs allocate identical ids --
@@ -538,16 +515,6 @@ class Engine:
             place(entry)
         self._n_cancelled = 0
         self.metrics.inc("engine.compactions")
-
-    # ------------------------------------------------------------------
-    def trace(self, category: str, message: str) -> None:
-        """Append a trace record if tracing is enabled."""
-        if self._trace_enabled:
-            self.trace_log.append(TraceRecord(self._now_ns, category, message))
-
-    def count(self, name: str, delta: int = 1) -> None:
-        """Bump the named statistics counter (typed, in the registry)."""
-        self.metrics.inc(name, delta)
 
     # ------------------------------------------------------------------
     def stop(self) -> None:

@@ -78,10 +78,9 @@ class Kernel:
         engine: Optional[Engine] = None,
         seed: int = 0,
         node_id: int = 0,
-        trace: bool = False,
     ) -> None:
         self.costs = costs
-        self.engine = engine if engine is not None else Engine(seed=seed, trace=trace)
+        self.engine = engine if engine is not None else Engine(seed=seed)
         self.node_id = node_id
         self.vfs = VFS()
         self.scheduler = Scheduler(costs, ncpus=ncpus)
@@ -298,7 +297,7 @@ class Kernel:
             task.tlb_cold_pages = min(
                 task.mm.total_present_pages(), self.costs.tlb_entries
             )
-            self.engine.count("mm_switches")
+            self.engine.metrics.inc("mm_switches")
         self.engine.after_anon(switch_ns, lambda: self._begin_op(cpu))
 
     def _preempt(self, cpu: CPU, requeue: bool = True) -> None:
@@ -322,7 +321,6 @@ class Kernel:
         if (
             not task.is_kthread
             and not task.in_handler
-            and task.top_mode() == Mode.USER
             and task.signals.has_deliverable()
         ):
             if self._deliver_one_signal(task, cpu):
@@ -337,22 +335,13 @@ class Kernel:
         """Compute the op's duration, apply side effects, schedule completion."""
         duration = 0
         result: Any = None
-        count_main = True
         task.in_non_reentrant = bool(op.non_reentrant)
 
         if isinstance(op, Compute):
             duration = int(op.ns)
 
         elif isinstance(op, MemWrite):
-            count_main = not op.continuation
-            dur = self._service_write(task, op)
-            if dur is None:
-                # Faulted into a user-level tracking handler: the fault
-                # cost is charged, the op will be retried after sigreturn.
-                duration = self.costs.page_fault_ns
-                count_main = False
-            else:
-                duration = dur
+            duration = self._service_write(task, op)
 
         elif isinstance(op, MemRead):
             duration = self._service_read(task, op)
@@ -389,12 +378,10 @@ class Kernel:
         cpu.irq_backlog_ns = 0
         self.engine.after_anon(
             max(0, duration),
-            lambda: self._complete_op(cpu, task, duration, result, count_main),
+            lambda: self._complete_op(cpu, task, duration, result),
         )
 
-    def _complete_op(
-        self, cpu: CPU, task: Task, duration: int, result: Any, count_main: bool = True
-    ) -> None:
+    def _complete_op(self, cpu: CPU, task: Task, duration: int, result: Any) -> None:
         if self._halted:
             return
         task.acct.cpu_ns += duration
@@ -407,13 +394,11 @@ class Kernel:
         # op that just ran, so the reentrancy-hazard check must still see
         # whether that op was inside malloc/free.  The next _execute()
         # overwrites the flag.
-        if isinstance(result, Exception):
-            task.feed_result(result)
-        elif result is not None:
+        if result is not None:
             task.feed_result(result)
         if not task.alive():
             return
-        task.completed_op(count_main=count_main)
+        task.completed_op()
         if cpu.current is not task:
             # Task was stopped/migrated underneath us.
             return
@@ -426,50 +411,37 @@ class Kernel:
         self._begin_op(cpu)
 
     # -- memory access servicing ----------------------------------------
-    def _split_pages(self, task: Task, op: MemWrite) -> Optional[MemWrite]:
-        """If ``op`` spans pages, queue per-page segments; return first."""
+    def _service_write(self, task: Task, op: MemWrite) -> int:
+        """Service the write's first page; queue the rest as segments.
+
+        A write that spans pages runs one page per op: the 2nd..nth
+        per-page segments go on the task's op queue as continuations.
+        A tracking fault reflected to a user-level handler requeues the
+        page's write at the front of that queue, to be retried after the
+        handler returns, and charges only the fault.
+        """
         mm = task.mm
         if mm is None:
             raise MemoryError_("kernel thread has no address space to write")
         vma = mm.vma(op.vma)
         ps = vma.page_size
-        if op.offset < 0 or op.offset + op.nbytes > vma.size_bytes:
+        end = op.offset + op.nbytes
+        if op.offset < 0 or end > vma.size_bytes:
             raise MemoryError_(
-                f"write [{op.offset}, {op.offset + op.nbytes}) outside VMA "
+                f"write [{op.offset}, {end}) outside VMA "
                 f"{vma.name!r} of {vma.size_bytes} bytes"
             )
-        first_page = op.offset // ps
-        last_page = (op.offset + max(op.nbytes, 1) - 1) // ps
-        if first_page == last_page:
-            return op
-        segments = []
-        off = op.offset
-        remaining = op.nbytes
-        while remaining > 0:
-            page_end = (off // ps + 1) * ps
-            chunk = min(remaining, page_end - off)
-            segments.append(
-                MemWrite(
-                    vma=op.vma,
-                    offset=off,
-                    nbytes=chunk,
-                    seed=op.seed,
-                    continuation=bool(segments) or op.continuation,
+        pidx, in_page_off = divmod(op.offset, ps)
+        if in_page_off + op.nbytes > ps:
+            off = (pidx + 1) * ps
+            while off < end:
+                task.op_queue.append(
+                    MemWrite(vma=op.vma, offset=off, nbytes=min(ps, end - off),
+                             seed=op.seed, continuation=True)
                 )
-            )
-            off += chunk
-            remaining -= chunk
-        for seg in segments[1:]:
-            task.op_queue.append(seg)
-        return segments[0]
-
-    def _service_write(self, task: Task, op: MemWrite) -> Optional[int]:
-        """Service one (single-page after split) write; None => retry later."""
-        op = self._split_pages(task, op)
-        mm = task.mm
-        vma = mm.vma(op.vma)
-        pidx = op.offset // vma.page_size
-        in_page_off = op.offset % vma.page_size
+                off += ps
+            op = MemWrite(vma=op.vma, offset=op.offset, nbytes=ps - in_page_off,
+                          seed=op.seed, continuation=op.continuation)
 
         # Tracking fault reflected to a *user-level* handler (SIGSEGV)?
         # mprotect covers the whole mapped range, so first-touch of a page
@@ -487,9 +459,10 @@ class Kernel:
             task.acct.page_faults += 1
             task.acct.tracking_faults += 1
             task.annotations["fault_info"] = {"vma": vma.name, "page": pidx}
-            task.retry_op = op
+            task.op_queue.appendleft(op)
+            task.op_counts_main = False  # the retry counts, not this attempt
             self.post_signal(task.pid, Sig.SIGSEGV)
-            return None
+            return self.costs.page_fault_ns
 
         duration = 0
         outcome = mm.write_access(vma, pidx, in_page_off, op.nbytes)
@@ -559,7 +532,7 @@ class Kernel:
         if not task.alive():
             return
         task.signals.post(sig)
-        self.engine.count(f"signal_post_{Sig(sig).name}")
+        self.engine.metrics.inc(f"signal_post_{Sig(sig).name}")
         if task.state == TaskState.SLEEPING:
             self._wake(task)
         elif task.state == TaskState.STOPPED and sig == Sig.SIGCONT:
@@ -578,7 +551,7 @@ class Kernel:
         if handler.kind == HandlerKind.USER:
             if handler.uses_non_reentrant and task.in_non_reentrant:
                 task.signals.reentrancy_hazards += 1
-                self.engine.count("reentrancy_hazards")
+                self.engine.metrics.inc("reentrancy_hazards")
             cpu.irq_backlog_ns += self.costs.signal_deliver_user_ns
             task.acct.mode_switches += 2
             task.push_frame(handler.program_factory(task), Mode.USER)
@@ -698,7 +671,7 @@ class Kernel:
         for fn in self._exit_watchers.pop(task.pid, []):
             fn(task)
         self._itimers.pop(task.pid, None)
-        self.engine.count("task_exits")
+        self.engine.metrics.inc("task_exits")
 
     def on_exit(self, task: Task, fn: Callable[[Task], None]) -> None:
         """Register a callback fired when ``task`` exits."""
@@ -769,7 +742,7 @@ class Kernel:
         else:
             self.scheduler.enqueue(child)
             self._kick()
-        self.engine.count("forks")
+        self.engine.metrics.inc("forks")
         return child, cost
 
     def kthread_attach_mm(self, kthread: Task, target: Task) -> int:
@@ -794,7 +767,7 @@ class Kernel:
                     t.tlb_cold_pages = min(
                         displaced.total_present_pages(), self.costs.tlb_entries
                     )
-        self.engine.count("kthread_mm_switches")
+        self.engine.metrics.inc("kthread_mm_switches")
         return cost
 
     def _cpu_of(self, task: Task) -> Optional[CPU]:

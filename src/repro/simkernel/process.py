@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import SimulationError
 from .memory import AddressSpace
@@ -38,6 +38,12 @@ __all__ = [
 #: Builds the op generator for a task, resuming at ``start_step`` main-program
 #: ops already completed (restart support).
 ProgramFactory = Callable[["Task", int], Generator]
+
+
+def _as_generator(program: Iterator) -> Generator:
+    """``program`` itself, or a generator over a plain iterator that drops
+    the results the kernel sends (a plain iterator cannot receive them)."""
+    return program if hasattr(program, "send") else (op for op in program)
 
 
 class TaskState(str, Enum):
@@ -189,7 +195,9 @@ class Task:
         self.is_kthread = is_kthread
         self.program_factory = program_factory
         self.state = TaskState.READY
-        self.mode = Mode.KERNEL if is_kthread else Mode.USER
+        #: Privilege mode of the program frame (and of queued ops).
+        self._base_mode = Mode.KERNEL if is_kthread else Mode.USER
+        self.mode = self._base_mode
         self.policy = policy if not is_kthread else (
             policy if policy != SchedPolicy.OTHER else SchedPolicy.FIFO
         )
@@ -208,16 +216,19 @@ class Task:
         self.counter_ticks: int = 0
         #: Pages the task must re-walk after a TLB flush hit its CPU.
         self.tlb_cold_pages: int = 0
-        #: Generator stack: main program at the bottom, signal handlers
-        #: and checkpoint activities pushed on top.  Each entry is
-        #: ``(generator, mode)`` -- a kernel-mode signal action or
-        #: checkpoint capture runs its ops in kernel mode even though it
-        #: executes in this task's context (the paper's "executed in
-        #: kernel mode behind the process that has to be checkpointed").
-        #: Each entry is a mutable ``[generator, mode, pending_send]``.
+        #: Frame stack: main program at the bottom, signal handlers and
+        #: checkpoint activities pushed on top.  Each entry is a mutable
+        #: ``[generator, mode, pending_send]`` -- a kernel-mode signal
+        #: action or checkpoint capture runs its ops in kernel mode even
+        #: though it executes in this task's context (the paper's
+        #: "executed in kernel mode behind the process that has to be
+        #: checkpointed").
         self._stack: List[list] = []
         #: Frame that yielded the op currently in flight (send routing).
         self._yield_frame: Any = None
+        #: Whether the op currently in flight advances :attr:`main_steps`
+        #: on completion; decided when it is fetched.
+        self.op_counts_main = False
         #: True while the current op is inside a non-reentrant libc region.
         self.in_non_reentrant = False
         #: Number of *main-program* ops completed (restart cursor).
@@ -235,16 +246,12 @@ class Task:
         #: Set while the kernel has asked this task to stop at the next op
         #: boundary (checkpoint freeze).
         self.stop_requested = False
-        #: A write op that faulted into a user-level tracking handler and
-        #: must be retried once the handler returns.
-        self.retry_op: Any = None
-        #: Per-page expansion of multi-page memory ops, consumed before
-        #: the generator is resumed.
+        #: Ops that run before the program resumes: the per-page segments
+        #: of a multi-page write, and (at the front) a write that faulted
+        #: into a user-level tracking handler and is retried after it.
         self.op_queue: deque = deque()
         if program_factory is not None:
-            base_mode = Mode.KERNEL if is_kthread else Mode.USER
-            self._stack.append([program_factory(self, start_step), base_mode, None])
-            self.main_steps = start_step
+            self.rebuild_program(start_step)
             self.acct.main_steps = start_step
 
     # ------------------------------------------------------------------
@@ -265,97 +272,75 @@ class Task:
         """Whether a pushed (signal/checkpoint) frame is executing."""
         return len(self._stack) > 1
 
-    def push_frame(self, gen: Generator, mode: Mode = Mode.USER) -> None:
-        """Push a handler/activity generator on top of the program.
+    def push_frame(self, gen: Iterator, mode: Mode = Mode.USER) -> None:
+        """Push a handler/activity program on top of the program.
 
         ``mode`` selects the privilege level the frame's ops execute at:
         user signal handlers push USER frames, kernel-mode signal actions
         and in-context checkpoint captures push KERNEL frames.
         """
-        self._stack.append([gen, mode, None])
-
-    def top_mode(self) -> Mode:
-        """Privilege mode the next op would execute at."""
-        if self.is_kthread:
-            return Mode.KERNEL
-        if self._stack:
-            return self._stack[-1][1]
-        return Mode.USER
+        self._stack.append([_as_generator(gen), mode, None])
 
     def next_op(self):
-        """Advance the top generator and return its next op (or None).
+        """Return the task's next op, or None once the program returned.
 
-        Exhausted frames are popped; ``None`` means the task has no more
-        work (main program returned).  Sets :attr:`mode` to the executing
-        frame's mode.
+        Queued ops run first, but only while the program frame is on top
+        (a pushed frame runs to completion before them); then the top
+        frame's generator resumes.  Exhausted frames are popped.  Pending
+        send-values are stored *per frame*: a syscall may push a new frame
+        before its result is delivered, and the result belongs to the
+        caller's frame, not the pushed one.  Sets :attr:`mode` and
+        :attr:`op_counts_main` for the fetched op.
         """
-        # Ordering: a pushed handler frame runs to completion first; then
-        # a faulted op is retried; then queued continuation segments;
-        # then the program generator resumes.  Pending send-values are
-        # stored *per frame* (a syscall may push a new frame before its
-        # result is delivered; the result belongs to the caller's frame,
-        # not the pushed one).
+        stack = self._stack
         while True:
-            if not self.in_handler:
-                if self.retry_op is not None:
-                    op = self.retry_op
-                    self.retry_op = None
-                    self._yield_frame = None
-                    self.mode = self._stack[-1][1] if self._stack else Mode.USER
-                    return op
-                if self.op_queue:
-                    op = self.op_queue.popleft()
-                    self._yield_frame = None
-                    self.mode = self._stack[-1][1] if self._stack else Mode.USER
-                    return op
-            if not self._stack:
+            if len(stack) <= 1 and self.op_queue:
+                op = self.op_queue.popleft()
+                self._yield_frame = None
+                self.mode = self._base_mode
+                self.op_counts_main = not op.continuation
+                return op
+            if not stack:
                 return None
-            frame = self._stack[-1]
-            gen, mode, send_value = frame
+            frame = stack[-1]
+            send_value = frame[2]
             frame[2] = None
             try:
-                # Plain iterators are accepted as programs too (results
-                # sent into them are dropped -- they cannot receive).
-                if hasattr(gen, "send"):
-                    op = gen.send(send_value)
-                else:
-                    op = next(gen)
+                op = frame[0].send(send_value)
             except StopIteration:
-                self._stack.pop()
+                stack.pop()
                 continue
             self._yield_frame = frame
-            self.mode = mode
+            self.mode = frame[1]
+            self.op_counts_main = len(stack) == 1
             return op
 
     def feed_result(self, value: Any) -> None:
         """Deliver an op result to the frame that yielded the op."""
-        frame = getattr(self, "_yield_frame", None)
-        if frame is not None:
-            frame[2] = value
+        if self._yield_frame is not None:
+            self._yield_frame[2] = value
 
-    def completed_op(self, count_main: bool = True) -> None:
+    def completed_op(self) -> None:
         """Record completion of one op.
 
         Advances the register file always; advances the main-step restart
-        cursor only for ops that (a) belong to the main program (not a
-        pushed handler frame), (b) are not continuation segments of a
-        split multi-page write, and (c) are not a faulted attempt that
-        will be retried -- callers pass ``count_main=False`` for (b)/(c).
+        cursor only if :meth:`next_op` fetched the op from the program
+        frame (not a pushed frame, not a continuation segment of a split
+        write) and the kernel did not requeue it after a tracking fault.
         """
-        if count_main and not self.in_handler:
+        if self.op_counts_main:
             self.main_steps += 1
             self.acct.main_steps = self.main_steps
         self.registers.advance(self.main_steps)
 
     def rebuild_program(self, start_step: int) -> None:
-        """Reset the generator stack from the factory at ``start_step``
-        (restart path)."""
+        """Reset the frame stack from the factory at ``start_step``
+        (spawn and restart path)."""
         if self.program_factory is None:
             raise SimulationError(f"task {self.name!r} has no program factory")
-        base_mode = Mode.KERNEL if self.is_kthread else Mode.USER
-        self._stack = [[self.program_factory(self, start_step), base_mode, None]]
+        self._stack = [[_as_generator(self.program_factory(self, start_step)),
+                        self._base_mode, None]]
         self._yield_frame = None
-        self.retry_op = None
         self.op_queue.clear()
         self.main_steps = start_step
 

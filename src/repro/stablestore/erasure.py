@@ -1168,7 +1168,7 @@ class ErasureRepairer(ReplicationRepairer):
         dest.put_replica(_skey(key), shard, snb)
         self.repairs_completed += 1
         self.bytes_rereplicated += snb
-        self.engine.count("shard_repairs")
+        self.engine.metrics.inc("shard_repairs")
         self.engine.metrics.inc("storage.shard_repair_bytes", snb)
         self.engine.tracer.record(
             "storage.shard_repair",

@@ -129,7 +129,7 @@ class ReplicationRepairer:
         dest.put_replica(key, obj, nbytes)
         self.repairs_completed += 1
         self.bytes_rereplicated += nbytes
-        self.engine.count("replica_repairs")
+        self.engine.metrics.inc("replica_repairs")
         self.engine.metrics.inc("storage.repair_bytes", nbytes)
         self.engine.tracer.record(
             "storage.repair",

@@ -135,7 +135,7 @@ class StorageCluster:
         if not server.up:
             return
         server.fail()
-        self.engine.count("storage_server_failures")
+        self.engine.metrics.inc("storage_server_failures")
         for fn in list(self._failure_watchers):
             fn(server)
 

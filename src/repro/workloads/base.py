@@ -102,49 +102,38 @@ class Workload:
             return 0
         return (step - self.setup_ops) // self.ops_per_iteration
 
-    @staticmethod
-    def _forward(inner) -> Generator:
-        """Delegate to ``inner`` forwarding send() values; returns op count.
-
-        A plain ``for op in inner: yield op`` would swallow the values the
-        kernel sends back into the program (syscall results), so setup and
-        iteration bodies are driven through this shim via ``yield from``.
-        """
-        count = 0
-        send = None
-        while True:
-            try:
-                op = inner.send(send) if hasattr(inner, "send") else next(inner)
-            except StopIteration:
-                return count
-            count += 1
-            send = yield op
-
     def program_factory(self, task: Task, start_step: int) -> Generator:
-        """Build the op generator resuming at ``start_step`` (aligned)."""
+        """The op generator resuming at ``start_step`` (aligned).
+
+        The declared shape is checked against ``task.main_steps`` -- the
+        restart cursor :meth:`align_step` rounds -- after setup and after
+        every iteration.
+        """
         aligned = self.align_step(start_step)
+        if aligned == 0:
+            yield from self.setup(task)
+            self._check_boundary(task, "setup", 0, self.setup_ops, "setup_ops")
+            start_it = 0
+        else:
+            start_it = self.iteration_of_step(aligned)
+        per = self.ops_per_iteration
+        for it in range(start_it, self.iterations):
+            yield from self.iteration(task, it)
+            self._check_boundary(
+                task, f"iteration {it}", self.setup_ops + it * per, per,
+                "ops_per_iteration",
+            )
+        yield ops.Exit(code=0)
 
-        def gen():
-            if aligned == 0:
-                emitted = yield from self._forward(iter(self.setup(task)))
-                if emitted != self.setup_ops:
-                    raise WorkloadError(
-                        f"{self.name}: setup emitted {emitted} ops, "
-                        f"declared setup_ops={self.setup_ops}"
-                    )
-                start_it = 0
-            else:
-                start_it = self.iteration_of_step(aligned)
-            for it in range(start_it, self.iterations):
-                count = yield from self._forward(iter(self.iteration(task, it)))
-                if count != self.ops_per_iteration:
-                    raise WorkloadError(
-                        f"{self.name}: iteration {it} emitted {count} ops, "
-                        f"declared ops_per_iteration={self.ops_per_iteration}"
-                    )
-            yield ops.Exit(code=0)
-
-        return gen()
+    def _check_boundary(
+        self, task: Task, what: str, start: int, declared: int, name: str
+    ) -> None:
+        emitted = task.main_steps - start
+        if emitted != declared:
+            raise WorkloadError(
+                f"{self.name}: {what} emitted {emitted} ops, "
+                f"declared {name}={declared}"
+            )
 
     # ------------------------------------------------------------------
     def spawn(self, kernel: Kernel, name: Optional[str] = None, **spawn_kw) -> Task:

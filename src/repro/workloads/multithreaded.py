@@ -44,19 +44,15 @@ class ThreadedWorkload(Workload):
 
         def factory(task: Task, start_step: int) -> Generator:
             start_it = self.iteration_of_step(self.align_step(start_step))
-
-            def gen():
-                for it in range(start_it, self.iterations):
-                    yield ops.Compute(ns=self.compute_ns)
-                    yield ops.MemWrite(
-                        vma="heap",
-                        offset=base + (it * 4096) % max(1, band - nbytes),
-                        nbytes=nbytes,
-                        seed=it * 31 + tid,
-                    )
-                yield ops.Exit(code=0)
-
-            return gen()
+            for it in range(start_it, self.iterations):
+                yield ops.Compute(ns=self.compute_ns)
+                yield ops.MemWrite(
+                    vma="heap",
+                    offset=base + (it * 4096) % max(1, band - nbytes),
+                    nbytes=nbytes,
+                    seed=it * 31 + tid,
+                )
+            yield ops.Exit(code=0)
 
         return factory
 

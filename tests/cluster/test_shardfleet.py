@@ -291,7 +291,7 @@ class TestClusterFleet:
         assert fleet.failures > 0
         # Statistical failures did not materialize machines.
         assert c.materialized_nodes() == 4
-        assert c.engine.counters.get("node_failures", 0) == 0
+        assert c.engine.metrics.counters().get("node_failures", 0) == 0
 
     def test_nodes_materialized_later_detach(self):
         c = Cluster(n_nodes=64, n_spares=2, seed=0, lazy_nodes=True)

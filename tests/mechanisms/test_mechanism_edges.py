@@ -47,6 +47,26 @@ class TestEPCKPTSyscallPath:
         k.run_for(100 * NS_PER_MS)
         assert mech.completed_requests()
 
+    def test_op_in_flight_under_tool_capture_still_counts(self):
+        """The tool pushes the capture frame from another CPU while the
+        target's op is in flight: that op is still a main-program step,
+        so the target ends at its declared step count."""
+        k = Kernel(ncpus=2, seed=3)
+        mech = EPCKPT(k, LocalDiskStorage(0))
+        wl = make_writer(iterations=200)
+        target = wl.spawn(k, name="victim")
+        mech.prepare_target(target)
+
+        def tool_factory(task, step):
+            yield ops.Syscall(name="epckpt_checkpoint", args=(target.pid,))
+            yield ops.Exit(code=0)
+
+        k.spawn_process("epckpt-tool", tool_factory)
+        k.run_until_exit(target, limit_ns=10**13)
+        assert mech.completed_requests()
+        assert target.exit_code == 0
+        assert target.main_steps == wl.setup_ops + wl.iterations * wl.ops_per_iteration
+
     def test_untraced_target_rejected_via_syscall(self):
         k = Kernel(seed=3)
         mech = EPCKPT(k, LocalDiskStorage(0))

@@ -412,10 +412,21 @@ class TestSoftwareSuspend:
         # Reboot: fresh kernel, same disk.
         k2 = Kernel(ncpus=2, seed=99)
         results = mech.resume_system(k2)
-        assert len(results) == 2
+        assert sorted(res.task.name for res in results) == ["app0", "app1"]
         for res in results:
-            k2.run_until_exit(res.task, limit_ns=10**13)
+            seed = int(res.task.name[len("app"):])
+            digest = finish_and_digest(k2, res.task)
             assert res.task.exit_code == 0
+            assert digest == reference_digest(lambda: make_writer(seed=seed))
+
+    def test_roundtrip(self):
+        """restart(req.key) restores the request's process from the
+        stored system image."""
+        k, mech, t, req, res = checkpoint_restart_roundtrip(
+            SoftwareSuspend, lambda: LocalDiskStorage(0)
+        )
+        assert res.task.name == t.name + ":r"
+        assert t.state == TaskState.STOPPED  # the suspended original stays frozen
 
 
 class TestCheckpointMT:

@@ -15,7 +15,7 @@ from repro.obs import (
     to_json,
     validate_export,
 )
-from repro.obs.metrics import CountersView, default_buckets
+from repro.obs.metrics import default_buckets
 
 
 def test_counter_inc_and_default():
@@ -80,20 +80,6 @@ def test_to_dict_is_kind_grouped_and_name_sorted():
     assert list(d["counters"]) == ["a.c", "z.c"]
     assert d["gauges"] == {"m.g": 7}
     assert d["histograms"]["t_ns"]["count"] == 1
-
-
-def test_counters_view_is_dict_compatible():
-    reg = MetricsRegistry()
-    view = CountersView(reg)
-    reg.inc("n", 3)
-    reg.set_gauge("g", 1)  # gauges are invisible through the view
-    assert view["n"] == 3
-    assert "g" not in view
-    assert dict(view) == {"n": 3}
-    view["n"] = 9
-    assert reg.counter("n").value == 9
-    with pytest.raises(KeyError):
-        view["missing"]
 
 
 def test_export_json_roundtrip_validates():

@@ -345,7 +345,7 @@ class TestByteIdentity:
         docs = []
         for sid in range(2):
             eng = Engine(seed=1)
-            eng.count("x")
+            eng.metrics.inc("x")
             docs.append(export_obs(eng.metrics, meta={"shard": sid},
                                    now_ns=0))
         with pytest.raises(ObservabilityError, match="shard identity"):

@@ -106,18 +106,9 @@ def test_deterministic_rng_streams():
 
 def test_counters():
     eng = Engine()
-    eng.count("x")
-    eng.count("x", 4)
-    assert eng.counters["x"] == 5
-
-
-def test_trace_records_when_enabled():
-    eng = Engine(trace=True)
-    eng.after(10, lambda: eng.trace("test", "hello"))
-    eng.run()
-    assert len(eng.trace_log) == 1
-    assert eng.trace_log[0].time_ns == 10
-    assert eng.trace_log[0].message == "hello"
+    eng.metrics.inc("x")
+    eng.metrics.inc("x", 4)
+    assert eng.metrics.counters()["x"] == 5
 
 
 def test_cancel_after_run_is_noop():

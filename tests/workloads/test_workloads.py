@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import WorkloadError
-from repro.simkernel import Kernel
+from repro.simkernel import Kernel, ops
 from repro.workloads import (
     DenseWriter,
     HotColdWriter,
@@ -62,6 +62,42 @@ class TestFramework:
         t = Broken(iterations=1).spawn(k)
         with pytest.raises(WorkloadError):
             k.run_until_exit(t)
+
+    def test_iteration_with_too_many_ops_rejected(self):
+        class Broken(Workload):
+            ops_per_iteration = 1
+
+            def iteration(self, task, it):
+                yield ops.Compute(ns=10)
+                yield ops.Compute(ns=10)  # one op more than declared
+
+        k = Kernel(seed=1)
+        t = Broken(iterations=2).spawn(k)
+        with pytest.raises(WorkloadError, match="iteration 0 emitted 2 ops"):
+            k.run_until_exit(t)
+
+    def test_wrong_setup_ops_rejected(self):
+        class Broken(Workload):
+            setup_ops = 2
+
+            def setup(self, task):
+                yield ops.Syscall(name="getpid")  # declared two
+
+            def iteration(self, task, it):
+                yield ops.Compute(ns=10)
+
+        k = Kernel(seed=1)
+        t = Broken(iterations=1).spawn(k)
+        with pytest.raises(WorkloadError, match="setup emitted 1 ops"):
+            k.run_until_exit(t)
+
+    def test_plain_iterator_program_drops_syscall_results(self):
+        k = Kernel(seed=1)
+        program = [ops.Syscall(name="getpid"), ops.Compute(ns=10), ops.Exit(code=3)]
+        t = k.spawn_process("plain", lambda task, step: iter(program))
+        k.run_until_exit(t)
+        assert t.exit_code == 3
+        assert t.acct.syscalls == 1
 
     def test_main_steps_match_declared_shape(self):
         wl = DenseWriter(iterations=5, heap_bytes=64 * 1024)
