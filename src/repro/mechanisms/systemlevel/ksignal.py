@@ -16,7 +16,7 @@ from ...core.features import Features, Initiation
 from ...core.image import CheckpointImage
 from ...core.registry import register
 from ...core.taxonomy import Agent, Context, TaxonomyPosition
-from ...errors import CheckpointError, RestartError
+from ...errors import CheckpointError, RestartError, StorageError
 from ...simkernel import Kernel, Task, TaskState, ops
 from ...simkernel.modules import KernelModule, install_static
 from ...simkernel.signals import Sig
@@ -239,10 +239,31 @@ class SoftwareSuspend(SystemLevelCheckpointer):
         """
         kernel = target_kernel or self.kernel
         blob, delay = self.storage.load(self.SYSTEM_KEY, kernel.engine.now_ns)
+        image = self._find_image(blob, key)
+        if image is None:
+            raise RestartError(f"{key!r} is not in the stored system image")
+        return [image], delay
+
+    def chain_available(self, key: str) -> bool:
+        """Whether the stored system image holds ``key`` (the keys
+        :meth:`image_chain` accepts); an I/O-free peek like the base
+        probe's."""
+        if not self.storage.exists(self.SYSTEM_KEY):
+            return False
+        try:
+            blob = self.storage.peek(self.SYSTEM_KEY)
+        except StorageError:
+            return False
+        return self._find_image(blob, key) is not None
+
+    @staticmethod
+    def _find_image(blob, key: str) -> Optional[CheckpointImage]:
+        """The process image in a system image that ``key`` names: a
+        ``<request>/pid<N>`` key, or a request's key (its first image)."""
         for image in blob["images"]:
             if image.key in (key, f"{key}/pid{image.pid}"):
-                return [image], delay
-        raise RestartError(f"{key!r} is not in the stored system image")
+                return image
+        return None
 
     def unfreeze(self) -> int:
         """Thaw every stopped process (suspend cancelled / standby wake)."""

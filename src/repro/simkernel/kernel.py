@@ -15,6 +15,7 @@ signal handlers plus syscall interposition.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import (
@@ -84,6 +85,10 @@ class Kernel:
         self.node_id = node_id
         self.vfs = VFS()
         self.scheduler = Scheduler(costs, ncpus=ncpus)
+        #: One prebound dispatch callable per CPU, posted by :meth:`_kick`.
+        self._dispatchers = [
+            (cpu, partial(self._dispatch, cpu)) for cpu in self.scheduler.cpus
+        ]
         self.syscalls = SyscallTable()
         self.tasks: Dict[int, Task] = {}
         self._next_pid = 100
@@ -252,7 +257,8 @@ class Kernel:
                 cpu.irq_backlog_ns += self.costs.interrupt_overhead_ns
                 cpu.current.acct.interrupts_absorbed += 1
         self.scheduler.on_tick()
-        self._fire_itimers()
+        if self._itimers:
+            self._fire_itimers()
         self._kick()
         self.engine.after_anon(self.costs.tick_ns, self._tick)
 
@@ -277,13 +283,19 @@ class Kernel:
     # Dispatch / execution
     # ------------------------------------------------------------------
     def _kick(self) -> None:
-        """Schedule dispatch on every idle CPU (coalesced per call)."""
-        for cpu in self.scheduler.cpus:
+        """Schedule dispatch on every idle CPU (coalesced per call).
+
+        The dispatch event is posted even when nothing is runnable: the
+        idle path keeps every event, so event counts and same-instant
+        order do not depend on how cheaply an idle CPU is handled.
+        """
+        after_anon = self.engine.after_anon
+        for cpu, dispatch in self._dispatchers:
             if cpu.current is None:
-                self.engine.after_anon(0, lambda c=cpu: self._dispatch(c))
+                after_anon(0, dispatch)
 
     def _dispatch(self, cpu: CPU) -> None:
-        if self._halted or cpu.current is not None:
+        if self._halted or cpu.current is not None or not self.scheduler.runqueue:
             return
         task = self.scheduler.pick_next(cpu)
         if task is None:
@@ -319,7 +331,8 @@ class Kernel:
         # Signal delivery happens on the kernel->user transition, i.e.
         # before the next USER-mode op, and only outside handler frames.
         if (
-            not task.is_kthread
+            task.signals.pending
+            and not task.is_kthread
             and not task.in_handler
             and task.signals.has_deliverable()
         ):
@@ -333,20 +346,21 @@ class Kernel:
 
     def _execute(self, cpu: CPU, task: Task, op: Op) -> None:
         """Compute the op's duration, apply side effects, schedule completion."""
-        duration = 0
         result: Any = None
         task.in_non_reentrant = bool(op.non_reentrant)
+        # Exact-type dispatch, commonest first (the op vocabulary is closed).
+        cls = type(op)
 
-        if isinstance(op, Compute):
+        if cls is Compute:
             duration = int(op.ns)
 
-        elif isinstance(op, MemWrite):
+        elif cls is MemWrite:
             duration = self._service_write(task, op)
 
-        elif isinstance(op, MemRead):
+        elif cls is MemRead:
             duration = self._service_read(task, op)
 
-        elif isinstance(op, Syscall):
+        elif cls is Syscall:
             try:
                 res, duration = self.syscalls.dispatch(self, task, op.name, op.args)
                 result = res.value
@@ -354,20 +368,20 @@ class Kernel:
                 result = exc
                 duration = self.costs.syscall_ns()
 
-        elif isinstance(op, Sleep):
+        elif cls is Sleep:
             task.state = TaskState.SLEEPING
             cpu.current = None
             self.engine.after_anon(int(op.ns), lambda: self._wake(task))
             self._dispatch(cpu)
             return
 
-        elif isinstance(op, Yield):
+        elif cls is Yield:
             task.completed_op()
             self.scheduler.enqueue(task)
             self._preempt(cpu, requeue=False)
             return
 
-        elif isinstance(op, Exit):
+        elif cls is Exit:
             self._exit_task(task, code=int(op.code))
             return
 
@@ -377,8 +391,7 @@ class Kernel:
         duration += cpu.irq_backlog_ns
         cpu.irq_backlog_ns = 0
         self.engine.after_anon(
-            max(0, duration),
-            lambda: self._complete_op(cpu, task, duration, result),
+            max(0, duration), partial(self._complete_op, cpu, task, duration, result)
         )
 
     def _complete_op(self, cpu: CPU, task: Task, duration: int, result: Any) -> None:
@@ -426,7 +439,7 @@ class Kernel:
         vma = mm.vma(op.vma)
         ps = vma.page_size
         end = op.offset + op.nbytes
-        if op.offset < 0 or end > vma.size_bytes:
+        if op.offset < 0 or end > vma.npages * ps:
             raise MemoryError_(
                 f"write [{op.offset}, {end}) outside VMA "
                 f"{vma.name!r} of {vma.size_bytes} bytes"
@@ -446,10 +459,9 @@ class Kernel:
         # Tracking fault reflected to a *user-level* handler (SIGSEGV)?
         # mprotect covers the whole mapped range, so first-touch of a page
         # that was never allocated also faults while the VMA is armed.
-        tracked_hit = vma.test(pidx, PageFlag.TRACK_WP) or (
-            vma.tracking_armed
-            and not vma.test(pidx, PageFlag.PRESENT)
-            and not vma.test(pidx, PageFlag.UNPROT)
+        f = vma.flags.item(pidx)
+        tracked_hit = f & PageFlag.TRACK_WP or (
+            vma.tracking_armed and not f & (PageFlag.PRESENT | PageFlag.UNPROT)
         )
         if (
             tracked_hit

@@ -83,6 +83,9 @@ class PageFlag:
 
 
 _U8 = np.dtype(np.uint8)
+#: Flags a write to a present page must act on (see ``write_access``).
+_FAULTING_FLAGS = PageFlag.COW | PageFlag.TRACK_WP
+_DIRTY_ACCESSED = PageFlag.DIRTY | PageFlag.ACCESSED
 
 #: ``(167 * i) mod 256`` for every byte ``i`` of a page: the pattern
 #: :meth:`AddressSpace.fill_pattern` writes before adding its base byte.
@@ -113,7 +116,7 @@ def page_checksum(data: np.ndarray) -> int:
     return zlib.adler32(data.tobytes()) & 0xFFFFFFFF
 
 
-@dataclass
+@dataclass(slots=True)
 class WriteOutcome:
     """What servicing one page's worth of a write access entailed.
 
@@ -466,7 +469,18 @@ class AddressSpace:
             )
         if offset < 0 or offset + length > vma.page_size:
             raise MemoryError_("write crosses page boundary; split it first")
-        out = WriteOutcome(vma=vma, page_index=pidx)
+        cl = self.costs.cache_line_size
+        lines = (offset + max(length, 1) - 1) // cl - offset // cl + 1
+        # The common write: a present, writable page that is neither COW
+        # nor write-protected for tracking only gains DIRTY|ACCESSED.
+        # One flag read decides it; every other state takes the full path.
+        f = vma.flags.item(pidx)
+        arr = vma.pages.get(pidx)
+        if (arr is not None and not f & _FAULTING_FLAGS
+                and arr.flags.writeable):
+            vma.flags[pidx] = f | _DIRTY_ACCESSED
+            return WriteOutcome(vma, pidx, lines_touched=lines)
+        out = WriteOutcome(vma=vma, page_index=pidx, lines_touched=lines)
         if vma.test(pidx, PageFlag.COW) and not vma.shared:
             # The COW copy also makes a frozen page private: one copy.
             vma.pages[pidx] = vma.pages[pidx].copy()
@@ -478,10 +492,7 @@ class AddressSpace:
             # The kernel decides whether to clear TRACK_WP (system-level
             # tracking unprotects after logging; user-level handler calls
             # mprotect itself).  We leave the bit alone here.
-        vma.set_flag(pidx, PageFlag.DIRTY | PageFlag.ACCESSED)
-        first_line = offset // self.costs.cache_line_size
-        last_line = (offset + max(length, 1) - 1) // self.costs.cache_line_size
-        out.lines_touched = last_line - first_line + 1
+        vma.set_flag(pidx, _DIRTY_ACCESSED)
         return out
 
     def write_bytes(self, vma: VMA, pidx: int, offset: int, data: bytes) -> None:

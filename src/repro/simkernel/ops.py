@@ -11,6 +11,9 @@ Programs must be **restartable**: a workload supplies a
 ``program_factory(task, start_step)`` and the kernel counts completed ops,
 so a restarted task resumes at the recorded step with its memory image
 restored from the checkpoint rather than replayed.
+
+The kernel dispatches on an op's exact type, so the vocabulary is closed:
+a program yields these classes, not subclasses of them.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Op:
     """Base class for program operations."""
 
@@ -41,14 +44,14 @@ class Op:
     non_reentrant: bool = field(default=False, kw_only=True)
 
 
-@dataclass
+@dataclass(slots=True)
 class Compute(Op):
     """Pure CPU work for ``ns`` nanoseconds."""
 
     ns: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class MemWrite(Op):
     """Write ``nbytes`` at ``offset`` inside the named VMA.
 
@@ -68,7 +71,7 @@ class MemWrite(Op):
     continuation: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class MemRead(Op):
     """Read ``nbytes`` at ``offset`` in the named VMA (charges bandwidth,
     sets accessed bits, participates in the TLB-cold penalty)."""
@@ -78,7 +81,7 @@ class MemRead(Op):
     nbytes: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Syscall(Op):
     """Invoke the named system call; the result is sent back into the
     program generator.  User-mode callers pay the full boundary cost;
@@ -88,20 +91,20 @@ class Syscall(Op):
     args: Tuple[Any, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class Sleep(Op):
     """Block voluntarily for ``ns`` of virtual time."""
 
     ns: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Exit(Op):
     """Terminate the task with ``code``."""
 
     code: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Yield(Op):
     """Relinquish the CPU without blocking (sched_yield)."""

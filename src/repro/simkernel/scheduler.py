@@ -59,7 +59,10 @@ class Scheduler:
             raise SchedulerError("need at least one CPU")
         self.costs = costs
         self.cpus: List[CPU] = [CPU(index=i) for i in range(ncpus)]
-        self._runqueue: List[Task] = []
+        #: Tasks waiting for a CPU, in queue order.  Read it; change it
+        #: only through :meth:`enqueue`, :meth:`dequeue` and
+        #: :meth:`pick_next`.
+        self.runqueue: List[Task] = []
         #: Ticks in a full quantum for a default-priority task.
         self.quantum_ticks = max(1, costs.quantum_ns // costs.tick_ns)
 
@@ -69,8 +72,8 @@ class Scheduler:
         if not task.alive():
             raise SchedulerError(f"cannot enqueue dead task {task!r}")
         task.state = TaskState.READY
-        if task not in self._runqueue:
-            self._runqueue.append(task)
+        if task not in self.runqueue:
+            self.runqueue.append(task)
         # A newly runnable real-time task preempts lower-priority CPUs.
         for cpu in self.cpus:
             if cpu.current is not None and self._beats(task, cpu.current):
@@ -83,12 +86,8 @@ class Scheduler:
         list" data-consistency mechanism when a kernel thread checkpoints
         a running process.
         """
-        if task in self._runqueue:
-            self._runqueue.remove(task)
-
-    def runqueue_length(self) -> int:
-        """Tasks waiting for a CPU (not counting running ones)."""
-        return len(self._runqueue)
+        if task in self.runqueue:
+            self.runqueue.remove(task)
 
     @staticmethod
     def _beats(a: Task, b: Task) -> bool:
@@ -108,21 +107,21 @@ class Scheduler:
         # ticks would permanently outrank drained ones (or vice versa).
         others = [
             t
-            for t in self._runqueue
+            for t in self.runqueue
             if t.state == TaskState.READY and t.policy == SchedPolicy.OTHER
         ]
         if others and all(t.counter_ticks <= 0 for t in others):
             for t in others:
                 t.counter_ticks = self._quantum_for(t)
         best: Optional[Task] = None
-        for task in self._runqueue:
+        for task in self.runqueue:
             if task.state != TaskState.READY:
                 continue
             if best is None or self._beats(task, best):
                 best = task
         if best is None:
             return None
-        self._runqueue.remove(best)
+        self.runqueue.remove(best)
         if best.policy == SchedPolicy.OTHER and best.counter_ticks <= 0:
             best.counter_ticks = self._quantum_for(best)
         best.state = TaskState.RUNNING
@@ -156,7 +155,7 @@ class Scheduler:
                     cpu.need_resched = True
         others = [
             t
-            for t in self._runqueue
+            for t in self.runqueue
             if t.policy == SchedPolicy.OTHER and t.state == TaskState.READY
         ]
         if others and all(t.counter_ticks <= 0 for t in others):
@@ -171,6 +170,6 @@ class Scheduler:
         if cpu.need_resched:
             return True
         return any(
-            self._beats(w, t) for w in self._runqueue if w.state == TaskState.READY
+            self._beats(w, t) for w in self.runqueue if w.state == TaskState.READY
         )
 

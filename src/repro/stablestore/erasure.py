@@ -70,7 +70,7 @@ from ..simkernel.costs import NS_PER_MS, NS_PER_US
 from ..storage.backends import StorageBackend, WriteStream
 from .repair import ReplicationRepairer
 from .replicated import QuorumStore, QuorumWriteStream
-from .server import StorageCluster, StorageServer
+from .server import StorageCluster, StorageServer, StorageServerState
 
 __all__ = [
     "rs_encode",
@@ -608,14 +608,16 @@ class ErasureStore(QuorumStore):
 
     def shard_holders(self, key: str, up_only: bool = True) -> Dict[int, StorageServer]:
         """shard index -> holding server (reachable only, by default)."""
+        # The repairers call this for every key every few milliseconds,
+        # so each server costs one replica lookup and one state test.
         skey = _skey(key)
+        up = StorageServerState.UP
         out: Dict[int, StorageServer] = {}
         for server in self.candidates(key):
-            if not server.holds(skey):
+            entry = server.replicas.get(skey)
+            if entry is None or (up_only and server.state is not up):
                 continue
-            if up_only and not server.up:
-                continue
-            shard = server.replicas[skey][0]
+            shard = entry[0]
             if isinstance(shard, Shard) and shard.index not in out:
                 out[shard.index] = server
         return out

@@ -428,6 +428,24 @@ class TestSoftwareSuspend:
         assert res.task.name == t.name + ":r"
         assert t.state == TaskState.STOPPED  # the suspended original stays frozen
 
+    def test_chain_available_probes_the_system_image(self):
+        """The availability probe accepts the keys restart accepts,
+        although a suspend stores only the one system image."""
+        k = Kernel(ncpus=2, seed=11)
+        mech = SoftwareSuspend(k, LocalDiskStorage(0))
+        apps = [make_writer(seed=i).spawn(k, name=f"app{i}") for i in range(2)]
+        k.run_for(3_000_000)
+        req = mech.suspend(power_down=False)
+        assert not mech.chain_available(req.key)  # nothing stored yet
+        run_request(k, req, timeout_ns=30_000_000_000)
+        assert req.state == RequestState.DONE
+        assert mech.chain_available(req.key)
+        for app in apps:
+            assert mech.chain_available(f"{req.key}/pid{app.pid}")
+        assert not mech.chain_available(f"{req.key}/pid999999")
+        assert not mech.chain_available("no-such-request")
+        assert mech.restart(req.key).task.name == apps[0].name + ":r"
+
 
 class TestCheckpointMT:
     def test_stall_is_fork_only_and_capture_concurrent(self):

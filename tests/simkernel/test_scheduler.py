@@ -104,7 +104,7 @@ def test_runqueue_length_counts_waiting_only():
     k = Kernel(ncpus=1, seed=1)
     tasks = [k.spawn_process(f"t{i}", spin()) for i in range(4)]
     k.run_for(2_000_000)
-    assert k.scheduler.runqueue_length() == 3  # one on CPU
+    assert len(k.scheduler.runqueue) == 3  # one on CPU
 
 
 def test_yield_rotates_tasks():

@@ -15,6 +15,7 @@ from repro.stablestore import (
     ErasureRepairer,
     ErasureStore,
     ReplicatedStore,
+    Shard,
     StorageCluster,
     WritebackPipeline,
     rs_decode,
@@ -282,6 +283,65 @@ class TestErasureWriteStream:
 # ----------------------------------------------------------------------
 # Shard repair
 # ----------------------------------------------------------------------
+def _fresh_scans(store, sc):
+    """(under_replicated, lost_keys) recomputed from scratch: the distinct
+    shard indexes each key has on the cluster's up servers."""
+    counts = [
+        (key, len({
+            server.replicas[key + "#ec"][0].index
+            for server in sc.servers
+            if server.up and key + "#ec" in server.replicas
+            and isinstance(server.replicas[key + "#ec"][0], Shard)
+        }))
+        for key in sorted(store.keys())
+    ]
+    full = store.k + store.m
+    return ([key for key, n in counts if store.k <= n < full],
+            [key for key, n in counts if n < store.k])
+
+
+class TestRepairScan:
+    def test_scan_matches_fresh_holder_maps_after_every_event(self):
+        engine, sc, store = make_store(n=8, k=4, m=2)
+        rep = ErasureRepairer(store, engine)
+
+        def check():
+            assert (store.under_replicated(), store.lost_keys()) == _fresh_scans(store, sc)
+
+        for i in range(5):
+            store.store(f"m/{i}/1", bytes([i]) * 900, 900, engine.now_ns)
+            check()
+        # A whole-object replica sharing the cluster is not a shard.
+        ReplicatedStore(sc).store("m/0/1", b"r" * 10, 10, engine.now_ns)
+        check()
+        first, second = store.shard_holders("m/0/1")[0], store.shard_holders("m/1/1")[3]
+        sc.fail_server(first.server_id)
+        check()
+        assert "m/0/1" in store.under_replicated()
+        second.drop_replica("m/1/1#ec")
+        check()
+        sc.fail_server(store.shard_holders("m/2/1")[1].server_id)
+        check()
+        sc.repair_server(first.server_id)
+        check()
+        sc.fail_server(first.server_id)
+        sc.repair_server(first.server_id, data_survived=False)
+        check()
+        while store.shard_count("m/3/1") >= store.k:
+            sc.fail_server(min(store.shard_holders("m/3/1").values(),
+                               key=lambda s: s.server_id).server_id)
+            check()
+        assert "m/3/1" in store.lost_keys()
+        engine.run(until_ns=engine.now_ns + 10**9)  # the repairer puts shards back
+        assert rep.repairs_completed > 0
+        check()
+        store.delete("m/4/1")
+        check()
+        for server in sc.servers:
+            sc.repair_server(server.server_id)
+        check()
+
+
 class TestErasureRepairer:
     def test_lost_shard_rebuilt_on_a_fresh_server(self):
         engine, sc, store = make_store(n=8, k=4, m=2)
