@@ -24,12 +24,12 @@ PR's perf claims live here:
   :func:`~repro.core.digest.payload_digest` loop over the same page
   stack, timed in the same run so the ratio does not depend on host
   speed.
-* ``engine``      -- events/second through the hybrid timer-wheel
+* ``engine``      -- events/second through the tuple-heap
   :class:`~repro.simkernel.engine.Engine` vs a faithful
   reimplementation of the seed's scheduler (an ``order=True`` Event
   dataclass in a single ``heapq``), on an empty-callback event storm
-  and on a mixed schedule/cancel workload.  The overhaul's acceptance
-  bar is a >=5x storm speedup.
+  and on a mixed schedule/cancel workload.  The row keys keep their
+  ``hybrid`` name from the timer wheel the engine once used.
 * ``distsnap``    -- coordinated distributed snapshots: deterministic
   virtual-time columns (marker latency, logged in-flight channel
   state, stop-the-world downtime, exactly-once restart) plus the
@@ -303,7 +303,7 @@ def bench_dedup(npages: int, generations: int, dirty_fraction: float,
 
 
 # ----------------------------------------------------------------------
-# Engine scheduler: hybrid timer wheel vs the seed's heapq of dataclasses
+# Engine scheduler: tuple heap vs the seed's heapq of dataclasses
 # ----------------------------------------------------------------------
 @dataclass(order=True)
 class _SeedEvent:
@@ -395,7 +395,7 @@ def _run_mixed(make_engine: Callable[[], object], n: int, span_ns: int,
     """Schedule ``n`` timers, cancel all but every ``cancel_every``-th,
     then drain.  Returns (seconds, peak stored entries after cancels) --
     the seed engine retains every cancelled event in its heap; the
-    hybrid engine compacts."""
+    current engine compacts."""
     eng = make_engine()
     times = _storm_times(n, span_ns)
     t0 = time.perf_counter()
@@ -409,7 +409,8 @@ def _run_mixed(make_engine: Callable[[], object], n: int, span_ns: int,
 
 
 def bench_engine(n: int, span_ns: int, repeats: int) -> Dict:
-    """Events/second through the scheduler, hybrid wheel vs seed heapq."""
+    """Events/second through the scheduler, the engine's tuple heap
+    (``*_hybrid_*`` rows) vs the seed's heap of dataclasses."""
     storm_seed = best_of(
         lambda: _run_storm(_SeedEngine, lambda e: e.at, n, span_ns), repeats
     )

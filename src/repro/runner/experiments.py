@@ -63,8 +63,8 @@ def e12_mtbf_cell(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
 
     ``n_trials`` distributional trials read the per-node streams
     directly (:func:`~repro.cluster.trial_first_failure_s`); one
-    additional engine-driven run (dispatcher event through the timer
-    wheel) produces the cell's ``repro.obs`` export.
+    additional engine-driven run (one dispatcher event through the
+    engine's schedule) produces the cell's ``repro.obs`` export.
     """
     n_nodes = int(params["n_nodes"])
     node_mtbf_s = float(params["node_mtbf_s"])

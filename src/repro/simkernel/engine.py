@@ -8,38 +8,21 @@ nothing in the package reads wall-clock time or unseeded randomness.
 
 Times are integer nanoseconds (see :mod:`repro.simkernel.costs`).
 
-Scheduling data structure (the hot path of every experiment)
-------------------------------------------------------------
-Events are totally ordered by ``(time_ns, seq)`` -- exactly the order
-the original single-``heapq`` implementation produced -- but stored in a
-hybrid structure tuned for the simulation's actual timer mix:
+The schedule is one binary heap (:mod:`heapq`) of plain tuples
+``(time_ns, seq, fn, event_or_None)``, totally ordered by ``(time_ns,
+seq)``; ``seq`` is unique, so comparisons never reach ``fn`` and never
+leave C.  The anonymous fast path (:meth:`Engine.after_anon`) skips
+:class:`Event` allocation entirely for fire-and-forget callbacks.
 
-* a **hierarchical timer wheel** (two levels of 256 slots: 131 us and
-  33.5 ms per slot, ~8.6 s total horizon) absorbs the dominant
-  short-horizon timers (scheduler ticks, op completions, I/O, wave
-  polls) with O(1) unsorted inserts;
-* a **far heap** holds events beyond the wheel horizon (node failures
-  hours away, GC sweeps); they cascade into the wheel as the clock
-  approaches;
-* the **current slot** is sorted once and drained by index, with a
-  small side heap absorbing entries that arrive at or before the
-  cursor while it drains (0-delay dispatches), so intra-slot ordering
-  is exact ``(time_ns, seq)`` without a heappop per event.
-
-Entries are plain tuples ``(time_ns, seq, fn, event_or_None)`` --
-comparisons never leave C.  The anonymous fast path
-(:meth:`Engine.after_anon`) skips :class:`Event` allocation entirely for
-fire-and-forget callbacks.
-
-Cancelled events no longer linger until their scheduled time: when the
-cancelled fraction of stored entries crosses a threshold the structure
-compacts, so schedule/cancel churn (retry timers, speculative watchers)
-keeps memory and pop cost bounded.
+Cancellation is lazy: a cancelled entry stays stored until it reaches
+the head of the heap or until cancelled entries outnumber live ones and
+the heap is compacted, so schedule/cancel churn (retry timers,
+speculative watchers) keeps memory and pop cost bounded.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -48,15 +31,6 @@ from ..errors import SimulationError
 from ..obs import MetricsRegistry, Tracer
 
 __all__ = ["Event", "Completion", "Engine"]
-
-# Timer-wheel geometry.  Level-0 slots are 2**17 ns (131.072 us), level-1
-# slots cover one full level-0 window (2**25 ns, 33.554 ms); with 256
-# slots per level the wheel spans ~8.59 s ahead of the cursor.  Events
-# beyond that live in the far heap.
-_L0_BITS = 17
-_L1_BITS = _L0_BITS + 8
-_SLOTS = 256
-_MASK = _SLOTS - 1
 
 #: Compaction trigger: compact once at least this many cancelled entries
 #: are stored *and* they outnumber the live ones.
@@ -127,7 +101,7 @@ class Completion:
 
     The asynchronous checkpoint/restart pipeline posts these for every
     in-flight transfer: the issuer knows the deterministic completion
-    time from the device model, schedules the token on the timer wheel
+    time from the device model, schedules the token on the engine
     (:meth:`Engine.completion`), and consumers attach callbacks instead
     of blocking a task context for the whole transfer latency.
 
@@ -172,7 +146,7 @@ class Completion:
         """Resolve the token at the current virtual time.
 
         Resolving a cancelled token is a no-op: an anonymous timer that
-        already left the wheel may still fire after its consumer
+        was never cancellable may still fire after its consumer
         aborted, and the stale resolution must not reach anyone.
         """
         if self.cancelled:
@@ -213,7 +187,7 @@ class Completion:
 
 
 class Engine:
-    """Hybrid timer wheel + virtual clock.
+    """Event schedule + virtual clock.
 
     Parameters
     ----------
@@ -235,22 +209,8 @@ class Engine:
         #: Cancelled-but-still-stored entries (reaped lazily or at
         #: compaction).
         self._n_cancelled: int = 0
-        # --- the hybrid schedule ------------------------------------
-        #: The slot being drained: a sorted list consumed by index, plus
-        #: a side heap for entries that arrive at or before the cursor
-        #: slot while it drains (0-delay dispatches and the like).
-        self._cur: List[_Entry] = []
-        self._cur_idx: int = 0
-        self._side: List[_Entry] = []
-        #: Absolute level-0 slot index of the cursor (== slot of _cur).
-        self._pos: int = 0
-        self._l0: List[List[_Entry]] = [[] for _ in range(_SLOTS)]
-        self._l0_map: int = 0  # bit i set <=> bucket i non-empty
-        self._l1: List[List[_Entry]] = [[] for _ in range(_SLOTS)]
-        self._l1_map: int = 0
-        #: Far-future overflow (beyond the wheel horizon), a tuple heap.
-        self._far: List[_Entry] = []
-        # ------------------------------------------------------------
+        #: The schedule: a binary heap of ``(time_ns, seq, fn, ev)``.
+        self._heap: List[_Entry] = []
         self.rng: np.random.Generator = np.random.default_rng(seed)
         self._stopped = False
         #: Typed metrics (counters / gauges / histograms) on virtual time.
@@ -287,25 +247,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _place(self, entry: _Entry) -> None:
-        """Route an entry into current-slot heap / wheel / far heap."""
-        s = entry[0] >> _L0_BITS
-        d = s - self._pos
-        if d <= 0:
-            heappush(self._side, entry)
-        elif d <= _SLOTS:
-            i = s & _MASK
-            self._l0[i].append(entry)
-            self._l0_map |= 1 << i
-        else:
-            u = entry[0] >> _L1_BITS
-            if u - (self._pos >> 8) < _SLOTS:
-                i = u & _MASK
-                self._l1[i].append(entry)
-                self._l1_map |= 1 << i
-            else:
-                heappush(self._far, entry)
-
     def at(
         self,
         time_ns: int,
@@ -321,7 +262,7 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         ev = Event(t, seq, fn, label, _engine=self)
-        self._place((t, seq, fn, ev))
+        heappush(self._heap, (t, seq, fn, ev))
         return ev
 
     def after(
@@ -350,32 +291,16 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        # Inlined _place fast path (short-horizon slots dominate).
-        s = t >> _L0_BITS
-        d = s - self._pos
-        if d <= 0:
-            heappush(self._side, (t, seq, fn, None))
-        elif d <= _SLOTS:
-            i = s & _MASK
-            self._l0[i].append((t, seq, fn, None))
-            self._l0_map |= 1 << i
-        else:
-            u = t >> _L1_BITS
-            if u - (self._pos >> 8) < _SLOTS:
-                i = u & _MASK
-                self._l1[i].append((t, seq, fn, None))
-                self._l1_map |= 1 << i
-            else:
-                heappush(self._far, (t, seq, fn, None))
+        heappush(self._heap, (t, seq, fn, None))
 
     def completion(
         self, delay_ns: int, value: Any = None, cancellable: bool = False
     ) -> Completion:
         """Schedule a :class:`Completion` that resolves in ``delay_ns``.
 
-        By default the resolution rides the anonymous fast path on the
-        timer wheel (I/O acknowledgements are never cancelled); ``value``
-        is delivered to the token's callbacks.  ``cancellable=True``
+        By default the resolution rides the anonymous fast path (I/O
+        acknowledgements are never cancelled); ``value`` is delivered to
+        the token's callbacks.  ``cancellable=True``
         routes through a labelled event instead, so
         :meth:`Completion.cancel` removes the timer from the schedule --
         the form protocols use for abortable waits (quiesce drains,
@@ -398,22 +323,7 @@ class Engine:
         t = self._now_ns + int(delay_ns)
         seq = self._seq
         self._seq = seq + 1
-        s = t >> _L0_BITS
-        d = s - self._pos
-        if d <= 0:
-            heappush(self._side, (t, seq, fn, None))
-        elif d <= _SLOTS:
-            i = s & _MASK
-            self._l0[i].append((t, seq, fn, None))
-            self._l0_map |= 1 << i
-        else:
-            u = t >> _L1_BITS
-            if u - (self._pos >> 8) < _SLOTS:
-                i = u & _MASK
-                self._l1[i].append((t, seq, fn, None))
-                self._l1_map |= 1 << i
-            else:
-                heappush(self._far, (t, seq, fn, None))
+        heappush(self._heap, (t, seq, fn, None))
 
     # ------------------------------------------------------------------
     # Introspection / maintenance
@@ -424,19 +334,10 @@ class Engine:
         Anonymous events have no handle and are not reported.  Debugging
         aid; order is unspecified.
         """
-        for entry in self._entries():
+        for entry in self._heap:
             ev = entry[3]
             if ev is not None and not ev.cancelled:
                 yield ev
-
-    def _entries(self) -> Iterator[_Entry]:
-        yield from self._cur[self._cur_idx:]
-        yield from self._side
-        for bucket in self._l0:
-            yield from bucket
-        for bucket in self._l1:
-            yield from bucket
-        yield from self._far
 
     def stored_events(self) -> int:
         """Entries currently stored, including cancelled ones awaiting
@@ -449,45 +350,11 @@ class Engine:
         This is the lower-bound peek the conservative parallel engine
         uses to place the next lockstep window: cancelled-but-unreaped
         entries are counted (their time is still a valid lower bound, so
-        a window placed on one is merely empty, never unsafe).  Cost is
-        one bitmap scan plus a min over the first non-empty bucket --
-        never a full walk of the schedule.
+        a window placed on one is merely empty, never unsafe).  O(1): the
+        heap's head.
         """
-        best: Optional[int] = None
-        if self._cur_idx < len(self._cur):
-            best = self._cur[self._cur_idx][0]
-        if self._side:
-            t = self._side[0][0]
-            if best is None or t < best:
-                best = t
-        # Entries in cur/side are at or before the cursor slot; wheel
-        # buckets and the far heap hold strictly later slots, so the
-        # first hit wins at each level.
-        if best is not None:
-            return best
-        pos = self._pos
-        if self._l0_map:
-            start = (pos + 1) & _MASK
-            m = self._l0_map >> start
-            if m:
-                bidx = (start + ((m & -m).bit_length() - 1)) & _MASK
-            else:
-                m = self._l0_map & ((1 << start) - 1)
-                bidx = (m & -m).bit_length() - 1
-            return min(e[0] for e in self._l0[bidx])
-        if self._l1_map:
-            p1 = pos >> 8
-            start = (p1 + 1) & _MASK
-            m = self._l1_map >> start
-            if m:
-                b1 = (start + ((m & -m).bit_length() - 1)) & _MASK
-            else:
-                m = self._l1_map & ((1 << start) - 1)
-                b1 = (m & -m).bit_length() - 1
-            return min(e[0] for e in self._l1[b1])
-        if self._far:
-            return self._far[0][0]
-        return None
+        heap = self._heap
+        return heap[0][0] if heap else None
 
     def _compact(self) -> None:
         """Rebuild the schedule without cancelled entries.
@@ -496,23 +363,20 @@ class Engine:
         that schedule-and-cancel many speculative timers (retry guards,
         watchdogs) would otherwise accumulate dead entries until their
         scheduled time arrives.
+
+        The list is filtered and re-heapified in place, so a running
+        :meth:`run` keeps a valid alias when a callback compacts.
         """
-        entries = list(self._entries())
-        self._cur = []
-        self._cur_idx = 0
-        self._side = []
-        self._l0 = [[] for _ in range(_SLOTS)]
-        self._l0_map = 0
-        self._l1 = [[] for _ in range(_SLOTS)]
-        self._l1_map = 0
-        self._far = []
-        place = self._place
-        for entry in entries:
+        heap = self._heap
+        live = []
+        for entry in heap:
             ev = entry[3]
             if ev is not None and ev.cancelled:
                 ev.popped = True
-                continue
-            place(entry)
+            else:
+                live.append(entry)
+        heap[:] = live
+        heapify(heap)
         self._n_cancelled = 0
         self.metrics.inc("engine.compactions")
 
@@ -526,72 +390,6 @@ class Engine:
         return self._seq - self._ndone
 
     # ------------------------------------------------------------------
-    def _refill(self) -> bool:
-        """Advance the cursor to the next slot containing entries and
-        sort it into ``_cur``.  Returns False when nothing is left."""
-        far = self._far
-        while True:
-            pos = self._pos
-            p1 = pos >> 8
-            # Far events whose level-1 slot entered the wheel horizon
-            # cascade in before anything later may be drained.
-            while far and (far[0][0] >> _L1_BITS) - p1 < _SLOTS:
-                self._place(heappop(far))
-            # Next non-empty level-0 slot in the window (pos, pos+256].
-            l0_map = self._l0_map
-            s_a = None
-            if l0_map:
-                start = (pos + 1) & _MASK
-                m = l0_map >> start
-                if m:
-                    bidx = start + ((m & -m).bit_length() - 1)
-                else:
-                    m = l0_map & ((1 << start) - 1)
-                    bidx = (m & -m).bit_length() - 1
-                s_a = pos + 1 + ((bidx - pos - 1) & _MASK)
-            # Next non-empty level-1 bucket in the window (p1, p1+256).
-            l1_map = self._l1_map
-            u_b = None
-            if l1_map:
-                start = (p1 + 1) & _MASK
-                m = l1_map >> start
-                if m:
-                    b1 = start + ((m & -m).bit_length() - 1)
-                else:
-                    m = l1_map & ((1 << start) - 1)
-                    b1 = (m & -m).bit_length() - 1
-                u_b = p1 + 1 + ((b1 - p1 - 1) & _MASK)
-            if u_b is not None and (s_a is None or (u_b << 8) <= s_a):
-                # The level-1 bucket starts at or before the next level-0
-                # slot: cascade it into level-0 first (its entries all
-                # land within the new 256-slot window).
-                self._pos = (u_b << 8) - 1
-                i = u_b & _MASK
-                bucket = self._l1[i]
-                self._l1[i] = []
-                self._l1_map &= ~(1 << i)
-                place = self._place
-                for entry in bucket:
-                    place(entry)
-                continue
-            if s_a is not None:
-                self._pos = s_a
-                i = s_a & _MASK
-                bucket = self._l0[i]
-                self._l0[i] = []
-                self._l0_map &= ~(1 << i)
-                bucket.sort()
-                self._cur = bucket
-                self._cur_idx = 0
-                return True
-            # Both wheel levels empty: jump the cursor toward the far
-            # heap's head so the migration loop above pulls it in.
-            if not far:
-                return False
-            jump = (far[0][0] >> _L0_BITS) - 1
-            if jump > self._pos:
-                self._pos = jump
-
     def run(
         self,
         until_ns: Optional[int] = None,
@@ -626,67 +424,39 @@ class Engine:
         # The engine.events counter is flushed once per run() (in the
         # finally below) rather than per event; nothing observes it
         # between events of a single run.
+        heap = self._heap
         try:
             while True:
                 if self._stopped or processed == limit:
+                    return processed
+                if not heap:
                     break
-                cur = self._cur
-                i = self._cur_idx
-                side = self._side
-                n = len(cur)
-                if i >= n and not side:
-                    if not self._refill():
-                        if until_ns is not None and self._now_ns < until_ns:
-                            self._now_ns = int(until_ns)
-                        break
+                entry = heap[0]
+                ev = entry[3]
+                if ev is not None and ev.cancelled:
+                    # Reap a cancelled entry: it stopped counting as
+                    # pending at cancel time and does not count as
+                    # processed now.
+                    heappop(heap)
+                    ev.popped = True
+                    self._n_cancelled -= 1
                     continue
-                # Drain the current slot.  ``cur`` never grows (in-slot
-                # arrivals go to ``side``); only _compact() replaces it,
-                # and that is caught by the identity check after each
-                # callback.
-                while True:
-                    if i < n:
-                        entry = cur[i]
-                        if side and side[0] < entry:
-                            entry = heappop(side)
-                        else:
-                            i += 1
-                    elif side:
-                        entry = heappop(side)
-                    else:
-                        self._cur_idx = i
-                        break
-                    ev = entry[3]
-                    if ev is not None and ev.cancelled:
-                        # Reap a cancelled entry: it stopped counting as
-                        # pending at cancel time and does not count as
-                        # processed now.
-                        ev.popped = True
-                        self._n_cancelled -= 1
-                        continue
-                    t = entry[0]
-                    if t > horizon:
-                        # Leave it for a later run().
-                        self._cur_idx = i
-                        heappush(side, entry)
-                        if self._now_ns < until_ns:
-                            self._now_ns = int(until_ns)
-                        return processed
-                    self._now_ns = t
-                    self._ndone += 1
-                    if ev is not None:
-                        ev.popped = True
-                    # Persist the cursor before the callback: it may
-                    # inspect or compact the schedule (via Event.cancel).
-                    self._cur_idx = i
-                    entry[2]()
-                    processed += 1
-                    if until is not None and until():
-                        return processed
-                    if self._cur is not cur:
-                        break  # compacted mid-callback; resync aliases
-                    if self._stopped or processed == limit:
-                        break
+                t = entry[0]
+                if t > horizon:
+                    break  # leave it stored for a later run()
+                heappop(heap)
+                self._now_ns = t
+                self._ndone += 1
+                if ev is not None:
+                    ev.popped = True
+                # The callback may schedule, cancel or compact; all of
+                # them keep ``heap`` the same list object.
+                entry[2]()
+                processed += 1
+                if until is not None and until():
+                    return processed
+            if until_ns is not None and self._now_ns < until_ns:
+                self._now_ns = int(until_ns)
             return processed
         finally:
             self._events_counter.value += processed

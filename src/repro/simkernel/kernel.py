@@ -21,7 +21,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from ..errors import (
     MemoryError_,
     SchedulerError,
-    SignalError,
     SimulationError,
     SyscallError,
 )
@@ -39,8 +38,8 @@ from .process import (
 )
 from .scheduler import CPU, Scheduler
 from .signals import HandlerKind, Sig, SignalHandler, default_action
-from .syscalls import SyscallResult, SyscallTable
-from .vfs import DeviceNode, File, ProcEntry, RegularFile, SocketFile, VFS
+from .syscalls import SyscallTable
+from .vfs import File, VFS
 
 __all__ = ["Kernel"]
 
@@ -109,7 +108,8 @@ class Kernel:
         self._itimers: Dict[int, Dict[str, Any]] = {}
         #: Callbacks fired when a task exits: pid -> [fn(task)].
         self._exit_watchers: Dict[int, List[Callable[[Task], None]]] = {}
-        self._register_default_syscalls()
+        #: Kernel-added signal default actions: sig -> (action, label).
+        self._kernel_signal_actions: Dict[Sig, Tuple[Callable[[Task], None], str]] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -593,10 +593,7 @@ class Kernel:
         the kernel whose default action checkpoints (or freezes) the
         process -- no per-task registration needed.
         """
-        self._kernel_signal_actions = getattr(self, "_kernel_signal_actions", {})
         self._kernel_signal_actions[sig] = (action, label)
-        # Implemented by installing the handler lazily at post time via a
-        # monkeypatch-free hook: we wrap post_signal's lookup instead.
         for task in self.tasks.values():
             if not task.is_kthread:
                 task.signals.handlers.setdefault(
@@ -606,15 +603,14 @@ class Kernel:
 
     def remove_kernel_signal(self, sig: Sig) -> None:
         """Remove a kernel-added signal action (module unload)."""
-        actions = getattr(self, "_kernel_signal_actions", {})
-        actions.pop(sig, None)
+        self._kernel_signal_actions.pop(sig, None)
         for task in self.tasks.values():
             h = task.signals.handlers.get(sig)
             if h is not None and h.kind == HandlerKind.KERNEL:
                 del task.signals.handlers[sig]
 
     def _install_kernel_signals(self, task: Task) -> None:
-        for sig, (action, label) in getattr(self, "_kernel_signal_actions", {}).items():
+        for sig, (action, label) in self._kernel_signal_actions.items():
             task.signals.handlers.setdefault(
                 sig,
                 SignalHandler(kind=HandlerKind.KERNEL, kernel_action=action, label=label),
@@ -869,234 +865,3 @@ class Kernel:
             "fds": [fd.snapshot() for fd in task.fds.values()],
             "signals": task.signals.snapshot(),
         }
-
-    # ------------------------------------------------------------------
-    # Default system calls
-    # ------------------------------------------------------------------
-    def _register_default_syscalls(self) -> None:
-        t = self.syscalls
-
-        def sc(name):
-            def deco(fn):
-                t.register(name, fn)
-                return fn
-
-            return deco
-
-        @sc("getpid")
-        def _getpid(k, task):
-            return SyscallResult(task.pid, 50)
-
-        @sc("sbrk")
-        def _sbrk(k, task, delta=0):
-            heap = task.mm.vma("heap")
-            if delta:
-                k_new = heap.size_bytes + int(delta)
-                task.mm.resize("heap", k_new)
-            return SyscallResult(task.mm.vma("heap").end, 150)
-
-        @sc("mmap")
-        def _mmap(k, task, name, nbytes, prot=Prot.RW, kind=VMAKind.ANON, shared=False):
-            vma = task.mm.map(name, nbytes, prot=prot, kind=VMAKind(kind), shared=shared)
-            return SyscallResult(vma.start, 800)
-
-        @sc("munmap")
-        def _munmap(k, task, name):
-            task.mm.unmap(name)
-            return SyscallResult(0, 600)
-
-        @sc("mprotect")
-        def _mprotect(k, task, vma_name, action, page=None):
-            """Tracking-oriented mprotect.
-
-            ``action``: ``"arm"`` write-protects all present pages of the
-            VMA for dirty tracking; ``"unprotect"`` clears TRACK_WP on one
-            page (the user-level SIGSEGV handler's fix-up); ``"disarm"``
-            clears the whole VMA.
-            """
-            vma = task.mm.vma(vma_name)
-            if action == "arm":
-                present = (vma.flags & PageFlag.PRESENT) != 0
-                armed = int(present.sum())
-                vma.flags[present] |= PageFlag.TRACK_WP
-                vma.flags[present] &= ~PageFlag.DIRTY & 0xFF
-                vma.flags &= ~PageFlag.UNPROT & 0xFF
-                vma.tracking_armed = True
-                return SyscallResult(armed, 300 + 15 * armed)
-            if action == "unprotect":
-                vma.clear_flag(int(page), PageFlag.TRACK_WP)
-                vma.set_flag(int(page), PageFlag.UNPROT)
-                return SyscallResult(0, 300)
-            if action == "disarm":
-                vma.flags &= ~PageFlag.TRACK_WP & 0xFF
-                vma.tracking_armed = False
-                return SyscallResult(0, 300)
-            raise SyscallError(f"mprotect: unknown action {action!r}")
-
-        @sc("open")
-        def _open(k, task, path, create=False):
-            if not k.vfs.exists(path) and create:
-                k.vfs.create(path)
-            f = k.vfs.lookup(path)
-            fd = task.alloc_fd()
-            task.install_fd(FileDescriptor(fd=fd, file=f))
-            f.refcount += 1
-            return SyscallResult(fd, 400)
-
-        @sc("close")
-        def _close(k, task, fd):
-            fdesc = task.fds.pop(int(fd), None)
-            if fdesc is None:
-                raise SyscallError(f"close: bad fd {fd}")
-            fdesc.file.refcount -= 1
-            return SyscallResult(0, 200)
-
-        @sc("dup")
-        def _dup(k, task, fd):
-            src = task.fds.get(int(fd))
-            if src is None:
-                raise SyscallError(f"dup: bad fd {fd}")
-            nfd = task.alloc_fd()
-            task.install_fd(
-                FileDescriptor(fd=nfd, file=src.file, offset=src.offset, flags=src.flags)
-            )
-            src.file.refcount += 1
-            return SyscallResult(nfd, 250)
-
-        @sc("lseek")
-        def _lseek(k, task, fd, offset=0, whence="cur"):
-            fdesc = task.fds.get(int(fd))
-            if fdesc is None:
-                raise SyscallError(f"lseek: bad fd {fd}")
-            if whence == "set":
-                fdesc.offset = int(offset)
-            elif whence == "cur":
-                fdesc.offset += int(offset)
-            elif whence == "end":
-                fdesc.offset = fdesc.file.size + int(offset)
-            else:
-                raise SyscallError(f"lseek: bad whence {whence!r}")
-            return SyscallResult(fdesc.offset, 150)
-
-        @sc("read")
-        def _read(k, task, fd, nbytes):
-            fdesc = task.fds.get(int(fd))
-            if fdesc is None:
-                raise SyscallError(f"read: bad fd {fd}")
-            data = fdesc.file.read(fdesc.offset, int(nbytes))
-            fdesc.offset += len(data)
-            return SyscallResult(data, 300 + k.costs.memcpy_ns(len(data)))
-
-        @sc("write")
-        def _write(k, task, fd, data):
-            fdesc = task.fds.get(int(fd))
-            if fdesc is None:
-                raise SyscallError(f"write: bad fd {fd}")
-            payload = data if isinstance(data, (bytes, bytearray)) else bytes(int(data))
-            n = fdesc.file.write(fdesc.offset, bytes(payload))
-            fdesc.offset += n
-            return SyscallResult(n, 300 + k.costs.memcpy_ns(n))
-
-        @sc("unlink")
-        def _unlink(k, task, path):
-            k.vfs.unlink(path)
-            return SyscallResult(0, 350)
-
-        @sc("ioctl")
-        def _ioctl(k, task, fd, cmd, arg=None):
-            fdesc = task.fds.get(int(fd))
-            if fdesc is None:
-                raise SyscallError(f"ioctl: bad fd {fd}")
-            value = fdesc.file.ioctl(task, cmd, arg)
-            return SyscallResult(value, 500)
-
-        @sc("kill")
-        def _kill(k, task, pid, sig):
-            k.post_signal(int(pid), Sig(sig))
-            return SyscallResult(0, k.costs.signal_post_ns)
-
-        @sc("sigaction")
-        def _sigaction(k, task, sig, handler):
-            task.signals.register(Sig(sig), handler)
-            return SyscallResult(0, 250)
-
-        @sc("sigpending")
-        def _sigpending(k, task):
-            return SyscallResult(list(task.signals.pending), 150)
-
-        @sc("sigprocmask")
-        def _sigprocmask(k, task, how, sigs):
-            sigset = {Sig(s) for s in sigs}
-            if how == "block":
-                task.signals.blocked |= sigset
-            elif how == "unblock":
-                task.signals.blocked -= sigset
-            elif how == "set":
-                task.signals.blocked = sigset
-            else:
-                raise SyscallError(f"sigprocmask: bad how {how!r}")
-            return SyscallResult(0, 200)
-
-        @sc("setitimer")
-        def _setitimer(k, task, interval_ns, sig=Sig.SIGALRM, first_ns=None):
-            first = int(first_ns) if first_ns is not None else int(interval_ns)
-            k._itimers[task.pid] = {
-                "interval_ns": int(interval_ns),
-                "sig": Sig(sig),
-                "next_ns": k.engine.now_ns + first,
-            }
-            return SyscallResult(0, 300)
-
-        @sc("fork")
-        def _fork(k, task, child_factory=None):
-            child, cost = k.do_fork(task, child_program_factory=child_factory)
-            return SyscallResult(child.pid, cost)
-
-        @sc("sched_setscheduler")
-        def _setsched(k, task, pid, policy, rt_prio=0):
-            target = k.task_by_pid(int(pid))
-            target.policy = SchedPolicy(policy)
-            target.rt_prio = int(rt_prio)
-            return SyscallResult(0, 400)
-
-        @sc("shmget")
-        def _shmget(k, task, key, nbytes):
-            seg = k.shm_segments.setdefault(
-                int(key), {"size": int(nbytes), "id": 0x5000 + len(k.shm_segments), "attached": set()}
-            )
-            return SyscallResult(seg["id"], 500)
-
-        @sc("shmat")
-        def _shmat(k, task, key):
-            seg = k.shm_segments.get(int(key))
-            if seg is None:
-                raise SyscallError(f"shmat: no segment with key {key}")
-            name = f"shm:{key}"
-            if not task.mm.has_vma(name):
-                task.mm.map(
-                    name, seg["size"], prot=Prot.RW, kind=VMAKind.SHM,
-                    shared=True, shm_key=int(key),
-                )
-            seg["attached"].add(task.pid)
-            return SyscallResult(task.mm.vma(name).start, 700)
-
-        @sc("socket_connect")
-        def _socket_connect(k, task, remote_addr, local_port):
-            if int(local_port) in k.ports_in_use:
-                raise SyscallError(f"port {local_port} in use")
-            k.ports_in_use.add(int(local_port))
-            sockpath = f"socket:[{task.pid}:{local_port}]"
-            sock = SocketFile(sockpath, int(local_port), str(remote_addr))
-            fd = task.alloc_fd()
-            task.install_fd(FileDescriptor(fd=fd, file=sock))
-            sock.refcount += 1
-            return SyscallResult(fd, 900)
-
-        @sc("nanosleep")
-        def _nanosleep(k, task, ns):
-            # Modelled via the Sleep op; syscall form kept for API parity.
-            raise SyscallError("use the Sleep op instead of nanosleep")
-
-        @sc("uname")
-        def _uname(k, task):
-            return SyscallResult({"node_id": k.node_id, "sysname": "simlinux"}, 100)

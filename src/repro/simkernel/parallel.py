@@ -17,7 +17,7 @@ The design here:
 
 * machines (and their node-local events) are partitioned into
   **shards**; each shard owns a private :class:`~repro.simkernel.Engine`
-  (its own timer wheel, clock, metrics registry);
+  (its own event schedule, clock, metrics registry);
 * all shards advance in **lockstep windows**.  The window start is the
   global minimum pending event time (idle virtual time is skipped, so a
   fleet whose next failure is minutes away costs no barriers), and the

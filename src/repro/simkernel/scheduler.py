@@ -101,18 +101,7 @@ class Scheduler:
         Real-time classes (CKPT, then FIFO/RR by rt_prio) outrank time
         sharing; ties go to queue order (FIFO within a priority level).
         """
-        # Epoch recharge (2.4-style "goodness" cycle): when every runnable
-        # time-sharing task has exhausted its counter, everyone gets a
-        # fresh quantum.  Without this, a task preempted with leftover
-        # ticks would permanently outrank drained ones (or vice versa).
-        others = [
-            t
-            for t in self.runqueue
-            if t.state == TaskState.READY and t.policy == SchedPolicy.OTHER
-        ]
-        if others and all(t.counter_ticks <= 0 for t in others):
-            for t in others:
-                t.counter_ticks = self._quantum_for(t)
+        self._recharge_epoch()
         best: Optional[Task] = None
         for task in self.runqueue:
             if task.state != TaskState.READY:
@@ -127,6 +116,21 @@ class Scheduler:
         best.state = TaskState.RUNNING
         cpu.current = best
         return best
+
+    def _recharge_epoch(self) -> None:
+        """Epoch recharge (2.4-style "goodness" cycle): when every
+        runnable time-sharing task has exhausted its counter, everyone
+        gets a fresh quantum.  Without this, a task preempted with
+        leftover ticks would permanently outrank drained ones (or vice
+        versa)."""
+        others = [
+            t
+            for t in self.runqueue
+            if t.state == TaskState.READY and t.policy == SchedPolicy.OTHER
+        ]
+        if others and all(t.counter_ticks <= 0 for t in others):
+            for t in others:
+                t.counter_ticks = self._quantum_for(t)
 
     def _quantum_for(self, task: Task) -> int:
         """Quantum (ticks) granted at recharge; niceness scales it."""
@@ -153,14 +157,7 @@ class Scheduler:
                 if t.counter_ticks <= 0:
                     t.counter_ticks = self.quantum_ticks
                     cpu.need_resched = True
-        others = [
-            t
-            for t in self.runqueue
-            if t.policy == SchedPolicy.OTHER and t.state == TaskState.READY
-        ]
-        if others and all(t.counter_ticks <= 0 for t in others):
-            for t in others:
-                t.counter_ticks = self._quantum_for(t)
+        self._recharge_epoch()
 
     def should_preempt(self, cpu: CPU) -> bool:
         """Checked at op boundaries: does ``cpu.current`` lose the CPU?"""

@@ -53,7 +53,7 @@ class WritebackPipeline:
         (quorum acks per extent) and :class:`~repro.stablestore.
         ContentStore` (duplicate extents ack instantly).
     engine:
-        The simulation clock; acks become anonymous timer-wheel events.
+        The simulation clock; acks become anonymous engine events.
     key:
         Image key the stream commits under.
     depth:

@@ -1,15 +1,16 @@
-"""Tests for the hybrid timer-wheel scheduler.
+"""Tests for the engine's event schedule.
 
-The engine overhaul replaced the single-``heapq`` schedule with a
-two-level timer wheel, a far heap and threshold-triggered
-compaction.  These tests pin the properties the
-rewrite must preserve:
+The schedule is one binary heap with lazy cancellation and
+threshold-triggered compaction.  It once was a two-level timer wheel
+(131.072 us and 33.554 ms slots, ~8.6 s horizon) with a far heap; the
+boundary delays of that geometry stay in these tests as plain
+nanosecond values.  The tests pin:
 
-* exact ``(time_ns, seq)`` order across every storage tier (current
-  slot, side heap, both wheel levels, far heap), including events that
-  hop tiers as the clock advances;
+* exact ``(time_ns, seq)`` order for delays from 0 ns to an hour,
+  including events scheduled from inside callbacks;
 * bounded memory under schedule/cancel churn (cancelled events used to
   sit in the heap until their scheduled time);
+* ``next_time_ns()`` as the minimum stored entry time;
 * the ``run()`` clock edge cases around ``until_ns``, ``until`` and
   ``max_events``.
 """
@@ -23,27 +24,31 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simkernel.costs import NS_PER_MS, NS_PER_S
-from repro.simkernel.engine import _COMPACT_MIN_CANCELLED, _L0_BITS, _L1_BITS, Engine
+from repro.simkernel.engine import _COMPACT_MIN_CANCELLED, Engine
+
+#: Boundary delays in ns: 2**17 (131.072 us) and 2**25 (33.554 ms).
+_SLOT_NS = 131_072
+_COARSE_NS = 33_554_432
 
 
 # ----------------------------------------------------------------------
-# Ordering across storage tiers
+# Ordering
 # ----------------------------------------------------------------------
-def test_order_spans_wheel_levels_and_far_heap():
-    """Events in the current slot, level-0, level-1 and the far heap
-    must interleave in exact global (time, seq) order."""
+def test_order_spans_same_tick_to_seconds_out():
+    """Events from the same tick to seconds out must interleave in exact
+    global (time, seq) order."""
     eng = Engine()
     fired = []
-    slot = 1 << _L0_BITS
+    slot = _SLOT_NS
     times = [
-        0,  # current slot
-        7,  # current slot, same tick region
-        3 * slot + 1,  # level 0
-        200 * slot,  # level 0, far end of the window
-        300 * slot,  # level 1
-        (1 << _L1_BITS) * 200,  # level 1, far end
-        20 * NS_PER_S,  # far heap (beyond the ~8.6 s horizon)
-        25 * NS_PER_S,  # far heap
+        0,
+        7,
+        3 * slot + 1,
+        200 * slot,
+        300 * slot,
+        _COARSE_NS * 200,
+        20 * NS_PER_S,
+        25 * NS_PER_S,
     ]
     # Schedule in shuffled order so seq does not accidentally sort.
     order = [5, 0, 7, 2, 4, 6, 1, 3]
@@ -54,7 +59,7 @@ def test_order_spans_wheel_levels_and_far_heap():
     assert eng.now_ns == max(times)
 
 
-def test_far_events_cascade_into_wheel():
+def test_hour_out_event_fires_after_nearer_one():
     """An event hours out must still fire, and in order with nearer ones."""
     eng = Engine()
     fired = []
@@ -66,8 +71,8 @@ def test_far_events_cascade_into_wheel():
 
 
 def test_zero_delay_events_scheduled_during_run_fire_in_seq_order():
-    """0-delay chains (the dispatch pattern) land in the side heap and
-    must still respect seq order against slot entries."""
+    """0-delay chains (the dispatch pattern) must still respect seq
+    order against entries already stored for the same instant."""
     eng = Engine()
     fired = []
 
@@ -84,7 +89,7 @@ def test_zero_delay_events_scheduled_during_run_fire_in_seq_order():
 def test_randomized_differential_vs_reference_heap():
     """Drive the engine and a plain sorted-reference schedule with the
     same randomized workload (schedules from inside callbacks, varied
-    horizons spanning slot/level/far boundaries) and require the exact
+    horizons spanning the old wheel's slot boundaries) and require the exact
     same firing order."""
     eng = Engine(seed=7)
     rng = eng.spawn_rng()
@@ -95,9 +100,9 @@ def test_randomized_differential_vs_reference_heap():
 
     delays = rng.integers(0, 12 * NS_PER_S, size=400).tolist()
     # Mix in boundary-hugging delays the uniform draw would miss.
-    delays += [0, 1, (1 << _L0_BITS) - 1, 1 << _L0_BITS, (1 << _L0_BITS) + 1,
-               (1 << _L1_BITS) - 1, 1 << _L1_BITS, 256 << _L0_BITS,
-               (256 << _L1_BITS) + 5]
+    delays += [0, 1, _SLOT_NS - 1, _SLOT_NS, _SLOT_NS + 1,
+               _COARSE_NS - 1, _COARSE_NS, 256 * _SLOT_NS,
+               256 * _COARSE_NS + 5]
     chain = iter(delays)
 
     def fire(tag):
@@ -319,8 +324,51 @@ def test_stored_events_matches_entry_count_under_churn():
                                  lambda: None))
     for h in handles[::3]:
         h.cancel()
-    assert eng.stored_events() == len(list(eng._entries()))
+    assert eng.stored_events() == len(eng._heap)
     eng.run(until_ns=5 * NS_PER_S)
-    assert eng.stored_events() == len(list(eng._entries()))
+    assert eng.stored_events() == len(eng._heap)
     eng.run()
     assert eng.stored_events() == 0
+
+
+def test_next_time_ns_is_min_stored_entry_time_under_churn():
+    """Random schedules, cancels and bounded runs: ``next_time_ns()``
+    always equals the earliest stored entry, cancelled-but-unreaped
+    ones included (the lower bound the sharded driver relies on)."""
+    eng = Engine(seed=11)
+    rng = eng.spawn_rng()
+    stored = {}  # key -> time of every entry the engine still holds
+    labelled = {}  # key -> Event handle
+    keys = itertools.count()
+
+    def schedule():
+        key = next(keys)
+        delay = int(rng.integers(0, 2 * NS_PER_S))
+        fire = lambda key=key: stored.pop(key)  # noqa: E731
+        if rng.random() < 0.5:
+            labelled[key] = eng.after(delay, fire)
+        else:
+            eng.after_anon(delay, fire)
+        stored[key] = eng.now_ns + delay
+
+    def check():
+        # Cancelled entries leave storage only when reaped or compacted.
+        for key, ev in list(labelled.items()):
+            if ev.popped:
+                stored.pop(key, None)
+                del labelled[key]
+        assert eng.stored_events() == len(stored)
+        assert eng.next_time_ns() == min(stored.values(), default=None)
+
+    for _ in range(60):
+        for _ in range(int(rng.integers(0, 40))):
+            schedule()
+        for ev in labelled.values():
+            if rng.random() < 0.3:
+                ev.cancel()
+        check()
+        eng.run(until_ns=eng.now_ns + int(rng.integers(0, NS_PER_S // 4)))
+        check()
+    eng.run()
+    check()
+    assert eng.next_time_ns() is None

@@ -219,3 +219,28 @@ class TestDispatchCosts:
         t = k.spawn_process("u", None, start=False)
         with pytest.raises(SyscallError):
             k.syscalls.dispatch(k, t, "nope", ())
+
+    def test_module_syscall_stays_on_its_kernel(self):
+        """Each kernel's table is its own copy of the defaults: a call a
+        module registers on one kernel is absent on another."""
+        from repro.simkernel.modules import KernelModule
+        from repro.simkernel.syscalls import SyscallResult
+
+        class Ckpt(KernelModule):
+            name = "ckpt"
+
+            def on_load(self):
+                self.add_syscall("checkpoint", lambda k, task: SyscallResult(7, 10))
+
+        k1, k2 = Kernel(seed=1), Kernel(seed=2)
+        mod = Ckpt().load(k1)
+        t1 = k1.spawn_process("u", None, start=False)
+        t2 = k2.spawn_process("u", None, start=False)
+        assert k1.syscalls.has("checkpoint")
+        assert k1.syscalls.dispatch(k1, t1, "checkpoint", ())[0].value == 7
+        assert not k2.syscalls.has("checkpoint")
+        assert k2.syscalls.dispatch(k2, t2, "getpid", ())[0].value == t2.pid
+        assert not Kernel(seed=3).syscalls.has("checkpoint")
+        mod.unload()
+        assert not k1.syscalls.has("checkpoint")
+        assert k1.syscalls.has("getpid")
