@@ -6,9 +6,10 @@ group with skewed channel latencies and background traffic, snapshotted
 with both coordination protocols, then restarted from the cut) and
 asserts the PR's acceptance bars with plain stdlib:
 
-* the Chandy-Lamport cut logs in-flight messages (skewed latencies make
-  the hard case real) and a restart from it replays them **exactly
-  once** -- zero orphans, zero duplicates in the channel audit;
+* the Chandy-Lamport cut logs at least ``MIN_LOGGED_MSGS`` in-flight
+  messages (skewed latencies make the hard case real) and a restart
+  from it replays them **exactly once** -- zero orphans, zero
+  duplicates in the channel audit;
 * the marker protocol never pauses the application (zero downtime),
   while the stop-the-world cut has provably empty channels and a
   downtime bounded by the quiesce round-trip plus the drain backlog;
@@ -27,52 +28,25 @@ Usage::
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
+from scenarios import (  # also puts the repository's src/ on sys.path
+    DISTSNAP_RATE,
+    DISTSNAP_WARMUP_NS,
+    distsnap_build,
+    distsnap_snapshot,
+    marker_cycle,
+)
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.distsnap import (  # noqa: E402
-    ChannelNetwork,
+from repro.distsnap import (
     MarkerProtocol,
-    SnapRank,
     StopTheWorldProtocol,
     TrafficDriver,
-    restore_snapshot,
-    verify_exactly_once,
 )
-from repro.obs.export import export_obs, to_json  # noqa: E402
-from repro.simkernel.engine import Engine  # noqa: E402
-from repro.stablestore.replicated import ReplicatedStore  # noqa: E402
-from repro.stablestore.server import StorageCluster  # noqa: E402
+from repro.distsnap.protocols import CONTROL_LATENCY_NS
+from repro.obs.export import export_obs, to_json
 
-N = 6
-RATE = 15_000.0
-WARMUP_NS = 3_000_000
-CONTROL_NS = 10_000
-
-
-def build(seed):
-    """All-to-all group with skewed latencies + background traffic."""
-    eng = Engine(seed=seed)
-    net = ChannelNetwork(eng)
-    for i in range(N):
-        for j in range(N):
-            if i != j:
-                net.connect(i, j, latency_ns=5_000 + 40_000 * ((i + 3 * j) % 5))
-    drv = TrafficDriver(net, rate_per_s=RATE)
-    drv.start()
-    ranks = [SnapRank(pid=p, endpoint=net.endpoint(p)) for p in range(N)]
-    return eng, net, drv, ranks
-
-
-def run_snapshot(eng, proto):
-    """Drive the engine until the snapshot settles; returns its token."""
-    token = proto.start()
-    eng.run(until=lambda: token.done or token.cancelled,
-            until_ns=eng.now_ns + 10_000_000_000)
-    return token
+#: Half the 12 in-flight messages the marker cut logs (BENCH_PERF.json
+#: ``distsnap.marker_logged_msgs``).
+MIN_LOGGED_MSGS = 6
 
 
 def main() -> int:
@@ -80,33 +54,19 @@ def main() -> int:
 
     # 1. Marker cut: in-flight messages logged, restart replays them
     #    exactly once.
-    eng, net, drv, ranks = build(seed=13)
-    store = ReplicatedStore(StorageCluster(eng, n_servers=3), replication=2)
-    eng.run(until_ns=WARMUP_NS)
-    proto = MarkerProtocol(net, ranks, store=store, job="smoke")
-    token = run_snapshot(eng, proto)
-    if not token.done:
-        print("FAIL: marker snapshot did not complete")
-        return 1
-    m = proto.manifest
+    m, _, res, audit = marker_cycle()
     logged = m.logged_message_count()
     print(f"marker: logged {logged} in-flight msgs, "
           f"manifest {m.size_bytes}B, downtime {m.downtime_ns}ns")
-    if logged <= 0:
-        print("FAIL: the marker cut logged no in-flight messages -- the "
-              "skewed-latency hard case is not being exercised")
+    if logged < MIN_LOGGED_MSGS:
+        print(f"FAIL: the marker cut logged fewer than {MIN_LOGGED_MSGS} "
+              "in-flight messages -- the skewed-latency hard case is not "
+              "being exercised")
         status = 1
     if m.downtime_ns != 0:
         print(f"FAIL: marker protocol reported downtime {m.downtime_ns}ns; "
               "it must never pause the application")
         status = 1
-
-    eng.run(until_ns=eng.now_ns + 2 * WARMUP_NS)
-    drv.stop()
-    res = restore_snapshot(store, m.key, net, mechanisms=None)
-    consumed = {ep.pid: ep.consumed for ep in net.endpoints()}
-    eng.run(until_ns=eng.now_ns + 1_000_000_000)
-    audit = verify_exactly_once(net, m, consumed)
     print(f"restart: replayed {res.replayed}/{logged}, "
           f"audit {audit['orphans']} orphans / {audit['duplicates']} dups")
     if res.replayed != logged or audit["orphans"] or audit["duplicates"]:
@@ -114,18 +74,17 @@ def main() -> int:
         status = 1
 
     # 2. Stop-the-world: empty channels, bounded downtime, resumed net.
-    eng, net, drv, ranks = build(seed=13)
-    eng.run(until_ns=WARMUP_NS)
+    eng, net, drv, ranks = distsnap_build(seed=13)
+    eng.run(until_ns=DISTSNAP_WARMUP_NS)
     deadline_before = net.drain_deadline_ns()
     t0 = eng.now_ns
-    proto = StopTheWorldProtocol(net, ranks, store=None, job="smoke",
-                                 control_latency_ns=CONTROL_NS)
-    token = run_snapshot(eng, proto)
+    proto = StopTheWorldProtocol(net, ranks, store=None, job="stw")
+    token = distsnap_snapshot(eng, proto)
     if not token.done:
         print("FAIL: stop-the-world snapshot did not complete")
         return 1
     m = proto.manifest
-    bound = 2 * CONTROL_NS + max(0, deadline_before - t0)
+    bound = 2 * CONTROL_LATENCY_NS + max(0, deadline_before - t0)
     print(f"stw: downtime {m.downtime_ns}ns (bound {bound}ns), "
           f"logged {m.logged_message_count()}")
     if m.logged_message_count() != 0:
@@ -141,7 +100,7 @@ def main() -> int:
     drv.stop()
 
     # 3. Abort: no pending-event leak, fresh snapshot still works.
-    eng, net, drv, ranks = build(seed=29)
+    eng, net, drv, ranks = distsnap_build(seed=29)
     eng.run(until_ns=1_000_000)
     proto = MarkerProtocol(net, ranks, store=None, job="smoke")
     proto.start()
@@ -151,10 +110,10 @@ def main() -> int:
     if eng.pending() != 0:
         print(f"FAIL: {eng.pending()} engine events leaked after abort")
         status = 1
-    drv2 = TrafficDriver(net, rate_per_s=RATE)
+    drv2 = TrafficDriver(net, rate_per_s=DISTSNAP_RATE)
     drv2.start()
-    token = run_snapshot(eng, MarkerProtocol(net, ranks, store=None,
-                                             job="smoke"))
+    token = distsnap_snapshot(eng, MarkerProtocol(net, ranks, store=None,
+                                                  job="smoke"))
     if not token.done:
         print("FAIL: no fresh snapshot possible after an abort")
         status = 1
@@ -163,10 +122,10 @@ def main() -> int:
 
     # 4. Determinism: same-seed byte-identical obs exports per protocol.
     def export(protocol, seed):
-        eng, net, drv, ranks = build(seed=seed)
-        eng.run(until_ns=WARMUP_NS)
+        eng, net, drv, ranks = distsnap_build(seed=seed)
+        eng.run(until_ns=DISTSNAP_WARMUP_NS)
         cls = MarkerProtocol if protocol == "marker" else StopTheWorldProtocol
-        token = run_snapshot(eng, cls(net, ranks, store=None, job="det"))
+        token = distsnap_snapshot(eng, cls(net, ranks, store=None, job="det"))
         assert token.done
         drv.stop()
         eng.run()

@@ -13,8 +13,9 @@ delta-parity update path (ISSUE 9):
   over the seed's 160.3 MB/s per-coefficient path (>= 801.5 MB/s at
   the benchmark shape k=4, m=2, 256 KiB) -- the one wall-clock bar in
   this file, with generous headroom on a quiet runner;
-* a 10%-dirty delta update moves >= 3x fewer kernel bytes than a full
-  re-encode (the O(f) claim, exact counter arithmetic);
+* a 10%-dirty delta update moves >= 5x fewer kernel bytes than a full
+  re-encode (the O(f) claim, exact counter arithmetic), and its parity
+  is byte-identical to the full re-encode's;
 * a stripe maintained by ``store_delta`` keeps the full survivable
   envelope: after delta updates, every concurrent ``m``-server failure
   combination still reads back the *new* payload and no ``m+1``
@@ -32,17 +33,18 @@ Usage::
 from __future__ import annotations
 
 import itertools
-import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from scenarios import (  # also puts the repository's src/ on sys.path
+    best_of,
+    rs_delta_kernel_bytes,
+    rs_dirty,
+    rs_payload,
+)
 
-from repro.simkernel.engine import Engine  # noqa: E402
-from repro.stablestore import (  # noqa: E402
+from repro.simkernel.engine import Engine
+from repro.stablestore import (
     KERNEL_STATS,
     ErasureRepairer,
     ErasureStore,
@@ -56,8 +58,12 @@ CONFIGS = [(4, 2), (3, 3), (2, 1), (5, 4)]
 NS = 10**9
 #: >= 5x the pre-kernel 160.3 MB/s baseline (ISSUE 9 acceptance bar).
 MIN_ENCODE_MBPS = 801.5
-#: Kernel bytes of full re-encode over delta at 10% dirty.
-MIN_KERNEL_BYTE_RATIO = 3.0
+#: Kernel bytes of full re-encode over delta at 10% dirty: half the
+#: 10.04x recorded in BENCH_PERF.json.
+MIN_KERNEL_BYTE_RATIO = 5.0
+#: The benchmark shape: 256 KiB, 10% dirty.
+PAYLOAD = rs_payload(256, seed=29)
+DIRTY, NEW_PAYLOAD = rs_dirty(PAYLOAD, 0.1, seed=31)
 
 
 def _mutate(payload: bytes, extents, rng) -> bytes:
@@ -112,16 +118,9 @@ def check_delta_identity() -> int:
 
 def check_encode_throughput() -> int:
     """Packed-table encode clears the 5x bar at the benchmark shape."""
-    k, m = 4, 2
-    rng = np.random.default_rng(43)
-    payload = rng.integers(0, 256, 256 * 1024, dtype=np.uint8).tobytes()
-    rs_encode(payload, k, m)  # warm the packed-table cache
-    best = float("inf")
-    for _ in range(7):
-        t0 = time.perf_counter()
-        rs_encode(payload, k, m)
-        best = min(best, time.perf_counter() - t0)
-    mbps = len(payload) / best / 1e6
+    rs_encode(PAYLOAD, 4, 2)  # warm the packed-table cache
+    (t,) = best_of(7, lambda: rs_encode(PAYLOAD, 4, 2))
+    mbps = len(PAYLOAD) / t / 1e6
     ok = mbps >= MIN_ENCODE_MBPS
     print(
         f"encode throughput: {mbps:.1f} MB/s "
@@ -132,26 +131,9 @@ def check_encode_throughput() -> int:
 
 
 def check_delta_kernel_bytes() -> int:
-    """10%-dirty delta moves >= 3x fewer kernel bytes than full encode."""
-    k, m = 4, 2
-    rng = np.random.default_rng(47)
-    payload = rng.integers(0, 256, 256 * 1024, dtype=np.uint8).tobytes()
-    shards = rs_encode(payload, k, m)
-    run_len = 256
-    n_runs = len(payload) // 10 // run_len
-    stride = len(payload) // n_runs
-    dirty = [(i * stride, run_len) for i in range(n_runs)]
-    new_payload = _mutate(payload, dirty, rng)
-
-    reset_kernel_stats()
-    updated = rs_update_parity(shards[k:], dirty, payload, new_payload, k, m)
-    delta_bytes = KERNEL_STATS["delta_bytes"]
-    reset_kernel_stats()
-    full = rs_encode(new_payload, k, m)
-    full_bytes = KERNEL_STATS["encode_bytes"]
-    reset_kernel_stats()
-
-    identical = updated == full[k:]
+    """10%-dirty delta moves >= 5x fewer kernel bytes than full encode."""
+    delta_bytes, full_bytes, identical = rs_delta_kernel_bytes(
+        PAYLOAD, DIRTY, NEW_PAYLOAD)
     ratio = full_bytes / max(1, delta_bytes)
     ok = identical and ratio >= MIN_KERNEL_BYTE_RATIO
     print(

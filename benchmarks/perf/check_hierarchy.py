@@ -31,26 +31,28 @@ Usage::
 from __future__ import annotations
 
 import itertools
-import sys
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from scenarios import (  # also puts the repository's src/ on sys.path
+    RS_K,
+    RS_M,
+    SMALL_BLOB,
+    erasure_envelope,
+    hierarchy_identity,
+    physical_bytes_vs_rf3,
+)
 
-from repro.obs import export_obs, strip_metrics, to_json  # noqa: E402
-from repro.simkernel.engine import Engine  # noqa: E402
-from repro.stablestore import (  # noqa: E402
+from repro.simkernel.engine import Engine
+from repro.stablestore import (
     ErasureRepairer,
     ErasureStore,
     HierarchicalStore,
-    ReplicatedStore,
     StorageCluster,
     StorageLevel,
     rs_decode,
     rs_encode,
 )
-from repro.storage.backends import MemoryStorage  # noqa: E402
-from repro.storage.devices import memory_device  # noqa: E402
+from repro.storage.backends import MemoryStorage
+from repro.storage.devices import memory_device
 
 MAX_RATIO = 0.6  # ec(4+2) physical bytes vs rf=3, issue acceptance bar
 CONFIGS = [(4, 2), (3, 3), (2, 1), (5, 4)]
@@ -60,14 +62,14 @@ NS = 10**9
 def check_codec() -> int:
     """Every k-subset of every config reconstructs byte-identically."""
     status = 0
-    blob = bytes(range(256)) * 16  # 4 KiB
     for k, m in CONFIGS:
-        shards = rs_encode(blob, k, m)
+        shards = rs_encode(SMALL_BLOB, k, m)
         combos = ok = 0
         for keep in itertools.combinations(range(k + m), k):
             combos += 1
-            got = rs_decode({i: shards[i] for i in keep}, k, m, len(blob))
-            ok += got == blob
+            got = rs_decode({i: shards[i] for i in keep}, k, m,
+                            len(SMALL_BLOB))
+            ok += got == SMALL_BLOB
         print(f"codec k={k} m={m}: {ok}/{combos} k-subsets exact")
         if ok != combos:
             print("FAIL: Reed-Solomon reconstruction is not MDS")
@@ -77,25 +79,9 @@ def check_codec() -> int:
 
 def check_envelope() -> int:
     """All m-failure combos survivable, no m+1 combo is."""
-    k, m = 4, 2
-    blob = bytes(range(256)) * 16
     status = 0
-    for width, want_all in ((m, True), (m + 1, False)):
-        tested = survived = 0
-        for combo in itertools.combinations(range(k + m), width):
-            engine = Engine(seed=23)
-            store = ErasureStore(
-                StorageCluster(engine, n_servers=k + m),
-                data_shards=k, parity_shards=m,
-            )
-            store.store("e/1/1", blob, len(blob), 0)
-            for sid in combo:
-                store.storage.fail_server(sid)
-            tested += 1
-            try:
-                survived += store.load("e/1/1", NS)[0] == blob
-            except Exception:
-                pass
+    for width, want_all in ((RS_M, True), (RS_M + 1, False)):
+        tested, survived = erasure_envelope(width)
         want = tested if want_all else 0
         print(f"envelope: {survived}/{tested} of the {width}-failure "
               f"combinations readable (want {want})")
@@ -107,18 +93,10 @@ def check_envelope() -> int:
 
 def check_ratio() -> int:
     """Erasure physical bytes <= MAX_RATIO of triple replication."""
-    blob = b"x" * 65536
-    e1 = Engine(seed=23)
-    rep = ReplicatedStore(StorageCluster(e1, n_servers=6), replication=3)
-    rep.store("m/1/1", blob, len(blob), 0)
-    e2 = Engine(seed=23)
-    ec = ErasureStore(StorageCluster(e2, n_servers=6),
-                      data_shards=4, parity_shards=2)
-    ec.store("m/1/1", blob, len(blob), 0)
-    ratio = ec.physical_bytes() / rep.physical_bytes()
-    print(f"physical bytes: ec(4+2) {ec.physical_bytes()}, "
-          f"rf=3 {rep.physical_bytes()}, ratio {ratio:.2f}x "
-          f"(need <= {MAX_RATIO:.1f}x)")
+    ec_bytes, rep_bytes = physical_bytes_vs_rf3()
+    ratio = ec_bytes / rep_bytes
+    print(f"physical bytes: ec({RS_K}+{RS_M}) {ec_bytes}, rf=3 {rep_bytes}, "
+          f"ratio {ratio:.2f}x (need <= {MAX_RATIO:.1f}x)")
     if ratio > MAX_RATIO:
         print("FAIL: erasure tier is not cheaper than the acceptance bar")
         return 1
@@ -127,30 +105,7 @@ def check_ratio() -> int:
 
 def check_identity() -> int:
     """Depth<=1 hierarchy export byte-identical to the bare store."""
-    blob = bytes(range(256)) * 16
-
-    def exercise(store, engine):
-        for i in range(4):
-            store.store(f"m/{i}/1", blob, len(blob), 0)
-        for i in range(4):
-            store.load(f"m/{i}/1", 10**8)
-            store.load_fanout(f"m/{i}/1", 2 * 10**8)
-        st = store.open_stream("m/9/1", 0)
-        st.send(4096, 0)
-        st.commit(blob, len(blob), 10**6)
-        doc = export_obs(engine.metrics, meta={"check": "hier-identity"},
-                         now_ns=engine.now_ns)
-        return to_json(strip_metrics(doc, prefixes=("hierarchy.",)))
-
-    eb = Engine(seed=7)
-    bare = ReplicatedStore(StorageCluster(eb, n_servers=3), replication=2)
-    ew = Engine(seed=7)
-    wrapped = HierarchicalStore(ew, [
-        StorageLevel("only",
-                     ReplicatedStore(StorageCluster(ew, n_servers=3),
-                                     replication=2)),
-    ])
-    same = exercise(bare, eb) == exercise(wrapped, ew)
+    same = hierarchy_identity()
     print(f"depth<=1 identity: exports {'byte-identical' if same else 'DIFFER'}")
     if not same:
         print("FAIL: the degenerate hierarchy is not a free pass-through")
@@ -164,8 +119,7 @@ def check_repair() -> int:
     sc = StorageCluster(engine, n_servers=8)  # 4+2 shards + 2 spares
     store = ErasureStore(sc, data_shards=4, parity_shards=2)
     ErasureRepairer(store, engine)
-    blob = bytes(range(256)) * 16
-    store.store("m/1/1", blob, len(blob), 0)
+    store.store("m/1/1", SMALL_BLOB, len(SMALL_BLOB), 0)
     victim = next(iter(store.shard_holders("m/1/1").values())).server_id
     sc.fail_server(victim)
     before = len(store.shard_holders("m/1/1"))
@@ -177,7 +131,7 @@ def check_repair() -> int:
     if after != 6 or under:
         print("FAIL: the repairer did not restore the group")
         return 1
-    if store.load("m/1/1", engine.now_ns)[0] != blob:
+    if store.load("m/1/1", engine.now_ns)[0] != SMALL_BLOB:
         print("FAIL: repaired group does not read back")
         return 1
     return 0
@@ -193,8 +147,7 @@ def check_writeback() -> int:
         StorageLevel("scratch", scratch),
         StorageLevel("erasure", erasure, write="back"),
     ])
-    blob = bytes(range(256)) * 16
-    h.store("w/1", blob, len(blob), 0)
+    h.store("w/1", SMALL_BLOB, len(SMALL_BLOB), 0)
     landed_sync = erasure.exists("w/1")
     engine.run(until_ns=engine.now_ns + NS)
     landed_async = erasure.exists("w/1")

@@ -4,8 +4,9 @@
 Asserts the PR's hard gate and a lenient throughput bar with plain
 stdlib:
 
-* **1-vs-N byte identity**: the folded ``repro.obs`` export of a
-  failure-storm fleet is the same bytes for 1, 2 and 4 shards, and the
+* **1-vs-N byte identity**: the folded ``repro.obs`` export of the
+  failure-storm fleet (``scenarios.storm``, the one ``run_bench.py``
+  times) is the same bytes for 1, 2 and 4 shards, and the
   persistent-worker process backend folds to the same bytes as the
   in-process reference;
 * the all-cross-shard **ring traffic** scenario delivers every message
@@ -17,10 +18,10 @@ stdlib:
   4 shards) folds that envelope-carrying run to the same bytes as the
   1-shard in-process run, over the same windows, envelopes and events
   as the 4-shard in-process run;
-* a **speedup smoke**: aggregate events/s at 4 shards is at least 1.5x
-  the 1-shard run.  The full >=3x acceptance bar lives in
-  ``BENCH_PERF.json`` (``parallel_engine.speedup_4shard``); this bar is
-  deliberately lenient because CI runners are small and noisy, but a
+* a **speedup bar**: aggregate events/s at 4 shards is at least 1.5x
+  the 1-shard run.  This is the only gate on that speedup
+  (``BENCH_PERF.json`` records it as ``parallel_engine.speedup_4shard``);
+  the bar is lenient because CI runners are small and noisy, but a
   sharded run that is *not meaningfully faster* means the O(n/S)
   dispatch win has rotted.
 
@@ -33,32 +34,16 @@ Usage::
 
 from __future__ import annotations
 
-import sys
-import time
-from pathlib import Path
+from scenarios import (  # also puts the repository's src/ on sys.path
+    bench_workers,
+    best_of,
+    storm,
+)
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.runner import run_parallel  # noqa: E402
-from repro.simkernel.costs import NS_PER_S, NS_PER_US  # noqa: E402
+from repro.runner import run_parallel
+from repro.simkernel.costs import NS_PER_S, NS_PER_US
 
 MIN_SPEEDUP = 1.5
-
-
-def storm(shards: int, workers: int = 1, n_nodes: int = 65536,
-          horizon_s: float = 900.0):
-    """One failure-storm run (the speedup + identity workload)."""
-    return run_parallel(
-        "repro.cluster.scenarios:fleet_storm",
-        {"n_nodes": n_nodes, "mtbf_s": 200_000.0, "repair_s": 30.0},
-        seed=17,
-        n_shards=shards,
-        horizon_ns=int(horizon_s * NS_PER_S),
-        window_ns=30 * NS_PER_S,
-        workers=workers,
-        meta={"experiment": "smoke-storm", "n_nodes": n_nodes, "seed": 17},
-    )
 
 
 def main() -> int:
@@ -71,7 +56,7 @@ def main() -> int:
         if runs[s].obs_json != ref:
             print(f"FAIL: {s}-shard folded export differs from 1-shard")
             status = 1
-    procs = storm(4, workers=2)
+    procs = storm(4, workers=bench_workers())
     if procs.obs_json != ref:
         print("FAIL: process-backend folded export differs from in-process")
         status = 1
@@ -147,25 +132,15 @@ def main() -> int:
         print("FAIL: restart reads were not all acknowledged")
         status = 1
 
-    # 4. Speedup smoke (lenient; the 3x bar lives in BENCH_PERF.json).
-    def timed(shards):
-        best = float("inf")
-        events = 0
-        for _ in range(2):
-            t0 = time.perf_counter()
-            res = storm(shards)
-            best = min(best, time.perf_counter() - t0)
-            events = res.stats.events
-        return events / best
-
-    eps1 = timed(1)
-    eps4 = timed(4)
+    # 4. Speedup (the one gate on it; BENCH_PERF.json records it).
+    t1, t4 = best_of(2, lambda: storm(1), lambda: storm(4))
+    eps1, eps4 = runs[1].stats.events / t1, runs[4].stats.events / t4
     speedup = eps4 / eps1
     print(f"speedup: {eps1:.0f} -> {eps4:.0f} aggregate events/s "
           f"at 4 shards ({speedup:.2f}x)")
     if speedup < MIN_SPEEDUP:
         print(f"FAIL: 4-shard speedup {speedup:.2f}x below the "
-              f"{MIN_SPEEDUP}x smoke bar")
+              f"{MIN_SPEEDUP}x bar")
         status = 1
 
     print("OK: parallel engine within acceptance bars" if not status

@@ -28,70 +28,34 @@ Usage::
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.cluster import Cluster  # noqa: E402
-from repro.core.checkpointer import RequestState  # noqa: E402
-from repro.core.direction import AutonomicCheckpointer  # noqa: E402
-from repro.simkernel.costs import NS_PER_S  # noqa: E402
-from repro.workloads import SparseWriter  # noqa: E402
+from scenarios import (  # also puts the repository's src/ on sys.path
+    mean_delta_stall, pipeline_build, pipeline_deltas, pipeline_restart,
+)
 
 MIN_OVERLAP = 0.5  # pipelined downtime <= 0.5x the synchronous drain's
-MIN_RESTART_SPEEDUP = 2.0
+#: Half the 6.6x restart speedup recorded in BENCH_PERF.json.
+MIN_RESTART_SPEEDUP = 3.3
 N_CHECKPOINTS = 6
 CHAIN_LEN = 9  # 1 full + 8 deltas
-
-
-def build(depth, count, compact=None):
-    cl = Cluster(n_nodes=1, seed=21, storage_servers=3, replication=2)
-    node = cl.node(0)
-    mech = AutonomicCheckpointer(node.kernel, node.remote_storage)
-    mech.pipeline_depth = depth
-    mech.rebase_every = 100
-    mech.compaction_threshold = compact
-    wl = SparseWriter(iterations=30_000, dirty_fraction=0.03,
-                      heap_bytes=256 * 1024, seed=0, compute_ns=100_000)
-    task = wl.spawn(node.kernel)
-    mech.prepare_target(task)
-    last = None
-    for i in range(count):
-        req = mech.request_checkpoint(task)
-        cl.run_until(
-            lambda: req.state in (RequestState.DONE, RequestState.FAILED),
-            240 * NS_PER_S,
-        )
-        if req.state != RequestState.DONE:
-            print(f"FAIL: checkpoint {i} at depth {depth} "
-                  f"did not complete: {req.error}")
-            raise SystemExit(1)
-        last = req
-    return cl, node, mech, last
-
-
-def deltas(mech):
-    return [r for r in mech.completed_requests() if r.image.is_incremental]
 
 
 def main() -> int:
     status = 0
 
-    _, _, sync_mech, _ = build(1, N_CHECKPOINTS)
-    cl_p, _, pipe_mech, _ = build(4, N_CHECKPOINTS)
-    sync_stall = sum(r.target_stall_ns for r in deltas(sync_mech))
-    pipe_stall = sum(r.target_stall_ns for r in deltas(pipe_mech))
+    _, _, sync_mech, _ = pipeline_build(1, N_CHECKPOINTS)
+    cl_p, _, pipe_mech, _ = pipeline_build(4, N_CHECKPOINTS)
+    sync_stall = mean_delta_stall(sync_mech)
+    pipe_stall = mean_delta_stall(pipe_mech)
     overlap = 1.0 - pipe_stall / sync_stall
-    print(f"downtime: sync {sync_stall}ns, pipelined {pipe_stall}ns, "
+    print(f"downtime per delta: sync {sync_stall:.0f}ns, "
+          f"pipelined {pipe_stall:.0f}ns, "
           f"overlap {overlap:.2%} (need >= {MIN_OVERLAP:.0%})")
     if overlap < MIN_OVERLAP:
         print("FAIL: the pipelined drain does not hide enough of the "
               "synchronous downtime")
         status = 1
 
-    hidden = [r.storage_delay_ns for r in deltas(pipe_mech)]
+    hidden = [r.storage_delay_ns for r in pipeline_deltas(pipe_mech)]
     if not all(h > 0 for h in hidden):
         print(f"FAIL: pipelined requests lost their storage accounting: "
               f"{hidden}")
@@ -106,12 +70,7 @@ def main() -> int:
         print(f"FAIL: window exceeded depth 4: {inflight.max} in flight")
         status = 1
 
-    _, node_s, mech_s, last_s = build(4, CHAIN_LEN)
-    _, serial_ns = mech_s.image_chain(last_s.key, target_kernel=node_s.kernel)
-    _, node_c, mech_c, last_c = build(4, CHAIN_LEN, compact=4)
-    chain_c, compact_ns = mech_c.image_chain(
-        last_c.key, target_kernel=node_c.kernel, prefetch=True
-    )
+    serial_ns, compact_ns, images_read = pipeline_restart(CHAIN_LEN)
     speedup = serial_ns / compact_ns
     print(f"restart: serial walk {serial_ns}ns, prefetch+compaction "
           f"{compact_ns}ns, speedup {speedup:.2f}x "
@@ -119,8 +78,8 @@ def main() -> int:
     if speedup < MIN_RESTART_SPEEDUP:
         print("FAIL: chain restart speedup below the acceptance bar")
         status = 1
-    if len(chain_c) != 1:
-        print(f"FAIL: compacted restore read {len(chain_c)} images, "
+    if images_read != 1:
+        print(f"FAIL: compacted restore read {images_read} images, "
               "expected the single flat blob")
         status = 1
 

@@ -26,26 +26,16 @@ from __future__ import annotations
 
 import sys
 import tempfile
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from scenarios import e12_cells  # also puts the repository's src/ on sys.path
 
-from repro.obs import validate_export  # noqa: E402
-from repro.runner import Cell, GridRunner, grid_to_json  # noqa: E402
-from repro.runner.experiments import e12_mtbf_cell  # noqa: E402
+from repro.obs import validate_export
+from repro.runner import GridRunner, grid_to_json
 
 
 def mini_grid() -> list:
     """A small but non-trivial grid: three sizes, obs-bearing cells."""
-    return [
-        Cell(
-            "e12", e12_mtbf_cell,
-            {"n_nodes": n, "node_mtbf_s": 50.0, "n_trials": 5},
-            seed=12,
-        )
-        for n in (64, 256, 1024)
-    ]
+    return e12_cells((64, 256, 1024), n_trials=5)
 
 
 def main() -> int:

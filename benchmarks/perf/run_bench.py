@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Wall-clock microbenchmarks for the vectorized capture/scan fast path.
+"""Wall-clock microbenchmarks for the simulator's host-side fast paths.
 
 Unlike the ``test_eNN`` experiments (which measure *virtual* nanoseconds
 inside the simulation), this harness measures *simulator wall-clock*:
 how fast the Python process itself scans blocks, captures pages,
-materializes chains and writes deduplicated checkpoint streams.  The
-PR's perf claims live here:
+materializes chains, digests and codes checkpoint data and dispatches
+events.  Every timed row is paired with a reference timed in the same
+run, so the ratio between them does not depend on the host's speed:
 
 * ``block_scan``  -- vectorized :func:`repro.core.digest.block_digests`
   vs a faithful reimplementation of the seed's scalar per-block loop
@@ -22,46 +23,47 @@ PR's perf claims live here:
   repeated-generation workload, plus ``digest_speedup``: one batched
   :func:`~repro.core.digest.page_digests` call vs a per-page
   :func:`~repro.core.digest.payload_digest` loop over the same page
-  stack, timed in the same run so the ratio does not depend on host
-  speed.
+  stack.
 * ``engine``      -- events/second through the tuple-heap
   :class:`~repro.simkernel.engine.Engine` vs a faithful
   reimplementation of the seed's scheduler (an ``order=True`` Event
   dataclass in a single ``heapq``), on an empty-callback event storm
   and on a mixed schedule/cancel workload.  The row keys keep their
   ``hybrid`` name from the timer wheel the engine once used.
-* ``distsnap``    -- coordinated distributed snapshots: deterministic
-  virtual-time columns (marker latency, logged in-flight channel
-  state, stop-the-world downtime, exactly-once restart) plus the
-  wall-clock of a full marker snapshot+restart cycle.
 * ``grid_runner`` -- wall-clock of an E12-style system-MTBF sweep:
   the pre-runner serial shape (one scheduled event per node per trial)
   vs the sharded :class:`~repro.runner.GridRunner` over
-  fleet-vectorized cells, cold-cache (single- and multi-worker, with
-  the real ``workers``/``cpu_count`` recorded) and warm-cache.  The
-  acceptance bar is a >=4x sweep speedup.
+  fleet-vectorized cells, cold-cache (single- and multi-worker) and
+  warm-cache.  The acceptance bar is a >=4x sweep speedup.
 * ``parallel_engine`` -- aggregate events/second of a failure-storm
   fleet through the conservative time-windowed parallel engine
   (:mod:`repro.simkernel.parallel`): 1 shard vs 4 shards in-process vs
-  4 shards over worker processes (the pipe transport), with the folded
-  ``repro.obs`` exports asserted byte-identical across all of them.  The acceptance
-  bar is a >=3x aggregate events/s gain at 4 shards -- the win is
-  algorithmic (each fleet dispatch scans ``n/S`` nodes instead of
-  ``n``), so it holds even on a single-core runner.
+  4 shards over worker processes (the pipe transport).
+* ``pipeline``    -- virtual-time downtime overlap and chain-restart
+  speedup of the asynchronous C/R pipeline, plus the wall-clock of the
+  pipelined capture run.
+* ``distsnap``    -- coordinated distributed snapshots: deterministic
+  virtual-time columns (marker latency, logged in-flight channel
+  state, stop-the-world downtime, exactly-once restart) plus the
+  wall-clock of a full marker snapshot+restart cycle, also counted per
+  seed-engine storm drained in the same run.
+* ``erasure``     -- the ``4+2`` Reed-Solomon tier on 256 KiB: packed
+  pair-table encode, degraded decode and the O(dirty)
+  ``rs_update_parity`` delta path, each timed against a full encode;
+  the delta's kernel bytes against a full re-encode's; and the tier's
+  deterministic survival envelope, physical-bytes ratio and depth<=1
+  hierarchy identity.
 
-* ``erasure_kernels`` -- the GF(2^8) Reed-Solomon hot path: packed
-  pair-table encode and degraded decode MB/s, the O(dirty)
-  ``rs_update_parity`` delta path (effective MB/s of re-protecting the
-  whole payload plus the kernel-bytes ratio vs a full re-encode), with
-  the delta parity asserted byte-identical to full encode inline.
-
-Results are written as JSON (default: ``BENCH_PERF.json`` at the repo
-root -- the committed baseline).  ``--check BASELINE.json`` compares the
-fresh block-scan throughput against a committed baseline and exits
-non-zero on a more-than-``--max-regression``-fold slowdown (the batched
-digest speedup is guarded the same way); CI runs this
-against the committed file so the fast path cannot silently rot back
-into the scalar loop.
+The scenarios and the timing helper come from ``scenarios.py``, which
+the ``check_*.py`` scripts share.  Results are written as JSON
+(default: ``BENCH_PERF.json`` at the repo root -- the committed
+baseline), with the ``host`` they were measured on.  ``--check
+BASELINE.json`` compares every same-run ratio in :data:`GUARDS` with
+the baseline's and exits non-zero when one falls by more than
+:data:`MAX_REGRESSION`; CI runs this against the committed file, so a
+fast path rotting back into its reference loop fails the build while a
+slower host does not.  No absolute throughput is guarded here, and no
+deterministic bar a ``check_*.py`` script already gates.
 
 Usage::
 
@@ -77,7 +79,7 @@ import heapq
 import itertools
 import json
 import os
-import sys
+import platform
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -86,28 +88,34 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from scenarios import (  # also puts the repository's src/ on sys.path
+    DISTSNAP_N, DISTSNAP_RATE, DISTSNAP_WARMUP_NS, REPO_ROOT, RS_K, RS_M,
+    STORM_HORIZON_S, STORM_MTBF_S, STORM_NODES, bench_workers, best_of,
+    distsnap_build, distsnap_snapshot, e12_cells, erasure_envelope,
+    hierarchy_identity, marker_cycle, mean_delta_stall,
+    physical_bytes_vs_rf3, pipeline_build, pipeline_restart,
+    rs_delta_kernel_bytes, rs_dirty, rs_payload, storm,
+)
 
-from repro.core.capture import _extent_runs  # noqa: E402
-from repro.core.digest import block_digests, page_digests, payload_digest  # noqa: E402
-from repro.core.image import CheckpointImage, materialize_chain  # noqa: E402
-from repro.simkernel.engine import Engine  # noqa: E402
-from repro.simkernel.memory import Prot, VMA, VMAKind  # noqa: E402
-from repro.stablestore import ContentStore  # noqa: E402
-from repro.storage.backends import MemoryStorage  # noqa: E402
+from repro.core.capture import _extent_runs
+from repro.core.digest import block_digests, page_digests, payload_digest
+from repro.core.image import CheckpointImage, materialize_chain
+from repro.simkernel.engine import Engine
+from repro.simkernel.memory import Prot, VMA, VMAKind
+from repro.stablestore import ContentStore
+from repro.storage.backends import MemoryStorage
 
 PAGE = 4096
-
-
-def best_of(fn: Callable[[], object], repeats: int) -> float:
-    """Minimum wall-clock seconds of ``fn`` over ``repeats`` runs."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+#: Schema of the BENCH_PERF document; a baseline of another schema is
+#: not comparable.
+SCHEMA = 2
+#: Timing repeats per microbench (the minimum is reported).
+REPEATS = 5
+#: Allowed fall of a guarded same-run ratio below the baseline's.
+MAX_REGRESSION = 2.0
+#: The engine storm: pending events and the span they are spread over.
+STORM_EVENTS = 100_000
+SPAN_NS = 50_000_000
 
 
 def make_pages(npages: int, seed: int = 42) -> np.ndarray:
@@ -160,13 +168,14 @@ def bench_block_scan(npages: int, bs: int, repeats: int) -> Dict:
     pages = make_pages(npages)
     nbytes = pages.size
 
+    # Warm both tables: a rescan is the hot case.
     scalar_tab: Dict = {}
-    scalar_scan(pages, bs, scalar_tab)  # warm the table: rescan is the hot case
-    t_scalar = best_of(lambda: scalar_scan(pages, bs, scalar_tab), repeats)
-
+    scalar_scan(pages, bs, scalar_tab)
     vec_tab: Dict = {}
     vector_scan(pages, bs, vec_tab)
-    t_vec = best_of(lambda: vector_scan(pages, bs, vec_tab), repeats)
+    t_scalar, t_vec = best_of(repeats,
+                              lambda: scalar_scan(pages, bs, scalar_tab),
+                              lambda: vector_scan(pages, bs, vec_tab))
 
     return {
         "pages": npages,
@@ -203,8 +212,7 @@ def bench_capture(npages: int, repeats: int) -> Dict:
         for name, start, n in _extent_runs(pages):
             img.take_pages(name, start, vma.read_pages(start, n))
 
-    t_page = best_of(per_page, repeats)
-    t_ext = best_of(extents, repeats)
+    t_page, t_ext = best_of(repeats, per_page, extents)
     nbytes = npages * PAGE
     return {
         "pages": npages,
@@ -236,10 +244,9 @@ def bench_materialize(npages: int, ndeltas: int, repeats: int) -> Dict:
                           rng.integers(0, 256, size=512, dtype=np.uint8))
         chain.append(img)
 
-    t = best_of(lambda: materialize_chain(chain, page_size=PAGE), repeats)
+    (t,) = best_of(repeats, lambda: materialize_chain(chain, page_size=PAGE))
     flat = materialize_chain(chain, page_size=PAGE)
     return {
-        "cpu_count": os.cpu_count(),
         "pages": npages,
         "deltas": ndeltas,
         "chain_chunks": sum(len(img.chunks) for img in chain),
@@ -256,8 +263,9 @@ def bench_dedup(npages: int, generations: int, dirty_fraction: float,
     """Backing-store bytes for repeated generations, plain vs dedup."""
     rng = np.random.default_rng(11)
     corpus = make_pages(npages)
-    t_scalar = best_of(lambda: [payload_digest(p) for p in corpus], repeats)
-    t_batch = best_of(lambda: page_digests(corpus, PAGE), repeats)
+    t_scalar, t_batch = best_of(repeats,
+                                lambda: [payload_digest(p) for p in corpus],
+                                lambda: page_digests(corpus, PAGE))
 
     def generation_images():
         data = corpus.copy()
@@ -285,7 +293,6 @@ def bench_dedup(npages: int, generations: int, dirty_fraction: float,
     store_s = time.perf_counter() - t0
 
     return {
-        "cpu_count": os.cpu_count(),
         "pages": npages,
         "generations": generations,
         "dirty_fraction": dirty_fraction,
@@ -378,56 +385,49 @@ def _storm_times(n: int, span_ns: int) -> List[int]:
 
 
 def _run_storm(make_engine: Callable[[], object], schedule: Callable,
-               n: int, span_ns: int) -> float:
-    """Seconds to schedule and drain ``n`` empty-callback events."""
+               n: int, span_ns: int) -> None:
+    """Schedule and drain ``n`` empty-callback events."""
     eng = make_engine()
-    times = _storm_times(n, span_ns)
-    t0 = time.perf_counter()
     sched = schedule(eng)
-    for t in times:
+    for t in _storm_times(n, span_ns):
         sched(t, _noop)
     eng.run()
-    return time.perf_counter() - t0
 
 
 def _run_mixed(make_engine: Callable[[], object], n: int, span_ns: int,
-               cancel_every: int) -> Tuple[float, int]:
+               cancel_every: int) -> int:
     """Schedule ``n`` timers, cancel all but every ``cancel_every``-th,
-    then drain.  Returns (seconds, peak stored entries after cancels) --
-    the seed engine retains every cancelled event in its heap; the
-    current engine compacts."""
+    then drain.  Returns the entries stored after the cancels -- the
+    seed engine retains every cancelled event in its heap; the current
+    engine compacts."""
     eng = make_engine()
-    times = _storm_times(n, span_ns)
-    t0 = time.perf_counter()
-    handles = [eng.at(t, _noop) for t in times]
+    handles = [eng.at(t, _noop) for t in _storm_times(n, span_ns)]
     for i, h in enumerate(handles):
         if i % cancel_every:
             h.cancel()
     stored = eng.stored_events()
     eng.run()
-    return time.perf_counter() - t0, stored
+    return stored
 
 
 def bench_engine(n: int, span_ns: int, repeats: int) -> Dict:
     """Events/second through the scheduler, the engine's tuple heap
     (``*_hybrid_*`` rows) vs the seed's heap of dataclasses."""
-    storm_seed = best_of(
-        lambda: _run_storm(_SeedEngine, lambda e: e.at, n, span_ns), repeats
-    )
-    storm_hybrid = best_of(
-        lambda: _run_storm(Engine, lambda e: e.at_anon, n, span_ns), repeats
-    )
-    storm_labelled = best_of(
-        lambda: _run_storm(Engine, lambda e: e.at, n, span_ns), repeats
+    storm_seed, storm_hybrid, storm_labelled = best_of(
+        repeats,
+        lambda: _run_storm(_SeedEngine, lambda e: e.at, n, span_ns),
+        lambda: _run_storm(Engine, lambda e: e.at_anon, n, span_ns),
+        lambda: _run_storm(Engine, lambda e: e.at, n, span_ns),
     )
 
     cancel_every = 4  # cancel 3 of every 4 timers
-    mixed_seed = best_of(lambda: _run_mixed(_SeedEngine, n, span_ns,
-                                            cancel_every)[0], repeats)
-    mixed_hybrid = best_of(lambda: _run_mixed(Engine, n, span_ns,
-                                              cancel_every)[0], repeats)
-    _, seed_stored = _run_mixed(_SeedEngine, n, span_ns, cancel_every)
-    _, hybrid_stored = _run_mixed(Engine, n, span_ns, cancel_every)
+    mixed_seed, mixed_hybrid = best_of(
+        repeats,
+        lambda: _run_mixed(_SeedEngine, n, span_ns, cancel_every),
+        lambda: _run_mixed(Engine, n, span_ns, cancel_every),
+    )
+    seed_stored = _run_mixed(_SeedEngine, n, span_ns, cancel_every)
+    hybrid_stored = _run_mixed(Engine, n, span_ns, cancel_every)
 
     return {
         "events": n,
@@ -449,7 +449,7 @@ def bench_engine(n: int, span_ns: int, repeats: int) -> Dict:
 # Grid runner: serial per-node-event sweep vs sharded fleet-cell sweep
 # ----------------------------------------------------------------------
 def bench_grid_runner(sizes: List[int], node_mtbf_s: float, n_trials: int,
-                      repeats: int, workers: Optional[int] = None) -> Dict:
+                      repeats: int) -> Dict:
     """Wall-clock of an E12-style system-MTBF sweep, four ways.
 
     * ``serial``: the pre-runner shape -- every grid point schedules one
@@ -459,10 +459,8 @@ def bench_grid_runner(sizes: List[int], node_mtbf_s: float, n_trials: int,
       :class:`~repro.runner.GridRunner` over fleet-vectorized
       ``e12_mtbf_cell`` cells, empty disk cache, one worker.
     * ``runner_cold_mp``: the cold sweep again over ``workers`` actual
-      worker processes (default ``min(4, cpu_count)``, floored at 2 so
-      the multiprocess path is always exercised; the real ``workers``
-      and ``cpu_count`` are recorded, so a 2-core CI runner's numbers
-      read as what they are).
+      worker processes (``min(4, cpu_count)``, floored at 2 so the
+      multiprocess path is always exercised).
     * ``runner_warm``: the identical sweep again -- pure cache hits.
 
     All runner paths must produce byte-identical merged documents
@@ -473,8 +471,7 @@ def bench_grid_runner(sizes: List[int], node_mtbf_s: float, n_trials: int,
     import shutil
     import tempfile
 
-    from repro.runner import Cell, GridRunner, grid_to_json
-    from repro.runner.experiments import e12_mtbf_cell
+    from repro.runner import GridRunner, grid_to_json
     from repro.simkernel.costs import NS_PER_S
 
     def serial_sweep() -> List[float]:
@@ -492,19 +489,10 @@ def bench_grid_runner(sizes: List[int], node_mtbf_s: float, n_trials: int,
             mtbfs.append(sum(ttfs) / len(ttfs))
         return mtbfs
 
-    def cells() -> List[Cell]:
-        return [
-            Cell("e12", e12_mtbf_cell,
-                 {"n_nodes": n, "node_mtbf_s": node_mtbf_s,
-                  "n_trials": n_trials}, seed=12)
-            for n in sizes
-        ]
+    def cells():
+        return e12_cells(sizes, n_trials, node_mtbf_s)
 
-    if workers is None:
-        workers = max(2, min(4, os.cpu_count() or 1))
-
-    t_serial = best_of(serial_sweep, repeats)
-
+    workers = bench_workers()
     cache_dir = tempfile.mkdtemp(prefix="bench-grid-")
     try:
         def cold(w: int) -> str:
@@ -512,13 +500,13 @@ def bench_grid_runner(sizes: List[int], node_mtbf_s: float, n_trials: int,
             return grid_to_json(
                 GridRunner(workers=w, cache_dir=cache_dir).run(cells()))
 
-        t_cold = best_of(lambda: cold(1), repeats)
+        t_serial, t_cold, t_cold_mp = best_of(
+            repeats, serial_sweep, lambda: cold(1), lambda: cold(workers))
         doc_cold = cold(1)
-        t_cold_mp = best_of(lambda: cold(workers), repeats)
         doc_cold_mp = cold(workers)
         warm_runner = GridRunner(workers=workers, cache_dir=cache_dir)
-        t_warm = best_of(lambda: grid_to_json(warm_runner.run(cells())),
-                         repeats)
+        (t_warm,) = best_of(repeats,
+                            lambda: grid_to_json(warm_runner.run(cells())))
         doc_warm = grid_to_json(warm_runner.run(cells()))
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
@@ -528,7 +516,6 @@ def bench_grid_runner(sizes: List[int], node_mtbf_s: float, n_trials: int,
         "node_mtbf_s": node_mtbf_s,
         "trials_per_size": n_trials,
         "workers": workers,
-        "cpu_count": os.cpu_count(),
         "serial_s": round(t_serial, 4),
         "runner_cold_s": round(t_cold, 4),
         "runner_cold_mp_s": round(t_cold_mp, 4),
@@ -543,61 +530,34 @@ def bench_grid_runner(sizes: List[int], node_mtbf_s: float, n_trials: int,
 # ----------------------------------------------------------------------
 # Conservative time-windowed parallel engine: failure-storm throughput
 # ----------------------------------------------------------------------
-def bench_parallel_engine(n_nodes: int, mtbf_s: float, horizon_s: float,
-                          repeats: int) -> Dict:
-    """Aggregate events/second of a failure-storm fleet, sharded.
+def bench_parallel_engine(repeats: int) -> Dict:
+    """Aggregate events/second of the failure-storm fleet, sharded.
 
-    The same seeded storm (``n_nodes`` nodes, low MTBF, fast repair --
-    every transition a dispatcher event) runs three ways: one shard,
+    The seeded storm of ``scenarios.storm`` runs three ways: one shard,
     four shards stepped in-process, and four shards over worker
     processes.  ``speedup_4shard`` is the aggregate events/s ratio of
     the 4-shard in-process run over the 1-shard run; it is dominated by
     the O(``n/S``) fleet dispatch (each shard's dispatcher scans only
-    its own slice), so it exceeds the 3x acceptance bar even without
-    spare cores.  The process-backend row records the real ``workers``
-    and ``cpu_count`` so its number is interpretable on any runner.
-
-    ``byte_identical`` asserts the hard determinism gate inline: the
-    folded obs exports of all runs are the same bytes.  ``transport``
-    records the data path of the ``eps_4shard_procs`` row.
+    its own slice), so it holds even without spare cores.
+    ``check_parallel.py`` gates it and the byte identity of the runs;
+    ``speedup_4shard_procs`` is guarded here when the host has a core
+    per worker.  ``transport`` records the data path of the
+    ``eps_4shard_procs`` row.
     """
-    from repro.runner import run_parallel
-    from repro.simkernel.costs import NS_PER_S
-
-    params = {"n_nodes": n_nodes, "mtbf_s": mtbf_s, "repair_s": 30.0,
-              "model": "exp"}
-    meta = {"experiment": "bench-storm", "n_nodes": n_nodes, "seed": 17}
-    horizon_ns = int(horizon_s * NS_PER_S)
-    window_ns = 30 * NS_PER_S  # barrier every 30 simulated seconds
-    cpu = os.cpu_count() or 1
-    workers = max(2, min(4, cpu))
-
-    def storm(shards: int, nworkers: int):
-        return run_parallel(
-            "repro.cluster.scenarios:fleet_storm", params, 17,
-            n_shards=shards, horizon_ns=horizon_ns, window_ns=window_ns,
-            workers=nworkers, meta=meta,
-        )
-
-    def timed(shards: int, nworkers: int):
-        res = storm(shards, nworkers)
-        t = best_of(lambda: storm(shards, nworkers), repeats)
-        return res, t
-
-    res1, t1 = timed(1, 1)
-    res4, t4 = timed(4, 1)
-    res_procs, t_procs = timed(4, workers)
+    workers = bench_workers()
+    res1, res4, res_procs = storm(1), storm(4), storm(4, workers)
+    t1, t4, t_procs = best_of(repeats, lambda: storm(1), lambda: storm(4),
+                              lambda: storm(4, workers))
 
     eps1 = res1.stats.events / t1
     eps4 = res4.stats.events / t4
     eps_procs = res_procs.stats.events / t_procs
     identical = res1.obs_json == res4.obs_json == res_procs.obs_json
     return {
-        "nodes": n_nodes,
-        "mtbf_s": mtbf_s,
-        "horizon_s": horizon_s,
+        "nodes": STORM_NODES,
+        "mtbf_s": STORM_MTBF_S,
+        "horizon_s": STORM_HORIZON_S,
         "workers": workers,
-        "cpu_count": cpu,
         "transport": res_procs.transport,
         "windows": res4.stats.windows,
         "envelopes": res4.stats.exchanged,
@@ -623,57 +583,18 @@ def bench_pipeline(n_ckpts: int, chain_len: int) -> Dict:
     workload is checkpointed through the synchronous drain and through
     the depth-4 COW writeback pipeline, then an ``chain_len - 1``-delta
     chain is restarted via the serial walk and via parallel prefetch +
-    chain compaction.  The wall-clock of the pipelined capture run is
-    also recorded so the async machinery's simulator overhead is
-    visible.
+    chain compaction.  ``check_pipeline.py`` gates these rows.  The
+    wall-clock of the pipelined capture run is also recorded so the
+    async machinery's simulator overhead is visible.
     """
-    from repro.cluster import Cluster
-    from repro.core.checkpointer import RequestState
-    from repro.core.direction import AutonomicCheckpointer
-    from repro.simkernel.costs import NS_PER_S
-    from repro.workloads import SparseWriter
-
-    def build(depth, count, compact=None):
-        cl = Cluster(n_nodes=1, seed=21, storage_servers=3, replication=2)
-        node = cl.node(0)
-        mech = AutonomicCheckpointer(node.kernel, node.remote_storage)
-        mech.pipeline_depth = depth
-        mech.rebase_every = 100
-        mech.compaction_threshold = compact
-        wl = SparseWriter(iterations=30_000, dirty_fraction=0.03,
-                          heap_bytes=256 * 1024, seed=0, compute_ns=100_000)
-        task = wl.spawn(node.kernel)
-        mech.prepare_target(task)
-        last = None
-        for i in range(count):
-            req = mech.request_checkpoint(task)
-            cl.run_until(
-                lambda: req.state in (RequestState.DONE, RequestState.FAILED),
-                240 * NS_PER_S,
-            )
-            assert req.state == RequestState.DONE, (depth, i, req.error)
-            last = req
-        return cl, node, mech, last
-
-    def mean_delta_stall(mech) -> float:
-        deltas = [r for r in mech.completed_requests()
-                  if r.image.is_incremental]
-        return sum(r.target_stall_ns for r in deltas) / len(deltas)
-
-    _, _, sync_mech, _ = build(1, n_ckpts)
+    _, _, sync_mech, _ = pipeline_build(1, n_ckpts)
     t0 = time.perf_counter()
-    _, _, pipe_mech, _ = build(4, n_ckpts)
+    _, _, pipe_mech, _ = pipeline_build(4, n_ckpts)
     pipelined_wall_s = time.perf_counter() - t0
 
     sync_stall = mean_delta_stall(sync_mech)
     pipe_stall = mean_delta_stall(pipe_mech)
-
-    _, node_s, mech_s, last_s = build(4, chain_len)
-    _, serial_ns = mech_s.image_chain(last_s.key, target_kernel=node_s.kernel)
-    _, node_c, mech_c, last_c = build(4, chain_len, compact=4)
-    chain_c, compact_ns = mech_c.image_chain(
-        last_c.key, target_kernel=node_c.kernel, prefetch=True
-    )
+    serial_ns, compact_ns, images_read = pipeline_restart(chain_len)
 
     return {
         "checkpoints": n_ckpts,
@@ -686,7 +607,7 @@ def bench_pipeline(n_ckpts: int, chain_len: int) -> Dict:
         "restart_serial_ns": serial_ns,
         "restart_prefetch_compact_ns": compact_ns,
         "restart_speedup": round(serial_ns / compact_ns, 2),
-        "images_read_compacted": len(chain_c),
+        "images_read_compacted": images_read,
         "pipelined_capture_wall_s": round(pipelined_wall_s, 4),
     }
 
@@ -694,66 +615,30 @@ def bench_pipeline(n_ckpts: int, chain_len: int) -> Dict:
 # ----------------------------------------------------------------------
 # Coordinated distributed snapshots: protocol cost and wall overhead
 # ----------------------------------------------------------------------
-def bench_distsnap(n: int, rate: float, repeats: int) -> Dict:
+def bench_distsnap(repeats: int) -> Dict:
     """Virtual-time evidence plus wall cost for ``repro.distsnap``.
 
-    One all-to-all process group with skewed channel latencies and
-    background traffic is snapshotted by the Chandy-Lamport marker
-    protocol and by stop-the-world, then restarted from the marker cut.
-    The virtual-time columns (marker latency, logged in-flight state,
-    STW downtime, exactly-once restart) are deterministic -- any drift
-    is a real protocol change; the wall-clock column records what a
-    full snapshot+restart cycle costs the simulator.
+    The all-to-all group of ``scenarios.distsnap_build`` is snapshotted
+    by the Chandy-Lamport marker protocol and by stop-the-world, then
+    restarted from the marker cut.  The virtual-time columns are
+    deterministic (``check_distsnap.py`` gates them); the wall-clock
+    column records what a full snapshot+restart cycle costs the
+    simulator, and ``cycles_per_seed_storm`` counts cycles in the time
+    the frozen seed engine drains the ``engine`` section's storm, timed
+    in turn with the cycle, so the host's speed cancels out.
     """
-    from repro.distsnap import (
-        ChannelNetwork, MarkerProtocol, SnapRank, StopTheWorldProtocol,
-        TrafficDriver, restore_snapshot, verify_exactly_once,
-    )
-    from repro.stablestore.replicated import ReplicatedStore
-    from repro.stablestore.server import StorageCluster
+    from repro.distsnap import StopTheWorldProtocol
 
-    def build(seed):
-        eng = Engine(seed=seed)
-        net = ChannelNetwork(eng)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    net.connect(i, j,
-                                latency_ns=5_000 + 40_000 * ((i + 3 * j) % 5))
-        drv = TrafficDriver(net, rate_per_s=rate)
-        drv.start()
-        ranks = [SnapRank(pid=p, endpoint=net.endpoint(p)) for p in range(n)]
-        return eng, net, drv, ranks
-
-    def snap(eng, proto):
-        token = proto.start()
-        eng.run(until=lambda: token.done or token.cancelled,
-                until_ns=eng.now_ns + 10_000_000_000)
-        assert token.done
-        return proto.manifest
-
-    def marker_cycle():
-        eng, net, drv, ranks = build(seed=13)
-        store = ReplicatedStore(StorageCluster(eng, n_servers=3),
-                                replication=2)
-        eng.run(until_ns=3_000_000)
-        t0 = eng.now_ns
-        m = snap(eng, MarkerProtocol(net, ranks, store=store, job="bench"))
-        latency_ns = eng.now_ns - t0
-        eng.run(until_ns=eng.now_ns + 6_000_000)
-        drv.stop()
-        res = restore_snapshot(store, m.key, net, mechanisms=None)
-        consumed = {ep.pid: ep.consumed for ep in net.endpoints()}
-        eng.run(until_ns=eng.now_ns + 1_000_000_000)
-        audit = verify_exactly_once(net, m, consumed)
-        return m, latency_ns, res, audit
-
-    t_wall = best_of(marker_cycle, repeats)
+    t_wall, t_storm = best_of(
+        repeats, marker_cycle,
+        lambda: _run_storm(_SeedEngine, lambda e: e.at, STORM_EVENTS, SPAN_NS))
     m, latency_ns, res, audit = marker_cycle()
 
-    eng, net, drv, ranks = build(seed=13)
-    eng.run(until_ns=3_000_000)
-    stw = snap(eng, StopTheWorldProtocol(net, ranks, store=None, job="bench"))
+    eng, net, drv, ranks = distsnap_build(seed=13)
+    eng.run(until_ns=DISTSNAP_WARMUP_NS)
+    proto = StopTheWorldProtocol(net, ranks, store=None, job="stw")
+    distsnap_snapshot(eng, proto)
+    stw = proto.manifest
     drv.stop()
 
     exactly_once = float(
@@ -761,8 +646,8 @@ def bench_distsnap(n: int, rate: float, repeats: int) -> Dict:
         and audit["orphans"] == 0 and audit["duplicates"] == 0
     )
     return {
-        "processes": n,
-        "rate_per_s": rate,
+        "processes": DISTSNAP_N,
+        "rate_per_s": DISTSNAP_RATE,
         "marker_latency_ns": latency_ns,
         "marker_logged_msgs": m.logged_message_count(),
         "marker_manifest_bytes": m.size_bytes,
@@ -772,127 +657,39 @@ def bench_distsnap(n: int, rate: float, repeats: int) -> Dict:
         "exactly_once": exactly_once,
         "cycle_wall_s": round(t_wall, 4),
         "cycles_per_s": round(1.0 / t_wall, 2),
+        "cycles_per_seed_storm": round(t_storm / t_wall, 2),
     }
 
 
 # ----------------------------------------------------------------------
-# Multi-level stable storage: erasure codec cost and hierarchy identity
+# The erasure tier: GF(2^8) kernels, survival envelope, hierarchy identity
 # ----------------------------------------------------------------------
-def bench_storage_hierarchy(payload_kib: int, repeats: int) -> Dict:
-    """Wall cost of the pure-python Reed-Solomon codec plus the
-    deterministic correctness ratios the E23 acceptance bars rest on.
-
-    The throughput rows (encode, degraded decode) are real wall-clock
-    and guard the GF(2^8) table path; the survival/ratio/identity rows
-    are virtual-time or exact counts -- any drift is a real behavior
-    change in the erasure tier or the hierarchy's pass-through.
-    """
-    from repro.obs import export_obs, strip_metrics, to_json
-    from repro.simkernel.engine import Engine
-    from repro.stablestore import (
-        ErasureStore, HierarchicalStore, ReplicatedStore, StorageCluster,
-        StorageLevel, rs_decode, rs_encode,
-    )
-
-    k, m = 4, 2
-    blob = bytes(range(256)) * (payload_kib * 4)  # payload_kib KiB
-
-    t_enc = best_of(lambda: rs_encode(blob, k, m), repeats)
-    shards = rs_encode(blob, k, m)
-    worst = {i: shards[i] for i in range(m, k + m)}  # all parity in play
-    t_dec = best_of(lambda: rs_decode(worst, k, m, len(blob)), repeats)
-    assert rs_decode(worst, k, m, len(blob)) == blob
-
-    # Exhaustive m-failure survival of a simulated k+m group.
-    small = blob[:4096]
-    tested = survived = 0
-    for combo in itertools.combinations(range(k + m), m):
-        engine = Engine(seed=23)
-        store = ErasureStore(StorageCluster(engine, n_servers=k + m),
-                             data_shards=k, parity_shards=m)
-        store.store("e/1/1", small, len(small), 0)
-        for sid in combo:
-            store.storage.fail_server(sid)
-        tested += 1
-        if store.load("e/1/1", 10**9)[0] == small:
-            survived += 1
-
-    # Physical bytes vs rf=3 replication for the same logical blob.
-    e1 = Engine(seed=23)
-    rep = ReplicatedStore(StorageCluster(e1, n_servers=6), replication=3)
-    rep.store("m/1/1", small, len(small), 0)
-    e2 = Engine(seed=23)
-    ec = ErasureStore(StorageCluster(e2, n_servers=6),
-                      data_shards=k, parity_shards=m)
-    ec.store("m/1/1", small, len(small), 0)
-    ratio = ec.physical_bytes() / rep.physical_bytes()
-
-    # Depth<=1 hierarchy exports byte-identically to the bare store.
-    def exercise(store, engine):
-        for i in range(4):
-            store.store(f"m/{i}/1", small, len(small), 0)
-        for i in range(4):
-            store.load(f"m/{i}/1", 10**8)
-            store.load_fanout(f"m/{i}/1", 2 * 10**8)
-        st = store.open_stream("m/9/1", 0)
-        st.send(4096, 0)
-        st.commit(small, len(small), 10**6)
-        doc = export_obs(engine.metrics, meta={"bench": "hier-identity"},
-                         now_ns=engine.now_ns)
-        return to_json(strip_metrics(doc, prefixes=("hierarchy.",)))
-
-    eb = Engine(seed=7)
-    bare = ReplicatedStore(StorageCluster(eb, n_servers=3), replication=2)
-    ew = Engine(seed=7)
-    wrapped = HierarchicalStore(ew, [
-        StorageLevel("only",
-                     ReplicatedStore(StorageCluster(ew, n_servers=3),
-                                     replication=2)),
-    ])
-    byte_identical = float(exercise(bare, eb) == exercise(wrapped, ew))
-
-    return {
-        "k": k,
-        "m": m,
-        "payload_kib": payload_kib,
-        "encode_mbps": round(payload_kib / 1024 / t_enc, 1),
-        "decode_degraded_mbps": round(payload_kib / 1024 / t_dec, 1),
-        "envelope_tested": tested,
-        "envelope_survival": round(survived / tested, 3),
-        "physical_ratio_vs_rf3": round(ratio, 3),
-        "byte_identical": byte_identical,
-    }
-
-
-# ----------------------------------------------------------------------
-# Erasure kernels: packed-table encode, degraded decode, delta parity
-# ----------------------------------------------------------------------
-def bench_erasure_kernels(payload_kib: int, dirty_fraction: float,
-                          repeats: int) -> Dict:
-    """Wall throughput of the vectorized GF(2^8) kernels.
+def bench_erasure(payload_kib: int, dirty_fraction: float,
+                  repeats: int) -> Dict:
+    """Wall throughput of the vectorized ``4+2`` Reed-Solomon kernels,
+    each against a full encode timed in the same run, plus the tier's
+    deterministic ratios.
 
     * ``encode_mbps`` / ``decode_degraded_mbps`` -- the packed
       pair-table matmul over a ``k+m`` stripe (decode with every parity
-      shard in play, so the Gauss-Jordan inverse path runs).
+      shard in play, so the Gauss-Jordan inverse path runs);
+      ``decode_vs_encode`` is encode time over degraded-decode time.
     * ``delta_update_mbps`` -- effective payload MB/s of
       :func:`~repro.stablestore.rs_update_parity` refreshing parity for
       a ``dirty_fraction``-dirty payload: the whole payload counts as
-      protected but only the dirty runs hit the multiply kernel.
-    * ``delta_vs_full_kernel_bytes`` -- kernel bytes of a full
-      re-encode over kernel bytes of the delta update (the O(f) claim;
-      the CI smoke asserts >= 3x at 10% dirty).
-    * ``byte_identical`` -- delta parity equals full-encode parity,
-      asserted inline on every run.
+      protected but only the dirty runs hit the multiply kernel;
+      ``delta_vs_reencode`` is encode time over delta-update time.
+    * ``delta_vs_full_kernel_bytes`` and ``byte_identical`` -- kernel
+      bytes of a full re-encode over the delta update's, and whether
+      the two parities agree (``check_erasure.py`` gates both).
+    * ``envelope_*``, ``physical_ratio_vs_rf3`` and
+      ``hierarchy_identical`` -- the tier's survival of every
+      ``m``-server failure, its bytes against ``rf=3`` replication and
+      the depth<=1 pass-through (``check_hierarchy.py`` gates them).
     """
-    from repro.stablestore import (
-        KERNEL_STATS, reset_kernel_stats, rs_decode, rs_encode,
-        rs_update_parity,
-    )
+    from repro.stablestore import rs_decode, rs_encode, rs_update_parity
 
-    k, m = 4, 2
-    rng = np.random.default_rng(29)
-    payload = rng.integers(0, 256, payload_kib * 1024,
-                           dtype=np.uint8).tobytes()
+    payload = rs_payload(payload_kib, seed=29)
     mb = len(payload) / 1e6
 
     # A single encode is ~quarter-millisecond work, so a handful of
@@ -900,191 +697,116 @@ def bench_erasure_kernels(payload_kib: int, dirty_fraction: float,
     # minutes of sustained load; warm the table caches, then take the
     # min over a sample count sized for a microbenchmark.
     samples = max(repeats, 25)
-    rs_encode(payload, k, m)
-    t_enc = best_of(lambda: rs_encode(payload, k, m), samples)
-    shards = rs_encode(payload, k, m)
-    worst = {i: shards[i] for i in range(m, k + m)}  # all parity in play
-    rs_decode(worst, k, m, len(payload))
-    t_dec = best_of(lambda: rs_decode(worst, k, m, len(payload)), samples)
-    assert rs_decode(worst, k, m, len(payload)) == payload
-
-    # A dirty_fraction of the payload, spread as 256-byte runs.
-    run_len = 256
-    n_runs = max(1, int(len(payload) * dirty_fraction) // run_len)
-    stride = len(payload) // n_runs
-    dirty = [(i * stride, run_len) for i in range(n_runs)]
-    new_payload = bytearray(payload)
-    for off, length in dirty:
-        new_payload[off : off + length] = rng.integers(
-            0, 256, length, dtype=np.uint8
-        ).tobytes()
-    new_payload = bytes(new_payload)
-
-    old_parity = shards[k:]
-    rs_update_parity(old_parity, dirty, payload, new_payload, k, m)
-    t_delta = best_of(
-        lambda: rs_update_parity(old_parity, dirty, payload, new_payload, k, m),
+    shards = rs_encode(payload, RS_K, RS_M)  # also fills the table cache
+    worst = {i: shards[i] for i in range(RS_M, RS_K + RS_M)}  # all parity
+    assert rs_decode(worst, RS_K, RS_M, len(payload)) == payload
+    dirty, new_payload = rs_dirty(payload, dirty_fraction, seed=31)
+    old_parity = shards[RS_K:]
+    rs_update_parity(old_parity, dirty, payload, new_payload, RS_K, RS_M)
+    t_enc, t_dec, t_delta = best_of(
         samples,
+        lambda: rs_encode(payload, RS_K, RS_M),
+        lambda: rs_decode(worst, RS_K, RS_M, len(payload)),
+        lambda: rs_update_parity(old_parity, dirty, payload, new_payload,
+                                 RS_K, RS_M),
     )
-    full = rs_encode(new_payload, k, m)
-    byte_identical = float(
-        rs_update_parity(old_parity, dirty, payload, new_payload, k, m)
-        == full[k:]
-    )
+    delta_bytes, full_bytes, identical = rs_delta_kernel_bytes(
+        payload, dirty, new_payload)
 
-    reset_kernel_stats()
-    rs_update_parity(old_parity, dirty, payload, new_payload, k, m)
-    delta_kernel_bytes = KERNEL_STATS["delta_bytes"]
-    reset_kernel_stats()
-    rs_encode(new_payload, k, m)
-    full_kernel_bytes = KERNEL_STATS["encode_bytes"]
-    reset_kernel_stats()
-
+    tested, survived = erasure_envelope(RS_M)
+    ec_bytes, rep_bytes = physical_bytes_vs_rf3()
     return {
-        "k": k,
-        "m": m,
+        "k": RS_K,
+        "m": RS_M,
         "payload_kib": payload_kib,
         "dirty_fraction": dirty_fraction,
         "encode_mbps": round(mb / t_enc, 1),
         "decode_degraded_mbps": round(mb / t_dec, 1),
         "delta_update_mbps": round(mb / t_delta, 1),
-        "delta_vs_full_kernel_bytes": round(
-            full_kernel_bytes / max(1, delta_kernel_bytes), 2
-        ),
-        "byte_identical": byte_identical,
+        "decode_vs_encode": round(t_enc / t_dec, 3),
+        "delta_vs_reencode": round(t_enc / t_delta, 3),
+        "delta_vs_full_kernel_bytes": round(full_bytes / max(1, delta_bytes),
+                                            2),
+        "byte_identical": float(identical),
+        "envelope_tested": tested,
+        "envelope_survival": round(survived / tested, 3),
+        "physical_ratio_vs_rf3": round(ec_bytes / rep_bytes, 3),
+        "hierarchy_identical": float(hierarchy_identity()),
     }
 
 
 # ----------------------------------------------------------------------
-def run(repeats: int) -> Dict:
+def run() -> Dict:
     """Run every microbench and return the BENCH_PERF document."""
     return {
-        "schema": 1,
-        "block_scan": bench_block_scan(npages=256, bs=512, repeats=repeats),
-        "capture": bench_capture(npages=1024, repeats=repeats),
-        "materialize": bench_materialize(npages=512, ndeltas=8, repeats=repeats),
+        "schema": SCHEMA,
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "block_scan": bench_block_scan(npages=256, bs=512, repeats=REPEATS),
+        "capture": bench_capture(npages=1024, repeats=REPEATS),
+        "materialize": bench_materialize(npages=512, ndeltas=8,
+                                         repeats=REPEATS),
         "dedup": bench_dedup(npages=256, generations=8, dirty_fraction=0.1,
-                             repeats=repeats),
-        "engine": bench_engine(n=100_000, span_ns=50_000_000, repeats=repeats),
+                             repeats=REPEATS),
+        "engine": bench_engine(n=STORM_EVENTS, span_ns=SPAN_NS,
+                               repeats=REPEATS),
         "grid_runner": bench_grid_runner(
             sizes=[1024, 4096, 16384], node_mtbf_s=50.0, n_trials=10,
-            repeats=max(1, repeats // 2),
+            repeats=REPEATS // 2,
         ),
-        "parallel_engine": bench_parallel_engine(
-            n_nodes=65536, mtbf_s=200_000.0, horizon_s=1800.0,
-            repeats=max(1, repeats // 2),
-        ),
+        "parallel_engine": bench_parallel_engine(repeats=REPEATS // 2),
         "pipeline": bench_pipeline(n_ckpts=6, chain_len=9),
-        "distsnap": bench_distsnap(n=6, rate=15_000.0,
-                                   repeats=max(1, repeats // 2)),
-        "storage_hierarchy": bench_storage_hierarchy(
-            payload_kib=256, repeats=repeats),
-        "erasure_kernels": bench_erasure_kernels(
-            payload_kib=256, dirty_fraction=0.1, repeats=repeats),
+        "distsnap": bench_distsnap(repeats=REPEATS // 2),
+        "erasure": bench_erasure(payload_kib=256, dirty_fraction=0.1,
+                                 repeats=REPEATS),
     }
 
 
-def check_regression(current: Dict, baseline_path: Path, max_regression: float) -> int:
-    """Exit status for CI: 1 if a guarded throughput regressed too far."""
-    baseline = json.loads(baseline_path.read_text())
-    guarded = [
-        ("block_scan vectorized MB/s",
-         baseline["block_scan"]["vectorized_mbps"],
-         current["block_scan"]["vectorized_mbps"]),
-        # A same-run ratio (host speed cancels): the dedup write path
-        # rotting back into one digest call per page fails here.
-        ("dedup batched digest speedup",
-         baseline["dedup"]["digest_speedup"],
-         current["dedup"]["digest_speedup"]),
-    ]
-    if "engine" in baseline:
-        guarded.append(("engine storm events/s",
-                        baseline["engine"]["storm_hybrid_eps"],
-                        current["engine"]["storm_hybrid_eps"]))
-    if "grid_runner" in baseline:
-        guarded.append(("grid_runner sweep speedup",
-                        baseline["grid_runner"]["speedup_cold"],
-                        current["grid_runner"]["speedup_cold"]))
-    if "pipeline" in baseline:
-        # Virtual-time ratios: immune to runner noise, so any drift here
-        # is a real behavior change in the async pipeline.
-        guarded.append(("pipeline restart speedup",
-                        baseline["pipeline"]["restart_speedup"],
-                        current["pipeline"]["restart_speedup"]))
-        guarded.append(("pipeline downtime overlap",
-                        baseline["pipeline"]["overlap"],
-                        current["pipeline"]["overlap"]))
-    if "parallel_engine" in baseline:
-        # byte_identical is a deterministic 1.0: any divergence between
-        # the 1-shard and N-shard folded exports fails the check
-        # outright (the ratio goes to infinity).
-        guarded.append(("parallel engine 1-vs-N byte identity",
-                        baseline["parallel_engine"]["byte_identical"],
-                        current["parallel_engine"]["byte_identical"]))
-        guarded.append(("parallel engine 4-shard speedup",
-                        baseline["parallel_engine"]["speedup_4shard"],
-                        current["parallel_engine"]["speedup_4shard"]))
-        # The multi-process rows measure real core parallelism, so they
-        # are only a meaningful regression signal when this host has at
-        # least as many cores as the bench spawns workers; on smaller
-        # runners the processes time-slice one core and the number is
-        # scheduler noise, not a transport property.
-        pe = current["parallel_engine"]
-        if pe["cpu_count"] >= pe["workers"]:
-            guarded.append(("parallel engine 4-shard process speedup",
-                            baseline["parallel_engine"][
-                                "speedup_4shard_procs"],
-                            pe["speedup_4shard_procs"]))
-    if "distsnap" in baseline:
-        # exactly_once is a deterministic 1.0: any consistency break
-        # drives the ratio to infinity and fails the check outright.
-        guarded.append(("distsnap exactly-once restart",
-                        baseline["distsnap"]["exactly_once"],
-                        current["distsnap"]["exactly_once"]))
-        guarded.append(("distsnap marker logged msgs",
-                        baseline["distsnap"]["marker_logged_msgs"],
-                        current["distsnap"]["marker_logged_msgs"]))
-        guarded.append(("distsnap snapshot cycles/s",
-                        baseline["distsnap"]["cycles_per_s"],
-                        current["distsnap"]["cycles_per_s"]))
-    if "storage_hierarchy" in baseline:
-        # envelope_survival, physical ratio and byte_identical are
-        # deterministic: any drift is a real erasure/hierarchy change
-        # and fails the check outright.
-        guarded.append(("hierarchy erasure m-failure survival",
-                        baseline["storage_hierarchy"]["envelope_survival"],
-                        current["storage_hierarchy"]["envelope_survival"]))
-        guarded.append(("hierarchy depth<=1 byte identity",
-                        baseline["storage_hierarchy"]["byte_identical"],
-                        current["storage_hierarchy"]["byte_identical"]))
-        guarded.append(("hierarchy RS encode MB/s",
-                        baseline["storage_hierarchy"]["encode_mbps"],
-                        current["storage_hierarchy"]["encode_mbps"]))
-    if "erasure_kernels" in baseline:
-        # byte_identical and the kernel-bytes ratio are deterministic:
-        # a delta/full divergence or an O(f) regression fails outright.
-        guarded.append(("erasure kernel encode MB/s",
-                        baseline["erasure_kernels"]["encode_mbps"],
-                        current["erasure_kernels"]["encode_mbps"]))
-        guarded.append(("erasure kernel degraded decode MB/s",
-                        baseline["erasure_kernels"]["decode_degraded_mbps"],
-                        current["erasure_kernels"]["decode_degraded_mbps"]))
-        guarded.append(("erasure delta-update MB/s",
-                        baseline["erasure_kernels"]["delta_update_mbps"],
-                        current["erasure_kernels"]["delta_update_mbps"]))
-        guarded.append(("erasure delta vs full kernel bytes",
-                        baseline["erasure_kernels"]["delta_vs_full_kernel_bytes"],
-                        current["erasure_kernels"]["delta_vs_full_kernel_bytes"]))
-        guarded.append(("erasure delta byte identity",
-                        baseline["erasure_kernels"]["byte_identical"],
-                        current["erasure_kernels"]["byte_identical"]))
+#: The rows ``--check`` guards, as ``(label, section, key)``.  Each is a
+#: same-run ratio, higher is better: a fast path timed against its
+#: reference in the same process, so the host's speed cancels out.
+#: ``grid_runner.deterministic`` (1.0, or 0.0 when the sweep's documents
+#: differ) is the one exact row; a drift to 0 fails outright.
+GUARDS = [
+    ("block_scan vectorized vs scalar speedup", "block_scan", "speedup"),
+    ("dedup batched digest speedup", "dedup", "digest_speedup"),
+    ("engine storm speedup vs the seed engine", "engine", "storm_speedup"),
+    ("grid_runner sweep speedup", "grid_runner", "speedup_cold"),
+    ("grid_runner byte-identical documents", "grid_runner", "deterministic"),
+    ("distsnap cycles per seed-engine storm", "distsnap",
+     "cycles_per_seed_storm"),
+    ("erasure degraded decode vs encode", "erasure", "decode_vs_encode"),
+    ("erasure delta update vs full re-encode", "erasure", "delta_vs_reencode"),
+]
+#: Guarded only when the host has a core per worker process: on fewer
+#: cores the processes time-slice and the number is scheduler noise,
+#: not a transport property.
+PROCS_GUARD = ("parallel engine 4-shard process speedup", "parallel_engine",
+               "speedup_4shard_procs")
+
+
+def check_regression(current: Dict, baseline: Dict) -> int:
+    """Exit status for CI: 1 if a guarded ratio fell by more than
+    :data:`MAX_REGRESSION` below the baseline's."""
+    if baseline.get("schema") != SCHEMA:
+        print(f"FAIL: baseline schema {baseline.get('schema')}, "
+              f"expected {SCHEMA}; re-record it")
+        return 1
+    guarded = list(GUARDS)
+    if current["host"]["cpu_count"] >= current["parallel_engine"]["workers"]:
+        guarded.append(PROCS_GUARD)
     status = 0
-    for name, base, cur in guarded:
+    for name, section, key in guarded:
+        base = float(baseline[section][key])
+        cur = float(current[section][key])
         ratio = base / max(cur, 1e-9)
-        print(f"{name}: baseline {base:.1f}, current {cur:.1f} "
-              f"({ratio:.2f}x slower)")
-        if ratio > max_regression:
-            print(f"FAIL: regression exceeds {max_regression:.1f}x")
+        print(f"{name}: baseline {base:.2f}, current {cur:.2f} "
+              f"({ratio:.2f}x lower)")
+        if ratio > MAX_REGRESSION:
+            print(f"FAIL: regression exceeds {MAX_REGRESSION:.1f}x")
             status = 1
     if not status:
         print("OK: within regression budget")
@@ -1097,20 +819,17 @@ def main(argv: List[str] | None = None) -> int:
     ap.add_argument("--out", type=Path, default=REPO_ROOT / "BENCH_PERF.json",
                     help="where to write the JSON results")
     ap.add_argument("--check", type=Path, default=None,
-                    help="baseline JSON to compare block-scan throughput against")
-    ap.add_argument("--max-regression", type=float, default=2.0,
-                    help="allowed slowdown factor vs the baseline")
-    ap.add_argument("--repeats", type=int, default=5,
-                    help="timing repeats per microbench (min is reported)")
+                    help="baseline JSON whose guarded same-run ratios the "
+                         "fresh ones must stay within 2x of")
     args = ap.parse_args(argv)
 
-    results = run(repeats=args.repeats)
+    results = run()
     args.out.write_text(json.dumps(results, indent=2) + "\n")
     print(json.dumps(results, indent=2))
     print(f"\nwrote {args.out}")
 
     if args.check is not None:
-        return check_regression(results, args.check, args.max_regression)
+        return check_regression(results, json.loads(args.check.read_text()))
     return 0
 
 
