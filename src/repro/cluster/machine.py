@@ -185,9 +185,10 @@ class Cluster:
         replaced by the :mod:`repro.stablestore` service: that many
         fail-stop storage-server nodes on this cluster's clock behind a
         quorum-replicated client (experiment E19).
-    replication / write_quorum / read_quorum:
-        Replica placement and quorum sizes for the service (ignored
-        without ``storage_servers``).
+    replication:
+        Replicas per blob on the service (ignored without
+        ``storage_servers``); writes wait for a majority of them, reads
+        for one.
     storage_repair:
         Run the background re-replication repairer (service mode only).
     content_dedup:
@@ -209,10 +210,12 @@ class Cluster:
           separate failure domain from the partner tier);
         - ``erasure_servers`` -- group size (default ``k + m``);
         - ``erasure_policy`` -- ``"through"`` or ``"back"`` (default);
-        - ``writeback_delay_ns`` -- delay before write-back copies;
-        - ``promote_on_access`` -- copy reads into faster levels;
-        - ``delta_updates`` -- route dirty-delta stores through the
-          erasure tier's O(dirty) partial-stripe update (default on).
+        - ``writeback_delay_ns`` -- delay before write-back copies.
+
+        Reads promote into the faster levels they missed, a lost level
+        is re-protected from a surviving one, and dirty-delta stores
+        reach the erasure tier as its O(dirty) partial-stripe update
+        (see :class:`~repro.stablestore.HierarchicalStore`).
 
         A degenerate ``{"partner_rf": N}`` spec is the plain replicated
         path behind a one-level hierarchy (charge-for-charge identical;
@@ -237,8 +240,6 @@ class Cluster:
         costs: CostModel = DEFAULT_COSTS,
         storage_servers: int = 0,
         replication: int = 2,
-        write_quorum: Optional[int] = None,
-        read_quorum: int = 1,
         storage_repair: bool = True,
         content_dedup: bool = False,
         storage_hierarchy: Optional[Dict[str, Any]] = None,
@@ -271,10 +272,7 @@ class Cluster:
                 replication = int(hier_spec["partner_rf"])
             self.storage_cluster = StorageCluster(self.engine, n_servers=storage_servers)
             self.replicated_store = ReplicatedStore(
-                self.storage_cluster,
-                replication=replication,
-                write_quorum=write_quorum,
-                read_quorum=read_quorum,
+                self.storage_cluster, replication=replication
             )
             self.remote_storage: StorageBackend = self.replicated_store
             if hier_spec is not None:
@@ -317,8 +315,6 @@ class Cluster:
         erasure_servers = spec.pop("erasure_servers", None)
         erasure_policy = spec.pop("erasure_policy", "back")
         writeback_delay_ns = spec.pop("writeback_delay_ns", 2 * NS_PER_MS)
-        promote_on_access = spec.pop("promote_on_access", True)
-        delta_updates = spec.pop("delta_updates", True)
         if spec:
             raise ClusterError(
                 f"unknown storage_hierarchy keys: {sorted(spec)}"
@@ -358,12 +354,7 @@ class Cluster:
                 "storage_hierarchy spec built no levels (set scratch_bytes, "
                 "partner_rf and/or erasure)"
             )
-        self.hierarchy_store = HierarchicalStore(
-            self.engine,
-            levels,
-            promote_on_access=promote_on_access,
-            delta_updates=bool(delta_updates),
-        )
+        self.hierarchy_store = HierarchicalStore(self.engine, levels)
         self.remote_storage = self.hierarchy_store
 
     def fail_erasure_server(self, server_id: int) -> None:

@@ -266,37 +266,16 @@ STORE_SLICE_NS = 500_000
 
 
 def store_image(
-    kernel: Kernel,
-    storage: StorageBackend,
-    image: CheckpointImage,
-    dirty_extents=None,
-    base_key=None,
+    kernel: Kernel, storage: StorageBackend, image: CheckpointImage
 ) -> Generator:
     """Write the finished image to stable storage (synchronous).
 
     The total device time is charged in :data:`STORE_SLICE_NS` pieces:
     a time-sharing context doing the writing can lose the CPU between
     slices, while a real-time kernel thread runs them back to back.
-
-    When the caller knows the image's dirty byte extents (an
-    incremental tracker's scan, or a re-compacted flat) and the backend
-    supports delta updates (``store_delta``), only the dirty bytes are
-    re-protected; ``base_key`` names the previous generation's blob
-    when the update rebases rather than refreshes in place.
     """
     image.time_ns = kernel.engine.now_ns
-    delta_fn = getattr(storage, "store_delta", None)
-    if dirty_extents is not None and delta_fn is not None:
-        delay = delta_fn(
-            image.key,
-            image,
-            image.size_bytes,
-            dirty_extents,
-            kernel.engine.now_ns,
-            base_key=base_key,
-        )
-    else:
-        delay = storage.store(image.key, image, image.size_bytes, kernel.engine.now_ns)
+    delay = storage.store(image.key, image, image.size_bytes, kernel.engine.now_ns)
     yield from charge_store(kernel, delay)
 
 

@@ -323,7 +323,8 @@ def _frozen_rows(chunk: Chunk) -> Sequence[np.ndarray]:
 
 
 def _covered_runs(mask: np.ndarray) -> List[Tuple[int, int]]:
-    """(start, length) runs of True in a boolean byte mask."""
+    """(start, length) runs of True in a boolean mask (of bytes, or of
+    blocks)."""
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         return []

@@ -34,7 +34,7 @@ from ..simkernel import Kernel, Task, ops
 from ..simkernel.memory import Prot
 from ..simkernel.signals import HandlerKind, Sig, SignalHandler
 from ..core.digest import block_digests
-from ..core.image import CheckpointImage
+from ..core.image import CheckpointImage, _covered_runs
 
 __all__ = [
     "DirtyLog",
@@ -126,17 +126,6 @@ def user_arm_ops(task: Task) -> Generator:
     task.annotations.setdefault("shadow_dirty", set()).clear()
 
 
-def _changed_runs(changed: np.ndarray) -> List[Tuple[int, int]]:
-    """Coalesce a boolean block mask into (first_block, nblocks) runs."""
-    idx = np.flatnonzero(changed)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    return [(int(idx[s]), int(idx[e] - idx[s] + 1)) for s, e in zip(starts, ends)]
-
-
 class BlockHashTracker:
     """Probabilistic checkpointing: block-level change detection by hash.
 
@@ -178,11 +167,6 @@ class BlockHashTracker:
         #: (vma, page) -> blocks saved in the most recent scan (density
         #: evidence for :class:`AdaptiveBlockTracker`).
         self.last_scan_saved: Dict[Tuple[str, int], int] = {}
-        #: (vma, page) -> in-page (offset, length) byte runs saved in the
-        #: most recent scan -- the dirty extents a delta-parity store
-        #: (``ErasureStore.store_delta``) re-protects instead of the
-        #: whole image.
-        self.last_scan_extents: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
 
     def scan_ops(
         self,
@@ -209,7 +193,6 @@ class BlockHashTracker:
         #: of the scan cost that *grows* as blocks shrink.
         PER_BLOCK_NS = 60
         self.last_scan_saved = {}
-        self.last_scan_extents = {}
         if not pages:
             return
         # ---- bulk phase: one digest pass over every candidate page ----
@@ -247,11 +230,7 @@ class BlockHashTracker:
             if not nchanged:
                 continue
             self.blocks_saved += nchanged
-            runs = _changed_runs(changed)
-            self.last_scan_extents[key] = [
-                (first * bs, nblocks * bs) for first, nblocks in runs
-            ]
-            for first, nblocks in runs:
+            for first, nblocks in _covered_runs(changed):
                 image.add_block(
                     vma_name, pidx, first * bs, data[i, first * bs : (first + nblocks) * bs]
                 )

@@ -66,7 +66,6 @@ from typing import (
 import numpy as np
 
 from ..errors import StorageError, StorageLostError
-from ..simkernel.costs import NS_PER_MS, NS_PER_US
 from ..storage.backends import StorageBackend, WriteStream
 from .repair import ReplicationRepairer
 from .replicated import QuorumStore, QuorumWriteStream
@@ -573,10 +572,6 @@ class ErasureStore(QuorumStore):
         data_shards: int = 4,
         parity_shards: int = 2,
         write_shards: Optional[int] = None,
-        timeout_ns: int = 2 * NS_PER_MS,
-        backoff_base_ns: int = 500 * NS_PER_US,
-        backoff_factor: float = 2.0,
-        backoff_cap_ns: int = 16 * NS_PER_MS,
     ) -> None:
         _check_km(data_shards, parity_shards)
         n = len(storage.servers)
@@ -585,9 +580,7 @@ class ErasureStore(QuorumStore):
                 f"{data_shards}+{parity_shards} code needs at least "
                 f"{data_shards + parity_shards} servers, cluster has {n}"
             )
-        super().__init__(
-            storage, timeout_ns, backoff_base_ns, backoff_factor, backoff_cap_ns
-        )
+        super().__init__(storage)
         self.k = data_shards
         self.m = parity_shards
         self.write_shards = (
@@ -606,8 +599,8 @@ class ErasureStore(QuorumStore):
         """Accounted bytes of one shard of an ``nbytes`` blob."""
         return -(-int(nbytes) // self.k)
 
-    def shard_holders(self, key: str, up_only: bool = True) -> Dict[int, StorageServer]:
-        """shard index -> holding server (reachable only, by default)."""
+    def shard_holders(self, key: str) -> Dict[int, StorageServer]:
+        """shard index -> reachable holding server."""
         # The repairers call this for every key every few milliseconds,
         # so each server costs one replica lookup and one state test.
         skey = _skey(key)
@@ -615,7 +608,7 @@ class ErasureStore(QuorumStore):
         out: Dict[int, StorageServer] = {}
         for server in self.candidates(key):
             entry = server.replicas.get(skey)
-            if entry is None or (up_only and server.state is not up):
+            if entry is None or server.state is not up:
                 continue
             shard = entry[0]
             if isinstance(shard, Shard) and shard.index not in out:
@@ -1068,9 +1061,9 @@ class ErasureRepairer(ReplicationRepairer):
     """Background re-encode of lost shards after server failures.
 
     Inherits :class:`ReplicationRepairer`'s cadence -- failure-detect
-    scan after ``detect_delay_ns``, steady-state scan every
-    ``scan_interval_ns``, at most ``max_repairs_per_scan`` in-flight
-    keys -- but a repair reads ``k`` surviving shards (k source disks
+    scan after ``DETECT_DELAY_NS``, steady-state scan every
+    ``SCAN_INTERVAL_NS``, at most ``MAX_REPAIRS_PER_SCAN`` repairs
+    started per scan -- but a repair reads ``k`` surviving shards (k source disks
     and k link crossings), re-encodes **every** missing shard of the
     key from that single decode pass (:func:`rs_rebuild_shards`), and
     writes each onto a distinct server that holds none of the blob's

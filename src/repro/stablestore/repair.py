@@ -11,16 +11,33 @@ ongoing checkpoint waves for the same bandwidth.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 from ..simkernel.costs import NS_PER_MS
 from .replicated import ReplicatedStore
 
-__all__ = ["ReplicationRepairer"]
+__all__ = [
+    "DETECT_DELAY_NS",
+    "SCAN_INTERVAL_NS",
+    "MAX_REPAIRS_PER_SCAN",
+    "ReplicationRepairer",
+]
+
+#: The repair cadence, shared by the replica and shard repairers and the
+#: hierarchy's re-protection walk: failure-detection latency before the
+#: post-failure scan, the steady-state scan period, and the per-scan
+#: throttle so a repair storm does not saturate the ingress link.
+DETECT_DELAY_NS = 2 * NS_PER_MS
+SCAN_INTERVAL_NS = 10 * NS_PER_MS
+MAX_REPAIRS_PER_SCAN = 32
 
 
 class ReplicationRepairer:
     """Repairs replication after storage-server failures.
+
+    Scans every :data:`SCAN_INTERVAL_NS`, and :data:`DETECT_DELAY_NS`
+    after any observed server failure; each scan starts at most
+    :data:`MAX_REPAIRS_PER_SCAN` copies.
 
     Parameters
     ----------
@@ -28,36 +45,17 @@ class ReplicationRepairer:
         The replicated store to watch.
     engine:
         The shared simulation clock.
-    scan_interval_ns:
-        Period of the steady-state background scan (repairs also kick
-        off shortly after any observed server failure).
-    detect_delay_ns:
-        Failure-detection latency before the post-failure scan starts.
-    max_repairs_per_scan:
-        Throttle so a repair storm does not saturate the ingress link.
     """
 
-    def __init__(
-        self,
-        store: ReplicatedStore,
-        engine,
-        scan_interval_ns: int = 10 * NS_PER_MS,
-        detect_delay_ns: int = 2 * NS_PER_MS,
-        max_repairs_per_scan: int = 32,
-        auto_start: bool = True,
-    ) -> None:
+    def __init__(self, store: ReplicatedStore, engine) -> None:
         self.store = store
         self.engine = engine
-        self.scan_interval_ns = int(scan_interval_ns)
-        self.detect_delay_ns = int(detect_delay_ns)
-        self.max_repairs_per_scan = int(max_repairs_per_scan)
         self._inflight: Set[str] = set()
         self._stopped = False
         self.repairs_completed = 0
         self.bytes_rereplicated = 0
         store.storage.on_failure(self._on_server_failure)
-        if auto_start:
-            self.engine.after(self.scan_interval_ns, self._tick, label="repair-scan")
+        self.engine.after(SCAN_INTERVAL_NS, self._tick, label="repair-scan")
 
     # ------------------------------------------------------------------
     def stop(self) -> None:
@@ -67,13 +65,13 @@ class ReplicationRepairer:
     def _on_server_failure(self, server) -> None:
         if self._stopped:
             return
-        self.engine.after(self.detect_delay_ns, self.scan, label="repair-detect")
+        self.engine.after(DETECT_DELAY_NS, self.scan, label="repair-detect")
 
     def _tick(self) -> None:
         if self._stopped:
             return
         self.scan()
-        self.engine.after(self.scan_interval_ns, self._tick, label="repair-scan")
+        self.engine.after(SCAN_INTERVAL_NS, self._tick, label="repair-scan")
 
     # ------------------------------------------------------------------
     def scan(self) -> int:
@@ -83,7 +81,7 @@ class ReplicationRepairer:
             return 0
         started = 0
         for key in self.store.under_replicated():
-            if started >= self.max_repairs_per_scan:
+            if started >= MAX_REPAIRS_PER_SCAN:
                 break
             if key in self._inflight:
                 continue

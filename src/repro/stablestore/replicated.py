@@ -50,28 +50,23 @@ class QuorumStore(StorageBackend):
     rendezvous placement, the retry walk past failed servers, the
     quorum-failure accounting, the link-then-disk write fan-out, the
     disk-then-link read gather, the key directory and the one write
-    path, :class:`QuorumWriteStream`.  ``timeout_ns``
-    and the ``backoff_*`` arguments parameterize the retry walk
-    (:meth:`_walk`).
+    path, :class:`QuorumWriteStream`.
     """
 
     kind = StorageKind.REMOTE
     survives_node_failure = True
 
-    def __init__(
-        self,
-        storage: StorageCluster,
-        timeout_ns: int,
-        backoff_base_ns: int,
-        backoff_factor: float,
-        backoff_cap_ns: int,
-    ) -> None:
+    #: The retry walk (:meth:`_walk`): the failed-server detection
+    #: timeout, and the exponential backoff between successive retries
+    #: (first delay, growth factor, cap).
+    timeout_ns = 2 * NS_PER_MS
+    backoff_base_ns = 500 * NS_PER_US
+    backoff_factor = 2.0
+    backoff_cap_ns = 16 * NS_PER_MS
+
+    def __init__(self, storage: StorageCluster) -> None:
         super().__init__(device=storage.link)
         self.storage = storage
-        self.timeout_ns = int(timeout_ns)
-        self.backoff_base_ns = int(backoff_base_ns)
-        self.backoff_factor = float(backoff_factor)
-        self.backoff_cap_ns = int(backoff_cap_ns)
         #: key -> accounted nbytes of every blob the service has accepted.
         self._directory: Dict[str, int] = {}
         #: key -> its rendezvous order (:meth:`candidates`); an entry is
@@ -225,9 +220,6 @@ class ReplicatedStore(QuorumStore):
     read_quorum:
         Replica responses required for a read; defaults to 1 (all
         replicas are identical -- checkpoint images are immutable).
-    timeout_ns / backoff_base_ns / backoff_factor / backoff_cap_ns:
-        The failed-server detection timeout and the exponential backoff
-        between successive retries (see :class:`QuorumStore`).
     """
 
     def __init__(
@@ -236,19 +228,13 @@ class ReplicatedStore(QuorumStore):
         replication: int = 2,
         write_quorum: Optional[int] = None,
         read_quorum: int = 1,
-        timeout_ns: int = 2 * NS_PER_MS,
-        backoff_base_ns: int = 500 * NS_PER_US,
-        backoff_factor: float = 2.0,
-        backoff_cap_ns: int = 16 * NS_PER_MS,
     ) -> None:
         n = len(storage.servers)
         if not 1 <= replication <= n:
             raise StorageError(
                 f"replication factor {replication} needs 1..{n} servers"
             )
-        super().__init__(
-            storage, timeout_ns, backoff_base_ns, backoff_factor, backoff_cap_ns
-        )
+        super().__init__(storage)
         self.replication = replication
         self.write_quorum = write_quorum if write_quorum is not None else replication // 2 + 1
         self.read_quorum = read_quorum
@@ -263,14 +249,10 @@ class ReplicatedStore(QuorumStore):
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def holders(self, key: str, up_only: bool = True) -> List[int]:
-        """Server ids holding a replica of ``key`` (reachable ones only
-        by default), in preference order."""
-        return [
-            s.server_id
-            for s in self.candidates(key)
-            if s.holds(key) and (s.up or not up_only)
-        ]
+    def holders(self, key: str) -> List[int]:
+        """Ids of the reachable servers holding a replica of ``key``, in
+        preference order."""
+        return [s.server_id for s in self.candidates(key) if s.up and s.holds(key)]
 
     def replica_count(self, key: str) -> int:
         """Live (reachable) replicas of ``key``."""

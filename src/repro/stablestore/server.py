@@ -12,10 +12,10 @@ concurrent writers on a real parallel filesystem's I/O network.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..errors import StorageError
-from ..storage.devices import Device, disk_device, network_device
+from ..storage.devices import disk_device, network_device
 
 __all__ = ["StorageServerState", "StorageServer", "StorageCluster"]
 
@@ -30,9 +30,9 @@ class StorageServerState(str, Enum):
 class StorageServer:
     """One storage node: a disk full of replicas plus fail-stop state."""
 
-    def __init__(self, server_id: int, disk: Optional[Device] = None) -> None:
+    def __init__(self, server_id: int) -> None:
         self.server_id = server_id
-        self.disk = disk or disk_device(f"disk[store{server_id}]")
+        self.disk = disk_device(f"disk[store{server_id}]")
         self.state = StorageServerState.UP
         #: key -> (obj, nbytes): the replicas this server holds.
         self.replicas: Dict[str, Tuple[Any, int]] = {}
@@ -93,22 +93,16 @@ class StorageCluster:
         storage failures and repairs interleave with everything else).
     n_servers:
         How many storage-server nodes to build.
-    link:
-        The shared network path every transfer crosses; defaults to a
-        GigE-class device, the contention point under simultaneous
-        checkpoint waves.
+
+    Every transfer crosses ``link``, one GigE-class network device: the
+    contention point under simultaneous checkpoint waves.
     """
 
-    def __init__(
-        self,
-        engine,
-        n_servers: int,
-        link: Optional[Device] = None,
-    ) -> None:
+    def __init__(self, engine, n_servers: int) -> None:
         if n_servers < 1:
             raise StorageError("storage cluster needs at least one server")
         self.engine = engine
-        self.link = link or network_device("nic[stablestore]")
+        self.link = network_device("nic[stablestore]")
         self.servers: List[StorageServer] = [
             StorageServer(i) for i in range(n_servers)
         ]

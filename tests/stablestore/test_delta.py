@@ -401,7 +401,7 @@ class TestBatchRepair:
 # Hierarchy integration
 # ----------------------------------------------------------------------
 class TestHierarchyDelta:
-    def make_hierarchy(self, erasure_policy="through", **kw):
+    def make_hierarchy(self, erasure_policy="through"):
         engine = Engine(seed=2)
         sc = StorageCluster(engine, n_servers=8)
         erasure = ErasureStore(sc, data_shards=4, parity_shards=2)
@@ -410,7 +410,7 @@ class TestHierarchyDelta:
             StorageLevel("scratch", scratch),
             StorageLevel("erasure", erasure, write=erasure_policy),
         ]
-        hier = HierarchicalStore(engine, levels, **kw)
+        hier = HierarchicalStore(engine, levels)
         return engine, erasure, hier
 
     def test_store_delta_routes_to_erasure_delta(self):
@@ -425,17 +425,6 @@ class TestHierarchyDelta:
         assert obj == new_payload
         obj2, _ = erasure.load("blob", 20)
         assert obj2 == new_payload
-
-    def test_delta_updates_flag_disables_routing(self):
-        engine, erasure, hier = self.make_hierarchy(delta_updates=False)
-        payload = bytes(range(256)) * 4
-        hier.store("blob", payload, len(payload), 0)
-        dirty = [(0, 16)]
-        new_payload = mutate(payload, dirty)
-        hier.store_delta("blob", new_payload, len(new_payload), dirty, 10)
-        assert erasure.delta_writes == 0
-        obj, _ = hier.load("blob", 20)
-        assert obj == new_payload
 
     def test_writeback_level_applies_delta_not_stale_skip(self):
         engine, erasure, hier = self.make_hierarchy(erasure_policy="back")

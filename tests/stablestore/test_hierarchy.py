@@ -24,8 +24,6 @@ def make_hierarchy(
     scratch_capacity=None,
     erasure_policy="back",
     n_servers=6,
-    promote_on_access=True,
-    reprotect=True,
 ):
     engine = Engine(seed=1)
     sc = StorageCluster(engine, n_servers=n_servers)
@@ -39,8 +37,6 @@ def make_hierarchy(
             StorageLevel("partner", partner),
             StorageLevel("erasure", erasure, write=erasure_policy),
         ],
-        promote_on_access=promote_on_access,
-        reprotect=reprotect,
     )
     return engine, sc, scratch, partner, erasure, h
 
@@ -157,15 +153,6 @@ class TestReadPaths:
         assert scratch.exists("w/1")
         assert h.promotions == 1
 
-    def test_promotion_can_be_disabled(self):
-        engine, _, scratch, _, _, h = make_hierarchy(promote_on_access=False)
-        h.store("w/1", PAYLOAD, len(PAYLOAD), 0)
-        scratch.delete("w/1")
-        h.load("w/1", 0)
-        engine.run(until_ns=engine.now_ns + 10**9)
-        assert not scratch.exists("w/1")
-        assert h.promotions == 0
-
     def test_all_levels_lost_raises(self):
         engine, sc, scratch, _, _, h = make_hierarchy()
         h.store("w/1", PAYLOAD, len(PAYLOAD), 0)
@@ -222,16 +209,6 @@ class TestReprotect:
         assert partner.exists("w/1")
         assert h.reprotects >= 1
         assert engine.metrics.counter("hierarchy.reprotected_bytes").value > 0
-
-    def test_reprotect_can_be_disabled(self):
-        engine, sc, _, partner, _, h = make_hierarchy(reprotect=False)
-        h.store("w/1", PAYLOAD, len(PAYLOAD), 0)
-        engine.run(until_ns=engine.now_ns + 10**9)
-        for sid in list(partner.holders("w/1")):
-            sc.fail_server(sid)
-        engine.run(until_ns=engine.now_ns + 10**9)
-        assert not partner.exists("w/1")
-        assert h.reprotects == 0
 
 
 class TestDegenerate:
