@@ -17,7 +17,7 @@ from repro.mechanisms import BLCR, CRAK, CheckpointMT, PsncRC, UCLiK
 from repro.simkernel import Kernel, TaskState
 from repro.simkernel.costs import NS_PER_MS
 from repro.storage import LocalDiskStorage
-from repro.workloads import ThreadedWorkload, memory_digest
+from repro.workloads import SparseWriter, ThreadedWorkload, memory_digest
 
 from mech_helpers import make_writer, run_request
 
@@ -107,3 +107,42 @@ def test_restore_matches_uninterrupted_run(name, depth, ncpus):
         dest.run_until_exit(t, limit_ns=10**13)
     digest = memory_digest(restored[0])["heap"]
     assert digest == _reference_digest(len(tasks), ncpus)
+
+
+#: The captures that read memory from a COW fork: the caller's
+#: (Checkpoint [5]) at any depth, the thread's own at depth > 1.
+FORKED = [("CheckpointMT", 1)] + [
+    (name, 4) for name, (_, nthreads) in sorted(CASES.items()) if nthreads == 1
+]
+
+
+@pytest.mark.parametrize("name,depth", FORKED)
+def test_forked_image_metadata_is_read_at_the_fork(name, depth):
+    """The restart cursor (step, registers) is the target's at the fork
+    that fixed the image's memory, not at a later instant: on two CPUs
+    the target keeps running while the capture thread pays for the fork
+    and the address-space attach (short ops let it advance meanwhile)."""
+    cls, _ = CASES[name]
+    k = Kernel(ncpus=2, seed=11)
+    mech = cls(k, LocalDiskStorage(0))
+    mech.pipeline_depth = depth
+    target = SparseWriter(
+        iterations=3_000, dirty_fraction=0.1, heap_bytes=256 * 1024,
+        compute_ns=20_000, seed=3,
+    ).spawn(k)
+    mech.prepare_target(target)
+    at_fork = []
+    fork = k.do_fork
+
+    def recording_fork(parent, *args, **kwargs):
+        at_fork.append((parent.main_steps, parent.registers.snapshot()))
+        return fork(parent, *args, **kwargs)
+
+    k.do_fork = recording_fork
+    for _ in range(3):
+        k.run_for(2 * NS_PER_MS)
+        req = mech.request_checkpoint(target)
+        run_request(k, req)
+        assert req.state == RequestState.DONE, req.error
+        step, registers = at_fork[-1]
+        assert (req.image.step, req.image.registers) == (step, registers)
