@@ -9,10 +9,6 @@ delta-parity update path (ISSUE 9):
   patterns, including the edge cases: zero-length payload, unaligned
   ``len % k != 0``, a dirty run crossing a stripe-row boundary, and
   every-byte-dirty degenerating to a full encode;
-* the packed pair-table encode kernel clears the >= 5x throughput bar
-  over the seed's 160.3 MB/s per-coefficient path (>= 801.5 MB/s at
-  the benchmark shape k=4, m=2, 256 KiB) -- the one wall-clock bar in
-  this file, with generous headroom on a quiet runner;
 * a 10%-dirty delta update moves >= 5x fewer kernel bytes than a full
   re-encode (the O(f) claim, exact counter arithmetic), and its parity
   is byte-identical to the full re-encode's;
@@ -22,6 +18,10 @@ delta-parity update path (ISSUE 9):
   combination does;
 * ``ErasureRepairer`` rebuilds several lost shards of one key from a
   single decode pass.
+
+The packed encode kernel's speed is not gated here: ``run_bench.py
+--check`` guards it as a same-run ratio against the seed's
+per-coefficient encode, so a slow host cannot fail it.
 
 Exits non-zero with a diagnostic on any violation.
 
@@ -37,7 +37,6 @@ import itertools
 import numpy as np
 
 from scenarios import (  # also puts the repository's src/ on sys.path
-    best_of,
     rs_delta_kernel_bytes,
     rs_dirty,
     rs_payload,
@@ -56,8 +55,6 @@ from repro.stablestore import (
 
 CONFIGS = [(4, 2), (3, 3), (2, 1), (5, 4)]
 NS = 10**9
-#: >= 5x the pre-kernel 160.3 MB/s baseline (ISSUE 9 acceptance bar).
-MIN_ENCODE_MBPS = 801.5
 #: Kernel bytes of full re-encode over delta at 10% dirty: half the
 #: 10.04x recorded in BENCH_PERF.json.
 MIN_KERNEL_BYTE_RATIO = 5.0
@@ -114,20 +111,6 @@ def check_delta_identity() -> int:
         verify(payload, random_extents, k, m, "random-runs")
     verify(b"", [(0, 4)], 3, 2, "zero-length-payload")
     return status
-
-
-def check_encode_throughput() -> int:
-    """Packed-table encode clears the 5x bar at the benchmark shape."""
-    rs_encode(PAYLOAD, 4, 2)  # warm the packed-table cache
-    (t,) = best_of(7, lambda: rs_encode(PAYLOAD, 4, 2))
-    mbps = len(PAYLOAD) / t / 1e6
-    ok = mbps >= MIN_ENCODE_MBPS
-    print(
-        f"encode throughput: {mbps:.1f} MB/s "
-        f"(bar {MIN_ENCODE_MBPS} = 5x the 160.3 MB/s seed path) "
-        f"{'ok' if ok else 'TOO SLOW'}"
-    )
-    return 0 if ok else 1
 
 
 def check_delta_kernel_bytes() -> int:
@@ -222,7 +205,6 @@ def check_batch_repair() -> int:
 def main() -> int:
     status = 0
     status |= check_delta_identity()
-    status |= check_encode_throughput()
     status |= check_delta_kernel_bytes()
     status |= check_envelope_under_delta()
     status |= check_batch_repair()

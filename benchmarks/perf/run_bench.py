@@ -48,8 +48,9 @@ run, so the ratio between them does not depend on the host's speed:
   wall-clock of a full marker snapshot+restart cycle, also counted per
   seed-engine storm drained in the same run.
 * ``erasure``     -- the ``4+2`` Reed-Solomon tier on 256 KiB: packed
-  pair-table encode, degraded decode and the O(dirty)
-  ``rs_update_parity`` delta path, each timed against a full encode;
+  pair-table encode timed against the seed's per-coefficient encode,
+  and degraded decode and the O(dirty) ``rs_update_parity`` delta
+  path, each timed against a full encode;
   the delta's kernel bytes against a full re-encode's; and the tier's
   deterministic survival envelope, physical-bytes ratio and depth<=1
   hierarchy identity.
@@ -94,7 +95,7 @@ from scenarios import (  # also puts the repository's src/ on sys.path
     distsnap_build, distsnap_snapshot, e12_cells, erasure_envelope,
     hierarchy_identity, marker_cycle, mean_delta_stall,
     physical_bytes_vs_rf3, pipeline_build, pipeline_restart,
-    rs_delta_kernel_bytes, rs_dirty, rs_payload, storm,
+    rs_delta_kernel_bytes, rs_dirty, rs_encode_reference, rs_payload, storm,
 )
 
 from repro.core.capture import _extent_runs
@@ -674,6 +675,10 @@ def bench_erasure(payload_kib: int, dirty_fraction: float,
       pair-table matmul over a ``k+m`` stripe (decode with every parity
       shard in play, so the Gauss-Jordan inverse path runs);
       ``decode_vs_encode`` is encode time over degraded-decode time.
+    * ``reference_encode_mbps`` -- the seed's per-coefficient
+      fancy-indexing encode (:func:`scenarios.rs_encode_reference`);
+      ``encode_vs_reference`` is its time over the packed encode's,
+      the two timed in turn.
     * ``delta_update_mbps`` -- effective payload MB/s of
       :func:`~repro.stablestore.rs_update_parity` refreshing parity for
       a ``dirty_fraction``-dirty payload: the whole payload counts as
@@ -700,6 +705,7 @@ def bench_erasure(payload_kib: int, dirty_fraction: float,
     shards = rs_encode(payload, RS_K, RS_M)  # also fills the table cache
     worst = {i: shards[i] for i in range(RS_M, RS_K + RS_M)}  # all parity
     assert rs_decode(worst, RS_K, RS_M, len(payload)) == payload
+    assert rs_encode_reference(payload, RS_K, RS_M) == shards
     dirty, new_payload = rs_dirty(payload, dirty_fraction, seed=31)
     old_parity = shards[RS_K:]
     rs_update_parity(old_parity, dirty, payload, new_payload, RS_K, RS_M)
@@ -709,6 +715,13 @@ def bench_erasure(payload_kib: int, dirty_fraction: float,
         lambda: rs_decode(worst, RS_K, RS_M, len(payload)),
         lambda: rs_update_parity(old_parity, dirty, payload, new_payload,
                                  RS_K, RS_M),
+    )
+    # The seed encode in its own pair, so the other kernels' tables do
+    # not share the cache with the packed encode's in this ratio.
+    t_enc_pair, t_ref = best_of(
+        samples,
+        lambda: rs_encode(payload, RS_K, RS_M),
+        lambda: rs_encode_reference(payload, RS_K, RS_M),
     )
     delta_bytes, full_bytes, identical = rs_delta_kernel_bytes(
         payload, dirty, new_payload)
@@ -721,8 +734,10 @@ def bench_erasure(payload_kib: int, dirty_fraction: float,
         "payload_kib": payload_kib,
         "dirty_fraction": dirty_fraction,
         "encode_mbps": round(mb / t_enc, 1),
+        "reference_encode_mbps": round(mb / t_ref, 1),
         "decode_degraded_mbps": round(mb / t_dec, 1),
         "delta_update_mbps": round(mb / t_delta, 1),
+        "encode_vs_reference": round(t_ref / t_enc_pair, 3),
         "decode_vs_encode": round(t_enc / t_dec, 3),
         "delta_vs_reencode": round(t_enc / t_delta, 3),
         "delta_vs_full_kernel_bytes": round(full_bytes / max(1, delta_bytes),
@@ -778,6 +793,8 @@ GUARDS = [
     ("grid_runner byte-identical documents", "grid_runner", "deterministic"),
     ("distsnap cycles per seed-engine storm", "distsnap",
      "cycles_per_seed_storm"),
+    ("erasure packed encode vs the seed encode", "erasure",
+     "encode_vs_reference"),
     ("erasure degraded decode vs encode", "erasure", "decode_vs_encode"),
     ("erasure delta update vs full re-encode", "erasure", "delta_vs_reencode"),
 ]

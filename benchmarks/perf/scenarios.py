@@ -281,6 +281,28 @@ def rs_dirty(payload: bytes, dirty_fraction: float,
     return dirty, bytes(new_payload)
 
 
+def rs_encode_reference(payload: bytes, k: int, m: int) -> List[bytes]:
+    """The seed codec's encode, which the packed kernel is timed
+    against: one fancy-indexed product-table row gather per parity
+    coefficient (about 160 MB/s at 4+2 on 256 KiB on the host that
+    recorded the seed).  Same shards as ``rs_encode``."""
+    from repro.stablestore.erasure import _GF_MUL, _cauchy_rows
+
+    shard_len = -(-len(payload) // k)
+    data = np.zeros((k, shard_len), dtype=np.uint8)
+    data.reshape(-1)[: len(payload)] = np.frombuffer(payload, dtype=np.uint8)
+    coefficients = _cauchy_rows(k, m)
+    parity = np.zeros((m, shard_len), dtype=np.uint8)
+    for i in range(m):
+        for j in range(k):
+            c = int(coefficients[i, j])
+            if c:
+                parity[i] ^= _GF_MUL[c][data[j]]
+    return [data[i].tobytes() for i in range(k)] + [
+        parity[i].tobytes() for i in range(m)
+    ]
+
+
 def rs_delta_kernel_bytes(payload: bytes, dirty, new_payload: bytes):
     """Kernel bytes of re-protecting ``new_payload`` by a delta parity
     update and by a full re-encode, and whether the two parities agree.

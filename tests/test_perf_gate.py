@@ -92,6 +92,17 @@ def test_scan_rotted_into_its_scalar_reference_fails(capsys):
     assert "FAIL" in out
 
 
+def test_encode_rotted_into_the_seed_encode_fails(capsys):
+    rotted = copy.deepcopy(BASELINE)
+    erasure = rotted["erasure"]
+    erasure["encode_mbps"] = erasure["reference_encode_mbps"]
+    erasure["encode_vs_reference"] = 1.0
+    assert run_bench.check_regression(rotted, BASELINE) == 1
+    out = capsys.readouterr().out
+    assert "erasure packed encode vs the seed encode" in out
+    assert "FAIL" in out
+
+
 def test_drifted_exact_row_fails(capsys):
     drifted = copy.deepcopy(BASELINE)
     assert drifted["grid_runner"]["deterministic"] is True
