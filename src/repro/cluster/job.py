@@ -32,7 +32,7 @@ from ..distsnap.protocols import (
     StopTheWorldProtocol,
 )
 from ..distsnap.restart import JobRestoreResult, restore_snapshot
-from ..errors import ClusterError, DistSnapError, StorageError, StorageLostError
+from ..errors import ClusterError, DistSnapError, StorageLostError
 from ..simkernel import Task
 from ..simkernel.costs import NS_PER_S
 from ..storage.backends import StorageBackend
@@ -121,9 +121,13 @@ class ParallelJob:
     # ------------------------------------------------------------------
     def bind(self, rank: Rank, node: ClusterNode, task: Task) -> None:
         """Make ``task`` on ``node`` the live process of ``rank`` and
-        watch it exit (initial placement, restores and respawns)."""
+        watch it exit (initial placement, restores and respawns).  The
+        replaced task's chain tip no longer holds its image."""
+        old = rank.task
         rank.node = node
         rank.task = task
+        if old is not None and old is not task:
+            old.chain_tip = None
         node.kernel.on_exit(task, self._rank_exited)
 
     def _spawn(self, rank: Rank, node: ClusterNode) -> None:
@@ -142,6 +146,9 @@ class ParallelJob:
     def _rank_exited(self, task: Task) -> None:
         if self.completed_ns is None and all(r.done for r in self.ranks):
             self.completed_ns = self.cluster.engine.now_ns
+            # No rank is restored again, so no chain tip holds an image.
+            for rank in self.ranks:
+                rank.task.chain_tip = None
             if self._driving:
                 self.cluster.engine.stop()
 
@@ -328,42 +335,24 @@ class CheckpointCoordinator:
             self._inflight = None  # aborted wave (failure mid-capture)
 
     def _gc_old_waves(self) -> None:
-        """Drop waves beyond ``keep_waves`` and delete their blobs.
+        """Drop waves beyond ``keep_waves`` and request their blobs'
+        deletes.
 
-        Incremental mechanisms chain deltas back to a full base, so a
-        doomed wave's key survives while it is the ancestor of a key
-        that must stay restorable: an image of a retained wave, or a
-        rank's live chain tip, which its next delta extends.  A rank
-        that sat out the retained waves (parked mid-restore, say) still
-        extends an image of a doomed wave.
+        The storage's hold table collects each image once nothing needs
+        it: an image of a retained wave holds its whole delta ancestry,
+        and so does a rank's chain tip, which its next delta extends --
+        even when the rank sat out the retained waves (parked
+        mid-restore, say).
         """
         if self.keep_waves <= 0 or len(self.waves) <= self.keep_waves:
             return
-        retained = self.waves[-self.keep_waves:]
-        roots = {key for wave in retained for key, _ in wave.values()}
-        roots.update(
-            r.task.chain_tip[1] for r in self.job.ranks if r.task.chain_tip
-        )
-        # Collect every ancestor of a root: those must survive.  The walk
-        # peeks (no I/O is charged), once per key, through the first
-        # mechanism whose storage holds it.
-        protected = set(roots)
-        mechs = list(dict.fromkeys(self.mechanisms.values()))
-        for key in roots:
-            for mech in mechs:
-                try:
-                    protected.update(mech._chain_keys(key))
-                except StorageError:
-                    continue
-                break
         doomed = self.waves[: -self.keep_waves]
-        self.waves = list(retained)
+        self.waves = self.waves[-self.keep_waves:]
+        stores = list(dict.fromkeys(m.storage for m in self.mechanisms.values()))
         for wave in doomed:
             for key, _ in wave.values():
-                if key in protected:
-                    continue
-                for mech in mechs:
-                    mech.storage.delete(key)
+                for store in stores:
+                    store.delete(key)
             self.waves_pruned += 1
 
     # ------------------------------------------------------------------
@@ -439,8 +428,8 @@ class CheckpointCoordinator:
                 key, _ = wave[rank.index]
             elif rank.task.chain_tip is not None:
                 # The rank sat out the wave (it was parked, e.g.
-                # mid-restore): its state IS its chain tip, which wave
-                # GC keeps even once no retained wave names it.
+                # mid-restore): its state IS its chain tip, which holds
+                # its image even once no retained wave names it.
                 key = rank.task.chain_tip[1]
             else:
                 raise ClusterError(f"no image covers rank {rank.index}")

@@ -363,12 +363,6 @@ class Cluster:
             raise ClusterError("cluster was built without an erasure level")
         self.erasure_cluster.fail_server(server_id)
 
-    def repair_erasure_server(self, server_id: int, data_survived: bool = True) -> None:
-        """Bring a failed erasure-group server back."""
-        if self.erasure_cluster is None:
-            raise ClusterError("cluster was built without an erasure level")
-        self.erasure_cluster.repair_server(server_id, data_survived=data_survived)
-
     def node(self, node_id: int) -> ClusterNode:
         """Node by id."""
         return self.nodes[node_id]
@@ -428,12 +422,6 @@ class Cluster:
         if self.storage_cluster is None:
             raise ClusterError("cluster was built without storage servers")
         self.storage_cluster.fail_server(server_id)
-
-    def repair_storage_server(self, server_id: int, data_survived: bool = True) -> None:
-        """Bring a failed storage server back."""
-        if self.storage_cluster is None:
-            raise ClusterError("cluster was built without storage servers")
-        self.storage_cluster.repair_server(server_id, data_survived=data_survived)
 
     def schedule_failures(
         self,

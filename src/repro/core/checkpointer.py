@@ -428,9 +428,11 @@ class Checkpointer:
         except (StorageError, RestartError) as exc:
             span.end(state="failed", error=str(exc))
             return None
-        # Hygiene: drop flats whose tips are gone (pruned generations)
-        # and flats for ancestors of this tip -- the newest flat on a
-        # chain subsumes the older ones, which no restart will pick.
+        # Hygiene: request deletes of flats whose tips are gone (pruned
+        # generations) and of flats for ancestors of this tip -- the
+        # newest flat on a chain subsumes the older ones, which no
+        # restart will pick.  A write-back still updating an old flat
+        # into the new one holds it until the copy lands.
         ancestors = set(keys[1:])
         stale = [
             t for t in self._flat_alias
@@ -485,8 +487,9 @@ class Checkpointer:
             engine.metrics.inc("restart.failed")
             span.end(state="failed", error=str(exc))
             raise
-        # The next delta extends the requested key, never a compacted
-        # ``+flat`` blob (compaction deletes those when it re-flattens).
+        # The next delta extends (and the tip holds) the requested key,
+        # never a compacted ``+flat`` blob: compaction requests a flat's
+        # delete when it re-flattens, which a tip on it would defer.
         result.task.chain_tip = (self.storage, key)
         engine.metrics.inc("restart.count")
         engine.metrics.observe(

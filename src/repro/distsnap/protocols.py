@@ -91,10 +91,10 @@ class CutManifest:
     Stored under ``distsnap/<job>/<id>+cut``.  The last key component
     is not all digits, so :class:`~repro.stablestore.gc.GenerationGC`'s
     generation parser ignores the manifest itself (the same key-shape
-    trick compacted ``<tip>+flat`` images use); the GC additionally
-    treats :meth:`pinned_keys` as roots so the per-rank images a
-    manifest references -- whose keys *are* generation-shaped -- can
-    never be collected out from under it.
+    trick compacted ``<tip>+flat`` images use); a stored manifest holds
+    every key in :meth:`pinned_keys` in the stack's hold table, so the
+    per-rank images it references -- whose keys *are*
+    generation-shaped -- can never be collected out from under it.
     """
 
     key: str
@@ -115,7 +115,7 @@ class CutManifest:
     #: Protocol downtime (stop-the-world) or 0 (marker).
     downtime_ns: int = 0
 
-    #: Duck-typing flags for GC and chain walks.
+    #: Duck-typing flags for the hold table and chain walks.
     is_cut_manifest: bool = True
     parent_key: Optional[str] = None
 

@@ -237,10 +237,8 @@ class Task:
         self.stopped_for_checkpoint = False
         #: Arbitrary per-mechanism annotations (shadow state, pods, ...).
         self.annotations: Dict[str, Any] = {}
-        #: ``(storage, key)`` of the image this task's next delta extends:
-        #: the last completed checkpoint, restore or rollback.  A task
-        #: attribute, not an annotation, so no image ever captures it.
-        self.chain_tip: Optional[Tuple[Any, str]] = None
+        self._chain_tip: Optional[Tuple[Any, str]] = None
+        self._held_tip: Optional[Tuple[Any, str]] = None  # tip whose key it holds
         #: Opaque owner node id (set by the cluster layer).
         self.node_id: Optional[int] = None
         #: Set while the kernel has asked this task to stop at the next op
@@ -253,6 +251,26 @@ class Task:
         if program_factory is not None:
             self.rebuild_program(start_step)
             self.acct.main_steps = start_step
+
+    # ------------------------------------------------------------------
+    @property
+    def chain_tip(self) -> Optional[Tuple[Any, str]]:
+        """``(storage, key)`` of the image this task's next delta extends:
+        the last completed checkpoint, restore or rollback.  A task
+        attribute, not an annotation, so no image ever captures it."""
+        return self._chain_tip
+
+    @chain_tip.setter
+    def chain_tip(self, tip: Optional[Tuple[Any, str]]) -> None:
+        """Until the task completes, its tip holds the key in the
+        storage's hold table (:mod:`repro.stablestore.holds`); moving
+        the tip releases the old key."""
+        old, self._chain_tip = self._held_tip, tip
+        self._held_tip = tip if self.exit_code != 0 else None
+        if self._held_tip is not None:
+            tip[0].holds.hold(tip[1])
+        if old is not None:
+            old[0].holds.release(old[1])
 
     # ------------------------------------------------------------------
     def alloc_fd(self) -> int:
@@ -358,10 +376,6 @@ class Task:
     def alive(self) -> bool:
         """Neither exited nor reaped."""
         return self.state not in (TaskState.ZOMBIE, TaskState.DEAD)
-
-    def runnable(self) -> bool:
-        """Eligible for CPU."""
-        return self.state in (TaskState.READY, TaskState.RUNNING)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "kthread" if self.is_kthread else "proc"

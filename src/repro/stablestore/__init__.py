@@ -20,7 +20,8 @@ quorum-replicated client.
 * :class:`ReplicationRepairer` -- background re-replication of
   under-replicated blobs after a storage-server failure.
 * :class:`GenerationGC` -- garbage collection of superseded checkpoint
-  generations (delta chains are walked and protected).
+  generations (delete requests; the stack's hold table keeps what a
+  retained delta, a chain tip or a cut manifest still needs).
 * :class:`ContentStore` -- content-addressed dedup wrapper: each unique
   page payload costs one quorum write ever, not one per generation.
 * :class:`ErasureStore` / :class:`ErasureRepairer` -- Reed-Solomon

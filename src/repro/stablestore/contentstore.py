@@ -27,10 +27,12 @@ The design is manifest + pack:
   and every other row one chunk.
 * The store refcounts content keys across manifests.  Deleting a
   manifest (e.g. :class:`~repro.stablestore.GenerationGC` dropping a
-  superseded generation) decrements them; a pack is deleted only when no
-  surviving manifest references any payload homed in it.  Pack keys end
-  in ``.pack`` and therefore never parse as generations, so the GC can
-  only ever reach them through this refcounting path.
+  superseded generation) decrements them.  A pack's delete is
+  requested when it is written, and the stack's hold table collects it
+  once no referenced payload homed in it and no open stream that
+  counted a hit against it holds it.  Pack keys end in ``.pack`` and
+  therefore never parse as generations, so the GC can only ever reach
+  them through this refcounting path.
 
 The wrapper is transparent: non-image blobs pass straight through, and
 ``keys()`` lists manifests only, so generation GC, chain walks and the
@@ -40,7 +42,7 @@ coordinator see exactly the key space they saw without dedup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -75,7 +77,7 @@ class ImageManifest:
 
     @property
     def parent_key(self) -> Optional[str]:
-        """Delta-chain parent (GC and availability walks read this)."""
+        """Delta-chain parent (the hold table and chain walks read this)."""
         return self.meta.parent_key
 
 
@@ -105,6 +107,7 @@ class ContentStore(StorageBackend):
     def __init__(self, inner: StorageBackend, metrics=None) -> None:
         super().__init__(device=inner.device)
         self.inner = inner
+        self.holds = inner.holds  # one table for the stack
         self.metrics = metrics
         self.kind = inner.kind
         self.survives_node_failure = inner.survives_node_failure
@@ -119,8 +122,6 @@ class ContentStore(StorageBackend):
         #: is not digested again.  Only a shortcut: any other array,
         #: however equal its bytes, is digested.
         self._payload_keys: Dict[int, Tuple[np.ndarray, str]] = {}
-        #: pack key -> distinct referenced content keys still alive.
-        self._pack_live: Dict[str, int] = {}
         #: manifest key -> the content keys it references (for delete).
         self._manifest_refs: Dict[str, List[str]] = {}
         # Dedup statistics (the E20 evidence).
@@ -148,11 +149,11 @@ class ContentStore(StorageBackend):
         chunks: Sequence[Chunk],
         manifest: ImageManifest,
         pack: Dict[str, np.ndarray],
-        homed: Dict[str, np.ndarray],
+        held: Set[str],
     ) -> int:
         """Append a manifest row per page of ``chunks``: copy each unseen
-        payload into ``pack``, note each committed hit's bytes in
-        ``homed``; return the bytes added to ``pack``.  A row that is a
+        payload into ``pack``, hold (once, noted in ``held``) the pack of
+        each committed hit; return the bytes added to ``pack``.  A row that is a
         live pack's read-only payload array takes its content key from
         the store; the others are collected per payload length and
         digested in one :func:`page_digests` call per length."""
@@ -202,11 +203,13 @@ class ContentStore(StorageBackend):
         for ckey, payload in zip(ckeys, payloads):
             if ckey in pack:
                 continue
-            if ckey in self._home:
-                homed.setdefault(ckey, payload)
-            else:
+            home = self._home.get(ckey)
+            if home is None:
                 pack[ckey] = _frozen_copy(payload)
                 added += payload.size
+            elif home not in held:
+                held.add(home)
+                self.holds.hold(home)
         return added
 
     def _new_pack_key(self, key: str) -> str:
@@ -244,7 +247,6 @@ class ContentStore(StorageBackend):
         delay = self.inner.store(key, manifest, manifest_bytes, now_ns)
         if pack_key is not None:
             self._pack_members[pack_key] = pack
-            self._pack_live.setdefault(pack_key, 0)
             for ckey, payload in pack.items():
                 self._payload_keys[id(payload)] = (payload, ckey)
                 old = self._home.get(ckey)
@@ -252,15 +254,17 @@ class ContentStore(StorageBackend):
                 if old not in (None, pack_key) and self._refs.get(ckey, 0):
                     # A concurrent stream committed this payload first;
                     # its live references move to this pack with it.
-                    self._pack_live[pack_key] += 1
-                    self._unref_pack(old)
+                    self.holds.hold(pack_key)
+                    self.holds.release(old)
         refs = self._refs
         for ckey in ckeys:
             n = refs.get(ckey, 0)
-            if n == 0:
-                self._pack_live[self._home[ckey]] += 1
+            if n == 0:  # a referenced payload holds the pack it lives in
+                self.holds.hold(self._home[ckey])
             refs[ckey] = n + 1
         self._manifest_refs[key] = ckeys
+        if pack_key is not None:
+            self.holds.request(pack_key, self)  # it goes with its last hold
         logical = sum(manifest.nbytes)
         self.logical_payload_bytes += logical
         self.unique_payload_bytes += pack_bytes
@@ -351,35 +355,24 @@ class ContentStore(StorageBackend):
         """Accounted size of a stored blob (manifest size for images)."""
         return self.inner.blob_size(key)
 
-    def delete(self, key: str) -> None:
-        """Drop a manifest; packs follow when their last reference dies."""
-        ckeys = self._manifest_refs.pop(key, None)
-        self.inner.delete(key)
-        if ckeys is None:
-            return
-        for ckey in ckeys:
-            n = self._refs.get(ckey, 0)
-            if n > 1:
-                self._refs[ckey] = n - 1
-                continue
-            self._refs.pop(ckey, None)
-            home = self._home.get(ckey)
-            if home is not None:
-                self._unref_pack(home)
+    #: Named here so per-class tracing can wrap it.
+    delete = StorageBackend.delete
 
-    def _unref_pack(self, home: str) -> None:
-        """One payload of pack ``home`` lost its last reference; the
-        pack is deleted with its last live payload."""
-        self._pack_live[home] -= 1
-        if self._pack_live[home] > 0:
-            return
-        for member, payload in self._pack_members.pop(home, {}).items():
+    def _drop(self, key: str) -> None:
+        """Drop a pack, or a manifest with its payload references (a
+        payload's last reference releases its pack)."""
+        for member, payload in self._pack_members.pop(key, {}).items():
             del self._payload_keys[id(payload)]
-            if self._home.get(member) == home:  # not re-homed since
+            if self._home.get(member) == key:  # not re-homed since
                 del self._home[member]
-                self._refs.pop(member, None)
-        self._pack_live.pop(home, None)
-        self.inner.delete(home)
+        ckeys = self._manifest_refs.pop(key, ())
+        self.inner._drop(key)
+        for ckey in ckeys:
+            n = self._refs.pop(ckey) - 1
+            if n:
+                self._refs[ckey] = n
+            else:
+                self.holds.release(self._home[ckey])
 
     def keys(self) -> Iterator[str]:
         """Iterate manifest / passthrough keys (packs stay internal)."""
@@ -414,17 +407,18 @@ class DedupWriteStream:
 
     The stream takes no reference before :meth:`commit`, so one that is
     abandoned (an aborted drain) leaves every refcount as it was.  A
-    page counted as a hit against a committed pack therefore keeps its
-    bytes until commit: if GC collects that pack meanwhile, the payload
-    joins this image's pack instead.
+    page counted as a hit holds the pack that homes it (see
+    :mod:`~repro.stablestore.holds`) until the commit's manifest
+    references it, or :meth:`abort`, so no delete collects that pack
+    while the stream is open.
     """
 
     def __init__(self, cs: ContentStore, key: str, now_ns: int) -> None:
         if key in cs._manifest_refs:
-            # Overwrite of an existing generation: release the old refs
-            # first (exactly as the synchronous store does) so refcounts
-            # stay exact.
-            cs.delete(key)
+            # Overwrite of an existing generation: drop the old manifest
+            # and its refs first (exactly as the synchronous store does)
+            # so refcounts stay exact.
+            cs._drop(key)
         self.cs = cs
         self.key = key
         self.pack_key = cs._new_pack_key(key)
@@ -434,8 +428,8 @@ class DedupWriteStream:
         self._raw_stream = None  # a non-image object, under key
         self.manifest = ImageManifest(key=key)
         self.pack: Dict[str, np.ndarray] = {}
-        #: Payloads counted as hits against an already committed pack.
-        self._homed: Dict[str, np.ndarray] = {}
+        #: Committed packs this stream counted a hit against (one hold each).
+        self._held: Set[str] = set()
         self.sent_bytes = 0  # unique payload bytes actually on the wire
 
     def send_chunk(self, chunk: Chunk, now_ns: int) -> int:
@@ -443,9 +437,7 @@ class DedupWriteStream:
         delay at which those bytes are quorum-durable (0 for an extent
         that dedups completely)."""
         cs = self.cs
-        # Hits keep their bytes until commit: GC may collect their pack
-        # while this stream is open.
-        new_bytes = cs._fingerprint([chunk], self.manifest, self.pack, self._homed)
+        new_bytes = cs._fingerprint([chunk], self.manifest, self.pack, self._held)
         if new_bytes == 0:
             return 0
         if self._inner_stream is None:
@@ -479,20 +471,25 @@ class DedupWriteStream:
                 f"raw bytes were sent for {self.key!r}; an image must be "
                 "streamed with send_chunk")
         if not self.manifest.ckeys:
-            cs._fingerprint(obj.chunks, self.manifest, self.pack, self._homed)
-        for ckey, payload in self._homed.items():
-            if ckey not in cs._home and ckey not in self.pack:
-                # Its pack was collected after the hit: the payload joins
-                # this image's pack (charged in the commit's remainder).
-                self.pack[ckey] = _frozen_copy(payload)
-        delay = 0
-        pack_key: Optional[str] = None
-        pack_bytes = int(sum(a.size for a in self.pack.values()))
-        if self.pack:
-            pack_key = self.pack_key
-            if self._inner_stream is None:
-                self._inner_stream = cs.inner.open_stream(pack_key, now_ns)
-            delay += self._inner_stream.commit(self.pack, pack_bytes, now_ns)
-        return delay + cs._write_manifest(
-            obj, self.manifest, self.pack, pack_bytes, pack_key, now_ns + delay
-        )
+            cs._fingerprint(obj.chunks, self.manifest, self.pack, self._held)
+        try:
+            delay = 0
+            pack_key: Optional[str] = None
+            pack_bytes = int(sum(a.size for a in self.pack.values()))
+            if self.pack:
+                pack_key = self.pack_key
+                if self._inner_stream is None:
+                    self._inner_stream = cs.inner.open_stream(pack_key, now_ns)
+                delay += self._inner_stream.commit(self.pack, pack_bytes, now_ns)
+            return delay + cs._write_manifest(
+                obj, self.manifest, self.pack, pack_bytes, pack_key, now_ns + delay
+            )
+        finally:
+            self.abort()  # the manifest now references what the hits held
+
+    def abort(self) -> None:
+        """Release the packs this stream's hits held (a commit ends here
+        too)."""
+        held, self._held = self._held, set()
+        for home in held:
+            self.cs.holds.release(home)

@@ -772,7 +772,7 @@ class ErasureStore(QuorumStore):
         return key in self._directory and self.shard_count(key) >= self.k
 
     def peek(self, key: str) -> Any:
-        """Inspect a blob without charging I/O (GC / availability checks)."""
+        """Inspect a blob without charging I/O (availability and chain walks)."""
         self._require_key(key)
         holders = self.shard_holders(key)
         if len(holders) < self.k:
@@ -784,7 +784,10 @@ class ErasureStore(QuorumStore):
         }
         return self._reconstruct(key, gathered)
 
-    def delete(self, key: str) -> None:
+    #: Named here so per-class tracing can wrap it.
+    delete = StorageBackend.delete
+
+    def _drop(self, key: str) -> None:
         """Drop every shard (idempotent)."""
         self._forget(key)
         for server in self.storage.servers:
@@ -1046,6 +1049,7 @@ class DeltaWriteStream(WriteStream):
                 server.drop_replica(skey_base)
         self.committed = True
         st._directory[self.key] = int(nbytes)
+        st.holds.stored(self.key, obj)
         if rebase:
             st._forget(self.base_key)
         st.bytes_written += dsnb * len(holders)

@@ -8,22 +8,17 @@ coordinator's own wave pruning (a dead rank's waves, or a coordinator
 that never enabled ``keep_waves``, would otherwise leak every
 generation forever).
 
-Incremental images chain back to a full base via ``parent_key``; the
-sweeper walks those chains (via the I/O-free ``peek``) and never deletes
-an ancestor of a retained generation.
-
-Distributed-snapshot cut manifests are a second kind of GC root: a
-manifest's key (``distsnap/<job>/<id>+cut``) is never generation-shaped,
-so the manifest itself is untouchable, and every per-rank image it
-references (``pinned_keys()``) -- whose keys *are* generation-shaped --
-is protected along with its whole delta ancestry.  Without this, a long
-gap between cuts would let per-process generation pruning collect a
-rank image out of a still-restorable whole-job snapshot.
+The sweep only *requests* deletes.  The stack's
+:class:`~repro.stablestore.holds.HoldTable` decides when each blob
+goes: a retained delta holds its whole ancestry, a cut manifest
+(``distsnap/<job>/<id>+cut``, never generation-shaped) holds every
+rank image it pins, and a live chain tip holds the image its next delta
+extends.  A held generation stays until its last holder lets go.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import StorageError
 from ..storage.backends import StorageBackend
@@ -65,57 +60,26 @@ class GenerationGC:
         self._stopped = False
 
     # ------------------------------------------------------------------
-    def _protected_chain(self, key: str, protected: Set[str]) -> None:
-        """Add ``key``'s whole ancestor chain to ``protected``."""
-        k: Optional[str] = key
-        while k is not None and k not in protected:
-            protected.add(k)
-            try:
-                obj = self.store.peek(k)
-            except StorageError:
-                break  # unreadable right now; leave deeper ancestors alone
-            k = getattr(obj, "parent_key", None)
-
     def sweep(self) -> List[str]:
-        """Delete superseded generations; returns the keys collected."""
+        """Request deletes of superseded generations; returns the keys
+        collected by this sweep (held ones stay pending)."""
         groups: Dict[str, List[Tuple[int, str]]] = {}
-        manifest_pins: List[str] = []
         for key in list(self.store.keys()):
             parsed = _parse_generation(key)
-            if parsed is None:
-                # Foreign key shape: never a candidate -- but a cut
-                # manifest hiding behind one pins the rank images it
-                # references (I/O-free peek; unreadable blobs are
-                # simply not manifests right now).
-                try:
-                    obj = self.store.peek(key)
-                except StorageError:
-                    continue
-                if getattr(obj, "is_cut_manifest", False):
-                    manifest_pins.extend(obj.pinned_keys())
-                continue
-            group, gen = parsed
-            groups.setdefault(group, []).append((gen, key))
-        protected: Set[str] = set()
-        for key in manifest_pins:
-            self._protected_chain(key, protected)
-        doomed: List[str] = []
-        for group, members in groups.items():
-            members.sort()
-            for _, key in members[-self.keep:]:
-                self._protected_chain(key, protected)
-            doomed.extend(key for _, key in members[: -self.keep])
-        collected = []
-        swept_bytes = 0
+            if parsed is not None:
+                group, gen = parsed
+                groups.setdefault(group, []).append((gen, key))
+        doomed = [
+            key for members in groups.values()
+            for _, key in sorted(members)[: -self.keep]
+        ]
+        sizes = {key: self.store.blob_size(key) for key in doomed}
         for key in doomed:
-            if key in protected:
-                continue
-            size = self.store.blob_size(key)
             self.store.delete(key)
-            collected.append(key)
-            self.bytes_collected += size
-            swept_bytes += size
+        collected = [key for key in doomed if not self.store.holds.pending(key)]
+        swept_bytes = sum(sizes[key] for key in collected)
         self.collected += len(collected)
+        self.bytes_collected += swept_bytes
         if self.metrics is not None and collected:
             self.metrics.inc("storage.gc_collected", len(collected))
             self.metrics.inc("storage.gc_bytes", swept_bytes)

@@ -142,6 +142,8 @@ class HierarchicalStore(StorageBackend):
         super().__init__(device=levels[0].backend.device)
         self.engine = engine
         self.levels: List[StorageLevel] = list(levels)
+        for level in self.levels:
+            level.backend.holds = self.holds  # one table for the stack
         self.survives_node_failure = any(lv.durable for lv in levels)
         #: key -> accounted nbytes of every blob the hierarchy accepted.
         self._directory: Dict[str, int] = {}
@@ -283,9 +285,14 @@ class HierarchicalStore(StorageBackend):
         dirty_extents: Optional[Extents] = None,
         base_key: Optional[str] = None,
     ) -> None:
+        rebase = base_key is not None and base_key != key
         for level in self.levels:
             if level.write != "back":
                 continue
+            if rebase:
+                # The copy delta-updates the base's stripe into ``key``:
+                # the base must outlive it.
+                self.holds.hold(base_key)
             self.engine.after(
                 level.writeback_delay_ns,
                 lambda lv=level: self._writeback(
@@ -303,28 +310,30 @@ class HierarchicalStore(StorageBackend):
         dirty_extents: Optional[Extents] = None,
         base_key: Optional[str] = None,
     ) -> None:
-        if key not in self._directory:
-            return  # deleted before the copy started
         base = base_key if base_key is not None else key
-        # A plain copy that already landed (promotion, earlier copy) is
+        # A blob deleted before its copy started cancels the copy.  A
+        # plain copy that already landed (promotion, earlier copy) is
         # done; a *delta* copy must still run even though exists(key) is
         # true -- the resident bytes are the stale base generation.
-        delta = self._delta_fn(level, dirty_extents, base)
-        if delta is None and level.backend.exists(key):
-            return
-        metrics = self._metrics()
-        try:
-            self._write_level(
-                level, key, obj, nbytes, self.engine.now_ns, dirty_extents, base_key
-            )
-        except StorageLostError:
-            # The level is degraded right now; the re-protection scan
-            # retries once it recovers.
-            self.writeback_failures += 1
-            metrics.inc("hierarchy.writeback_failures")
-            return
-        metrics.inc("hierarchy.writeback_bytes", nbytes)
-        self._evict_over_capacity()
+        if key in self._directory and (
+            self._delta_fn(level, dirty_extents, base) is not None
+            or not level.backend.exists(key)
+        ):
+            metrics = self._metrics()
+            try:
+                self._write_level(
+                    level, key, obj, nbytes, self.engine.now_ns, dirty_extents, base_key
+                )
+            except StorageLostError:
+                # The level is degraded right now; the re-protection scan
+                # retries once it recovers.
+                self.writeback_failures += 1
+                metrics.inc("hierarchy.writeback_failures")
+            else:
+                metrics.inc("hierarchy.writeback_bytes", nbytes)
+                self._evict_over_capacity()
+        if base != key:
+            self.holds.release(base)
 
     # ------------------------------------------------------------------
     # StorageBackend protocol: reads
@@ -420,7 +429,7 @@ class HierarchicalStore(StorageBackend):
                 if victim is None:
                     break  # nothing safely demotable; hold over capacity
                 level._resident.pop(victim)
-                level.backend.delete(victim)
+                level.backend._drop(victim)
                 self.demotions += 1
                 metrics.inc(f"hierarchy.{level.name}.evictions")
 
@@ -455,7 +464,7 @@ class HierarchicalStore(StorageBackend):
             except (StorageError, StorageLostError):
                 continue  # no surviving copy anywhere: genuinely lost
             try:
-                backend.delete(key)  # clear any partial shard/replica set
+                backend._drop(key)  # clear any partial shard/replica set
                 backend.store(key, obj, nbytes, now + read_delay)
             except StorageLostError:
                 continue
@@ -479,7 +488,7 @@ class HierarchicalStore(StorageBackend):
         )
 
     def peek(self, key: str) -> Any:
-        """Inspect a blob without charging I/O (GC / availability)."""
+        """Inspect a blob without charging I/O (availability and chain walks)."""
         if key not in self._directory:
             raise StorageError(f"no blob stored under {key!r}")
         for level in self.levels:
@@ -489,12 +498,15 @@ class HierarchicalStore(StorageBackend):
                 continue
         raise StorageLostError(f"no hierarchy level can reach {key!r}")
 
-    def delete(self, key: str) -> None:
+    #: Named here so per-class tracing can wrap it.
+    delete = StorageBackend.delete
+
+    def _drop(self, key: str) -> None:
         """Drop the blob from every level (idempotent)."""
         self._directory.pop(key, None)
         for level in self.levels:
             level._resident.pop(key, None)
-            level.backend.delete(key)
+            level.backend._drop(key)
 
     def keys(self) -> Iterator[str]:
         """Stored blob keys, sorted."""

@@ -178,9 +178,10 @@ class WritebackPipeline:
         return delay
 
     def abort(self, reason: str) -> None:
-        """Close the span without committing (failed drain)."""
+        """Give the stream up and close the span (failed drain)."""
         if not self._committed:
             self._committed = True
+            self.stream.abort()
             self._span.end(state="aborted", error=reason)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

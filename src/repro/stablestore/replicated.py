@@ -359,14 +359,17 @@ class ReplicatedStore(QuorumStore):
         )
 
     def peek(self, key: str) -> Any:
-        """Inspect a blob without charging I/O (GC / availability checks)."""
+        """Inspect a blob without charging I/O (availability and chain walks)."""
         self._require_key(key)
         for server in self.candidates(key):
             if server.up and server.holds(key):
                 return server.replicas[key][0]
         raise StorageLostError(f"no reachable replica of {key!r}")
 
-    def delete(self, key: str) -> None:
+    #: Named here so per-class tracing can wrap it.
+    delete = StorageBackend.delete
+
+    def _drop(self, key: str) -> None:
         """Drop every replica (idempotent; failed servers apply the
         deletion on recovery, modelled as immediate tombstones)."""
         self._forget(key)
@@ -509,6 +512,7 @@ class QuorumWriteStream(WriteStream):
         delay = self._submit(remainder, now_ns)
         self.committed = True
         self._publish(obj, nbytes, delay)
+        self.store.holds.stored(self.key, obj)
         return delay
 
     def _publish(self, obj: Any, nbytes: int, delay: int) -> None:

@@ -59,8 +59,14 @@ class StorageBackend:
     keeps_only_newest: bool = False
 
     def __init__(self, device: Device) -> None:
+        # Imported here: the stablestore package imports this module.
+        from ..stablestore.holds import HoldTable
+
         self.device = device
         self._blobs: Dict[str, Tuple[Any, int]] = {}
+        #: What still needs each stored key; a layer stacked on this one
+        #: shares it (see :mod:`repro.stablestore.holds`).
+        self.holds = HoldTable()
         self.bytes_written = 0
         self.bytes_read = 0
 
@@ -96,9 +102,8 @@ class StorageBackend:
     def peek(self, key: str) -> Any:
         """Inspect a stored blob without charging I/O.
 
-        A simulation-level helper (availability pre-checks, garbage
-        collection walking delta chains); real I/O goes through
-        :meth:`load`.
+        A simulation-level helper (availability pre-checks, delta chain
+        walks); real I/O goes through :meth:`load`.
         """
         self._check_available()
         try:
@@ -112,7 +117,12 @@ class StorageBackend:
         return entry[1] if entry else 0
 
     def delete(self, key: str) -> None:
-        """Drop a blob (old checkpoint garbage collection)."""
+        """Request that ``key`` go: it is collected once nothing holds it
+        (see :class:`~repro.stablestore.holds.HoldTable`)."""
+        self.holds.request(key, self)
+
+    def _drop(self, key: str) -> None:
+        """Remove this layer's copy of ``key`` now (idempotent)."""
         self._blobs.pop(key, None)
 
     def keys(self) -> Iterator[str]:
@@ -229,8 +239,12 @@ class WriteStream:
         if backend.keeps_only_newest:
             backend._blobs.clear()
         backend._blobs[self.key] = (obj, nbytes)
+        backend.holds.stored(self.key, obj)
         backend.bytes_written += nbytes
         return delay
+
+    def abort(self) -> None:
+        """Give the write up uncommitted, releasing what it holds."""
 
 
 class LocalDiskStorage(StorageBackend):

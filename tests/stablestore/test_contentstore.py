@@ -101,7 +101,7 @@ class TestDedup:
         img = make_image("m/1/1", [1, 2])
         store.store(img.key, img, img.size_bytes, 0)
         assert store.exists("m/1/1")
-        inner.delete("m/1/1.pack")  # simulate pack loss behind the wrapper
+        inner._drop("m/1/1.pack")  # simulate pack loss behind the wrapper
         assert not store.exists("m/1/1")
 
 

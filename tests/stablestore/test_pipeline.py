@@ -264,17 +264,18 @@ class TestDedupWriteStream:
         g2 = make_image("g/2", [1, 2])
         return engine, inner, store, g2
 
-    def test_commit_after_gc_of_the_hit_payloads_pack(self):
+    def test_open_stream_holds_the_hit_payloads_pack(self):
         _, inner, store, g2 = self._homed_then_streamed()
         st = store.open_stream(g2.key, 0)
         assert [st.send_chunk(c, 0) > 0 for c in g2.chunks] == [False, True]
         store.delete("g/1")  # the last manifest referencing P
-        assert not inner.exists("g/1.pack")
+        # The stream counted a hit against g/1's pack, so it holds it.
+        assert inner.exists("g/1.pack") and not inner.exists("g/1")
         st.commit(g2, g2.size_bytes, 0)
         restored, _ = store.load(g2.key, 0)
         assert page_contents(restored) == page_contents(g2)
-        # P was packed again with this image, so it counts as unique.
-        assert store.unique_payload_bytes == 3 * 4096
+        # P stays homed in g/1's pack: it is not packed twice.
+        assert store.unique_payload_bytes == 2 * 4096
         store.delete(g2.key)
         assert list(inner.keys()) == []
 

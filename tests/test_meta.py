@@ -1,8 +1,10 @@
-"""Meta-tests: documentation coverage and DESIGN <-> benchmark consistency."""
+"""Meta-tests: documentation coverage, DESIGN <-> benchmark consistency
+and a census of definitions nothing uses."""
 
 from __future__ import annotations
 
 import ast
+import collections
 import pathlib
 import re
 
@@ -79,6 +81,30 @@ class TestDocstrings:
             f"{path.relative_to(REPO)}: public items without docstrings: "
             f"{undocumented}"
         )
+
+
+class TestCensus:
+    #: Where a use of a ``src/`` definition may live.
+    SCANNED = ("src", "tests", "benchmarks", "examples", "perfbench")
+
+    def test_every_src_definition_is_used_somewhere(self):
+        """A function or class name defined in ``src/`` must appear in
+        some Python file of the repo beyond its own definitions.  Names
+        collide across classes and with other words, so this is a
+        floor: it catches a name nothing mentions at all."""
+        defined = collections.Counter()
+        for path in SRC.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ) and not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined[node.name] += 1
+        words = collections.Counter()
+        for top in self.SCANNED:
+            for path in (REPO / top).rglob("*.py"):
+                words.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+        unused = sorted(name for name, n in defined.items() if words[name] <= n)
+        assert not unused, f"defined in src/ but used nowhere: {unused}"
 
 
 class TestDesignExperimentIndex:

@@ -147,15 +147,24 @@ def test_incremental_chain_restart_equals_clean_run(name, stack, depth):
     _chain_restart_equals_clean_run(k, mech, WORKLOADS[name], depth, (2, 5, 8))
 
 
-@pytest.mark.parametrize("name", ["sparse", "hotcold", "gups"])
+#: (workload, erasure level write policy); write-through cases keep
+#: their plain workload id.
+DELTA_CASES = [(n, p) for p in ("through", "back") for n in ("sparse", "hotcold", "gups")]
+
+
+@pytest.mark.parametrize(
+    "name,erasure_policy", DELTA_CASES,
+    ids=[n if p == "through" else f"{n}-{p}" for n, p in DELTA_CASES],
+)
 @pytest.mark.parametrize("depth", [1, 4])
-def test_delta_updated_chain_restart_equals_clean_run(name, depth):
+def test_delta_updated_chain_restart_equals_clean_run(name, depth, erasure_policy):
     """The same invariant when the erasure tier takes delta updates: a
-    write-through 4+2 erasure level under a partner level, with every
-    chain of two or more images compacted, so each re-compacted flat
-    reaches the erasure stripe as a dirty-extent update."""
+    write-through or write-back 4+2 erasure level under a partner level,
+    with every chain of two or more images compacted, so each
+    re-compacted flat reaches the erasure stripe as a dirty-extent
+    update (a write-back copy holds the old flat until it lands)."""
     k = Kernel(ncpus=2, seed=51)
-    mech = AutonomicCheckpointer(k, _hierarchy(k.engine, erasure_policy="through"))
+    mech = AutonomicCheckpointer(k, _hierarchy(k.engine, erasure_policy))
     mech.compaction_threshold = 2
     _chain_restart_equals_clean_run(
         k, mech, LONG_WORKLOADS[name], depth, (2, 5, 8, 11)
