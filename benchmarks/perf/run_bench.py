@@ -14,7 +14,7 @@ run, so the ratio between them does not depend on the host's speed:
   acceptance bar is a >=3x speedup.
 * ``capture``     -- the capture path, one ``take_pages`` row extent of
   the live arrays ``read_pages`` freezes per run, vs a per-page copy
-  loop (``read_page`` + the copying ``add_page``).
+  loop (``read_page`` + a frozen copy of each page).
 * ``materialize`` -- flattening an incremental chain (extent base plus
   sub-page delta generations) with the overlay-based
   :func:`~repro.core.image.materialize_chain`.
@@ -131,6 +131,13 @@ def make_pages(npages: int, seed: int = 42) -> np.ndarray:
     return pages
 
 
+def frozen_copy(data: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``data``, safe to hand to ``take_pages``."""
+    data = np.array(data, copy=True)
+    data.flags.writeable = False
+    return data
+
+
 # ----------------------------------------------------------------------
 # 1. Block scan: scalar seed loop vs vectorized digests
 # ----------------------------------------------------------------------
@@ -206,7 +213,7 @@ def bench_capture(npages: int, repeats: int) -> Dict:
     def per_page() -> None:
         img = meta()
         for name, i in pages:
-            img.add_page(name, i, vma.read_page(i))
+            img.take_pages(name, i, (frozen_copy(vma.read_page(i)),))
 
     def extents() -> None:
         img = meta()
@@ -233,7 +240,7 @@ def bench_materialize(npages: int, ndeltas: int, repeats: int) -> Dict:
                            task_name="b", node_id=0, step=0, registers={})
     for start in range(0, npages, 64):
         n = min(64, npages - start)
-        base.add_extent("heap", start, corpus[start : start + n].reshape(-1), n)
+        base.take_pages("heap", start, frozen_copy(corpus[start : start + n]))
     chain = [base]
     rng = np.random.default_rng(7)
     for d in range(ndeltas):
@@ -279,7 +286,7 @@ def bench_dedup(npages: int, generations: int, dirty_fraction: float,
             img = CheckpointImage(key=f"m/1/{g}", mechanism="bench", pid=1,
                                   task_name="b", node_id=0, step=g, registers={})
             for i in range(npages):
-                img.add_page("heap", i, data[i])
+                img.take_pages("heap", i, (frozen_copy(data[i]),))
             yield img
 
     plain = MemoryStorage()
@@ -768,9 +775,11 @@ def run() -> Dict:
                              repeats=REPEATS),
         "engine": bench_engine(n=STORM_EVENTS, span_ns=SPAN_NS,
                                repeats=REPEATS),
+        # All REPEATS rounds: the cold sweep runs ~8 ms, and a minimum
+        # over two rounds let host noise halve its guarded ratio.
         "grid_runner": bench_grid_runner(
             sizes=[1024, 4096, 16384], node_mtbf_s=50.0, n_trials=10,
-            repeats=REPEATS // 2,
+            repeats=REPEATS,
         ),
         "parallel_engine": bench_parallel_engine(repeats=REPEATS // 2),
         "pipeline": bench_pipeline(n_ckpts=6, chain_len=9),

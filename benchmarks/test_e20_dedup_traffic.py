@@ -94,7 +94,9 @@ def probe_roundtrip():
         img = CheckpointImage(key=f"probe/1/{gen}", mechanism="probe", pid=1,
                               task_name="p", node_id=0, step=gen, registers={})
         for i in range(pages.shape[0]):
-            img.add_page("heap", i, pages[i])
+            page = pages[i].copy()
+            page.flags.writeable = False
+            img.take_pages("heap", i, (page,))
         store.store(img.key, img, img.size_bytes, 0)
         originals[img.key] = img.chunk_index()
     exact = True

@@ -31,7 +31,6 @@ from .errors import (
     CheckpointError,
     ClusterError,
     IncompatibleStateError,
-    NodeFailedError,
     ReproError,
     RestartError,
     SimulationError,
@@ -49,5 +48,4 @@ __all__ = [
     "StorageError",
     "StorageLostError",
     "ClusterError",
-    "NodeFailedError",
 ]

@@ -13,7 +13,6 @@ All arguments in seconds.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from ..errors import ReproError
 
@@ -107,15 +106,13 @@ def optimal_interval_search_s(
     checkpoint_cost_s: float,
     restart_cost_s: float,
     mtbf_s: float,
-    lo_s: Optional[float] = None,
-    hi_s: Optional[float] = None,
 ) -> float:
     """Numeric optimum of :func:`expected_completion_time_s` (golden
     section), used to validate the closed forms and to drive the
     autonomic controller when costs are measured rather than assumed."""
     _check(checkpoint_cost_s, mtbf_s)
-    lo = lo_s if lo_s is not None else checkpoint_cost_s / 10.0
-    hi = hi_s if hi_s is not None else 10.0 * mtbf_s
+    lo = checkpoint_cost_s / 10.0
+    hi = 10.0 * mtbf_s
     phi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def f(tau: float) -> float:

@@ -37,7 +37,6 @@ class BatchManager:
         self.head_node_id = head_node_id
         self.jobs: List[ParallelJob] = []
         self.coordinators: Dict[str, CheckpointCoordinator] = {}
-        self._drained: List[int] = []
 
     # ------------------------------------------------------------------
     @property
@@ -114,7 +113,6 @@ class BatchManager:
                             kernel.stop_task(task)
 
                     req.add_done_callback(park)
-        self._drained.append(node_id)
         return reqs
 
     def release_node(self, node_id: int) -> int:
@@ -127,6 +125,4 @@ class BatchManager:
                 if rank.node is node and rank.task.state.value == "stopped":
                     node.kernel.resume_task(rank.task)
                     resumed += 1
-        if node_id in self._drained:
-            self._drained.remove(node_id)
         return resumed

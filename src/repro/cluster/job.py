@@ -172,11 +172,6 @@ class ParallelJob:
         """All ranks completed successfully."""
         return self.completed_ns is not None
 
-    @property
-    def failed_ranks(self) -> List[Rank]:
-        """Ranks whose task died uncompleted."""
-        return [r for r in self.ranks if r.dead]
-
     def total_progress_steps(self) -> int:
         """Sum of current main-program steps across ranks."""
         return sum(r.task.main_steps for r in self.ranks)
@@ -492,11 +487,10 @@ class CommunicatingJob(ParallelJob):
         workload_factory: Callable[[int], Workload],
         n_ranks: int,
         name: str = "job",
-        node_ids: Optional[List[int]] = None,
         topology: object = "ring",
         channel_latency_ns: Optional[int] = None,
     ) -> None:
-        super().__init__(cluster, workload_factory, n_ranks, name, node_ids)
+        super().__init__(cluster, workload_factory, n_ranks, name)
         self.net = ChannelNetwork(cluster.engine)
         for i, j in self._edges(topology, n_ranks):
             self.net.connect_bidirectional(i, j, channel_latency_ns)
@@ -571,7 +565,6 @@ class CommunicatingJob(ParallelJob):
         store: StorageBackend,
         manifest_key: str,
         mechanisms: Dict[int, Checkpointer],
-        prefetch: bool = True,
     ) -> JobRestoreResult:
         """Whole-job restart from a cut manifest.
 
@@ -593,7 +586,6 @@ class CommunicatingJob(ParallelJob):
             self.net,
             mechanisms=mech_by_rank,
             target_kernels=kernels,
-            prefetch=prefetch,
         )
         for rank in self.ranks:
             res = result.rank_results.get(rank.index)

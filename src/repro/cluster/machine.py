@@ -9,11 +9,10 @@ semantics behind Table 1's local-vs-remote distinction (E13).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional
 
-from ..errors import ClusterError, NodeFailedError
+from ..errors import ClusterError
 from ..simkernel import Kernel, TaskState
 from ..simkernel.costs import CostModel, DEFAULT_COSTS, NS_PER_MS, NS_PER_S
 from ..simkernel.engine import Engine
@@ -53,23 +52,23 @@ class ClusterNode:
     :mod:`repro.stablestore` service swap in behind every node at once.
     """
 
+    #: CPUs of every node's kernel.
+    NCPUS = 2
+
     def __init__(
         self,
         node_id: int,
         engine: Engine,
-        ncpus: int = 2,
         costs: CostModel = DEFAULT_COSTS,
         remote_storage: Optional[StorageBackend] = None,
     ) -> None:
         self.node_id = node_id
         self.engine = engine
-        self.ncpus = ncpus
         self.costs = costs
         self.state = NodeState.UP
-        self.kernel = Kernel(ncpus=ncpus, costs=costs, engine=engine, node_id=node_id)
+        self.kernel = Kernel(ncpus=self.NCPUS, costs=costs, engine=engine, node_id=node_id)
         self.local_storage = LocalDiskStorage(node_id=node_id)
         self.remote_storage = remote_storage
-        self.failed_at_ns: Optional[int] = None
         self.failures = 0
 
     # ------------------------------------------------------------------
@@ -78,7 +77,6 @@ class ClusterNode:
         if self.state == NodeState.FAILED:
             return
         self.state = NodeState.FAILED
-        self.failed_at_ns = self.engine.now_ns
         self.failures += 1
         self.kernel.halt()
         killed = 0
@@ -86,6 +84,7 @@ class ClusterNode:
             if task.alive():
                 task.state = TaskState.DEAD
                 task.exit_code = -1
+                task.close_frames()
                 killed += 1
         self.local_storage.mark_node_failed()
         self.engine.tracer.instant("node.fail", node=self.node_id, tasks_killed=killed)
@@ -94,10 +93,9 @@ class ClusterNode:
         """Reboot the node with a fresh kernel (old processes are gone)."""
         self.state = NodeState.UP
         self.kernel = Kernel(
-            ncpus=self.ncpus, costs=self.costs, engine=self.engine, node_id=self.node_id
+            ncpus=self.NCPUS, costs=self.costs, engine=self.engine, node_id=self.node_id
         )
         self.local_storage.mark_node_recovered(data_survived=disk_survived)
-        self.failed_at_ns = None
         self.engine.metrics.inc("node_repairs")
         self.engine.tracer.instant(
             "node.repair", node=self.node_id, disk_survived=disk_survived
@@ -107,12 +105,6 @@ class ClusterNode:
     def up(self) -> bool:
         """Whether the node is serving."""
         return self.state == NodeState.UP
-
-    def require_up(self) -> "ClusterNode":
-        """Raise unless the node is up."""
-        if not self.up:
-            raise NodeFailedError(f"node {self.node_id} is {self.state.value}")
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.node_id} {self.state.value}>"
@@ -150,7 +142,6 @@ class _NodeVector:
             node = ClusterNode(
                 node_id,
                 c.engine,
-                ncpus=c.ncpus_per_node,
                 costs=c.costs,
                 remote_storage=c.remote_storage,
             )
@@ -235,7 +226,6 @@ class Cluster:
         self,
         n_nodes: int,
         n_spares: int = 0,
-        ncpus_per_node: int = 2,
         seed: int = 0,
         costs: CostModel = DEFAULT_COSTS,
         storage_servers: int = 0,
@@ -249,7 +239,6 @@ class Cluster:
             raise ClusterError("cluster needs at least one node")
         self.engine = Engine(seed=seed)
         self.costs = costs
-        self.ncpus_per_node = ncpus_per_node
         #: Vectorized background-churn cohort (see :meth:`attach_fleet`).
         self.fleet: Optional[ShardFleet] = None
         self.storage_cluster: Optional[StorageCluster] = None
@@ -295,7 +284,6 @@ class Cluster:
                 ClusterNode(
                     i,
                     self.engine,
-                    ncpus=ncpus_per_node,
                     costs=costs,
                     remote_storage=self.remote_storage,
                 )
@@ -426,10 +414,9 @@ class Cluster:
     def schedule_failures(
         self,
         model: FailureModel,
-        node_ids: Optional[List[int]] = None,
         horizon_s: Optional[float] = None,
     ) -> int:
-        """Arm each listed node with a sampled time-to-failure.
+        """Arm each compute node with a sampled time-to-failure.
 
         Returns how many failures were scheduled (those within the
         horizon).  Only the *first* failure per node is armed (draw 0
@@ -437,7 +424,7 @@ class Cluster:
         repairs may re-arm explicitly.  Drawing touches -- and, on a
         lazy cluster, materializes -- no node.
         """
-        ids = node_ids if node_ids is not None else list(range(self.n_compute))
+        ids = list(range(self.n_compute))
         ttf = model.draw_ttf_indexed(ids, 0)
         scheduled = 0
         for nid, ttf_s in zip(ids, ttf.tolist()):

@@ -52,10 +52,6 @@ class FailureRateEstimator:
         self.metrics = metrics
         self._estimate_s = prior_mtbf_s
         self._last_failure_ns: Optional[int] = None
-        self.observations = 0
-        #: Observations discarded for arriving at or before the previous
-        #: failure time (out-of-order delivery, duplicate reports).
-        self.out_of_order = 0
 
     def observe_failure(self, time_ns: int) -> None:
         """Record a failure at virtual time ``time_ns``.
@@ -67,7 +63,6 @@ class FailureRateEstimator:
         estimate, which then drives the Daly interval to its floor.
         """
         if self._last_failure_ns is not None and time_ns <= self._last_failure_ns:
-            self.out_of_order += 1
             if self.metrics is not None:
                 self.metrics.inc("autonomic.out_of_order_failures")
             return
@@ -77,7 +72,6 @@ class FailureRateEstimator:
                 self.alpha * gap_s + (1.0 - self.alpha) * self._estimate_s
             )
         self._last_failure_ns = time_ns
-        self.observations += 1
         if self.metrics is not None:
             self.metrics.inc("autonomic.failures_observed")
 
@@ -96,27 +90,20 @@ class AutonomicIntervalController:
         Failure-rate source (wire it to ``cluster.on_failure``).
     min_interval_s / max_interval_s:
         Safety clamps on the chosen interval.
-    cost_alpha:
-        EWMA weight for the measured checkpoint cost.
     """
+
+    #: EWMA weight of a new checkpoint-cost or storage-latency sample.
+    ALPHA = 0.3
 
     def __init__(
         self,
         estimator: FailureRateEstimator,
         min_interval_s: float = 1e-3,
         max_interval_s: float = 86_400.0,
-        cost_alpha: float = 0.3,
-        storage_alpha: float = 0.3,
-        storage_weight: float = 1.0,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.estimator = estimator
-        self.metrics = metrics
         self.min_interval_s = min_interval_s
         self.max_interval_s = max_interval_s
-        self.cost_alpha = cost_alpha
-        self.storage_alpha = storage_alpha
-        self.storage_weight = storage_weight
         self._cost_s: Optional[float] = None
         self._storage_s: Optional[float] = None
         self.retunes = 0
@@ -139,7 +126,7 @@ class AutonomicIntervalController:
             self._cost_s = cost_s
         else:
             self._cost_s = (
-                self.cost_alpha * cost_s + (1.0 - self.cost_alpha) * self._cost_s
+                self.ALPHA * cost_s + (1.0 - self.ALPHA) * self._cost_s
             )
         if req.storage_delay_ns > 0:
             self.observe_storage_latency(req.storage_delay_ns)
@@ -156,8 +143,7 @@ class AutonomicIntervalController:
             self._storage_s = latency_s
         else:
             self._storage_s = (
-                self.storage_alpha * latency_s
-                + (1.0 - self.storage_alpha) * self._storage_s
+                self.ALPHA * latency_s + (1.0 - self.ALPHA) * self._storage_s
             )
 
     @property
@@ -165,22 +151,17 @@ class AutonomicIntervalController:
         """Current checkpoint-cost estimate (None before any sample)."""
         return self._cost_s
 
-    @property
-    def storage_latency_s(self) -> Optional[float]:
-        """Current stable-storage commit-latency estimate."""
-        return self._storage_s
-
     def recommended_interval_s(self) -> float:
         """Daly interval from current estimates, clamped.
 
         The effective per-checkpoint cost is the application stall plus
-        the (weighted) storage commit latency: the paper's Daly ``δ`` is
+        the storage commit latency: the paper's Daly ``δ`` is
         the end-to-end price of one durable checkpoint, and with a
         remote replicated store the commit is usually the bigger term.
         """
         cost = self._cost_s if self._cost_s is not None else self.min_interval_s
         if self._storage_s is not None:
-            cost = cost + self.storage_weight * self._storage_s
+            cost = cost + self._storage_s
         tau = daly_interval_s(cost, self.estimator.mtbf_s)
         return min(self.max_interval_s, max(self.min_interval_s, tau))
 
@@ -194,9 +175,6 @@ class AutonomicIntervalController:
         iv = self.recommended_interval_ns()
         coordinator.interval_ns = iv
         self.retunes += 1
-        if self.metrics is not None:
-            self.metrics.inc("autonomic.retunes")
-            self.metrics.set_gauge("autonomic.interval_ns", iv)
         return iv
 
 

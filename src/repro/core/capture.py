@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 
-from ..errors import CheckpointError, IncompatibleStateError, RestartError
+from ..errors import IncompatibleStateError, RestartError
 from ..simkernel import Kernel, Task, ops
-from ..simkernel.memory import PageFlag, Prot, VMAKind
+from ..simkernel.memory import VMAKind
 from ..simkernel.process import FileDescriptor, Registers, SchedPolicy
 from ..simkernel.signals import Sig
 from ..simkernel.vfs import RegularFile, SocketFile
@@ -191,14 +191,14 @@ MAX_EXTENT_PAGES = 64
 
 
 def _extent_runs(
-    pages: Sequence[Tuple[str, int]], cap: int = MAX_EXTENT_PAGES
+    pages: Sequence[Tuple[str, int]]
 ) -> Generator[Tuple[str, int, int], None, None]:
     """Group an ordered (vma, page) list into (vma, first_page, npages) runs."""
     cur_vma: Optional[str] = None
     start = 0
     n = 0
     for vma_name, pidx in pages:
-        if vma_name == cur_vma and pidx == start + n and n < cap:
+        if vma_name == cur_vma and pidx == start + n and n < MAX_EXTENT_PAGES:
             n += 1
         else:
             if cur_vma is not None:
@@ -472,7 +472,6 @@ def _restore_fd(
             kernel.ports_in_use.add(fdd.local_port)
             sock = SocketFile(fdd.path, fdd.local_port, fdd.remote_addr or "")
             task.install_fd(FileDescriptor(fd=fdd.fd, file=sock, offset=0))
-            sock.refcount += 1
             return
         if strict:
             raise IncompatibleStateError(
@@ -495,4 +494,3 @@ def _restore_fd(
         task.install_fd(
             FileDescriptor(fd=fdd.fd, file=f, offset=fdd.offset, flags=fdd.flags)
         )
-        f.refcount += 1

@@ -142,8 +142,8 @@ class Checkpointer:
         self.kernel = kernel
         self.storage = storage
         self.requests: List[CheckpointRequest] = []
-        #: chain tip key -> materialized flat image (memo: multi-rank
-        #: restart_job re-flattens the identical chain per rank otherwise;
+        #: chain tip key -> materialized flat image (memo: a multi-rank
+        #: restart re-flattens the identical chain per rank otherwise;
         #: wall-clock only, I/O is still charged per restart).
         self._flat_cache: Dict[str, CheckpointImage] = {}
         #: chain tip key -> key of its compacted flat image on storage.
@@ -361,7 +361,7 @@ class Checkpointer:
     def _materialize(self, key: str, chain: List[CheckpointImage]) -> CheckpointImage:
         """Memoized chain flatten: one overlay pass per chain tip.
 
-        Multi-rank ``restart_job`` restores the same generation once per
+        A multi-rank restart restores the same generation once per
         rank; the chain behind one tip key is immutable, so the flatten
         result is reused (virtual-time I/O is still charged per restart
         by :meth:`image_chain` -- the memo saves wall-clock only).

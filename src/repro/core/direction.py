@@ -16,11 +16,11 @@ which is what makes the end-to-end comparison (E18) meaningful.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional, Set
 
 from ..errors import CheckpointError
 from ..mechanisms.systemlevel.base import SystemLevelCheckpointer
-from ..simkernel import Kernel, SchedPolicy, Task
+from ..simkernel import SchedPolicy, Task
 from ..simkernel.modules import KernelModule
 from ..simkernel.vfs import DeviceNode, ProcEntry
 from ..storage.backends import StorageKind
@@ -94,37 +94,12 @@ class AutonomicCheckpointer(SystemLevelCheckpointer):
 
     def install(self) -> None:
         self._module = _AutoCkptModule(self).load(self.kernel)
-        self._timers: Dict[int, object] = {}
-        self._controller = None
-        #: Automatic in-kernel retunes driven by the attached controller.
-        self.retuned = 0
+        #: Pids with an automatic in-kernel timer armed.
+        self._timers: Set[int] = set()
 
     def uninstall(self) -> None:
         self._module.unload()
         self.installed = False
-
-    def attach_controller(self, controller) -> None:
-        """Close the autonomic loop *inside the kernel module*.
-
-        Every completed checkpoint feeds the controller (which folds
-        both the measured application stall and the observed stable-
-        storage commit latency into its Daly model), and the automatic
-        timer is retuned to the fresh recommendation -- so when the
-        storage tier slows down under contention, the interval visibly
-        widens without any user-space management (E19).
-        """
-        self._controller = controller
-
-    def _complete(self, req, image, task) -> None:
-        super()._complete(req, image, task)
-        if self._controller is None:
-            return
-        self._controller.observe_checkpoint(req)
-        interval_ns = self._controller.recommended_interval_ns()
-        timer = self._timers.get(req.target_pid)
-        if timer is not None and timer["interval_ns"] != interval_ns:
-            timer["interval_ns"] = interval_ns
-            self.retuned += 1
 
     def _proc_status(self) -> bytes:
         lines = [
@@ -172,31 +147,17 @@ class AutonomicCheckpointer(SystemLevelCheckpointer):
     ) -> None:
         """Automatic initiation *inside the kernel*: a timer wakes the
         checkpoint thread directly -- no signals, no user-space manager.
-
-        The interval can be changed later with :meth:`set_interval`
-        (the autonomic controller's knob).
+        The timer stops when the task exits.
         """
-        self._timers[task.pid] = {"interval_ns": int(interval_ns)}
+        self._timers.add(task.pid)
 
         def fire() -> None:
-            timer = self._timers.get(task.pid)
-            if timer is None or not task.alive():
-                self._timers.pop(task.pid, None)
+            if not task.alive():
+                self._timers.discard(task.pid)
                 return
             req = self.request_checkpoint(task)
             if on_complete is not None:
                 req.add_done_callback(on_complete)
-            self.kernel.engine.after(timer["interval_ns"], fire, label="autockpt")
+            self.kernel.engine.after(int(interval_ns), fire, label="autockpt")
 
         self.kernel.engine.after(int(interval_ns), fire, label="autockpt")
-
-    def set_interval(self, task: Task, interval_ns: int) -> None:
-        """Adjust the automatic-checkpoint period for ``task``."""
-        timer = self._timers.get(task.pid)
-        if timer is None:
-            raise CheckpointError(f"pid {task.pid} has no automatic timer")
-        timer["interval_ns"] = int(interval_ns)
-
-    def disable_automatic(self, task: Task) -> None:
-        """Stop automatic checkpoints for ``task``."""
-        self._timers.pop(task.pid, None)

@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import CheckpointError, RestartError
-from ..simkernel.memory import VMAKind, is_frozen, page_checksum
+from ..simkernel.memory import is_frozen, page_checksum
 from ..simkernel.process import Task
 
 __all__ = ["Chunk", "VMADescriptor", "FDDescriptor", "CheckpointImage", "materialize_chain"]
@@ -218,12 +218,6 @@ class CheckpointImage:
         self.chunks.append(chunk)
         return chunk
 
-    def add_page(self, vma_name: str, page_index: int, data: np.ndarray) -> Chunk:
-        """Append one whole-page chunk (copying ``data``)."""
-        data = np.array(data, copy=True)
-        data.flags.writeable = False
-        return self.take_pages(vma_name, page_index, (data,))
-
     def add_block(
         self, vma_name: str, page_index: int, offset: int, data: np.ndarray
     ) -> Chunk:
@@ -234,15 +228,6 @@ class CheckpointImage:
         chunk = Chunk(vma=vma_name, page_index=page_index, offset=offset, data=block)
         self.chunks.append(chunk)
         return chunk
-
-    def add_extent(
-        self, vma_name: str, page_index: int, data: np.ndarray, npages: int
-    ) -> Chunk:
-        """Append ``npages`` whole pages from the contiguous ``data``
-        (copied once, frozen, one row per page)."""
-        data = np.array(data, copy=True)
-        data.flags.writeable = False
-        return self.take_pages(vma_name, page_index, data.reshape(npages, -1))
 
     # ------------------------------------------------------------------
     def verify_against(self, task: Task) -> List[str]:

@@ -7,14 +7,14 @@ figure and adds its row to the table.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 from ..errors import RegistryError
 from .checkpointer import Checkpointer
 from .features import Features
 from .taxonomy import TaxonomyPosition
 
-__all__ = ["register", "get", "names", "all_mechanisms", "positions", "features", "clear"]
+__all__ = ["register", "get", "names", "positions", "features", "clear"]
 
 _REGISTRY: Dict[str, Type[Checkpointer]] = {}
 #: Registration order, preserved so Table 1 prints in the paper's order.
@@ -50,12 +50,6 @@ def get(name: str) -> Type[Checkpointer]:
 def names() -> List[str]:
     """All registered names, in registration (paper) order."""
     return list(_ORDER)
-
-
-def all_mechanisms() -> Iterator[Tuple[str, Type[Checkpointer]]]:
-    """Iterate (name, class) in registration order."""
-    for n in _ORDER:
-        yield n, _REGISTRY[n]
 
 
 def positions(surveyed_only: bool = False) -> List[Tuple[str, TaxonomyPosition]]:

@@ -71,10 +71,10 @@ def _fold(digest: int, *values: int) -> int:
     return digest
 
 
-def message_link(name: str = "link[distsnap]") -> Device:
+def message_link() -> Device:
     """The shared message interconnect: lower setup cost than the bulk
     checkpoint NIC (small messages dominate), 10GigE-class bandwidth."""
-    return Device(name=name, latency_ns=5 * NS_PER_US, bytes_per_ns=1.25)
+    return Device(name="link[distsnap]", latency_ns=5 * NS_PER_US, bytes_per_ns=1.25)
 
 
 @dataclass
@@ -295,14 +295,13 @@ class Endpoint:
 
 
 class ChannelNetwork:
-    """Endpoints + channels over one shared link on one engine.
+    """Endpoints + channels over one shared :func:`message_link` on one
+    engine.
 
     Parameters
     ----------
     engine:
         The shared virtual clock.
-    link:
-        The shared interconnect; defaults to :func:`message_link`.
     default_latency_ns:
         Propagation latency for channels created without an explicit
         one (~a rack-scale RTT half).
@@ -311,11 +310,10 @@ class ChannelNetwork:
     def __init__(
         self,
         engine: Engine,
-        link: Optional[Device] = None,
         default_latency_ns: int = 20 * NS_PER_US,
     ) -> None:
         self.engine = engine
-        self.link = link or message_link()
+        self.link = message_link()
         self.default_latency_ns = int(default_latency_ns)
         self._endpoints: Dict[int, Endpoint] = {}
         self._channels: Dict[Tuple[int, int], Channel] = {}
@@ -473,19 +471,14 @@ class TrafficDriver:
     and is epoch-aware across restarts.
     """
 
-    def __init__(
-        self,
-        net: ChannelNetwork,
-        rate_per_s: float = 2000.0,
-        nbytes: int = 4096,
-        seed_stream: Optional[Any] = None,
-    ) -> None:
+    #: Bytes of every background message.
+    NBYTES = 4096
+
+    def __init__(self, net: ChannelNetwork, rate_per_s: float = 2000.0) -> None:
         self.net = net
         self.rate_per_s = float(rate_per_s)
-        self.nbytes = int(nbytes)
-        self.rng = seed_stream or net.engine.spawn_rng()
+        self.rng = net.engine.spawn_rng()
         self._running = False
-        self.sends = 0
 
     def start(self) -> None:
         """Arm one send timer per process."""
@@ -512,6 +505,5 @@ class TrafficDriver:
             outs = ep.peers_out()
             dst = outs[int(self.rng.integers(0, len(outs)))]
             payload = int(self.rng.integers(0, 2**31 - 1))
-            ep.send(dst, self.nbytes, payload=payload)
-            self.sends += 1
+            ep.send(dst, self.NBYTES, payload=payload)
         self._arm(ep)

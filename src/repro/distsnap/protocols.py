@@ -168,7 +168,6 @@ class SnapshotProtocol:
         self.manifest: Optional[CutManifest] = None
         self.started_ns: Optional[int] = None
         self.aborted = False
-        self.abort_reason: Optional[str] = None
         self._done = False
         self._span: Optional[Any] = None
         self._captures_outstanding = 0
@@ -332,7 +331,6 @@ class SnapshotProtocol:
         if self.aborted or self._done:
             return
         self.aborted = True
-        self.abort_reason = reason
         for token in self._timers:
             token.cancel()
         self._timers = []

@@ -55,7 +55,6 @@ def restore_snapshot(
     net: ChannelNetwork,
     mechanisms: Optional[Dict[int, Any]] = None,
     target_kernels: Optional[Dict[int, Any]] = None,
-    prefetch: bool = True,
 ) -> JobRestoreResult:
     """Restore a whole communicating job from the cut at ``manifest_key``.
 
@@ -69,14 +68,13 @@ def restore_snapshot(
         spare nodes restores the same shape).
     mechanisms:
         pid -> the per-process :class:`~repro.core.checkpointer
-        .Checkpointer` to restore that rank's image through (its
-        ``restart(..., prefetch=...)`` runs the restore-prefetch path).
+        .Checkpointer` to restore that rank's image through, each
+        fetching its image chain in parallel (``restart(...,
+        prefetch=True)``, the restore-prefetch path).
         Omit for lightweight restores (counters + replay only).
     target_kernels:
         pid -> kernel to restore the rank onto (spare-node placement);
         defaults to each mechanism's home kernel.
-    prefetch:
-        Fetch each rank's image chain in parallel (restore_prefetch).
     """
     engine = net.engine
     span = engine.tracer.start_span("distsnap.restore", key=manifest_key)
@@ -108,7 +106,7 @@ def restore_snapshot(
                 raise DistSnapError(f"no mechanism to restore rank {pid}")
             kernel = (target_kernels or {}).get(pid)
             result = mech.restart(
-                image_key, target_kernel=kernel, prefetch=prefetch
+                image_key, target_kernel=kernel, prefetch=True
             )
             rank_results[pid] = result
             ready_ns = max(ready_ns, result.ready_at_ns)

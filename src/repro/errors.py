@@ -11,7 +11,6 @@ __all__ = [
     "SimulationError",
     "SchedulerError",
     "MemoryError_",
-    "SegmentationFault",
     "SyscallError",
     "SignalError",
     "CheckpointError",
@@ -20,7 +19,6 @@ __all__ = [
     "StorageError",
     "StorageLostError",
     "ClusterError",
-    "NodeFailedError",
     "RegistryError",
     "WorkloadError",
     "ObservabilityError",
@@ -42,24 +40,6 @@ class SchedulerError(SimulationError):
 
 class MemoryError_(SimulationError):
     """Invalid simulated-memory operation (bad address, bad protection)."""
-
-
-class SegmentationFault(MemoryError_):
-    """A simulated access violated page protections and nobody handled it.
-
-    In the simulated kernel this is normally intercepted (it is how both
-    user-level ``mprotect``/SIGSEGV incremental checkpointing and
-    system-level dirty-bit tracking are driven); reaching Python as an
-    exception means the access had no registered handler, which mirrors a
-    real segfault killing the process.
-    """
-
-    def __init__(self, pid: int, address: int, message: str = "") -> None:
-        self.pid = pid
-        self.address = address
-        super().__init__(
-            message or f"segmentation fault: pid={pid} address={address:#x}"
-        )
 
 
 class SyscallError(SimulationError):
@@ -98,10 +78,6 @@ class StorageLostError(StorageError):
 
 class ClusterError(ReproError):
     """Invalid cluster-level operation."""
-
-
-class NodeFailedError(ClusterError):
-    """The referenced node has failed (fail-stop semantics)."""
 
 
 class RegistryError(ReproError):

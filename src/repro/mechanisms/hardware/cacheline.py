@@ -13,7 +13,7 @@ logged line set becomes sub-page block chunks in the image.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ...errors import CheckpointError
 from ...simkernel import Kernel, Task
@@ -44,8 +44,6 @@ class CacheLineTracker:
         self.per_write_overhead_ns = per_write_overhead_ns
         #: (pid, vma_name, page_index) -> set of line indices within page.
         self._dirty: Dict[Tuple[int, str, int], Set[int]] = {}
-        self.writes_observed = 0
-        self.lines_logged = 0
         kernel.hw_tracker = self._on_write
 
     def detach(self) -> None:
@@ -58,11 +56,7 @@ class CacheLineTracker:
         first = offset // self.line_size
         last = (offset + max(length, 1) - 1) // self.line_size
         key = (task.pid, vma.name, pidx)
-        lines = self._dirty.setdefault(key, set())
-        before = len(lines)
-        lines.update(range(first, last + 1))
-        self.writes_observed += 1
-        self.lines_logged += len(lines) - before
+        self._dirty.setdefault(key, set()).update(range(first, last + 1))
         if self.per_write_overhead_ns:
             # The hardware stretches the write; charged as CPU backlog on
             # whichever CPU runs the task.
@@ -73,22 +67,6 @@ class CacheLineTracker:
                 cpu.irq_backlog_ns += self.per_write_overhead_ns
 
     # ------------------------------------------------------------------
-    def dirty_lines(self, task: Task) -> Dict[Tuple[str, int], Set[int]]:
-        """Current dirty-line map for one task (no reset)."""
-        return {
-            (vma, page): set(lines)
-            for (pid, vma, page), lines in self._dirty.items()
-            if pid == task.pid
-        }
-
-    def dirty_bytes(self, task: Task) -> int:
-        """Total logged payload for ``task`` at line granularity."""
-        return sum(
-            len(lines) * self.line_size
-            for (pid, _, _), lines in self._dirty.items()
-            if pid == task.pid
-        )
-
     def drain_into(self, task: Task, image: CheckpointImage) -> int:
         """Move the task's dirty lines into ``image`` as block chunks.
 

@@ -159,8 +159,6 @@ class BlockHashTracker:
         #: interval.  Bounded by pages ever scanned, not blocks, and one
         #: dict probe per *page* instead of one per block.
         self._digests: Dict[Tuple[str, int], np.ndarray] = {}
-        self.blocks_scanned = 0
-        self.blocks_saved = 0
         #: Changed blocks silently dropped by digest collisions (only
         #: counted when ``simulate_collisions``; needs ground truth).
         self.misses = 0
@@ -210,7 +208,6 @@ class BlockHashTracker:
             yield ops.Compute(
                 ns=kernel.costs.hash_ns(page_size) + PER_BLOCK_NS * per_page
             )
-            self.blocks_scanned += per_page
             cur = digests[i]
             key = (vma_name, pidx)
             prev = self._digests.get(key)
@@ -229,16 +226,11 @@ class BlockHashTracker:
             self.last_scan_saved[key] = nchanged
             if not nchanged:
                 continue
-            self.blocks_saved += nchanged
             for first, nblocks in _covered_runs(changed):
                 image.add_block(
                     vma_name, pidx, first * bs, data[i, first * bs : (first + nblocks) * bs]
                 )
             yield ops.Compute(ns=kernel.costs.memcpy_ns(bs) * nchanged)
-
-    def miss_probability(self, changed_blocks: int) -> float:
-        """Upper bound on missing >=1 changed block (the scheme's risk)."""
-        return min(1.0, changed_blocks * 2.0 ** (-self.collision_bits))
 
 
 class AdaptiveBlockTracker:
@@ -250,17 +242,14 @@ class AdaptiveBlockTracker:
     migrate between regimes.
     """
 
-    def __init__(
-        self,
-        block_size: int = 512,
-        dense_threshold: float = 0.5,
-        decay: float = 0.5,
-    ) -> None:
+    #: Weight an interval keeps of a page's previous density estimate.
+    DECAY = 0.5
+
+    def __init__(self, block_size: int = 512, dense_threshold: float = 0.5) -> None:
         if not 0.0 < dense_threshold <= 1.0:
             raise CheckpointError("dense_threshold must be in (0, 1]")
         self.block_size = block_size
         self.dense_threshold = dense_threshold
-        self.decay = decay
         self._hash = BlockHashTracker(block_size=block_size)
         #: (vma, page) -> smoothed changed-fraction estimate.
         self._density: Dict[Tuple[str, int], float] = {}
@@ -268,8 +257,6 @@ class AdaptiveBlockTracker:
         #: every block but says nothing about write density, so it is
         #: excluded from the history.
         self._seen: set = set()
-        self.pages_saved_whole = 0
-        self.pages_block_scanned = 0
 
     def scan_ops(
         self,
@@ -294,12 +281,11 @@ class AdaptiveBlockTracker:
             if density >= self.dense_threshold:
                 vma = target.mm.vma(vma_name)
                 image.take_pages(vma_name, pidx, (vma.read_page(pidx),))
-                self.pages_saved_whole += 1
                 # Whole page assumed changed; refresh digests lazily by
                 # dropping them (they will be rebuilt on the next scan).
                 self._hash._digests.pop(key, None)
                 yield ops.Compute(ns=kernel.costs.memcpy_ns(page_size))
-                self._density[key] = density * self.decay + (1 - self.decay)
+                self._density[key] = density * self.DECAY + (1 - self.DECAY)
             else:
                 sparse.append(key)
         if not sparse:
@@ -307,9 +293,8 @@ class AdaptiveBlockTracker:
         yield from self._hash.scan_ops(kernel, target, image, sparse)
         for key in sparse:
             frac = self._hash.last_scan_saved.get(key, 0) / per_page
-            self.pages_block_scanned += 1
             if key in self._seen:
                 density = self._density.get(key, 0.0)
-                self._density[key] = density * self.decay + frac * (1 - self.decay)
+                self._density[key] = density * self.DECAY + frac * (1 - self.DECAY)
             else:
                 self._seen.add(key)

@@ -208,6 +208,11 @@ class SystemLevelCheckpointer(Checkpointer):
             except StorageError as exc:
                 pipe.abort(str(exc))
                 raise
+            except GeneratorExit:
+                # The capture thread died with its node: give the stream
+                # up, releasing what it holds.
+                pipe.abort("capture thread died with its node")
+                raise
             # Client-visible storage wait: backpressure stalls + the
             # commit barrier + the manifest write -- the part the
             # pipeline could NOT hide behind copying.

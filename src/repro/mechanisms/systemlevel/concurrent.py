@@ -66,12 +66,6 @@ class CheckpointMT(SystemLevelCheckpointer):
         req = self.request_checkpoint(task)
         return SyscallResult(req.key, req.target_stall_ns)
 
-    def checkpoint_op(self):
-        """Op a cooperating application yields to checkpoint itself."""
-        from ...simkernel import ops
-
-        return ops.Syscall(name=self.syscall_name)
-
     def request_checkpoint(
         self, task: Task, incremental: bool = False
     ) -> CheckpointRequest:

@@ -155,7 +155,6 @@ class SoftwareSuspend(SystemLevelCheckpointer):
             pass
 
         install_static(self.kernel, f"{self.mech_name}:{id(self)}", setup)
-        self._suspend_req: Optional[CheckpointRequest] = None
 
     # ------------------------------------------------------------------
     def suspend(self, power_down: bool = True) -> CheckpointRequest:
@@ -173,7 +172,6 @@ class SoftwareSuspend(SystemLevelCheckpointer):
             raise CheckpointError("nothing to suspend")
         rep = victims[0]
         req = self._new_request(rep)
-        self._suspend_req = req
         for t in victims:
             kernel.post_signal(t.pid, Sig.SIGFREEZE)
 

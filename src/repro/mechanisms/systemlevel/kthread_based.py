@@ -385,10 +385,6 @@ class LamMpi(BLCR):
         self.kernel.engine.after(drain_ns, start_captures, label="lam-drain")
         return reqs
 
-    def restart_job(self, keys: List[str], target_kernel: Optional[Kernel] = None):
-        """Restore every rank (possibly on a different node)."""
-        return [self.restart(k, target_kernel=target_kernel) for k in keys]
-
 
 @register
 class PsncRC(SystemLevelCheckpointer):

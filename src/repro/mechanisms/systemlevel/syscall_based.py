@@ -8,7 +8,7 @@ on this corner of the taxonomy.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from ...core.checkpointer import CheckpointRequest
 from ...core.features import Features, Initiation
@@ -65,10 +65,6 @@ class VMADump(SystemLevelCheckpointer):
         req = self._new_request(task)
         self.capture_frame(task, req)
         return SyscallResult(req.key, 800)
-
-    def checkpoint_op(self) -> ops.Syscall:
-        """The op a cooperating application yields to checkpoint itself."""
-        return ops.Syscall(name=self.syscall_name)
 
     def request_checkpoint(
         self, task: Task, incremental: bool = False

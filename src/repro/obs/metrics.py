@@ -265,14 +265,9 @@ class MetricsRegistry:
         """Record one sample into the named histogram."""
         self.histogram(name, buckets).observe(value)
 
-    def observe_many(
-        self,
-        name: str,
-        values: Sequence[Union[int, float]],
-        buckets: Optional[Sequence[Union[int, float]]] = None,
-    ) -> None:
+    def observe_many(self, name: str, values: Sequence[Union[int, float]]) -> None:
         """Record a batch of samples into the named histogram."""
-        self.histogram(name, buckets).observe_many(values)
+        self.histogram(name).observe_many(values)
 
     # ------------------------------------------------------------------
     def get(self, name: str) -> Optional[_Metric]:

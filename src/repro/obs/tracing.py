@@ -159,12 +159,10 @@ class Tracer:
         name: str,
         begin_ns: int,
         end_ns: int,
-        parent_id: Optional[int] = None,
         **attrs: Any,
     ) -> Span:
         """Append an already-measured span (begin/end known post hoc)."""
-        if parent_id is None and self._stack:
-            parent_id = self._stack[-1]
+        parent_id = self._stack[-1] if self._stack else None
         sp = Span(next(self._seq), name, int(begin_ns), parent_id, dict(attrs), self)
         sp.end_ns = int(end_ns)
         self._keep(sp)

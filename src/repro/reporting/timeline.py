@@ -15,7 +15,7 @@ consume:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..obs import Span, export_obs, to_json
 from .tables import fmt_ns, render_table
@@ -40,26 +40,21 @@ def _span_detail(span: Span) -> str:
     return " ".join(f"{k}={span.attrs[k]}" for k in sorted(span.attrs))
 
 
-def timeline_events(
-    engine,
-    names: Sequence[str] = TIMELINE_SPANS,
-    pid: Optional[int] = None,
-) -> List[Span]:
-    """Timeline-worthy spans, in deterministic (begin, id) order.
+def timeline_events(engine, pid: Optional[int] = None) -> List[Span]:
+    """The :data:`TIMELINE_SPANS` spans, in deterministic (begin, id)
+    order.
 
     Parameters
     ----------
     engine:
         Any :class:`~repro.simkernel.engine.Engine` (a cluster exposes
         its shared one as ``cluster.engine``).
-    names:
-        Span names to include.
     pid:
         Restrict to spans carrying this ``pid`` attribute (spans with no
         ``pid`` attr, e.g. node failures, are always kept -- they affect
         every process).
     """
-    wanted = set(names)
+    wanted = set(TIMELINE_SPANS)
     out = []
     for span in engine.tracer.ordered():
         if span.name not in wanted:
@@ -70,12 +65,7 @@ def timeline_events(
     return out
 
 
-def render_timeline(
-    engine,
-    names: Sequence[str] = TIMELINE_SPANS,
-    pid: Optional[int] = None,
-    title: Optional[str] = None,
-) -> str:
+def render_timeline(engine, title: Optional[str] = None) -> str:
     """Render the run's failure/checkpoint/restart timeline as a table.
 
     Open spans (a checkpoint abandoned when its node died mid-capture)
@@ -83,7 +73,7 @@ def render_timeline(
     itself evidence.
     """
     rows: List[List[Any]] = []
-    for span in timeline_events(engine, names=names, pid=pid):
+    for span in timeline_events(engine):
         duration = fmt_ns(span.duration_ns) if span.finished else "(open)"
         rows.append([fmt_ns(span.begin_ns), span.name, duration, _span_detail(span)])
     if not rows:

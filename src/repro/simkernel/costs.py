@@ -119,11 +119,6 @@ class CostModel:
         """Full cost of one syscall round trip plus ``work_ns`` of work."""
         return 2 * self.mode_switch_ns + self.syscall_dispatch_ns + work_ns
 
-    def tlb_cold_penalty_ns(self, touched_pages: int) -> int:
-        """Cost a task pays re-walking page tables after a TLB flush."""
-        entries = min(touched_pages, self.tlb_entries)
-        return entries * self.tlb_refill_per_entry_ns
-
     def replace(self, **kwargs: object) -> "CostModel":
         """Return a copy of this model with selected fields overridden."""
         return dataclasses.replace(self, **kwargs)  # type: ignore[arg-type]
@@ -131,10 +126,6 @@ class CostModel:
     def pages_for(self, nbytes: int) -> int:
         """Number of pages spanned by ``nbytes`` (ceiling division)."""
         return -(-nbytes // self.page_size)
-
-    def lines_for(self, nbytes: int) -> int:
-        """Number of cache lines spanned by ``nbytes``."""
-        return -(-nbytes // self.cache_line_size)
 
 
 DEFAULT_COSTS = CostModel()

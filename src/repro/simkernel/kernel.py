@@ -39,7 +39,7 @@ from .process import (
 from .scheduler import CPU, Scheduler
 from .signals import HandlerKind, Sig, SignalHandler, default_action
 from .syscalls import SyscallTable
-from .vfs import File, VFS
+from .vfs import VFS
 
 __all__ = ["Kernel"]
 
@@ -532,13 +532,12 @@ class Kernel:
     # ------------------------------------------------------------------
     # Signals
     # ------------------------------------------------------------------
-    def post_signal(self, pid: int, sig: Sig, sender: Optional[Task] = None) -> None:
+    def post_signal(self, pid: int, sig: Sig) -> None:
         """Queue ``sig`` for ``pid`` (the ``kill()`` path).
 
-        A system-level initiator may instead "directly updat[e] the data
-        structure of the process" -- call with ``sender=None`` for that
-        free path; user-mode senders go through the ``kill`` syscall which
-        charges them.
+        This is the free path of a system-level initiator that "directly
+        updat[es] the data structure of the process"; user-mode senders
+        go through the ``kill`` syscall, which charges them.
         """
         task = self.task_by_pid(pid)
         if not task.alive():
@@ -581,10 +580,6 @@ class Kernel:
             return True
         self._exit_task(task, code=128 + int(sig))
         return True
-
-    def register_handler(self, task: Task, sig: Sig, handler: SignalHandler) -> None:
-        """Install a signal handler from kernel context (no syscall cost)."""
-        task.signals.register(sig, handler)
 
     def add_kernel_signal(self, sig: Sig, action: Callable[[Task], None], label: str = "") -> None:
         """Give ``sig`` a *kernel-mode default action* for every task.
@@ -737,7 +732,6 @@ class Kernel:
                     cloexec=fdesc.cloexec,
                 )
             )
-            fdesc.file.refcount += 1
         child.signals.blocked = set(parent.signals.blocked)
         child.signals.handlers = dict(parent.signals.handlers)
         child.main_steps = parent.main_steps

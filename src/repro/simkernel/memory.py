@@ -21,11 +21,10 @@ just accounted for.
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -209,10 +208,6 @@ class VMA:
         """Mapped length in bytes."""
         return self.npages * self.page_size
 
-    def contains(self, addr: int) -> bool:
-        """Whether ``addr`` falls inside this VMA."""
-        return self.start <= addr < self.end
-
     # -- flag helpers ---------------------------------------------------
     def test(self, pidx: int, flag: int) -> bool:
         """Test a :class:`PageFlag` bit on page ``pidx``."""
@@ -272,7 +267,7 @@ class VMA:
         extent (``CheckpointImage.take_pages``)."""
         return [self.read_page(p) for p in range(pidx, pidx + npages)]
 
-    def install_page(self, pidx: int, data: np.ndarray, dirty: bool = False) -> None:
+    def install_page(self, pidx: int, data: np.ndarray) -> None:
         """Install page contents (used by restart).
 
         A ``data`` that is read-only down to the memory it views is an
@@ -285,8 +280,6 @@ class VMA:
                 f"page data shape {data.shape} != ({self.page_size},)"
             )
         self.install_pages(pidx, (data,))
-        if dirty:
-            self.set_flag(pidx, PageFlag.DIRTY)
 
     def install_pages(self, p0: int, rows: Sequence[np.ndarray]) -> None:
         """Install whole pages ``p0 ..`` from ``rows``, one array per page
@@ -339,10 +332,6 @@ class AddressSpace:
         self.page_size = costs.page_size
         self.vmas: List[VMA] = []
         self._by_name: Dict[str, VMA] = {}
-        #: VMA start addresses kept sorted (parallel to ``_sorted``) so
-        #: :meth:`find_vma` is a bisect instead of a linear scan.
-        self._starts: List[int] = []
-        self._sorted: List[VMA] = []
         self._next_addr = self.BASE_ADDR
         #: Monotone generation, bumped on fork for diagnostics.
         self.generation = 0
@@ -350,15 +339,6 @@ class AddressSpace:
     def _attach(self, vma: VMA) -> None:
         self.vmas.append(vma)
         self._by_name[vma.name] = vma
-        i = bisect_right(self._starts, vma.start)
-        self._starts.insert(i, vma.start)
-        self._sorted.insert(i, vma)
-
-    def _detach(self, vma: VMA) -> None:
-        self.vmas.remove(vma)
-        i = self._sorted.index(vma)
-        del self._sorted[i]
-        del self._starts[i]
 
     # ------------------------------------------------------------------
     def map(
@@ -396,7 +376,7 @@ class AddressSpace:
         vma = self._by_name.pop(name, None)
         if vma is None:
             raise MemoryError_(f"no VMA named {name!r}")
-        self._detach(vma)
+        self.vmas.remove(vma)
         return vma
 
     def vma(self, name: str) -> VMA:
@@ -409,15 +389,6 @@ class AddressSpace:
     def has_vma(self, name: str) -> bool:
         """Whether a VMA with this name exists."""
         return name in self._by_name
-
-    def find_vma(self, addr: int) -> VMA:
-        """Find the VMA containing ``addr`` (bisect on sorted starts)."""
-        i = bisect_right(self._starts, addr) - 1
-        if i >= 0:
-            vma = self._sorted[i]
-            if vma.contains(addr):
-                return vma
-        raise MemoryError_(f"address {addr:#x} is unmapped")
 
     def resize(self, name: str, new_nbytes: int) -> VMA:
         """Grow (never shrink below present pages) a VMA -- ``sbrk`` support."""
@@ -443,12 +414,6 @@ class AddressSpace:
     def total_present_pages(self) -> int:
         """Total resident pages across all VMAs."""
         return int(sum(len(v.present_pages()) for v in self.vmas))
-
-    def iter_present(self) -> Iterator[Tuple[VMA, int]]:
-        """Yield (vma, page_index) for every resident page."""
-        for vma in self.vmas:
-            for pidx in vma.present_pages():
-                yield vma, int(pidx)
 
     # -- write access path ---------------------------------------------
     def write_access(
@@ -528,12 +493,6 @@ class AddressSpace:
             vma.tracking_armed = True
             armed += int(present.sum())
         return armed
-
-    def dirty_page_count(self, vma_names: Optional[List[str]] = None) -> int:
-        """Resident pages currently marked dirty."""
-        return int(
-            sum(len(v.dirty_pages()) for v in self._tracked(vma_names))
-        )
 
     def _tracked(self, vma_names: Optional[List[str]]) -> List[VMA]:
         if vma_names is None:

@@ -41,12 +41,6 @@ class KernelModule:
         self.loaded = False
 
     # -- registration helpers (auto-undone on unload) --------------------
-    def add_syscall(self, name: str, handler) -> None:
-        """Register a new system call; removed on unload."""
-        k = self._require_kernel()
-        k.syscalls.register(name, handler)
-        self._undo.append(lambda: k.syscalls.unregister(name))
-
     def add_device(self, node) -> None:
         """Create a /dev node; removed on unload."""
         k = self._require_kernel()

@@ -233,8 +233,6 @@ class Task:
         self.in_non_reentrant = False
         #: Number of *main-program* ops completed (restart cursor).
         self.main_steps = 0
-        #: Set by the kernel when a checkpoint stop is requested.
-        self.stopped_for_checkpoint = False
         #: Arbitrary per-mechanism annotations (shadow state, pods, ...).
         self.annotations: Dict[str, Any] = {}
         self._chain_tip: Optional[Tuple[Any, str]] = None
@@ -298,6 +296,14 @@ class Task:
         and in-context checkpoint captures push KERNEL frames.
         """
         self._stack.append([_as_generator(gen), mode, None])
+
+    def close_frames(self) -> None:
+        """Close every frame's generator, innermost first: the task died
+        with its node, so code suspended in it runs its cleanup (a drain
+        aborts its write stream).  The halted kernel never steps the
+        task again."""
+        for frame in reversed(self._stack):
+            frame[0].close()
 
     def next_op(self):
         """Return the task's next op, or None once the program returned.

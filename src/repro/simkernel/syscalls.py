@@ -66,10 +66,6 @@ class SyscallTable:
         """Install (or replace) the handler for ``name``."""
         self._handlers[name] = handler
 
-    def unregister(self, name: str) -> None:
-        """Remove a handler (kernel-module unload path)."""
-        self._handlers.pop(name, None)
-
     def has(self, name: str) -> bool:
         """Whether the call exists in this kernel build."""
         return name in self._handlers
@@ -170,15 +166,12 @@ def _sys_open(k, task, path, create=False):
     f = k.vfs.lookup(path)
     fd = task.alloc_fd()
     task.install_fd(FileDescriptor(fd=fd, file=f))
-    f.refcount += 1
     return SyscallResult(fd, 400)
 
 
 def _sys_close(k, task, fd):
-    fdesc = task.fds.pop(int(fd), None)
-    if fdesc is None:
+    if task.fds.pop(int(fd), None) is None:
         raise SyscallError(f"close: bad fd {fd}")
-    fdesc.file.refcount -= 1
     return SyscallResult(0, 200)
 
 
@@ -190,7 +183,6 @@ def _sys_dup(k, task, fd):
     task.install_fd(
         FileDescriptor(fd=nfd, file=src.file, offset=src.offset, flags=src.flags)
     )
-    src.file.refcount += 1
     return SyscallResult(nfd, 250)
 
 
@@ -319,7 +311,6 @@ def _sys_socket_connect(k, task, remote_addr, local_port):
     sock = SocketFile(sockpath, int(local_port), str(remote_addr))
     fd = task.alloc_fd()
     task.install_fd(FileDescriptor(fd=fd, file=sock))
-    sock.refcount += 1
     return SyscallResult(fd, 900)
 
 

@@ -18,7 +18,6 @@ files whose contents must be rescued into the checkpoint).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from ..errors import SyscallError
@@ -33,8 +32,6 @@ class File:
 
     def __init__(self, path: str) -> None:
         self.path = path
-        #: Open reference count (descriptors across all tasks).
-        self.refcount = 0
         #: Unlinked while still open (UCLiK's deleted-file case).
         self.deleted = False
 
@@ -81,7 +78,8 @@ class RegularFile(File):
 
 
 class DeviceNode(File):
-    """A character device in ``/dev`` whose behaviour is a set of callbacks.
+    """A character device in ``/dev`` whose behaviour is its ``ioctl``
+    callback; reads return nothing and writes are refused.
 
     Checkpoint modules (CRAK, BLCR) create one of these and accept the pid
     of the process to checkpoint as the ``ioctl`` argument -- exactly the
@@ -91,16 +89,10 @@ class DeviceNode(File):
     kind = "device"
 
     def __init__(
-        self,
-        path: str,
-        on_ioctl: Optional[Callable[[Any, str, Any], Any]] = None,
-        on_read: Optional[Callable[[int, int], bytes]] = None,
-        on_write: Optional[Callable[[int, bytes], int]] = None,
+        self, path: str, on_ioctl: Optional[Callable[[Any, str, Any], Any]] = None
     ) -> None:
         super().__init__(path)
         self._on_ioctl = on_ioctl
-        self._on_read = on_read
-        self._on_write = on_write
 
     def ioctl(self, task: Any, cmd: str, arg: Any) -> Any:
         if self._on_ioctl is None:
@@ -108,14 +100,7 @@ class DeviceNode(File):
         return self._on_ioctl(task, cmd, arg)
 
     def read(self, offset: int, nbytes: int) -> bytes:
-        if self._on_read is None:
-            return b""
-        return self._on_read(offset, nbytes)
-
-    def write(self, offset: int, data: bytes) -> int:
-        if self._on_write is None:
-            raise SyscallError(f"{self.path}: device not writable")
-        return self._on_write(offset, data)
+        return b""
 
 
 class ProcEntry(File):
@@ -164,7 +149,6 @@ class SocketFile(File):
         super().__init__(path)
         self.local_port = local_port
         self.remote_addr = remote_addr
-        self.connected = True
 
     def read(self, offset: int, nbytes: int) -> bytes:
         return b""  # payloads are out of scope; identity is what matters

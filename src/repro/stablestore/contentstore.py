@@ -335,7 +335,7 @@ class ContentStore(StorageBackend):
 
     def open_stream(self, key: str, now_ns: int) -> "DedupWriteStream":
         """Open a pipelined dedup write (COW drain path)."""
-        return DedupWriteStream(self, key, now_ns)
+        return DedupWriteStream(self, key)
 
     def exists(self, key: str) -> bool:
         """Whether the manifest *and* every pack it references are readable."""
@@ -413,7 +413,7 @@ class DedupWriteStream:
     while the stream is open.
     """
 
-    def __init__(self, cs: ContentStore, key: str, now_ns: int) -> None:
+    def __init__(self, cs: ContentStore, key: str) -> None:
         if key in cs._manifest_refs:
             # Overwrite of an existing generation: drop the old manifest
             # and its refs first (exactly as the synchronous store does)
@@ -422,7 +422,6 @@ class DedupWriteStream:
         self.cs = cs
         self.key = key
         self.pack_key = cs._new_pack_key(key)
-        self.opened_ns = now_ns
         self.committed = False
         self._inner_stream = None  # the pack, under pack_key
         self._raw_stream = None  # a non-image object, under key

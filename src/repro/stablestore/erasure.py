@@ -748,7 +748,7 @@ class ErasureStore(QuorumStore):
 
     def open_stream(self, key: str, now_ns: int) -> "ErasureWriteStream":
         """Open a pipelined multi-extent striped write (COW drain path)."""
-        return ErasureWriteStream(self, key, now_ns)
+        return ErasureWriteStream(self, key)
 
     def open_delta_stream(
         self,
@@ -765,7 +765,7 @@ class ErasureStore(QuorumStore):
         be updated, and untouched shards must survive to keep the
         stripe consistent).
         """
-        return DeltaWriteStream(self, key, dirty_extents, now_ns, base_key=base_key)
+        return DeltaWriteStream(self, key, dirty_extents, base_key=base_key)
 
     def exists(self, key: str) -> bool:
         """Whether a read of ``key`` would currently succeed."""
@@ -828,8 +828,8 @@ class ErasureWriteStream(QuorumWriteStream):
     what = "erasure write"
     unit = "shards"
 
-    def __init__(self, store: ErasureStore, key: str, now_ns: int) -> None:
-        super().__init__(store, key, now_ns, store.k + store.m, store.write_shards)
+    def __init__(self, store: ErasureStore, key: str) -> None:
+        super().__init__(store, key, store.k + store.m, store.write_shards)
 
     #: Named here so per-class tracing can wrap them.
     send = QuorumWriteStream.send
@@ -895,10 +895,9 @@ class DeltaWriteStream(WriteStream):
         store: ErasureStore,
         key: str,
         dirty_extents: Iterable[Tuple[int, int]],
-        now_ns: int,
         base_key: Optional[str] = None,
     ) -> None:
-        super().__init__(store, key, now_ns)
+        super().__init__(store, key)
         self.store = store
         self.base_key = base_key if base_key is not None else key
         self.extents: List[Tuple[int, int]] = [

@@ -55,8 +55,6 @@ class GenerationGC:
         self.store = store
         self.keep = int(keep)
         self.metrics = metrics
-        self.collected = 0
-        self.bytes_collected = 0
         self._stopped = False
 
     # ------------------------------------------------------------------
@@ -78,8 +76,6 @@ class GenerationGC:
             self.store.delete(key)
         collected = [key for key in doomed if not self.store.holds.pending(key)]
         swept_bytes = sum(sizes[key] for key in collected)
-        self.collected += len(collected)
-        self.bytes_collected += swept_bytes
         if self.metrics is not None and collected:
             self.metrics.inc("storage.gc_collected", len(collected))
             self.metrics.inc("storage.gc_bytes", swept_bytes)

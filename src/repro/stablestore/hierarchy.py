@@ -148,7 +148,6 @@ class HierarchicalStore(StorageBackend):
         #: key -> accounted nbytes of every blob the hierarchy accepted.
         self._directory: Dict[str, int] = {}
         self.promotions = 0
-        self.demotions = 0
         self.reprotects = 0
         self.writeback_failures = 0
         for level in self.levels:
@@ -430,7 +429,6 @@ class HierarchicalStore(StorageBackend):
                     break  # nothing safely demotable; hold over capacity
                 level._resident.pop(victim)
                 level.backend._drop(victim)
-                self.demotions += 1
                 metrics.inc(f"hierarchy.{level.name}.evictions")
 
     def _reprotect_scan(self, level: StorageLevel) -> None:
@@ -547,7 +545,7 @@ class HierarchyWriteStream(WriteStream):
     """
 
     def __init__(self, store: HierarchicalStore, key: str, now_ns: int) -> None:
-        super().__init__(store, key, now_ns)
+        super().__init__(store, key)
         self.store = store
         self.streams: List[Tuple[StorageLevel, Any]] = []
         for level in store.levels:

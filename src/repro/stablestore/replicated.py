@@ -106,15 +106,15 @@ class QuorumStore(StorageBackend):
 
     def _walk(
         self, servers: Iterable[StorageServer], want: int, op: str
-    ) -> Tuple[List[Placed], int]:
+    ) -> List[Placed]:
         """The sloppy-quorum retry walk over ``servers``, in order.
 
         Collects up to ``want`` live servers.  Each failed server tried
         on the way is an RPC that times out: it costs ``timeout_ns`` plus
         the current backoff, which then grows by ``backoff_factor`` up
         to ``backoff_cap_ns``, and counts as an ``op`` ("write" or
-        "read") retry.  Returns ``([(server, penalty_ns)], total_ns)``
-        where each penalty is what was paid before reaching that server.
+        "read") retry.  Returns ``[(server, penalty_ns)]``, where each
+        penalty is what was paid before reaching that server.
         """
         metrics = self.storage.engine.metrics
         placed: List[Placed] = []
@@ -134,7 +134,7 @@ class QuorumStore(StorageBackend):
             metrics.inc(f"storage.{op}_retries")
             self.backoff_ns_total += backoff
             backoff = min(int(backoff * self.backoff_factor), self.backoff_cap_ns)
-        return placed, penalty
+        return placed
 
     def _lost(self, op: str, message: str) -> StorageLostError:
         """Count one unreachable ``op`` quorum; returns the error to raise."""
@@ -240,11 +240,6 @@ class ReplicatedStore(QuorumStore):
         self.read_quorum = read_quorum
         self._check_range("write quorum", self.write_quorum, 1, replication)
         self._check_range("read quorum", self.read_quorum, 1, replication)
-        self.last_write_latency_ns = 0
-        self._latency_ewma_ns: Optional[float] = None
-        self.last_read_latency_ns = 0
-        self._read_latency_ewma_ns: Optional[float] = None
-        self.latency_alpha = 0.3
 
     # ------------------------------------------------------------------
     # Placement
@@ -277,16 +272,6 @@ class ReplicatedStore(QuorumStore):
     #: committed at once (named here so per-class tracing can wrap it).
     store = StorageBackend.store
 
-    def _ewma(self, prev: Optional[float], delay: int) -> float:
-        if prev is None:
-            return float(delay)
-        return self.latency_alpha * delay + (1.0 - self.latency_alpha) * prev
-
-    def _observe_read(self, delay: int) -> None:
-        self.storage.engine.metrics.observe("storage.read_ns", delay)
-        self.last_read_latency_ns = delay
-        self._read_latency_ewma_ns = self._ewma(self._read_latency_ewma_ns, delay)
-
     def load(self, key: str, now_ns: int) -> Tuple[Any, int]:
         """Fetch ``obj`` from an R-of-N quorum of replica holders.
 
@@ -296,7 +281,7 @@ class ReplicatedStore(QuorumStore):
         """
         nbytes = self._require_key(key)
         holders = [s for s in self.candidates(key) if s.holds(key)]
-        responders, _ = self._walk(holders, self.read_quorum, "read")
+        responders = self._walk(holders, self.read_quorum, "read")
         delay = self._gather(responders, nbytes, now_ns)
         if len(responders) < self.read_quorum:
             raise self._lost(
@@ -306,7 +291,7 @@ class ReplicatedStore(QuorumStore):
             )
         self.bytes_read += nbytes
         self.storage.engine.metrics.inc("storage.quorum_reads")
-        self._observe_read(delay)
+        self.storage.engine.metrics.observe("storage.read_ns", delay)
         return responders[-1][0].replicas[key][0], delay
 
     def load_fanout(self, key: str, now_ns: int) -> Tuple[Any, int]:
@@ -341,7 +326,7 @@ class ReplicatedStore(QuorumStore):
         delay = self._gather(winners, nbytes, now_ns)
         self.bytes_read += nbytes
         self.storage.engine.metrics.inc("storage.fanout_reads")
-        self._observe_read(delay)
+        self.storage.engine.metrics.observe("storage.read_ns", delay)
         return winners[-1][0].replicas[key][0], delay
 
     #: Restore prefetch: the base fan-out loop over :meth:`load_fanout`
@@ -350,7 +335,7 @@ class ReplicatedStore(QuorumStore):
 
     def open_stream(self, key: str, now_ns: int) -> "ReplicaWriteStream":
         """Open a pipelined multi-extent quorum write (COW drain path)."""
-        return ReplicaWriteStream(self, key, now_ns)
+        return ReplicaWriteStream(self, key)
 
     def exists(self, key: str) -> bool:
         """Whether a read of ``key`` would currently succeed."""
@@ -391,21 +376,6 @@ class ReplicatedStore(QuorumStore):
             if rkey in self._directory
         )
 
-    # ------------------------------------------------------------------
-    @property
-    def avg_write_latency_ns(self) -> float:
-        """EWMA of client-visible write latency (autonomic feedback).
-
-        Guarded: 0.0 before the first write, so fresh-cluster reporting
-        never divides by ``None``.
-        """
-        return float(self._latency_ewma_ns or 0.0)
-
-    @property
-    def avg_read_latency_ns(self) -> float:
-        """EWMA of client-visible read latency (0.0 before any read)."""
-        return float(self._read_latency_ewma_ns or 0.0)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<ReplicatedStore rf={self.replication} "
@@ -420,8 +390,7 @@ class QuorumWriteStream(WriteStream):
 
     Opening the stream performs the rendezvous retry walk once over
     ``width`` servers and pins the servers it placed, each with the
-    ``timeout + backoff`` penalty paid before reaching it (their sum is
-    ``open_penalty_ns``).  Each :meth:`send` then forwards one extent
+    ``timeout + backoff`` penalty paid before reaching it.  Each :meth:`send` then forwards one extent
     over the shared ingress link and onto every pinned server that is
     up, returning the delay at which the ``quorum``-th copy is durable
     -- the writeback pipeline schedules that instant as the extent's
@@ -451,14 +420,12 @@ class QuorumWriteStream(WriteStream):
     unit = "replicas"
 
     def __init__(
-        self, store: QuorumStore, key: str, now_ns: int, width: int, quorum: int
+        self, store: QuorumStore, key: str, width: int, quorum: int
     ) -> None:
-        super().__init__(store, key, now_ns)
+        super().__init__(store, key)
         self.store = store
         self.quorum = quorum
-        self.placed, self.open_penalty_ns = store._walk(
-            store.candidates(key), width, "write"
-        )
+        self.placed = store._walk(store.candidates(key), width, "write")
         #: The pinned servers, in placement order.
         self.servers: List[StorageServer] = [s for s, _ in self.placed]
         self.sent_server_bytes = 0
@@ -525,8 +492,8 @@ class ReplicaWriteStream(QuorumWriteStream):
     """A quorum write of whole-blob replicas: up to ``replication``
     servers, ``write_quorum`` acks, every server gets every byte."""
 
-    def __init__(self, store: ReplicatedStore, key: str, now_ns: int) -> None:
-        super().__init__(store, key, now_ns, store.replication, store.write_quorum)
+    def __init__(self, store: ReplicatedStore, key: str) -> None:
+        super().__init__(store, key, store.replication, store.write_quorum)
 
     #: Named here so per-class tracing can wrap them.
     send = QuorumWriteStream.send
@@ -543,5 +510,3 @@ class ReplicaWriteStream(QuorumWriteStream):
         metrics.inc("storage.quorum_writes")
         metrics.inc("storage.replica_bytes_written", nbytes * len(servers))
         metrics.observe("storage.write_ns", delay)
-        st.last_write_latency_ns = delay
-        st._latency_ewma_ns = st._ewma(st._latency_ewma_ns, delay)

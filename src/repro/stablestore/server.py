@@ -133,9 +133,5 @@ class StorageCluster:
         for fn in list(self._failure_watchers):
             fn(server)
 
-    def repair_server(self, server_id: int, data_survived: bool = True) -> None:
-        """Bring a failed server back (disk intact unless told otherwise)."""
-        self.server(server_id).recover(data_survived=data_survived)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<StorageCluster {len(self.up_servers())}/{len(self.servers)} up>"

@@ -187,7 +187,7 @@ class StorageBackend:
         Every backend that overrides this defines its writes there:
         :meth:`store` is the same stream committed at once.
         """
-        return WriteStream(self, key, now_ns)
+        return WriteStream(self, key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.kind.value} blobs={len(self._blobs)}>"
@@ -207,11 +207,10 @@ class WriteStream:
     and :meth:`send_chunk`.
     """
 
-    def __init__(self, backend: StorageBackend, key: str, now_ns: int) -> None:
+    def __init__(self, backend: StorageBackend, key: str) -> None:
         backend._check_available()
         self.backend = backend
         self.key = key
-        self.opened_ns = now_ns
         self.sent_bytes = 0
         self.committed = False
 
@@ -253,8 +252,8 @@ class LocalDiskStorage(StorageBackend):
     kind = StorageKind.LOCAL
     survives_node_failure = False
 
-    def __init__(self, node_id: int = 0, device: Optional[Device] = None) -> None:
-        super().__init__(device or disk_device(f"disk[node{node_id}]"))
+    def __init__(self, node_id: int = 0) -> None:
+        super().__init__(disk_device(f"disk[node{node_id}]"))
         self.node_id = node_id
         self._node_failed = False
 
@@ -293,12 +292,10 @@ class MemoryStorage(StorageBackend):
 
     def __init__(self, device: Optional[Device] = None) -> None:
         super().__init__(device or memory_device())
-        self._powered = True
 
     def power_loss(self) -> None:
         """Drop everything (standby images do not survive power-down)."""
         self._blobs.clear()
-        self._powered = True  # RAM itself is fine afterwards
 
 
 class NullStorage(StorageBackend):
@@ -311,8 +308,8 @@ class NullStorage(StorageBackend):
     # migration pipe: once consumed, it is gone.
     keeps_only_newest = True
 
-    def __init__(self, device: Optional[Device] = None) -> None:
-        super().__init__(device or network_device("nic[migrate]"))
+    def __init__(self) -> None:
+        super().__init__(network_device("nic[migrate]"))
 
     def load(self, key: str, now_ns: int) -> Tuple[Any, int]:
         obj, delay = super().load(key, now_ns)

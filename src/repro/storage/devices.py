@@ -10,7 +10,7 @@ writers queue), with defaults calibrated to 2004-era parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import StorageError
 from ..simkernel.costs import NS_PER_MS, NS_PER_US
@@ -69,11 +69,6 @@ class Device:
         """
         start = max(now_ns, self.busy_until_ns)
         return start + self.transfer_time_ns(nbytes) - now_ns
-
-    def utilization_reset(self) -> None:
-        """Zero the statistics counters."""
-        self.total_bytes = 0
-        self.total_ops = 0
 
 
 def disk_device(name: str = "disk") -> Device:

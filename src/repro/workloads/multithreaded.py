@@ -28,19 +28,21 @@ class ThreadedWorkload(Workload):
     """
 
     ops_per_iteration = 2
+    #: Bytes each thread writes into its band per iteration (at most
+    #: the band).
+    BAND_WRITE_BYTES = 32 * 1024
 
-    def __init__(self, nthreads: int = 4, band_write_bytes: int = 32 * 1024, **kw) -> None:
+    def __init__(self, nthreads: int = 4, **kw) -> None:
         super().__init__(**kw)
         if nthreads < 1:
             raise ValueError("nthreads must be >= 1")
         self.nthreads = nthreads
-        self.band_write_bytes = band_write_bytes
 
     def thread_factory(self, tid: int):
         """Program factory for thread ``tid``."""
         band = self.heap_bytes // self.nthreads
         base = tid * band
-        nbytes = min(self.band_write_bytes, band)
+        nbytes = min(self.BAND_WRITE_BYTES, band)
 
         def factory(task: Task, start_step: int) -> Generator:
             start_it = self.iteration_of_step(self.align_step(start_step))
@@ -56,11 +58,11 @@ class ThreadedWorkload(Workload):
 
         return factory
 
-    def spawn_group(self, kernel: Kernel, name: Optional[str] = None) -> List[Task]:
+    def spawn_group(self, kernel: Kernel) -> List[Task]:
         """Spawn all threads sharing one address space."""
         return spawn_thread_group(
             kernel,
-            name or self.name,
+            self.name,
             [self.thread_factory(t) for t in range(self.nthreads)],
             heap_bytes=self.heap_bytes,
             workload=self,

@@ -25,14 +25,15 @@ class SocketApp(Workload):
 
     setup_ops = 1
     ops_per_iteration = 2
+    #: The peer every instance connects to.
+    REMOTE_ADDR = "10.0.0.9:5000"
 
-    def __init__(self, remote_addr: str = "10.0.0.9:5000", local_port: int = 40123, **kw) -> None:
+    def __init__(self, local_port: int = 40123, **kw) -> None:
         super().__init__(**kw)
-        self.remote_addr = remote_addr
         self.local_port = local_port
 
     def setup(self, task: Task) -> Iterator[ops.Op]:
-        yield ops.Syscall(name="socket_connect", args=(self.remote_addr, self.local_port))
+        yield ops.Syscall(name="socket_connect", args=(self.REMOTE_ADDR, self.local_port))
 
     def iteration(self, task: Task, it: int) -> Iterator[ops.Op]:
         yield ops.Compute(ns=self.compute_ns)

@@ -75,10 +75,9 @@ class RandomUpdater(Workload):
     the delta tiny.  This is experiment E6/E14's centrepiece.
     """
 
-    def __init__(self, updates_per_iteration: int = 64, page_size: int = 4096, **kw) -> None:
+    def __init__(self, updates_per_iteration: int = 64, **kw) -> None:
         super().__init__(**kw)
         self.updates = updates_per_iteration
-        self.page_size = page_size
         self.ops_per_iteration = 1 + updates_per_iteration
 
     def iteration(self, task: Task, it: int) -> Iterator[ops.Op]:

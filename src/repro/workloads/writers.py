@@ -16,6 +16,9 @@ from .base import Workload
 
 __all__ = ["DenseWriter", "SparseWriter", "StreamingWriter", "HotColdWriter"]
 
+#: The page size the writers lay their writes out in.
+PAGE_SIZE = 4096
+
 
 class DenseWriter(Workload):
     """Rewrites its entire heap every iteration (dirty fraction ~= 1).
@@ -25,10 +28,6 @@ class DenseWriter(Workload):
     """
 
     ops_per_iteration = 2
-
-    def __init__(self, chunk_bytes: int = 64 * 1024, **kw) -> None:
-        super().__init__(**kw)
-        self.chunk_bytes = min(chunk_bytes, self.heap_bytes)
 
     def iteration(self, task: Task, it: int) -> Iterator[ops.Op]:
         yield ops.Compute(ns=self.compute_ns)
@@ -47,7 +46,6 @@ class SparseWriter(Workload):
         self,
         dirty_fraction: float = 0.1,
         write_bytes: int = 128,
-        page_size: int = 4096,
         **kw,
     ) -> None:
         super().__init__(**kw)
@@ -55,8 +53,7 @@ class SparseWriter(Workload):
             raise ValueError("dirty_fraction must be in (0, 1]")
         self.dirty_fraction = dirty_fraction
         self.write_bytes = write_bytes
-        self.page_size = page_size
-        npages = self.heap_bytes // page_size
+        npages = self.heap_bytes // PAGE_SIZE
         self._touched = max(1, int(round(npages * dirty_fraction)))
         # 1 compute + one small write per touched page
         self.ops_per_iteration = 1 + self._touched
@@ -64,12 +61,12 @@ class SparseWriter(Workload):
     def iteration(self, task: Task, it: int) -> Iterator[ops.Op]:
         yield ops.Compute(ns=self.compute_ns)
         rng = self.rng_for_iteration(it)
-        npages = self.heap_bytes // self.page_size
+        npages = self.heap_bytes // PAGE_SIZE
         pages = rng.choice(npages, size=self._touched, replace=False)
         for p in sorted(int(x) for x in pages):
             yield ops.MemWrite(
                 vma="heap",
-                offset=p * self.page_size,
+                offset=p * PAGE_SIZE,
                 nbytes=self.write_bytes,
                 seed=it * 131 + p,
             )
@@ -109,14 +106,11 @@ class HotColdWriter(Workload):
         self,
         hot_fraction: float = 0.05,
         cold_touch_every: int = 10,
-        page_size: int = 4096,
         **kw,
     ) -> None:
         super().__init__(**kw)
-        self.page_size = page_size
-        self.hot_fraction = hot_fraction
         self.cold_touch_every = cold_touch_every
-        self.hot_bytes = max(page_size, int(self.heap_bytes * hot_fraction))
+        self.hot_bytes = max(PAGE_SIZE, int(self.heap_bytes * hot_fraction))
         self.ops_per_iteration = 3
 
     def iteration(self, task: Task, it: int) -> Iterator[ops.Op]:
@@ -124,7 +118,7 @@ class HotColdWriter(Workload):
         yield ops.MemWrite(vma="heap", offset=0, nbytes=self.hot_bytes, seed=it)
         if it % self.cold_touch_every == 0:
             rng = self.rng_for_iteration(it)
-            cold_span = self.heap_bytes - self.hot_bytes - self.page_size
+            cold_span = self.heap_bytes - self.hot_bytes - PAGE_SIZE
             off = self.hot_bytes + int(rng.integers(0, max(1, cold_span)))
             yield ops.MemWrite(vma="heap", offset=off, nbytes=64, seed=it + 7)
         else:

@@ -88,3 +88,37 @@ def test_requests_on_failed_node_fail_cleanly():
         assert req.image is not None
     else:
         assert req.state in (RequestState.FAILED, RequestState.RUNNING, RequestState.PENDING)
+
+
+def test_drain_killed_with_its_node_releases_its_dedup_holds():
+    """A pipelined drain whose kthread dies with its node aborts its
+    dedup stream: the packs it counted hits against are no longer held,
+    so a delete requested for one collects it."""
+    from repro.stablestore import ContentStore
+
+    cl = Cluster(n_nodes=1, seed=5, storage_servers=3, replication=2)
+    node = cl.node(0)
+    cs = ContentStore(node.remote_storage)
+    mech = AutonomicCheckpointer(node.kernel, cs)
+    mech.pipeline_depth = 4
+    task = SparseWriter(
+        iterations=100_000, dirty_fraction=0.03, heap_bytes=2 * 1024 * 1024,
+        seed=0, compute_ns=100_000,
+    ).spawn(node.kernel)
+    mech.prepare_target(task)
+    cl.run_for(5 * NS_PER_MS)
+    first = mech.request_checkpoint(task)
+    cl.run_until(lambda: first.state == RequestState.DONE, 60 * NS_PER_S)
+    pack = f"{first.key}.pack"
+    assert cs.inner.exists(pack)
+    # A full capture: its clean pages are hits homed in the first pack,
+    # and its open stream takes one more hold on that pack.
+    held = cs.holds._holds[pack]
+    second = mech.request_checkpoint(task, incremental=False)
+    cl.run_until(lambda: cs.holds._holds[pack] > held, 60 * NS_PER_S)
+    assert second.state == RequestState.RUNNING  # mid-drain
+    cl.fail_node(0)
+    task.chain_tip = None  # the rank moved on: only the drain held on
+    cs.delete(first.key)
+    assert not cs.exists(first.key)
+    assert not cs.inner.exists(pack)

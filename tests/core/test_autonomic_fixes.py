@@ -40,30 +40,37 @@ class BrokenRemote(RemoteStorage):
         raise StorageError("injected: stable storage unreachable")
 
 
+def _counted(est, name):
+    return est.metrics.counters().get(f"autonomic.{name}", 0)
+
+
 class TestEstimatorMonotonicity:
     def test_out_of_order_observation_ignored(self):
-        est = FailureRateEstimator(prior_mtbf_s=1000.0, alpha=0.5)
+        est = FailureRateEstimator(
+            prior_mtbf_s=1000.0, alpha=0.5, metrics=MetricsRegistry())
         est.observe_failure(100 * NS_PER_S)
         est.observe_failure(200 * NS_PER_S)
         mtbf = est.mtbf_s
         est.observe_failure(150 * NS_PER_S)  # delivered late
         assert est.mtbf_s == mtbf  # estimate untouched
-        assert est.out_of_order == 1
-        assert est.observations == 2
+        assert _counted(est, "out_of_order_failures") == 1
+        assert _counted(est, "failures_observed") == 2
 
     def test_duplicate_timestamp_ignored(self):
-        est = FailureRateEstimator(prior_mtbf_s=1000.0, alpha=0.5)
+        est = FailureRateEstimator(
+            prior_mtbf_s=1000.0, alpha=0.5, metrics=MetricsRegistry())
         est.observe_failure(100 * NS_PER_S)
         est.observe_failure(100 * NS_PER_S)  # duplicate report
         mtbf = est.mtbf_s
-        assert est.out_of_order == 1
+        assert _counted(est, "out_of_order_failures") == 1
         assert est.mtbf_s == mtbf == 1000.0  # no 1ns-gap collapse
 
     def test_mtbf_does_not_collapse_under_replayed_history(self):
         """Replaying an old failure log must not drive the estimate to
         its floor (the pre-fix behaviour folded ~0 s gaps into the
         EWMA for every replayed entry)."""
-        est = FailureRateEstimator(prior_mtbf_s=100.0, alpha=0.5)
+        est = FailureRateEstimator(
+            prior_mtbf_s=100.0, alpha=0.5, metrics=MetricsRegistry())
         times = [i * 10 * NS_PER_S for i in range(1, 11)]
         for t in times:
             est.observe_failure(t)
@@ -71,7 +78,7 @@ class TestEstimatorMonotonicity:
         for t in times:  # duplicate delivery of the whole history
             est.observe_failure(t)
         assert est.mtbf_s == mtbf
-        assert est.out_of_order == len(times)
+        assert _counted(est, "out_of_order_failures") == len(times)
         assert est.mtbf_s > 1.0
 
     def test_metrics_registry_counts_both_kinds(self):
@@ -172,6 +179,6 @@ def test_preempt_requests_metric_counted():
 def test_estimator_first_observation_accepts_any_time(bad_ts):
     """Only *relative* ordering matters; the first observation sets the
     reference point whatever its absolute value."""
-    est = FailureRateEstimator(prior_mtbf_s=10.0)
+    est = FailureRateEstimator(prior_mtbf_s=10.0, metrics=MetricsRegistry())
     est.observe_failure(bad_ts)
-    assert est.observations == 1
+    assert _counted(est, "failures_observed") == 1

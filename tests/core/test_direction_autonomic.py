@@ -12,7 +12,7 @@ from repro.core.autonomic import (
 from repro.core.checkpointer import RequestState
 from repro.core.direction import AutonomicCheckpointer
 from repro.errors import CheckpointError
-from repro.simkernel import Kernel, SchedPolicy, TaskState
+from repro.simkernel import Kernel, SchedPolicy, Sig, TaskState
 from repro.simkernel.costs import NS_PER_MS, NS_PER_S
 from repro.storage import RemoteStorage
 from repro.workloads import SparseWriter, memory_digest
@@ -108,16 +108,11 @@ class TestDirectionForward:
         assert seen  # completion callbacks fired
         # Each callback runs at its request's completion instant.
         assert all(now == req.completed_ns for req, now in seen)
-        mech.disable_automatic(t)
+        k.post_signal(t.pid, Sig.SIGKILL)
+        k.run_for(30 * NS_PER_MS)
         n = len(mech.requests)
         k.run_for(100 * NS_PER_MS)
-        assert len(mech.requests) == n  # timer really stopped
-
-    def test_set_interval_requires_timer(self):
-        k, mech = make_mech()
-        t = writer().spawn(k)
-        with pytest.raises(CheckpointError):
-            mech.set_interval(t, NS_PER_S)
+        assert len(mech.requests) == n  # the timer stopped with the task
 
 
 class TestEstimator:

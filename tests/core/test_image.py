@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from image_oracle import add_extent, add_page
 from repro.core.image import (
     CheckpointImage,
     Chunk,
@@ -40,8 +41,8 @@ def page(val, size=4096):
 class TestImage:
     def test_payload_and_size_accounting(self):
         img = make_image()
-        img.add_page("heap", 0, page(1))
-        img.add_page("heap", 1, page(2))
+        add_page(img, "heap", 0, page(1))
+        add_page(img, "heap", 1, page(2))
         assert img.payload_bytes == 8192
         assert img.size_bytes >= METADATA_BYTES + 8192
 
@@ -61,8 +62,8 @@ class TestImage:
 
     def test_chunk_index_last_writer_wins(self):
         img = make_image()
-        img.add_page("heap", 0, page(1))
-        img.add_page("heap", 0, page(2))
+        add_page(img, "heap", 0, page(1))
+        add_page(img, "heap", 0, page(2))
         idx = img.chunk_index()
         assert len(idx) == 1
         assert idx[("heap", 0, 0)].data[0] == 2
@@ -85,10 +86,10 @@ class TestChain:
 
     def test_deltas_overwrite_base_pages(self):
         base = make_image("a", step=10)
-        base.add_page("heap", 0, page(1))
-        base.add_page("heap", 1, page(1))
+        add_page(base, "heap", 0, page(1))
+        add_page(base, "heap", 1, page(1))
         d1 = make_image("b", parent="a", step=20)
-        d1.add_page("heap", 1, page(9))
+        add_page(d1, "heap", 1, page(9))
         flat = materialize_chain([base, d1])
         idx = flat.chunk_index()
         assert idx[("heap", 0, 0)].data[0] == 1
@@ -114,11 +115,11 @@ class TestChain:
 
     def test_three_level_chain(self):
         base = make_image("a")
-        base.add_page("heap", 0, page(1))
+        add_page(base, "heap", 0, page(1))
         d1 = make_image("b", parent="a")
-        d1.add_page("heap", 0, page(2))
+        add_page(d1, "heap", 0, page(2))
         d2 = make_image("c", parent="b")
-        d2.add_page("heap", 0, page(3))
+        add_page(d2, "heap", 0, page(3))
         flat = materialize_chain([base, d1, d2])
         assert flat.chunk_index()[("heap", 0, 0)].data[0] == 3
 
@@ -270,14 +271,14 @@ def build_chain(spec, seed: int) -> List[CheckpointImage]:
             vma = "heap" if j % 3 else "stack"
             if kind == "extent":
                 n = rest[0]
-                img.add_extent(vma, pidx, fresh(n * PS), n)
+                add_extent(img, vma, pidx, fresh(n * PS), n)
             elif kind == "rows":
                 rows = tuple(fresh(PS) for _ in range(rest[0]))
                 for row in rows:
                     row.flags.writeable = False
                 img.chunks.append(Chunk(vma=vma, page_index=pidx, rows=rows))
             elif kind == "page":
-                img.add_page(vma, pidx, fresh(PS))
+                add_page(img, vma, pidx, fresh(PS))
             elif kind == "raw":
                 img.chunks.append(Chunk(vma=vma, page_index=pidx, offset=0, data=fresh(PS)))
             else:

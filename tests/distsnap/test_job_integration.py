@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster, CommunicatingJob
+from repro.core.checkpointer import RequestState
 from repro.core.direction import AutonomicCheckpointer
 from repro.distsnap import TrafficDriver, verify_exactly_once
 from repro.errors import DistSnapError
@@ -13,12 +14,19 @@ from repro.stablestore.gc import GenerationGC
 from repro.workloads import SparseWriter
 
 
-def build_job(n_ranks=4, topology="ring", seed=42, content_dedup=False):
+def build_job(n_ranks=4, topology="ring", seed=42, content_dedup=False,
+              workload=lambda r: SparseWriter(), distinct_pids=False):
     cl = Cluster(n_nodes=4, n_spares=1, seed=seed,
                  storage_servers=3, replication=2,
                  content_dedup=content_dedup)
+    if distinct_pids:
+        # Node i runs i padding processes first, so rank i's pid -- its
+        # generation group -- is 100 + i.
+        for node in cl.compute_nodes():
+            for _ in range(node.node_id):
+                node.kernel.spawn_process("pad", None, start=False)
     job = CommunicatingJob(
-        cl, lambda r: SparseWriter(), n_ranks=n_ranks, name="cj",
+        cl, workload, n_ranks=n_ranks, name="cj",
         topology=topology, channel_latency_ns=30_000,
     )
     mechs = {
@@ -124,19 +132,36 @@ def test_generation_gc_never_collects_cut_pinned_images():
     """Regression (satellite 2): per-rank images referenced by a cut
     manifest survive generation pruning -- and are released once the
     manifest itself is deleted."""
-    cl, job, mechs, store = build_job()
+    # Ranks that outlive the newer checkpoints, each in its own
+    # generation group.
+    cl, job, mechs, store = build_job(
+        workload=lambda r: SparseWriter(
+            iterations=5_000, heap_bytes=256 * 1024, compute_ns=1_000_000, seed=r
+        ),
+        distinct_pids=True,
+    )
     drv = TrafficDriver(job.net, rate_per_s=8000.0)
     drv.start()
     cl.engine.run(until_ns=3_000_000)
     proto = snapshot(cl, job, mechs, store)
     pinned = proto.manifest.pinned_keys()
     drv.stop()
+    groups = {key.rsplit("/", 1)[0] for key in pinned}
+    assert len(groups) == len(job.ranks)
 
-    # Newer per-rank checkpoints supersede the cut's generation.
-    for rank in job.ranks:
-        mech = mechs.get(rank.node.node_id) or next(iter(mechs.values()))
-        mech.request_checkpoint(rank.task)
-    cl.engine.run(until_ns=cl.engine.now_ns + 2_000_000_000)
+    # Newer full per-rank checkpoints supersede the cut's generation;
+    # only the cut still holds its images.
+    newer = [
+        mechs[rank.node.node_id].request_checkpoint(rank.task, incremental=False)
+        for rank in job.ranks
+    ]
+    cl.engine.run(
+        until=lambda: all(req.state in (RequestState.DONE, RequestState.FAILED)
+                          for req in newer),
+        until_ns=cl.engine.now_ns + 2_000_000_000,
+    )
+    assert [req.state for req in newer] == [RequestState.DONE] * len(newer)
+    assert {req.key.rsplit("/", 1)[0] for req in newer} == groups
 
     gc = GenerationGC(store, keep=1, metrics=cl.engine.metrics)
     collected = gc.sweep()
@@ -147,4 +172,4 @@ def test_generation_gc_never_collects_cut_pinned_images():
     # Manifest gone -> the pins are released on the next sweep.
     store.delete(proto.manifest.key)
     gc.sweep()
-    assert any(not store.exists(k) for k in pinned)
+    assert not any(store.exists(k) for k in pinned)

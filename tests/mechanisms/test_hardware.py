@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.checkpointer import RequestState
+from repro.core.image import CheckpointImage
 from repro.errors import CheckpointError
 from repro.simkernel import Kernel, ops
 from repro.storage import MemoryStorage
@@ -36,10 +37,13 @@ class TestCacheLineTracker:
 
         t = k.spawn_process("w", factory)
         k.run_until_exit(t, limit_ns=10**10)
-        dirty = tracker.dirty_lines(t)
-        assert dirty[("heap", 0)] == {0, 1}
-        assert dirty[("heap", 1)] == {0}
-        assert tracker.dirty_bytes(t) == 3 * 64
+        img = CheckpointImage(
+            key="x", mechanism="hw", pid=t.pid, task_name="w", node_id=0,
+            step=0, registers={},
+        )
+        assert tracker.drain_into(t, img) == 2
+        spans = sorted((c.page_index, c.offset, c.nbytes) for c in img.chunks)
+        assert spans == [(0, 0, 2 * 64), (1, 0, 64)]
 
     def test_single_tracker_per_kernel(self):
         k = Kernel(seed=1)
@@ -48,8 +52,6 @@ class TestCacheLineTracker:
             CacheLineTracker(k)
 
     def test_drain_coalesces_adjacent_lines(self):
-        from repro.core.image import CheckpointImage
-
         k = Kernel(seed=1)
         tracker = CacheLineTracker(k)
 
@@ -71,7 +73,7 @@ class TestCacheLineTracker:
         assert chunks == 2  # one 3-line run + one isolated line
         assert img.payload_bytes == 4 * 64
         # Drained: log is empty now.
-        assert tracker.dirty_bytes(t) == 0
+        assert tracker.drain_into(t, img) == 0
 
 
 class TestSchemes:

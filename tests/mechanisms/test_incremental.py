@@ -97,7 +97,7 @@ class TestBlockHash:
         # First scan: everything is new -> 8 blocks saved, coalesced
         # into one contiguous run covering the page.
         consumed = list(tracker.scan_ops(k, t, img1, [("heap", 0)]))
-        assert tracker.blocks_saved == 8
+        assert tracker.last_scan_saved == {("heap", 0): 8}
         assert len(img1.chunks) == 1
         assert img1.chunks[0].nbytes == 4096
         # Change 100 bytes inside one block; rescan saves only that block.
@@ -106,12 +106,6 @@ class TestBlockHash:
         list(tracker.scan_ops(k, t, img2, [("heap", 0)]))
         assert len(img2.chunks) == 1
         assert img2.chunks[0].offset == 512
-
-    def test_miss_probability_bound(self):
-        tr = BlockHashTracker(collision_bits=16)
-        assert tr.miss_probability(0) == 0
-        assert tr.miss_probability(2**16) == 1.0
-        assert 0 < tr.miss_probability(10) < 1e-3
 
 
 class TestAdaptive:
@@ -134,7 +128,7 @@ class TestAdaptive:
         pages = [("heap", 0), ("heap", 1)]
         # Interval 1: cold scan -> both block-scanned, no density evidence.
         list(tracker.scan_ops(k, t, scratch_image(), pages))
-        assert tracker.pages_block_scanned == 2
+        assert set(tracker._hash.last_scan_saved) == set(pages)
         # Interval 2: page 0 fully rewritten (density evidence builds),
         # page 1 edited slightly.
         t.mm.fill_pattern(t.mm.vma("heap"), 0, 0, 4096, seed=5)
@@ -145,7 +139,7 @@ class TestAdaptive:
         t.mm.fill_pattern(t.mm.vma("heap"), 1, 16, 8, seed=8)
         img = scratch_image()
         list(tracker.scan_ops(k, t, img, pages))
-        assert tracker.pages_saved_whole == 1
+        assert set(tracker._hash.last_scan_saved) == {("heap", 1)}
         # Page 0 contributed one whole page; page 1 only one block.
         sizes = sorted(c.nbytes for c in img.chunks)
         assert sizes[-1] == 4096

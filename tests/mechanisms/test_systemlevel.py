@@ -56,7 +56,7 @@ class TestVMADump:
         def factory(task, step):
             def gen():
                 yield ops.MemWrite(vma="heap", offset=0, nbytes=8192, seed=1)
-                key = yield mech.checkpoint_op()
+                key = yield ops.Syscall(name=mech.syscall_name)
                 task.annotations["ckpt_key"] = key
                 yield ops.Compute(ns=1_000)
                 yield ops.Exit(code=0)
@@ -358,7 +358,7 @@ class TestLamMpi:
             until_ns=k.engine.now_ns + 5_000_000_000,
             until=lambda: all(r.state == RequestState.DONE for r in reqs),
         )
-        results = mech.restart_job([r.key for r in reqs])
+        results = [mech.restart(r.key) for r in reqs]
         assert len(results) == 2
         for res in results:
             k.run_until_exit(res.task, limit_ns=10**13)

@@ -25,13 +25,6 @@ class TestCostModel:
         assert c.pages_for(1) == 1
         assert c.pages_for(4096) == 1
         assert c.pages_for(4097) == 2
-        assert c.lines_for(64) == 1
-        assert c.lines_for(65) == 2
-
-    def test_tlb_penalty_capped_at_entries(self):
-        c = CostModel()
-        assert c.tlb_cold_penalty_ns(10) == 10 * c.tlb_refill_per_entry_ns
-        assert c.tlb_cold_penalty_ns(10_000) == c.tlb_entries * c.tlb_refill_per_entry_ns
 
     def test_replace_returns_modified_copy(self):
         c = CostModel()

@@ -40,13 +40,6 @@ def test_map_allocates_disjoint_page_aligned_ranges(mm):
     assert heap.npages == 16
 
 
-def test_find_vma_and_unmapped_address(mm):
-    heap = mm.vma("heap")
-    assert mm.find_vma(heap.start + 100) is heap
-    with pytest.raises(MemoryError_):
-        mm.find_vma(0x10)
-
-
 def test_duplicate_name_rejected(mm):
     with pytest.raises(MemoryError_):
         mm.map("heap", 4096)
@@ -93,10 +86,10 @@ def test_tracking_arm_clean_and_fault_flow(mm):
         mm.write_access(heap, p, 0, 8)
     armed = mm.protect_for_tracking(["heap"])
     assert armed == 4
-    assert mm.dirty_page_count(["heap"]) == 0
+    assert len(heap.dirty_pages()) == 0
     out = mm.write_access(heap, 2, 0, 8)
     assert out.tracking_fault
-    assert mm.dirty_page_count(["heap"]) == 1
+    assert len(heap.dirty_pages()) == 1
     assert list(heap.dirty_pages()) == [2]
 
 
@@ -295,8 +288,7 @@ def test_total_present_pages_and_iter(mm):
     for p in (0, 3, 7):
         mm.write_access(heap, p, 0, 4)
     assert mm.total_present_pages() == 3
-    pages = [(v.name, p) for v, p in mm.iter_present()]
-    assert ("heap", 3) in pages
+    assert list(heap.present_pages()) == [0, 3, 7]
 
 
 def _writes_into_pages(tree):

@@ -91,8 +91,8 @@ def test_user_handler_runs_in_user_mode_and_returns():
         return h()
 
     t = k.spawn_process("app", spin_factory())
-    k.register_handler(
-        t, Sig.SIGUSR2, SignalHandler(kind=HandlerKind.USER, program_factory=handler_factory)
+    t.signals.register(
+        Sig.SIGUSR2, SignalHandler(kind=HandlerKind.USER, program_factory=handler_factory)
     )
     k.run_for(500_000)
     k.post_signal(t.pid, Sig.SIGUSR2)
@@ -154,8 +154,7 @@ def test_reentrancy_hazard_detected():
 
     # Program spends every op inside malloc (non-reentrant region).
     t = k.spawn_process("app", spin_factory(iters=10_000, non_reentrant_every=1))
-    k.register_handler(
-        t,
+    t.signals.register(
         Sig.SIGALRM,
         SignalHandler(
             kind=HandlerKind.USER,
@@ -190,8 +189,8 @@ def test_signal_deferred_until_kernel_to_user_transition():
         return gen()
 
     t = k.spawn_process("app", factory)
-    k.register_handler(
-        t, Sig.SIGUSR2, SignalHandler(kind=HandlerKind.USER, program_factory=handler_factory)
+    t.signals.register(
+        Sig.SIGUSR2, SignalHandler(kind=HandlerKind.USER, program_factory=handler_factory)
     )
     k.run_for(1_000_000)
     post_time = k.engine.now_ns

@@ -221,19 +221,17 @@ class TestDispatchCosts:
             k.syscalls.dispatch(k, t, "nope", ())
 
     def test_module_syscall_stays_on_its_kernel(self):
-        """Each kernel's table is its own copy of the defaults: a call a
-        module registers on one kernel is absent on another."""
-        from repro.simkernel.modules import KernelModule
+        """Each kernel's table is its own copy of the defaults: a call an
+        extension registers on one kernel is absent on another."""
+        from repro.simkernel.modules import install_static
         from repro.simkernel.syscalls import SyscallResult
 
-        class Ckpt(KernelModule):
-            name = "ckpt"
-
-            def on_load(self):
-                self.add_syscall("checkpoint", lambda k, task: SyscallResult(7, 10))
+        def setup(kernel):
+            kernel.syscalls.register(
+                "checkpoint", lambda k, task: SyscallResult(7, 10))
 
         k1, k2 = Kernel(seed=1), Kernel(seed=2)
-        mod = Ckpt().load(k1)
+        install_static(k1, "ckpt", setup)
         t1 = k1.spawn_process("u", None, start=False)
         t2 = k2.spawn_process("u", None, start=False)
         assert k1.syscalls.has("checkpoint")
@@ -241,6 +239,4 @@ class TestDispatchCosts:
         assert not k2.syscalls.has("checkpoint")
         assert k2.syscalls.dispatch(k2, t2, "getpid", ())[0].value == t2.pid
         assert not Kernel(seed=3).syscalls.has("checkpoint")
-        mod.unload()
-        assert not k1.syscalls.has("checkpoint")
         assert k1.syscalls.has("getpid")

@@ -90,7 +90,6 @@ class TestVFS:
     def test_socket_identity(self):
         s = SocketFile("socket:[1]", 4000, "10.0.0.1:80")
         assert s.kind == "socket"
-        assert s.connected
         assert s.write(0, b"payload") == 7
 
     def test_paths_listing_sorted(self):
@@ -113,7 +112,6 @@ class _ToyModule(KernelModule):
     def on_load(self) -> None:
         self.add_device(DeviceNode("/dev/toy", on_ioctl=lambda t, c, a: 1))
         self.add_proc_entry(ProcEntry("/proc/toy", on_read=lambda: b"ok"))
-        self.add_syscall("toy_call", lambda k, task: None)
 
 
 class TestModules:
@@ -122,7 +120,6 @@ class TestModules:
         mod = _ToyModule().load(k)
         assert k.vfs.exists("/dev/toy")
         assert k.vfs.exists("/proc/toy")
-        assert k.syscalls.has("toy_call")
         assert "toy" in k.modules
 
     def test_unload_reverts_everything(self):
@@ -131,7 +128,6 @@ class TestModules:
         mod.unload()
         assert not k.vfs.exists("/dev/toy")
         assert not k.vfs.exists("/proc/toy")
-        assert not k.syscalls.has("toy_call")
         assert "toy" not in k.modules
 
     def test_double_load_rejected(self):
@@ -149,7 +145,7 @@ class TestModules:
     def test_registration_outside_load_rejected(self):
         mod = _ToyModule()
         with pytest.raises(RegistryError):
-            mod.add_syscall("x", lambda k, t: None)
+            mod.add_device(DeviceNode("/dev/x"))
 
     def test_static_extension_cannot_install_twice(self):
         k = Kernel(seed=1)

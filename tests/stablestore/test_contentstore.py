@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro.core.digest as digest
+from image_oracle import add_extent, add_page
 from repro.core.image import CheckpointImage, materialize_chain
 from repro.errors import StorageError
 from repro.obs.metrics import MetricsRegistry
@@ -27,7 +28,7 @@ def make_image(key, values, parent=None, vma="heap"):
         registers={"pc": 0}, parent_key=parent,
     )
     for i, val in enumerate(values):
-        img.add_page(vma, i, np.full(4096, val, dtype=np.uint8))
+        add_page(img, vma, i, np.full(4096, val, dtype=np.uint8))
     return img
 
 
@@ -217,8 +218,8 @@ class TestRowExtentReassembly:
         img = make_image("m/1/1", [1, 2])  # heap 0, 1
         img.add_block("heap", 2, 512, np.full(64, 5, dtype=np.uint8))
         for pidx, val in ((3, 3), (4, 4), (7, 7)):
-            img.add_page("heap", pidx, np.full(4096, val, dtype=np.uint8))
-        img.add_page("stack", 8, np.full(4096, 8, dtype=np.uint8))
+            add_page(img, "heap", pidx, np.full(4096, val, dtype=np.uint8))
+        add_page(img, "stack", 8, np.full(4096, 8, dtype=np.uint8))
         store.store(img.key, img, img.size_bytes, 0)
         assert store.peek(img.key).whole == [True, True, False, True, True, True, True]
         restored, _ = store.load(img.key, 0)
@@ -273,13 +274,13 @@ class TestShapeIndependence:
         pages = self._pages(gen)
         if shape == "pages":
             for i, page in enumerate(pages):
-                img.add_page("heap", i, page)
+                add_page(img, "heap", i, page)
         else:
             for first, n in self.RUNS:
                 if n == 1:
-                    img.add_page("heap", first, pages[first])
+                    add_page(img, "heap", first, pages[first])
                 else:
-                    img.add_extent("heap", first, pages[first : first + n].reshape(-1), n)
+                    add_extent(img, "heap", first, pages[first : first + n].reshape(-1), n)
         return img
 
     def _store_all(self, how):

@@ -322,10 +322,10 @@ class TestRepairScan:
         check()
         sc.fail_server(store.shard_holders("m/2/1")[1].server_id)
         check()
-        sc.repair_server(first.server_id)
+        sc.server(first.server_id).recover()
         check()
         sc.fail_server(first.server_id)
-        sc.repair_server(first.server_id, data_survived=False)
+        sc.server(first.server_id).recover(data_survived=False)
         check()
         while store.shard_count("m/3/1") >= store.k:
             sc.fail_server(min(store.shard_holders("m/3/1").values(),
@@ -338,7 +338,7 @@ class TestRepairScan:
         store.delete("m/4/1")
         check()
         for server in sc.servers:
-            sc.repair_server(server.server_id)
+            sc.server(server.server_id).recover()
         check()
 
 

@@ -179,7 +179,7 @@ class TestDemotion:
             h.store(f"w/{i}", PAYLOAD, len(PAYLOAD), 0)
         assert not scratch.exists("w/0")  # oldest demoted
         assert scratch.exists("w/1") and scratch.exists("w/2")
-        assert h.demotions == 1
+        assert engine.metrics.counter("hierarchy.scratch.evictions").value == 1
         # The demoted blob still reads (from the partner level).
         obj, _ = h.load("w/0", engine.now_ns)
         assert obj == PAYLOAD
@@ -194,7 +194,7 @@ class TestDemotion:
             h.store(f"w/{i}", PAYLOAD, len(PAYLOAD), 0)
         # Over capacity, but no other level holds the blobs: keep all.
         assert all(scratch.exists(f"w/{i}") for i in range(3))
-        assert h.demotions == 0
+        assert "hierarchy.scratch.evictions" not in engine.metrics
 
 
 class TestReprotect:

@@ -16,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from image_oracle import add_page
 from repro.core.image import CheckpointImage
 from repro.simkernel import Engine
 from repro.simkernel.process import Task
@@ -52,7 +53,7 @@ def image(key, parent, values):
         registers={}, parent_key=parent,
     )
     for i, v in enumerate(values):
-        img.add_page("heap", i, np.full(PAGE, v, dtype=np.uint8))
+        add_page(img, "heap", i, np.full(PAGE, v, dtype=np.uint8))
     return img
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from image_oracle import add_page
 from repro.cluster import Cluster
 from repro.core.checkpointer import RequestState
 from repro.core.direction import AutonomicCheckpointer
@@ -36,7 +37,7 @@ def make_image(key, values, parent=None, vma="heap"):
         registers={"pc": 0}, parent_key=parent,
     )
     for i, val in enumerate(values):
-        img.add_page(vma, i, np.full(4096, val, dtype=np.uint8))
+        add_page(img, vma, i, np.full(4096, val, dtype=np.uint8))
     return img
 
 
@@ -114,7 +115,7 @@ class TestReplicaWriteStream:
         pref = [s.server_id for s in store.candidates("m/1/1")]
         sc.fail_server(pref[0])
         st = store.open_stream("m/1/1", 0)
-        assert st.open_penalty_ns > 0  # timeout+backoff before rerouting
+        assert sum(p for _, p in st.placed) > 0  # timeout+backoff first
         st.commit("obj", 100, 0)
         assert store.exists("m/1/1")
         assert pref[0] not in store.holders("m/1/1")
@@ -439,21 +440,19 @@ class TestWritebackPipeline:
 
 
 class TestLatencyAggregates:
-    """Satellite: aggregates must not divide by zero on a fresh store."""
+    """Client-visible quorum latencies land in the engine's histograms."""
 
     def test_fresh_store_reports_zero_latency(self):
-        _, _, store = make_store()
-        assert store.avg_write_latency_ns == 0.0
-        assert store.avg_read_latency_ns == 0.0
-        assert store.last_write_latency_ns == 0
-        assert store.last_read_latency_ns == 0
+        engine, _, _ = make_store()
+        assert engine.metrics.get("storage.write_ns") is None
+        assert engine.metrics.get("storage.read_ns") is None
 
     def test_aggregates_populate_after_traffic(self):
-        _, _, store = make_store()
+        engine, _, store = make_store()
         store.store("m/1/1", "obj", 4096, 0)
         store.load("m/1/1", 0)
-        assert store.avg_write_latency_ns > 0.0
-        assert store.avg_read_latency_ns > 0.0
+        assert engine.metrics.get("storage.write_ns").mean > 0.0
+        assert engine.metrics.get("storage.read_ns").mean > 0.0
 
 
 def _wf(rank):

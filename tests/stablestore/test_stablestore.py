@@ -9,6 +9,7 @@ from repro.core.autonomic import AutonomicIntervalController, FailureRateEstimat
 from repro.core.checkpointer import RequestState
 from repro.core.direction import AutonomicCheckpointer
 from repro.errors import ClusterError, StorageError, StorageLostError
+from repro.obs import MetricsRegistry
 from repro.simkernel import Engine
 from repro.simkernel.costs import NS_PER_MS, NS_PER_S
 from repro.stablestore import (
@@ -173,7 +174,7 @@ class TestLifecycle:
         sc.fail_server(downed)
         store.delete("m/1/1")
         store.delete("m/1/1")  # no-op
-        sc.repair_server(downed, data_survived=True)
+        sc.server(downed).recover(data_survived=True)
         # Tombstone applied: the recovered server no longer serves it.
         assert store.replica_count("m/1/1") == 0
         assert not store.exists("m/1/1")
@@ -184,7 +185,7 @@ class TestLifecycle:
         sid = store.holders("m/1/1")[0]
         sc.fail_server(sid)
         assert store.replica_count("m/1/1") == 1
-        sc.repair_server(sid, data_survived=True)
+        sc.server(sid).recover(data_survived=True)
         assert store.replica_count("m/1/1") == 2
 
     def test_server_recovery_without_data_loses_replicas(self):
@@ -192,7 +193,7 @@ class TestLifecycle:
         store.store("m/1/1", b"", 100, 0)
         sid = store.holders("m/1/1")[0]
         sc.fail_server(sid)
-        sc.repair_server(sid, data_survived=False)
+        sc.server(sid).recover(data_survived=False)
         assert store.replica_count("m/1/1") == 1
         assert store.under_replicated() == ["m/1/1"]
 
@@ -251,11 +252,12 @@ class TestGenerationGC:
         for i in range(1, 6):
             store.store(f"A/7/{i}", _Img(), 1000, 0)
         store.store("A/8/1", _Img(), 500, 0)
-        gc = GenerationGC(store, keep=2)
+        metrics = MetricsRegistry()
+        gc = GenerationGC(store, keep=2, metrics=metrics)
         swept = gc.sweep()
         assert swept == ["A/7/1", "A/7/2", "A/7/3"]
         assert sorted(store.keys()) == ["A/7/4", "A/7/5", "A/8/1"]
-        assert gc.bytes_collected == 3000
+        assert metrics.counters()["storage.gc_bytes"] == 3000
 
     def test_protects_delta_ancestor_chains(self):
         _, _, store = make_store()
@@ -396,16 +398,3 @@ class TestAutonomicStorageFeedback:
             last = store.store(f"c/{i}/1", b"", 4 * 1024 * 1024, 0)
         assert last > first  # queued behind earlier writes on the link
 
-    def test_in_kernel_retune_from_attached_controller(self):
-        cl = Cluster(n_nodes=1, seed=9, storage_servers=3, replication=2)
-        node = cl.node(0)
-        mech = AutonomicCheckpointer(node.kernel, node.remote_storage)
-        ctrl = AutonomicIntervalController(FailureRateEstimator(prior_mtbf_s=2.0))
-        mech.attach_controller(ctrl)
-        task = wf(0).spawn(node.kernel)
-        mech.prepare_target(task)
-        mech.enable_automatic(task, 10 * NS_PER_MS)
-        cl.run_for(2 * NS_PER_S)
-        assert mech.retuned >= 1
-        assert ctrl.storage_latency_s is not None
-        assert ctrl.storage_latency_s > 0

@@ -51,8 +51,6 @@ class TestDevice:
         d.submit(0, 10)
         d.submit(0, 20)
         assert d.total_bytes == 30 and d.total_ops == 2
-        d.utilization_reset()
-        assert d.total_bytes == 0
 
 
 class TestBackends:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from image_oracle import add_extent, add_page
 from repro.analysis import (
     daly_interval_s,
     effective_utilization,
@@ -252,7 +253,7 @@ def test_tracking_reports_exactly_the_rewritten_pages(initial, rewritten):
     for p in initial:
         mm.write_access(heap, p, 0, 32)
     mm.protect_for_tracking(["heap"])
-    assert mm.dirty_page_count(["heap"]) == 0
+    assert len(heap.dirty_pages()) == 0
     for p in rewritten:
         mm.write_access(heap, p, 0, 32)
     # Dirty set == pages written since arming (old or new).
@@ -269,7 +270,7 @@ def _img(key, parent, writes, step):
         parent_key=parent,
     )
     for page, val in writes:
-        img.add_page("heap", page, np.full(4096, val % 256, dtype=np.uint8))
+        add_page(img, "heap", page, np.full(4096, val % 256, dtype=np.uint8))
     return img
 
 
@@ -336,9 +337,9 @@ def test_extent_capture_and_dedup_roundtrip_byte_exact(writes):
     for _, start, npages in _extent_runs(pages):
         data = np.concatenate([content[start + i] for i in range(npages)])
         if npages == 1:
-            coalesced.add_page("heap", start, data)
+            add_page(coalesced, "heap", start, data)
         else:
-            coalesced.add_extent("heap", start, data, npages)
+            add_extent(coalesced, "heap", start, data, npages)
     assert coalesced.payload_bytes == per_page.payload_bytes
 
     store = ContentStore(MemoryStorage())
@@ -374,7 +375,7 @@ def test_materialize_chain_extent_split_merge_matches_naive(npages, deltas):
     for i in range(npages):
         expected[i] = i + 1
     base = _img("k0", None, [], step=0)
-    base.add_extent("heap", 0, expected.reshape(-1), npages)
+    add_extent(base, "heap", 0, expected.reshape(-1), npages)
 
     images = [base]
     for j, (p, off, ln, val) in enumerate(deltas):
