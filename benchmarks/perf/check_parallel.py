@@ -8,7 +8,10 @@ stdlib:
   failure-storm fleet (``scenarios.storm``, the one ``run_bench.py``
   times) is the same bytes for 1, 2 and 4 shards, and the
   persistent-worker process backend folds to the same bytes as the
-  in-process reference;
+  in-process reference, also over an uneven split (4 shards on 3
+  workers: the host steps two, each child one); a restart-traffic run
+  stopped at its first failure, with envelopes in flight, folds to the
+  same bytes over the process backend as in one shard;
 * the all-cross-shard **ring traffic** scenario delivers every message
   exactly once (sent == received, xor digest identical across shard
   counts) -- the barrier exchange neither drops nor duplicates;
@@ -44,6 +47,22 @@ from repro.runner import run_parallel
 from repro.simkernel.costs import NS_PER_S, NS_PER_US
 
 MIN_SPEEDUP = 1.5
+PROP_NS = 2_000_000
+
+
+def restart(shards: int, workers: int = 1, stop: bool = False):
+    """Seeded restart traffic: every failure reads an image from the
+    sharded storage tier; ``stop`` ends the run at the first failure."""
+    return run_parallel(
+        "repro.cluster.scenarios:fleet_restart_traffic",
+        {"n_nodes": 256, "mtbf_s": 2_000.0, "repair_s": 120.0,
+         "n_servers": 5, "image_bytes": 1 << 20,
+         "propagation_ns": PROP_NS, "service_floor_ns": 5_000_000,
+         "ns_per_byte": 0.01, "stop_on_first_failure": stop},
+        seed=11, n_shards=shards, horizon_ns=900 * NS_PER_S,
+        lookahead_ns=PROP_NS, workers=workers,
+        meta={"experiment": "smoke-restart", "seed": 11},
+    )
 
 
 def main() -> int:
@@ -56,13 +75,27 @@ def main() -> int:
         if runs[s].obs_json != ref:
             print(f"FAIL: {s}-shard folded export differs from 1-shard")
             status = 1
-    procs = storm(4, workers=bench_workers())
-    if procs.obs_json != ref:
-        print("FAIL: process-backend folded export differs from in-process")
+    for workers in sorted({bench_workers(), 3}):
+        if storm(4, workers=workers).obs_json != ref:
+            print(f"FAIL: folded export over {workers} workers differs "
+                  "from in-process")
+            status = 1
+    stopped = restart(1, stop=True)
+    stopped_procs = restart(4, workers=2, stop=True)
+    if not (stopped.stats.stopped and stopped_procs.stats.stopped
+            and stopped_procs.stats.window_exchanges[-1] > 0):
+        print("FAIL: the stopped restart-traffic run did not stop with "
+              "envelopes in flight")
+        status = 1
+    if stopped_procs.obs_json != stopped.obs_json:
+        print("FAIL: stopped restart-traffic export over 2 workers "
+              "differs from the 1-shard in-process run")
         status = 1
     if not status:
         print(f"identity: storm exports byte-identical for 1/2/4 shards "
-              f"and the process backend ({len(ref)}B folded doc)")
+              f"and the process backend, 4 shards on 3 workers included "
+              f"({len(ref)}B folded doc); stopped restart traffic "
+              f"identical over 2 workers")
 
     # 2. Ring traffic: exactly-once across the barrier exchange.
     hop_ns = 50 * NS_PER_US
@@ -90,20 +123,6 @@ def main() -> int:
 
     # 3. Restart traffic: cross-shard envelopes actually flow, in-process
     #    and through the worker processes.
-    prop_ns = 2_000_000
-
-    def restart(shards: int, workers: int = 1):
-        return run_parallel(
-            "repro.cluster.scenarios:fleet_restart_traffic",
-            {"n_nodes": 256, "mtbf_s": 2_000.0, "repair_s": 120.0,
-             "n_servers": 5, "image_bytes": 1 << 20,
-             "propagation_ns": prop_ns, "service_floor_ns": 5_000_000,
-             "ns_per_byte": 0.01},
-            seed=11, n_shards=shards, horizon_ns=900 * NS_PER_S,
-            lookahead_ns=prop_ns, workers=workers,
-            meta={"experiment": "smoke-restart", "seed": 11},
-        )
-
     rt1, rt4, rt_procs = restart(1), restart(4), restart(4, workers=2)
     c = rt4.obs["metrics"]["counters"]
     print(f"restart: {c['sstore.requests']} reads, {c['sstore.acks']} acks, "

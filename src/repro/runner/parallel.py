@@ -7,23 +7,27 @@ the one entry point experiments call:
     Build ``n_shards`` shard contexts from a scenario factory, drive
     them through conservative windows to the horizon, export each
     shard's ``repro.obs`` document and fold them into one canonical
-    document (:mod:`repro.obs.fold`).  ``workers=1`` steps every shard
-    in-process (:class:`~repro.simkernel.parallel.LocalShardGroup` --
-    the determinism reference); ``workers > 1`` spreads shards over
-    **persistent worker processes**.
+    document (:mod:`repro.obs.fold`).  ``workers`` counts the processes
+    that step shards: ``workers=1`` steps every shard in-process
+    (:class:`~repro.simkernel.parallel.LocalShardGroup` -- the
+    determinism reference); ``workers > 1`` makes the host worker 0 and
+    spreads the other shards over ``workers - 1`` **persistent worker
+    processes**.
 
-Every worker steps its own shards with a
+Every worker, the host included, steps its own shards with a
 :class:`~repro.simkernel.parallel.LocalShardGroup`, so one class steps
 shards at every worker count.  The worker protocol is the
 :class:`~repro.simkernel.parallel.ShardGroup` method names: the host
 sends ``(method, args)`` as a pickle over a pipe (DESIGN.md section
 10.5 records why pipes are the only transport) and the worker answers
-with that method's return value.  A barrier window costs one round trip
-(``window_all`` delivers the last barrier's inboxes, then runs),
-sent to all workers before any is collected, so shards advance
-concurrently.  Workers are persistent: spawned once per run, not per
-window.  A worker that dies raises :class:`WorkerDiedError`; one that
-sends nothing for :data:`_REPLY_DEADLINE_S` is killed and raises
+with that method's return value.  A barrier window costs at most one
+round trip per child (``window_all`` delivers the last barrier's
+inboxes, then runs): the host sends to the children, steps its own
+shards, then collects, so all workers advance concurrently.  A child
+with no inbox and no event due in a window is not sent it at all.
+Workers are persistent: forked once per run, not per window.  A worker
+that dies raises :class:`WorkerDiedError`; one that sends nothing for
+:data:`_REPLY_DEADLINE_S` is killed and raises
 :class:`WorkerHungError`.  Both name the worker and its shards.
 
 Determinism: both backends run the same driver loop and the same
@@ -36,11 +40,9 @@ canonical envelope key, so the folded export is byte-identical across
 from __future__ import annotations
 
 import multiprocessing as mp
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import SimulationError
 from ..obs import MetricsRegistry, to_json
 from ..obs.fold import fold_exports, strip_metrics
 from ..simkernel.engine import Engine
@@ -96,10 +98,6 @@ class WorkerHungError(WorkerDiedError):
 #: a loaded host never trips it, yet a hang still ends in bounded time.
 _REPLY_DEADLINE_S = 120.0
 
-#: The ShardGroup methods a worker answers; anything else is a protocol
-#: error.  ``close`` ends the worker loop without a reply.
-_VERBS = ("status_all", "window_all", "deliver_all", "export_all", "close")
-
 
 def _resolve_factory(spec: FactorySpec) -> Callable:
     """Accept a top-level callable or a ``"module:function"`` name."""
@@ -142,7 +140,6 @@ def _local_group(
 # ----------------------------------------------------------------------
 def _worker_main(
     conn,
-    paths: List[str],
     factory_name: str,
     params: Dict[str, Any],
     seed: int,
@@ -150,17 +147,16 @@ def _worker_main(
     n_shards: int,
     lookahead_ns: Optional[int],
 ) -> None:
-    for p in reversed(paths):
-        if p not in sys.path:
-            sys.path.insert(0, p)
+    # Either start method gives the worker the host's sys.path, so the
+    # factory imports by name here as it did there.
     group = _local_group(factory_name, params, seed, shard_ids, n_shards,
                          lookahead_ns)
     try:
+        # The verbs are the ShardGroup method names.  The host calls each
+        # on its own shards too, so a verb no group has fails there.
         while True:
             verb, args = conn.recv()
-            if verb not in _VERBS:  # pragma: no cover - protocol guard
-                raise SimulationError(f"unknown worker verb {verb!r}")
-            if verb == "close":
+            if verb == "close":  # ends the loop without a reply
                 break
             conn.send(getattr(group, verb)(*args))
     finally:
@@ -169,14 +165,23 @@ def _worker_main(
 
 
 class ProcessShardGroup(ShardGroup):
-    """Shards spread over persistent worker processes.
+    """Shards spread over the host and persistent worker processes.
 
-    Shard ``i`` lives on worker ``i % workers`` (so a 4-shard run with
-    4 workers is one shard per process), inside that worker's
-    :class:`~repro.simkernel.parallel.LocalShardGroup`.  Every method
-    is forwarded to all workers first and collected second, and the
-    answers are put back in shard-id order, so the driver sees the
-    exact same reply layout as the local group.
+    Shard ``i`` lives on worker ``i % workers``, inside that worker's
+    :class:`~repro.simkernel.parallel.LocalShardGroup`.  Worker 0 is
+    the host itself; workers ``1 .. workers - 1`` are child processes.
+    Every method is sent to the children first, run on the host's
+    shards next and collected from the children last, and the answers
+    are put back in shard-id order, so the driver sees the exact same
+    reply layout as the local group.
+
+    A child none of whose shards has an inbox or an event due by a
+    window's end is not sent that window: each of its shards answers
+    its last ``next_ns``, nothing processed, no stop.  That is exact,
+    because a shard's state changes only through events and
+    deliveries.  The skipped child's clocks lag the barrier, so before
+    a later ``deliver_all`` or ``export_all`` it is parked at the last
+    window end, where the in-process run leaves every clock.
     """
 
     def __init__(
@@ -199,29 +204,42 @@ class ProcessShardGroup(ShardGroup):
             ctx = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             ctx = mp.get_context("spawn")
-        self._conns = []
-        self._procs = []
         self._owned = [[sid for sid in range(self.size) if sid % workers == w]
                        for w in range(workers)]
-        for shard_ids in self._owned:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child, list(sys.path), name, dict(params), seed,
-                      shard_ids, self.size, lookahead_ns),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            self._conns.append(parent)
-            self._procs.append(proc)
+        # Worker w >= 1 is the child at _conns[w - 1] / _procs[w - 1].
+        self._conns = []
+        self._procs = []
+        # Each shard's next event time as of its last reply (0, a lower
+        # bound, until one arrives), the last window end, and the
+        # children that window skipped.
+        self._next: List[Optional[int]] = [0] * self.size
+        self._end, self._lagging = 0, []
+        try:
+            for shard_ids in self._owned[1:]:
+                parent, child = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_worker_main,
+                    args=(child, name, dict(params), seed, shard_ids,
+                          self.size, lookahead_ns),
+                    daemon=True,
+                )
+                proc.start()
+                child.close()
+                self._conns.append(parent)
+                self._procs.append(proc)
+            # Built after the forks, so no child inherits these shards.
+            self._host = _local_group(name, params, seed, self._owned[0],
+                                      self.size, lookahead_ns)
+        except BaseException:
+            self._close_children()
+            raise
 
     # ------------------------------------------------------------------
     # Pipe wrappers: a dead or hung worker raises a named error.
     # ------------------------------------------------------------------
     def _failure(self, w: int, reason: str,
                  cls: type = WorkerDiedError) -> WorkerDiedError:
-        proc = self._procs[w]
+        proc = self._procs[w - 1]
         proc.join(timeout=1)
         code = proc.exitcode
         return cls(
@@ -232,51 +250,76 @@ class ProcessShardGroup(ShardGroup):
 
     def _send(self, w: int, msg: tuple) -> None:
         try:
-            self._conns[w].send(msg)
+            self._conns[w - 1].send(msg)
         except (BrokenPipeError, OSError) as exc:
             raise self._failure(w, f"died mid-run: {exc!r}") from exc
 
     def _recv(self, w: int) -> Any:
+        conn = self._conns[w - 1]
         try:
             # Data or EOF ends the wait at once, so a dead worker still
             # surfaces as WorkerDiedError from recv().
-            if self._conns[w].poll(_REPLY_DEADLINE_S):
-                return self._conns[w].recv()
+            if conn.poll(_REPLY_DEADLINE_S):
+                return conn.recv()
         except (EOFError, OSError) as exc:
             raise self._failure(w, f"died mid-run: {exc!r}") from exc
-        self._procs[w].kill()  # so close() need not wait on it
+        self._procs[w - 1].kill()  # so close() need not wait on it
         raise self._failure(w, f"sent no reply within {_REPLY_DEADLINE_S} s "
                                "and was killed", WorkerHungError)
 
     def _forward(self, verb: str, *args: Any,
-                 inboxes: Optional[Inboxes] = None) -> List[Any]:
-        """Call ``verb`` on every worker's shard group, passing each only
-        its own shards' ``inboxes``; per-shard answers in shard-id order.
+                 inboxes: Optional[Inboxes] = None,
+                 to: Optional[Sequence[int]] = None) -> List[Any]:
+        """Call ``verb`` on workers ``to`` (ascending; default all),
+        passing each only its own shards' ``inboxes``; per-shard answers
+        in shard-id order, None for the shards of workers not called.
 
-        All workers are sent to before any is read, so they step
-        concurrently.
+        The children are sent to first; the host (worker 0) then steps
+        its own shards while they step theirs, and their replies are
+        read last.
         """
-        for w, owned in enumerate(self._owned):
-            extra = () if inboxes is None else (
-                {sid: inboxes[sid] for sid in owned if sid in inboxes},)
-            self._send(w, (verb, args + extra))
+        to = range(len(self._owned)) if to is None else to
+        calls = {w: args if inboxes is None else args + (
+            {sid: inboxes[sid] for sid in self._owned[w] if sid in inboxes},)
+            for w in to}
+        for w in to:
+            if w:
+                self._send(w, (verb, calls[w]))
         answers: List[Any] = [None] * self.size
-        for w, owned in enumerate(self._owned):
-            reply = self._recv(w)
+        for w in to:
+            reply = self._recv(w) if w else getattr(self._host, verb)(*calls[0])
             if reply is not None:  # deliver_all answers nothing
-                for sid, answer in zip(owned, reply):
+                for sid, answer in zip(self._owned[w], reply):
                     answers[sid] = answer
         return answers
+
+    def _park(self) -> None:
+        """Bring the children the last window skipped to its end."""
+        self._forward("window_all", self._end, inboxes={}, to=self._lagging)
+        self._lagging = []
 
     # ------------------------------------------------------------------
     def status_all(self) -> List[Optional[int]]:
         """Each shard's next pending event time (None when drained)."""
-        return self._forward("status_all")
+        self._next = self._forward("status_all")
+        return list(self._next)
 
     def window_all(self, end_ns: int, inboxes: Inboxes) -> List[WindowReply]:
         """Deliver ``inboxes`` and run every shard to ``end_ns``; one
-        reply per shard."""
-        return self._forward("window_all", end_ns, inboxes=inboxes)
+        reply per shard.  Idle children are skipped (see the class
+        docstring)."""
+        nexts = self._next
+        due = [w for w, owned in enumerate(self._owned) if not w or any(
+            sid in inboxes or (nexts[sid] is not None and nexts[sid] <= end_ns)
+            for sid in owned)]
+        replies = self._forward("window_all", end_ns, inboxes=inboxes, to=due)
+        self._end = end_ns
+        self._lagging = [w for w in range(len(self._owned)) if w not in due]
+        for sid, reply in enumerate(replies):
+            if reply is None:
+                replies[sid] = WindowReply([], nexts[sid], 0, False)
+            nexts[sid] = replies[sid].next_ns
+        return replies
 
     # Bound here (not just inherited) because the host-time benchmark
     # trace times the barrier exchange through this class attribute.
@@ -284,15 +327,21 @@ class ProcessShardGroup(ShardGroup):
 
     def deliver_all(self, inboxes: Inboxes) -> None:
         """Deliver the last barrier's batches after a stopped run."""
+        self._park()
         self._forward("deliver_all", inboxes=inboxes)
 
     def export_all(self, meta: Mapping[str, Any]) -> List[Tuple[Dict[str, Any], Any]]:
         """One obs document and scenario result per shard, in shard-id
         order."""
+        self._park()
         return self._forward("export_all", dict(meta))
 
     def close(self) -> None:
         """Shut the workers down (terminate any that hang on join)."""
+        self._host.close()
+        self._close_children()
+
+    def _close_children(self) -> None:
         for conn in self._conns:
             try:
                 conn.send(("close", ()))
@@ -361,8 +410,9 @@ def run_parallel(
         (tighter stop-flag sampling) but never larger.  With neither
         set, the run is one window to the horizon.
     workers:
-        1 = in-process reference backend; >1 = persistent worker
-        processes (capped at ``n_shards``).
+        How many processes step shards, capped at ``n_shards`` first.
+        1 = the in-process reference backend; ``N > 1`` = the host plus
+        ``N - 1`` persistent worker processes.
     transport:
         ``"auto"`` or ``"pipe"``; both select the one process transport
         (pickles over pipes).  Any other value raises
@@ -384,6 +434,7 @@ def run_parallel(
     meta = dict(meta or {})
     registry = MetricsRegistry()
     group: ShardGroup
+    workers = min(workers, n_shards)
     if workers == 1:
         group = _local_group(factory, params, seed, range(n_shards),
                              n_shards, lookahead_ns)

@@ -10,6 +10,7 @@ send and deliver time, and the window driver skips idle virtual time.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
@@ -36,6 +37,7 @@ from repro.runner import (
     run_parallel,
 )
 from repro.runner import parallel as runner_parallel
+from repro.cluster.scenarios import ring_traffic
 
 
 def make_ctx(shard_id=0, n_shards=1, lookahead_ns=1000):
@@ -273,6 +275,48 @@ def _run(scenario, seed, size, shards, workers=1):
     )
 
 
+def _stopped(shards, workers):
+    """Restart traffic stopped at the first failure (seed 7: a failure
+    on shard 2 of 4, with envelopes in flight at the stop)."""
+    prop = 2_000_000
+    return run_parallel(
+        "repro.cluster.scenarios:fleet_restart_traffic",
+        {"n_nodes": 64, "mtbf_s": 300.0, "repair_s": 60.0,
+         "n_servers": 3, "image_bytes": 1 << 18,
+         "propagation_ns": prop, "service_floor_ns": 4_000_000,
+         "ns_per_byte": 0.05, "stop_on_first_failure": True},
+        7, n_shards=shards, horizon_ns=600 * NS_PER_S,
+        lookahead_ns=prop, workers=workers,
+        meta={"experiment": "stopped-restart", "seed": 7},
+    )
+
+
+def _log_child_calls(monkeypatch):
+    """Record the driver's group calls and every message sent to a child,
+    in order, as ``("call", verb)`` and ``("send", worker, verb)``."""
+    log = []
+    for verb in ("window_all", "deliver_all", "export_all"):
+        def call(self, *args, _verb=verb, _orig=getattr(ProcessShardGroup, verb)):
+            log.append(("call", _verb))
+            return _orig(self, *args)
+        monkeypatch.setattr(ProcessShardGroup, verb, call)
+    send = ProcessShardGroup._send
+
+    def counting_send(self, w, msg):
+        log.append(("send", w, msg[0]))
+        return send(self, w, msg)
+
+    monkeypatch.setattr(ProcessShardGroup, "_send", counting_send)
+    return log
+
+
+def fail_on_host_shard(ctx, params, seed):
+    """A scenario factory that fails for shard 0 only (the host's)."""
+    if ctx.shard_id == 0:
+        raise RuntimeError("shard 0 build failed")
+    return ring_traffic(ctx, params, seed)
+
+
 class TestByteIdentity:
     @settings(deadline=None, max_examples=12)
     @given(scenario=SCENARIOS,
@@ -304,28 +348,26 @@ class TestByteIdentity:
         assert procs.obs_json == local.obs_json
         assert procs.shard_results == local.shard_results
 
-    def test_stopped_run_with_envelopes_in_flight(self):
+    def test_stopped_run_with_envelopes_in_flight(self, monkeypatch):
         """A stop-flag run ends with a routed, undelivered barrier batch:
-        the stop path delivers it the same way at every topology."""
-        prop = 2_000_000
-
-        def stopped(shards, workers):
-            return run_parallel(
-                "repro.cluster.scenarios:fleet_restart_traffic",
-                {"n_nodes": 64, "mtbf_s": 300.0, "repair_s": 60.0,
-                 "n_servers": 3, "image_bytes": 1 << 18,
-                 "propagation_ns": prop, "service_floor_ns": 4_000_000,
-                 "ns_per_byte": 0.05, "stop_on_first_failure": True},
-                7, n_shards=shards, horizon_ns=600 * NS_PER_S,
-                lookahead_ns=prop, workers=workers,
-                meta={"experiment": "stopped-restart", "seed": 7},
-            )
-
-        runs = [stopped(1, 1), stopped(4, 1), stopped(4, 2)]
+        the stop path delivers it the same way at every topology.  Over
+        two workers the child is idle in the stopping window, so it is
+        skipped there and parked at the barrier before the delivery."""
+        log = _log_child_calls(monkeypatch)
+        runs = [_stopped(1, 1), _stopped(4, 1), _stopped(4, 2)]
         for res in runs:
             assert res.stats.stopped
             assert res.stats.window_exchanges[-1] > 0
         assert runs[0].obs_json == runs[1].obs_json == runs[2].obs_json
+        assert runs[2].shard_obs == runs[1].shard_obs
+        assert runs[2].stats == runs[1].stats
+        # The stopping window sends the child nothing; deliver_all first
+        # parks it with a window_all, then delivers.
+        stop_window = max(i for i, e in enumerate(log)
+                          if e == ("call", "window_all"))
+        assert log[stop_window + 1:stop_window + 4] == [
+            ("call", "deliver_all"), ("send", 1, "window_all"),
+            ("send", 1, "deliver_all")]
 
     def test_single_shard_requires_no_lookahead(self):
         res = run_parallel(
@@ -369,7 +411,7 @@ class TestProcessBackend:
         group = _ring_group()
         try:
             group.status_all()  # workers are alive and answering
-            victim = group._procs[1]
+            victim = group._procs[0]  # worker 1, the only child
             victim.kill()
             victim.join(timeout=10)
             with pytest.raises(WorkerDiedError) as exc_info:
@@ -387,7 +429,7 @@ class TestProcessBackend:
         group = _ring_group()
         try:
             group.status_all()  # workers are alive and answering
-            os.kill(group._procs[1].pid, signal.SIGSTOP)
+            os.kill(group._procs[0].pid, signal.SIGSTOP)  # worker 1
             with pytest.raises(WorkerHungError) as exc_info:
                 group.window_all(NS_PER_S, {})
             err = exc_info.value
@@ -400,19 +442,19 @@ class TestProcessBackend:
         assert time.monotonic() - t0 < 5.0
 
     def test_one_round_trip_per_window(self, monkeypatch):
-        sent = []
-        send = ProcessShardGroup._send
-
-        def counting_send(self, w, msg):
-            sent.append(msg[0])
-            return send(self, w, msg)
-
-        monkeypatch.setattr(ProcessShardGroup, "_send", counting_send)
-        res = _run("ring", 5, 12, 3, workers=2)
-        assert not res.stats.stopped
-        # One window_all per barrier window plus the horizon park.
-        assert sent.count("window_all") == 2 * (res.stats.windows + 1)
-        assert "deliver_all" not in sent
+        log = _log_child_calls(monkeypatch)
+        for workers in (2, 3):
+            log.clear()
+            res = _run("ring", 5, 12, 3, workers=workers)
+            assert not res.stats.stopped
+            # At most one window_all per child per barrier window plus
+            # the horizon park (a child parked before the export was
+            # skipped at the horizon), and fewer: idle children are
+            # skipped.
+            for w in range(1, workers):
+                sent = [e[2] for e in log if e[:2] == ("send", w)]
+                assert 0 < sent.count("window_all") < res.stats.windows + 1
+                assert "deliver_all" not in sent
 
     def test_pipe_matches_local(self):
         local = _run("ring", 5, 12, 3, workers=1)
@@ -431,6 +473,41 @@ class TestProcessBackend:
         h = procs.barrier_obs["histograms"]
         assert h["parallel.window_exchange"]["count"] == procs.stats.windows
         assert h["parallel.window_span_ns"]["count"] == procs.stats.windows
+
+    def test_host_build_failure_closes_children(self):
+        """The host builds its shards after forking; when that build
+        raises, the children already started are shut down."""
+        hop = 50 * NS_PER_US
+        with pytest.raises(RuntimeError, match="shard 0 build failed"):
+            ProcessShardGroup(
+                f"{__name__}:fail_on_host_shard",
+                {"n_ranks": 12, "hop_ns": hop, "hops": 5,
+                 "msgs_per_rank": 2}, 5,
+                n_shards=3, lookahead_ns=hop, workers=3,
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_run_without_a_child_is_local(self):
+        """workers is capped at n_shards before the backend is chosen."""
+        res = run_parallel("repro.cluster.scenarios:fleet_storm",
+                           {"n_nodes": 16, "mtbf_s": 200.0}, 3,
+                           n_shards=1, horizon_ns=600 * NS_PER_S, workers=2)
+        assert res.transport == "local"
+
+    @pytest.mark.parametrize("shards", [3, 4, 5])
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_every_split_matches_local(self, workers, shards):
+        """Host-as-worker-0 plus idle-child skips leave every output of
+        the in-process run unchanged: folded and per-shard exports,
+        scenario results and the barrier tally, stopped runs included."""
+        for run in (lambda w: _run("restart", 31, 24, shards, workers=w),
+                    lambda w: _stopped(shards, w)):
+            local, procs = run(1), run(workers)
+            assert procs.transport == "pipe"
+            assert procs.obs_json == local.obs_json
+            assert procs.shard_obs == local.shard_obs
+            assert procs.shard_results == local.shard_results
+            assert procs.stats == local.stats
 
     def test_exit_leaves_no_error(self):
         group = _ring_group()
