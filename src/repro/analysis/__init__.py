@@ -4,8 +4,6 @@ from .interval import (
     daly_interval_s,
     effective_utilization,
     expected_completion_time_s,
-    optimal_interval_search_s,
-    young_interval_s,
 )
 from .reliability import (
     MTBFRow,
@@ -15,11 +13,9 @@ from .reliability import (
 )
 
 __all__ = [
-    "young_interval_s",
     "daly_interval_s",
     "expected_completion_time_s",
     "effective_utilization",
-    "optimal_interval_search_s",
     "MTBFRow",
     "mtbf_table",
     "expected_attempts_without_ckpt",

@@ -4,8 +4,9 @@ The autonomic policies the paper calls for ("adjustment of the
 checkpoint interval to the failure rate of the system") need a model of
 how interval choice trades checkpoint overhead against expected rework.
 Young's first-order optimum and Daly's higher-order refinement are the
-standard results; :func:`expected_completion_time_s` gives the full
-expected-makespan model used to score policies in E15/E18.
+standard results; :func:`daly_interval_s` computes the latter, and
+:func:`expected_completion_time_s` gives the full expected-makespan
+model used to score policies in E15/E18.
 
 All arguments in seconds.
 """
@@ -17,11 +18,9 @@ import math
 from ..errors import ReproError
 
 __all__ = [
-    "young_interval_s",
     "daly_interval_s",
     "expected_completion_time_s",
     "effective_utilization",
-    "optimal_interval_search_s",
 ]
 
 
@@ -30,12 +29,6 @@ def _check(checkpoint_cost_s: float, mtbf_s: float) -> None:
         raise ReproError("checkpoint cost must be positive")
     if mtbf_s <= 0:
         raise ReproError("MTBF must be positive")
-
-
-def young_interval_s(checkpoint_cost_s: float, mtbf_s: float) -> float:
-    """Young's first-order optimum: ``sqrt(2 * C * M)``."""
-    _check(checkpoint_cost_s, mtbf_s)
-    return math.sqrt(2.0 * checkpoint_cost_s * mtbf_s)
 
 
 def daly_interval_s(checkpoint_cost_s: float, mtbf_s: float) -> float:
@@ -100,36 +93,3 @@ def effective_utilization(
         work_s, interval_s, checkpoint_cost_s, restart_cost_s, mtbf_s
     )
     return work_s / total if total > 0 else 1.0
-
-
-def optimal_interval_search_s(
-    checkpoint_cost_s: float,
-    restart_cost_s: float,
-    mtbf_s: float,
-) -> float:
-    """Numeric optimum of :func:`expected_completion_time_s` (golden
-    section), used to validate the closed forms and to drive the
-    autonomic controller when costs are measured rather than assumed."""
-    _check(checkpoint_cost_s, mtbf_s)
-    lo = checkpoint_cost_s / 10.0
-    hi = 10.0 * mtbf_s
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def f(tau: float) -> float:
-        return expected_completion_time_s(
-            3600.0, tau, checkpoint_cost_s, restart_cost_s, mtbf_s
-        )
-
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    for _ in range(200):
-        if f(c) < f(d):
-            b = d
-        else:
-            a = c
-        c = b - phi * (b - a)
-        d = a + phi * (b - a)
-        if abs(b - a) < 1e-6 * (1.0 + abs(b)):
-            break
-    return (a + b) / 2.0

@@ -65,16 +65,13 @@ def mtbf_table(node_mtbf_h: float, node_counts: List[int]) -> List[MTBFRow]:
     if node_mtbf_h <= 0:
         raise ReproError("node MTBF must be positive")
     day_s = 86_400.0
-    rows = []
-    for n in node_counts:
-        m_sys_s = system_mtbf_s(node_mtbf_h * 3600.0, n)
-        p = p_survive(day_s, node_mtbf_h * 3600.0, n)
-        rows.append(
-            MTBFRow(
-                n_nodes=n,
-                system_mtbf_h=m_sys_s / 3600.0,
-                p_complete_1d=p,
-                expected_attempts_1d=(math.inf if p == 0 else 1.0 / p),
-            )
+    node_mtbf_s = node_mtbf_h * 3600.0
+    return [
+        MTBFRow(
+            n_nodes=n,
+            system_mtbf_h=system_mtbf_s(node_mtbf_s, n) / 3600.0,
+            p_complete_1d=p_survive(day_s, node_mtbf_s, n),
+            expected_attempts_1d=expected_attempts_without_ckpt(day_s, node_mtbf_s, n),
         )
-    return rows
+        for n in node_counts
+    ]

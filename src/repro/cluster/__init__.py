@@ -10,7 +10,7 @@ from .failures import (
     p_survive,
     system_mtbf_s,
 )
-from .partition import shard_of, shard_range, shard_ranges
+from .partition import shard_of, shard_range
 from .shardfleet import ShardFleet, trial_first_failure_s
 from .job import (
     CheckpointCoordinator,
@@ -38,7 +38,6 @@ __all__ = [
     "CommunicatingJob",
     "BatchManager",
     "indexed_uniforms",
-    "shard_ranges",
     "shard_range",
     "shard_of",
     "ShardFleet",

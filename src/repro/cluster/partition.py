@@ -15,30 +15,11 @@ properties matter:
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from ..errors import ClusterError
 
-__all__ = ["shard_ranges", "shard_range", "shard_of"]
-
-
-def shard_ranges(n_items: int, n_shards: int) -> List[Tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` ranges, one per shard, covering
-    ``range(n_items)``."""
-    if n_shards < 1:
-        raise ClusterError("need at least one shard")
-    if n_items < n_shards:
-        raise ClusterError(
-            f"cannot spread {n_items} machines over {n_shards} shards"
-        )
-    base, extra = divmod(n_items, n_shards)
-    ranges = []
-    lo = 0
-    for k in range(n_shards):
-        hi = lo + base + (1 if k < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
+__all__ = ["shard_range", "shard_of"]
 
 
 def shard_range(shard_id: int, n_items: int, n_shards: int) -> Tuple[int, int]:

@@ -26,7 +26,7 @@ interaction goes through ``ctx.send``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..errors import ClusterError
 from ..simkernel.parallel import ShardContext

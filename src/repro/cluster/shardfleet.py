@@ -5,7 +5,7 @@ costs one Python closure plus one engine event per node up front.  A
 :class:`ShardFleet` keeps a cohort's failure/repair process in NumPy
 arrays instead and drives it with one dispatcher event at the earliest
 pending transition.  It owns the contiguous global-id range ``[lo, hi)``
-of a fleet partitioned by :func:`~repro.cluster.partition.shard_ranges`;
+of a fleet partitioned by :func:`~repro.cluster.partition.shard_range`;
 a single-engine cohort is just ``ShardFleet(engine, 0, n, model)``.
 
 Every draw comes from the **counter-based per-node streams** of

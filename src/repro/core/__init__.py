@@ -12,7 +12,6 @@ from .features import (
     Initiation,
     PAPER_TABLE1,
     TABLE1_COLUMNS,
-    build_feature_matrix,
     table1_row,
 )
 from .image import (
@@ -34,7 +33,6 @@ __all__ = [
     "Initiation",
     "PAPER_TABLE1",
     "TABLE1_COLUMNS",
-    "build_feature_matrix",
     "table1_row",
     "CheckpointImage",
     "Chunk",

@@ -379,8 +379,8 @@ class Checkpointer:
 
         Runs after a delta completes when :attr:`compaction_threshold`
         is set: the chain is prefetched in parallel, flattened, and the
-        flat image stored under ``<tip>+flat`` (a key shape generation
-        GC never parses, so only this policy manages it).  Future
+        flat image stored under ``<tip>+flat`` (only this policy
+        deletes it).  Future
         restarts of the tip read the single flat blob.  Returns the flat
         key, or None when no compaction happened.
         """

@@ -3,9 +3,9 @@
 Table 1 of the paper summarizes each surveyed mechanism over five
 columns: incremental checkpointing, transparency, stable storage,
 initiation, and kernel-module packaging.  Here the columns are typed
-(:class:`Features`) and the matrix is *derived from live mechanism
-objects* (:func:`build_feature_matrix`), so any drift between the models
-and the paper's table shows up as a failing benchmark (E2).
+(:class:`Features`) and each row is *derived from a live mechanism
+object* (:func:`table1_row`), so any drift between the models and the
+paper's table shows up as a failing benchmark (E2).
 
 Beyond the paper's five columns, :class:`Features` records the extended
 properties the prose discusses (multithread support, MPI support,
@@ -15,9 +15,9 @@ experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from ..storage.backends import StorageKind
 
@@ -26,7 +26,6 @@ __all__ = [
     "Features",
     "TABLE1_COLUMNS",
     "table1_row",
-    "build_feature_matrix",
     "PAPER_TABLE1",
 ]
 
@@ -107,13 +106,6 @@ def table1_row(name: str, f: Features) -> Tuple[str, str, str, str, str, str]:
         f.initiation.value,
         "yes" if f.kernel_module else "no",
     )
-
-
-def build_feature_matrix(
-    mechanisms: Iterable[Tuple[str, Features]]
-) -> List[Tuple[str, str, str, str, str, str]]:
-    """Rows (paper order preserved by the caller) for Table 1."""
-    return [table1_row(name, f) for name, f in mechanisms]
 
 
 #: The paper's Table 1, transcribed verbatim for the E2 cross-check.

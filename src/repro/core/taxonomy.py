@@ -11,9 +11,9 @@ the code rather than transcribed from the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = ["Context", "Agent", "TaxonomyPosition", "render_figure1", "AGENTS_BY_CONTEXT"]
 

@@ -6,8 +6,7 @@ argument needs for whole-job fault tolerance: FIFO message channels
 between simulated processes (:mod:`.channels`), a Chandy-Lamport-style
 marker protocol and a coordinated stop-the-world protocol that drive
 the existing per-process checkpointers and write a consistent-cut
-manifest (:mod:`.protocols`), a declarative MUSCLE3-style snapshot
-schedule DSL (:mod:`.schedule`), and whole-job restart from a cut with
+manifest (:mod:`.protocols`), and whole-job restart from a cut with
 in-flight message replay (:mod:`.restart`).  See DESIGN.md §9.
 """
 
@@ -27,7 +26,6 @@ from .protocols import (
     StopTheWorldProtocol,
 )
 from .restart import JobRestoreResult, restore_snapshot, verify_exactly_once
-from .schedule import Rule, Schedule, SnapshotScheduler, progress_iterations
 
 __all__ = [
     "Channel",
@@ -44,8 +42,4 @@ __all__ = [
     "JobRestoreResult",
     "restore_snapshot",
     "verify_exactly_once",
-    "Rule",
-    "Schedule",
-    "SnapshotScheduler",
-    "progress_iterations",
 ]

@@ -88,13 +88,10 @@ class SnapRank:
 class CutManifest:
     """The consistent cut: per-rank images + channel state, one blob.
 
-    Stored under ``distsnap/<job>/<id>+cut``.  The last key component
-    is not all digits, so :class:`~repro.stablestore.gc.GenerationGC`'s
-    generation parser ignores the manifest itself (the same key-shape
-    trick compacted ``<tip>+flat`` images use); a stored manifest holds
+    Stored under ``distsnap/<job>/<id>+cut``.  A stored manifest holds
     every key in :meth:`pinned_keys` in the stack's hold table, so the
-    per-rank images it references -- whose keys *are*
-    generation-shaped -- can never be collected out from under it.
+    per-rank images it references can never be collected out from
+    under it, whoever requests their delete.
     """
 
     key: str

@@ -17,14 +17,12 @@ importance" for commodity fault tolerance.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from ...core.checkpointer import Checkpointer, CheckpointRequest, RequestState
 from ...core.features import Features, Initiation
 from ...core.image import CheckpointImage, materialize_chain
 from ...core.registry import register
 from ...core.taxonomy import Agent, Context, TaxonomyPosition
-from ...errors import CheckpointError, RestartError
+from ...errors import RestartError
 from ...simkernel import Kernel, Task
 from ...simkernel.process import Registers
 from ...storage.backends import StorageKind

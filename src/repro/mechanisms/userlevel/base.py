@@ -23,7 +23,7 @@ from ...core.capture import (
 )
 from ...core.checkpointer import Checkpointer, CheckpointRequest, RequestState
 from ...errors import CheckpointError, StorageError
-from ...simkernel import Kernel, Mode, Task, ops
+from ...simkernel import Task, ops
 from ...simkernel.signals import HandlerKind, Sig, SignalHandler
 from .. import incremental as incr
 

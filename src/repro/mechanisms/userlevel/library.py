@@ -15,7 +15,6 @@ from ...core.checkpointer import CheckpointRequest
 from ...core.features import Features, Initiation
 from ...core.registry import register
 from ...core.taxonomy import Agent, Context, TaxonomyPosition
-from ...errors import CheckpointError
 from ...simkernel import Task
 from ...simkernel.signals import Sig
 from ...storage.backends import StorageKind

@@ -9,7 +9,7 @@ the Section-3 costs.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ...core.checkpointer import CheckpointRequest
 from ...core.features import Features, Initiation

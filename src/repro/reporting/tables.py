@@ -1,4 +1,4 @@
-"""ASCII table / series / bar renderers for benchmark output.
+"""ASCII table / series renderers for benchmark output.
 
 The benchmark harness prints the same rows/series the paper reports;
 these helpers keep that output aligned and diff-friendly.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-__all__ = ["render_table", "render_bars", "render_series", "fmt_bytes", "fmt_ns"]
+__all__ = ["render_table", "render_series", "fmt_bytes", "fmt_ns"]
 
 
 def _cell(v: Any) -> str:
@@ -41,26 +41,6 @@ def render_table(
     out.append(sep)
     for row in srows:
         out.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(out)
-
-
-def render_bars(
-    values: Dict[str, float],
-    title: Optional[str] = None,
-    width: int = 48,
-    unit: str = "",
-) -> str:
-    """Render a horizontal bar chart (label -> value)."""
-    out: List[str] = []
-    if title:
-        out.append(title)
-    if not values:
-        return "\n".join(out + ["(no data)"])
-    vmax = max(abs(v) for v in values.values()) or 1.0
-    label_w = max(len(k) for k in values)
-    for label, v in values.items():
-        bar = "#" * max(1 if v > 0 else 0, int(round(width * abs(v) / vmax)))
-        out.append(f"{label.ljust(label_w)} | {bar} {_cell(v)}{unit}")
     return "\n".join(out)
 
 

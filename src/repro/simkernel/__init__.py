@@ -37,7 +37,6 @@ from .parallel import (
     ShardGroup,
     WindowReply,
     WindowStats,
-    derive_lookahead,
     run_windows,
 )
 from .process import (
@@ -97,6 +96,5 @@ __all__ = [
     "WindowReply",
     "WindowStats",
     "ParallelError",
-    "derive_lookahead",
     "run_windows",
 ]

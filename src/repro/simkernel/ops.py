@@ -19,7 +19,7 @@ a program yields these classes, not subclasses of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 __all__ = [
     "Op",

@@ -67,29 +67,12 @@ __all__ = [
     "LocalShardGroup",
     "WindowReply",
     "WindowStats",
-    "derive_lookahead",
     "run_windows",
 ]
 
 
 class ParallelError(SimulationError):
     """A conservative-window invariant was violated."""
-
-
-def derive_lookahead(*latencies_ns: int) -> int:
-    """The engine's lookahead: the minimum nonzero cross-shard latency.
-
-    Callers pass every latency floor a cross-machine interaction can
-    take -- link propagation, storage service floor -- and get back the
-    largest window width that is still conservative.
-    """
-    floors = [int(x) for x in latencies_ns if x is not None]
-    if not floors:
-        raise ParallelError("lookahead needs at least one latency floor")
-    lo = min(floors)
-    if lo <= 0:
-        raise ParallelError(f"lookahead must be positive, got {lo}")
-    return lo
 
 
 def _payload_key(payload: Any) -> str:

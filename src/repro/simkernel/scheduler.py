@@ -19,7 +19,7 @@ its dynamic priority worsens until quanta are recharged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..errors import SchedulerError

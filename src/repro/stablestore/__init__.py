@@ -19,9 +19,6 @@ quorum-replicated client.
   timeout + exponential-backoff retries around failed servers.
 * :class:`ReplicationRepairer` -- background re-replication of
   under-replicated blobs after a storage-server failure.
-* :class:`GenerationGC` -- garbage collection of superseded checkpoint
-  generations (delete requests; the stack's hold table keeps what a
-  retained delta, a chain tip or a cut manifest still needs).
 * :class:`ContentStore` -- content-addressed dedup wrapper: each unique
   page payload costs one quorum write ever, not one per generation.
 * :class:`ErasureStore` / :class:`ErasureRepairer` -- Reed-Solomon
@@ -47,11 +44,9 @@ from .erasure import (
     reset_kernel_stats,
     rs_decode,
     rs_encode,
-    rs_rebuild_shard,
     rs_rebuild_shards,
     rs_update_parity,
 )
-from .gc import GenerationGC
 from .hierarchy import HierarchicalStore, HierarchyWriteStream, StorageLevel
 from .pipeline import WritebackPipeline
 from .repair import ReplicationRepairer
@@ -66,7 +61,6 @@ __all__ = [
     "ReplicatedStore",
     "ReplicaWriteStream",
     "ReplicationRepairer",
-    "GenerationGC",
     "ContentStore",
     "ImageManifest",
     "DedupWriteStream",
@@ -81,7 +75,6 @@ __all__ = [
     "rs_encode",
     "rs_decode",
     "rs_update_parity",
-    "rs_rebuild_shard",
     "rs_rebuild_shards",
     "merge_extents",
     "KERNEL_STATS",

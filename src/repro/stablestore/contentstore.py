@@ -26,17 +26,15 @@ The design is manifest + pack:
   becomes one row extent of the (read-only) pack payloads themselves,
   and every other row one chunk.
 * The store refcounts content keys across manifests.  Deleting a
-  manifest (e.g. :class:`~repro.stablestore.GenerationGC` dropping a
-  superseded generation) decrements them.  A pack's delete is
-  requested when it is written, and the stack's hold table collects it
-  once no referenced payload homed in it and no open stream that
-  counted a hit against it holds it.  Pack keys end in ``.pack`` and
-  therefore never parse as generations, so the GC can only ever reach
-  them through this refcounting path.
+  manifest (e.g. the coordinator pruning a superseded wave) decrements
+  them.  A pack's delete is requested when it is written, and the
+  stack's hold table collects it once no referenced payload homed in
+  it and no open stream that counted a hit against it holds it, so a
+  pack only ever goes through this refcounting path.
 
 The wrapper is transparent: non-image blobs pass straight through, and
-``keys()`` lists manifests only, so generation GC, chain walks and the
-coordinator see exactly the key space they saw without dedup.
+``keys()`` lists manifests only, so chain walks and the coordinator see
+exactly the key space they saw without dedup.
 """
 
 from __future__ import annotations
@@ -350,10 +348,6 @@ class ContentStore(StorageBackend):
     def peek(self, key: str) -> Any:
         """Return the manifest (carries ``parent_key`` for chain walks)."""
         return self.inner.peek(key)
-
-    def blob_size(self, key: str) -> int:
-        """Accounted size of a stored blob (manifest size for images)."""
-        return self.inner.blob_size(key)
 
     #: Named here so per-class tracing can wrap it.
     delete = StorageBackend.delete

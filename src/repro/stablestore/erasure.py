@@ -75,7 +75,6 @@ __all__ = [
     "rs_encode",
     "rs_decode",
     "rs_update_parity",
-    "rs_rebuild_shard",
     "rs_rebuild_shards",
     "merge_extents",
     "KERNEL_STATS",
@@ -467,8 +466,7 @@ def rs_rebuild_shards(
     One decode pass reconstructs the data rows; requested data shards
     are sliced out and requested parity shards are produced by one
     generator sub-matrix multiply -- instead of a full decode *and*
-    full re-encode per missing shard (the seed's
-    :func:`rs_rebuild_shard` loop).  Returns ``{index: shard_bytes}``.
+    full re-encode per missing shard.  Returns ``{index: shard_bytes}``.
     """
     _check_km(k, m)
     for index in indices:
@@ -493,13 +491,6 @@ def rs_rebuild_shards(
         else:
             out[index] = computed[index - k].tobytes()
     return out
-
-
-def rs_rebuild_shard(
-    shards: Mapping[int, bytes], k: int, m: int, index: int, payload_len: int
-) -> bytes:
-    """Re-encode one lost shard (data or parity) from any ``k`` others."""
-    return rs_rebuild_shards(shards, k, m, [index], payload_len)[index]
 
 
 # ----------------------------------------------------------------------

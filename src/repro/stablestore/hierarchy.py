@@ -514,10 +514,6 @@ class HierarchicalStore(StorageBackend):
         """Logical bytes held (one count per blob)."""
         return sum(self._directory.values())
 
-    def blob_size(self, key: str) -> int:
-        """Accounted size of a stored blob (0 when absent)."""
-        return self._directory.get(key, 0)
-
     def physical_bytes(self) -> int:
         """Bytes on physical media across every level (each level
         backend's own replica- or shard-weighted ``physical_bytes``)."""

@@ -36,10 +36,6 @@ class HoldTable:
         self._refs: Dict[str, Tuple[str, ...]] = {}  # key -> keys its blob holds
         self._doomed: Dict[str, Any] = {}  # key -> layer whose delete waits
 
-    def pending(self, key: str) -> bool:
-        """Whether a requested delete of ``key`` waits on a hold."""
-        return key in self._doomed
-
     def hold(self, key: str) -> None:
         """Take one hold on ``key``."""
         self._holds[key] = self._holds.get(key, 0) + 1

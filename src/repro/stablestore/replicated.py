@@ -186,10 +186,6 @@ class QuorumStore(StorageBackend):
         """Logical bytes held (one count per blob, as the base class)."""
         return sum(self._directory.values())
 
-    def blob_size(self, key: str) -> int:
-        """Accounted size of a stored blob (0 when absent)."""
-        return self._directory.get(key, 0)
-
     def _forget(self, key: str) -> None:
         """Drop ``key`` from the directory, with its memoized placement."""
         self._directory.pop(key, None)

@@ -18,14 +18,13 @@ of the request (floor + per-byte cost), and acks travel back with
 propagation floor -- the conservative condition holds on both legs.
 
 The propagation latency is therefore the service's contribution to the
-engine lookahead; pass it to
-:func:`~repro.simkernel.parallel.derive_lookahead` together with the
+engine lookahead: the lookahead is at most the smallest of it and the
 link floors.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..errors import StorageError
 from ..simkernel.parallel import ShardContext
@@ -56,8 +55,7 @@ class ShardStorageService:
     ----------
     ctx:
         The shard context (must have a lookahead; ``propagation_ns``
-        must be at least that lookahead, which :func:`derive_lookahead`
-        guarantees when the propagation is one of its inputs).
+        must be at least that lookahead).
     n_servers:
         Fleet-wide storage server count.
     propagation_ns:

@@ -111,11 +111,6 @@ class StorageBackend:
         except KeyError:
             raise StorageError(f"no blob stored under {key!r}") from None
 
-    def blob_size(self, key: str) -> int:
-        """Accounted size of a stored blob (0 when absent)."""
-        entry = self._blobs.get(key)
-        return entry[1] if entry else 0
-
     def delete(self, key: str) -> None:
         """Request that ``key`` go: it is collected once nothing holds it
         (see :class:`~repro.stablestore.holds.HoldTable`)."""

@@ -2,7 +2,7 @@
 
 from .base import Workload, memory_digest
 from .multithreaded import ThreadedWorkload, spawn_thread_group
-from .persistent import PidDependentApp, SharedMemoryApp, SocketApp
+from .persistent import SharedMemoryApp, SocketApp
 from .scientific import RandomUpdater, StencilKernel, WavefrontSweep
 from .writers import DenseWriter, HotColdWriter, SparseWriter, StreamingWriter
 
@@ -18,7 +18,6 @@ __all__ = [
     "RandomUpdater",
     "SocketApp",
     "SharedMemoryApp",
-    "PidDependentApp",
     "ThreadedWorkload",
     "spawn_thread_group",
 ]

@@ -4,10 +4,10 @@ Section 3 of the paper: "user-level implementations are limited to
 applications that do not depend o[n] some persistent state belonging to
 the operating system, per example sockets, shared memory, PIDs, and IP
 address.  In contrast, a system-level approach can virtualizate these
-resources."  These workloads hold exactly those resources so experiment
-E11 can show which mechanisms restore them (ZAP pods), which fail
-cross-machine (plain system-level), and which cannot capture them at all
-(user-level).
+resources."  These workloads hold a socket and a shared-memory
+segment so experiment E11 can show which mechanisms restore them (ZAP
+pods), which fail cross-machine (plain system-level), and which cannot
+capture them at all (user-level).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterator
 from ..simkernel import Task, ops
 from .base import Workload
 
-__all__ = ["SocketApp", "SharedMemoryApp", "PidDependentApp"]
+__all__ = ["SocketApp", "SharedMemoryApp"]
 
 
 class SocketApp(Workload):
@@ -63,28 +63,3 @@ class SharedMemoryApp(Workload):
             nbytes=256,
             seed=it,
         )
-
-
-class PidDependentApp(Workload):
-    """Records its own PID in memory at setup and re-checks it forever.
-
-    After a restart that failed to restore the original PID, the check
-    breaks -- the failure UCLiK fixes by "restoring the original process
-    ID".  The recorded pid is kept in ``task.annotations`` for the test
-    harness and (for mechanisms) in the first heap page.
-    """
-
-    setup_ops = 2
-    ops_per_iteration = 2
-
-    def setup(self, task: Task) -> Iterator[ops.Op]:
-        pid = yield ops.Syscall(name="getpid")
-        task.annotations["recorded_pid"] = pid
-        yield ops.MemWrite(vma="heap", offset=0, nbytes=8, seed=pid)
-
-    def iteration(self, task: Task, it: int) -> Iterator[ops.Op]:
-        pid = yield ops.Syscall(name="getpid")
-        recorded = task.annotations.get("recorded_pid")
-        if recorded is not None and pid != recorded:
-            task.annotations["pid_mismatch"] = (recorded, pid)
-        yield ops.Compute(ns=self.compute_ns)

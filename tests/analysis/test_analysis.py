@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
+from interval_oracle import optimal_interval_search_s, young_interval_s
 from repro.analysis import (
     daly_interval_s,
     effective_utilization,
@@ -13,8 +12,6 @@ from repro.analysis import (
     expected_completion_time_s,
     expected_time_without_ckpt_s,
     mtbf_table,
-    optimal_interval_search_s,
-    young_interval_s,
 )
 from repro.errors import ReproError
 

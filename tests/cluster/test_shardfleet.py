@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partition_oracle import shard_ranges
 from repro.cluster import (
     Cluster,
     ExponentialFailures,
@@ -24,7 +25,6 @@ from repro.cluster import (
     indexed_uniforms,
     shard_of,
     shard_range,
-    shard_ranges,
     trial_first_failure_s,
 )
 from repro.cluster.shardfleet import _NEVER

@@ -10,7 +10,6 @@ from repro.core.features import (
     Features,
     Initiation,
     PAPER_TABLE1,
-    build_feature_matrix,
     table1_row,
 )
 from repro.core.taxonomy import (
@@ -85,7 +84,7 @@ class TestTable1:
         assert row == expected
 
     def test_matrix_builder_shapes(self):
-        rows = build_feature_matrix(registry.features())
+        rows = [table1_row(name, f) for name, f in registry.features()]
         assert all(len(r) == 6 for r in rows)
 
     def test_storage_label_none(self):

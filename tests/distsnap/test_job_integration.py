@@ -1,5 +1,5 @@
 """CommunicatingJob wiring: real checkpointers, spare-node restore,
-generation-GC cut pinning."""
+cut pinning."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.core.checkpointer import RequestState
 from repro.core.direction import AutonomicCheckpointer
 from repro.distsnap import TrafficDriver, verify_exactly_once
 from repro.errors import DistSnapError
-from repro.stablestore.gc import GenerationGC
 from repro.workloads import SparseWriter
 
 
@@ -163,13 +162,20 @@ def test_generation_gc_never_collects_cut_pinned_images():
     assert [req.state for req in newer] == [RequestState.DONE] * len(newer)
     assert {req.key.rsplit("/", 1)[0] for req in newer} == groups
 
-    gc = GenerationGC(store, keep=1, metrics=cl.engine.metrics)
-    collected = gc.sweep()
-    assert not set(collected) & set(pinned)
+    # Request deletes of every superseded generation in the ranks'
+    # groups, as a keep-newest-one prune would.
+    newest = {req.key for req in newer}
+    superseded = [
+        key for key in store.keys()
+        if key.rsplit("/", 1)[0] in groups and key not in newest
+    ]
+    assert set(pinned) <= set(superseded)
+    for key in superseded:
+        store.delete(key)
     for key in pinned:
-        assert store.exists(key), f"GC collected pinned rank image {key}"
+        assert store.exists(key), f"delete collected pinned rank image {key}"
 
-    # Manifest gone -> the pins are released on the next sweep.
+    # Manifest gone -> the pins are released and the requested deletes
+    # collect the images.
     store.delete(proto.manifest.key)
-    gc.sweep()
     assert not any(store.exists(k) for k in pinned)

@@ -16,7 +16,6 @@ from repro.distsnap import (
 from repro.errors import DistSnapError
 from repro.obs.export import export_obs, to_json
 from repro.simkernel.engine import Engine
-from repro.stablestore.gc import _parse_generation
 from repro.stablestore.replicated import ReplicatedStore
 from repro.stablestore.server import StorageCluster
 
@@ -55,8 +54,6 @@ def test_marker_cut_manifest_shape():
     m = proto.manifest
     assert m.protocol == "marker"
     assert m.key.endswith("+cut") and m.key.startswith("distsnap/j/")
-    # The manifest key shape is invisible to generation GC by design.
-    assert _parse_generation(m.key) is None
     assert sorted(m.endpoint_states) == [0, 1, 2, 3]
     assert len(m.topology) == 12
     assert m.downtime_ns == 0  # marker protocol never stops the job

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.reporting import fmt_bytes, fmt_ns, render_bars, render_series, render_table
+from repro.reporting import fmt_bytes, fmt_ns, render_series, render_table
 
 
 class TestRenderTable:
@@ -28,22 +28,6 @@ class TestRenderTable:
     def test_empty_rows_ok(self):
         out = render_table(["a", "b"], [])
         assert "a" in out and "b" in out
-
-
-class TestRenderBars:
-    def test_bar_lengths_proportional(self):
-        out = render_bars({"small": 1.0, "big": 4.0}, width=40)
-        small_line = [l for l in out.splitlines() if l.startswith("small")][0]
-        big_line = [l for l in out.splitlines() if l.startswith("big")][0]
-        assert big_line.count("#") == 40
-        assert small_line.count("#") == 10
-
-    def test_empty_values(self):
-        assert "(no data)" in render_bars({}, title="t")
-
-    def test_unit_suffix(self):
-        out = render_bars({"x": 3.0}, unit="ms")
-        assert "3ms" in out
 
 
 class TestRenderSeries:

@@ -27,7 +27,6 @@ from repro.simkernel.parallel import (
     LocalShardGroup,
     ParallelError,
     ShardContext,
-    derive_lookahead,
     run_windows,
 )
 from repro.runner import (
@@ -49,15 +48,6 @@ def make_ctx(shard_id=0, n_shards=1, lookahead_ns=1000):
 # Lookahead and send/deliver validation
 # ----------------------------------------------------------------------
 class TestConservativeConditions:
-    def test_derive_lookahead_is_min_floor(self):
-        assert derive_lookahead(5000, 2000, 9000) == 2000
-
-    def test_derive_lookahead_rejects_nonpositive(self):
-        with pytest.raises(ParallelError, match="positive"):
-            derive_lookahead(5000, 0)
-        with pytest.raises(ParallelError, match="floor"):
-            derive_lookahead()
-
     def test_send_below_lookahead_rejected(self):
         ctx = make_ctx(lookahead_ns=1000)
         with pytest.raises(ParallelError, match="violates lookahead"):

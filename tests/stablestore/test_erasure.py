@@ -20,7 +20,7 @@ from repro.stablestore import (
     WritebackPipeline,
     rs_decode,
     rs_encode,
-    rs_rebuild_shard,
+    rs_rebuild_shards,
 )
 
 COMMON = dict(deadline=None, max_examples=40)
@@ -60,7 +60,8 @@ class TestCodec:
         shards = rs_encode(payload, k, m)
         for lost in range(k + m):
             rest = {i: s for i, s in enumerate(shards) if i != lost}
-            assert rs_rebuild_shard(rest, k, m, lost, len(payload)) == shards[lost]
+            rebuilt = rs_rebuild_shards(rest, k, m, [lost], len(payload))
+            assert rebuilt == {lost: shards[lost]}
 
     def test_bad_km_rejected(self):
         with pytest.raises(StorageError):

@@ -79,7 +79,7 @@ class TestWriteStream:
         assert not backend.exists("k")
         st.commit("obj", 8192, 0)
         assert backend.exists("k")
-        assert backend.blob_size("k") == 8192
+        assert backend.stored_bytes() == 8192
 
     def test_double_commit_rejected(self):
         backend = RemoteStorage()
@@ -519,14 +519,6 @@ class TestChainCompaction:
         assert res is not None
         counters = cl.engine.metrics.counters()
         assert counters.get("restart.compacted_hits", 0) >= 1
-
-    def test_flat_key_survives_generation_gc_parsing(self):
-        from repro.stablestore.gc import GenerationGC
-
-        cl, node, mech, task, last = _chained(9, depth=4, compact=4)
-        gc = GenerationGC(cl.remote_storage, keep=2)
-        gc.sweep()
-        assert last.key + "+flat" in list(cl.remote_storage.keys())
 
     def test_materialize_memoized_per_tip(self):
         cl, node, mech, task, last = _chained(4, depth=4)

@@ -9,11 +9,9 @@ from repro.core.autonomic import AutonomicIntervalController, FailureRateEstimat
 from repro.core.checkpointer import RequestState
 from repro.core.direction import AutonomicCheckpointer
 from repro.errors import ClusterError, StorageError, StorageLostError
-from repro.obs import MetricsRegistry
 from repro.simkernel import Engine
 from repro.simkernel.costs import NS_PER_MS, NS_PER_S
 from repro.stablestore import (
-    GenerationGC,
     ReplicatedStore,
     ReplicationRepairer,
     StorageCluster,
@@ -239,59 +237,6 @@ class TestRepairer:
         sc.fail_server(store.holders("m/1/1")[0])
         engine.run(until_ns=500 * NS_PER_MS)
         assert store.under_replicated() == ["m/1/1"]
-
-
-class _Img:
-    def __init__(self, parent_key=None):
-        self.parent_key = parent_key
-
-
-class TestGenerationGC:
-    def test_keeps_newest_generations_per_group(self):
-        _, _, store = make_store()
-        for i in range(1, 6):
-            store.store(f"A/7/{i}", _Img(), 1000, 0)
-        store.store("A/8/1", _Img(), 500, 0)
-        metrics = MetricsRegistry()
-        gc = GenerationGC(store, keep=2, metrics=metrics)
-        swept = gc.sweep()
-        assert swept == ["A/7/1", "A/7/2", "A/7/3"]
-        assert sorted(store.keys()) == ["A/7/4", "A/7/5", "A/8/1"]
-        assert metrics.counters()["storage.gc_bytes"] == 3000
-
-    def test_protects_delta_ancestor_chains(self):
-        _, _, store = make_store()
-        store.store("A/7/1", _Img(), 1000, 0)
-        store.store("A/7/2", _Img("A/7/1"), 1000, 0)
-        store.store("A/7/3", _Img("A/7/2"), 1000, 0)
-        gc = GenerationGC(store, keep=1)
-        assert gc.sweep() == []  # everything is ancestry of the newest
-        store.store("A/7/4", _Img(), 1000, 0)  # re-base breaks the chain
-        store.store("A/7/5", _Img("A/7/4"), 1000, 0)
-        assert gc.sweep() == ["A/7/1", "A/7/2", "A/7/3"]
-
-    def test_foreign_key_shapes_never_touched(self):
-        _, _, store = make_store()
-        store.store("not-a-generation", _Img(), 100, 0)
-        store.store("A/7/1", _Img(), 100, 0)
-        gc = GenerationGC(store, keep=1)
-        assert gc.sweep() == []
-        assert "not-a-generation" in list(store.keys())
-
-    def test_keep_must_be_positive(self):
-        _, _, store = make_store()
-        with pytest.raises(StorageError):
-            GenerationGC(store, keep=0)
-
-    def test_periodic_sweep_on_engine(self):
-        engine, _, store = make_store()
-        for i in range(1, 5):
-            store.store(f"A/7/{i}", _Img(), 1000, 0)
-        gc = GenerationGC(store, keep=1)
-        gc.start(engine, interval_ns=10 * NS_PER_MS)
-        engine.run(until_ns=50 * NS_PER_MS)
-        assert list(store.keys()) == ["A/7/4"]
-        gc.stop()
 
 
 def wf(rank):

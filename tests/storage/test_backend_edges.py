@@ -52,20 +52,12 @@ class TestMissingKeys:
         with pytest.raises(StorageError):
             RemoteStorage().peek("nope")
 
-    def test_blob_size_zero_for_missing_key(self):
-        assert RemoteStorage().blob_size("nope") == 0
-
 
 class TestPeekAndBlobSize:
     def test_peek_returns_object_without_charging_io(self):
         s = RemoteStorage()
         s.store("k", {"pages": 3}, nbytes=4096, now_ns=0)
         assert s.peek("k") == {"pages": 3}
-
-    def test_blob_size_reports_accounted_bytes(self):
-        s = RemoteStorage()
-        s.store("k", b"", nbytes=4096, now_ns=0)
-        assert s.blob_size("k") == 4096
 
 
 class TestAvailabilityGating:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import collections
+import importlib
 import pathlib
 import re
 
@@ -83,9 +84,10 @@ class TestDocstrings:
 
 
 #: Definitions and ``self`` attributes of ``src/`` that only tests read,
-#: each with the reason it stays.  The list may only shrink: a new
-#: test-only name needs a reason here, and an entry that gains a reader
-#: outside tests (or disappears) must be removed.
+#: each with the reason it stays.  The list may only shrink, except that
+#: a change that tightens the census may add the names it newly finds,
+#: each with its reason.  An entry that gains a reader outside tests
+#: (or disappears) must be removed.
 TEST_ONLY = {
     "checkpoint_job": "LAM/MPI's and the user-level library's coordinated "
     "checkpoint of a parallel job, the paper's mechanism interface",
@@ -104,6 +106,8 @@ TEST_ONLY = {
     "resume_in_place": "thaws a task parked by SafePreemption, the "
     "paper's safe pre-emption",
     "spawn_group": "spawns the thread group restart_group restores",
+    "ThreadedWorkload": "the thread-group fixture behind spawn_group and "
+    "restart_group (Table 1's multithreaded column)",
     "recover": "fault injection: brings a failed storage server back, "
     "with or without its disk",
     "set_gauge": "gauges are part of the repro.obs/v1 export the fold "
@@ -129,29 +133,95 @@ def _docstring_ids(tree):
     return ids
 
 
+def _all_ids(tree):
+    """ids of every node inside an ``__all__`` assignment."""
+    ids = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            ids.update(id(sub) for sub in ast.walk(node))
+    return ids
+
+
 def _reads(tops):
     """``(names, attributes)`` the Python files under ``tops`` read.
 
     ``attributes`` counts loaded attributes and the words of every
     string that is not a docstring (``getattr`` and name-resolved
     spans); ``names`` adds identifiers and imported names.  A local
-    variable spelled like an attribute is no read of the attribute."""
+    variable spelled like an attribute is no read of the attribute.
+
+    Not reads: the strings of an ``__all__`` assignment, an import in a
+    package ``__init__.py`` (a re-export), and a function or class
+    mentioning its own name inside itself (recursion, its own error
+    message, a ``-> "Cls"`` annotation).  A class decorated with
+    ``@register`` is read: ``core.registry`` reaches it by name."""
     names, attributes = collections.Counter(), collections.Counter()
+
+    def visit(node, own, skip, reexport):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if any(isinstance(d, ast.Name) and d.id == "register"
+                   for d in node.decorator_list):
+                names[node.name] += 1
+            own = own | {node.name}
+        if isinstance(node, ast.Name):
+            if node.id not in own:
+                names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr not in own:
+                attributes[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            name = node.name.rsplit(".", 1)[-1]
+            if not reexport and name not in own:
+                names[name] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip):
+            attributes.update(w for w in re.findall(r"[A-Za-z_]\w*", node.value)
+                              if w not in own)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own, skip, reexport)
+
     for top in tops:
         for path in (REPO / top).rglob("*.py"):
             tree = ast.parse(path.read_text())
-            docs = _docstring_ids(tree)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    names[node.id] += 1
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    attributes[node.attr] += 1
-                elif isinstance(node, ast.alias):
-                    names[node.name.rsplit(".", 1)[-1]] += 1
-                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                      and id(node) not in docs):
-                    attributes.update(re.findall(r"[A-Za-z_]\w*", node.value))
+            skip = _docstring_ids(tree) | _all_ids(tree)
+            visit(tree, frozenset(), skip, path.name == "__init__.py")
     return names + attributes, attributes
+
+
+def _annotation_names(tree):
+    """Names a string annotation in ``tree`` mentions (``"Kernel"``,
+    ``Optional["Kernel"]``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        for sub in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                expr = ast.parse(sub.value, mode="eval")
+                yield from (n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+
+
+def _unread_imports(tree):
+    """Names a module's top-level imports bind and the module never
+    reads (``__future__`` aside)."""
+    bound = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in stmt.names)
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            bound.update(a.asname or a.name for a in stmt.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read.update(_annotation_names(tree))
+    return bound - read
 
 
 def _src_names():
@@ -198,6 +268,29 @@ class TestCensus:
     def test_allowlist_has_no_stale_entry(self, unread):
         stale = sorted(TEST_ONLY.keys() - unread)
         assert not stale, f"TEST_ONLY entries that are read outside tests or gone: {stale}"
+
+    def test_every_src_import_is_read_in_its_module(self):
+        unread = {
+            str(path.relative_to(SRC)): sorted(names)
+            for path in sorted(SRC.rglob("*.py"))
+            if path.name != "__init__.py"
+            and (names := _unread_imports(ast.parse(path.read_text())))
+        }
+        assert not unread, f"imports their module never reads: {unread}"
+
+
+def test_every_all_entry_resolves():
+    """Every name a ``repro`` module lists in ``__all__`` exists on it."""
+    missing = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        module = importlib.import_module(".".join(parts))
+        gone = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        if gone:
+            missing[module.__name__] = gone
+    assert not missing, f"__all__ entries with no definition: {missing}"
 
 
 class TestDesignExperimentIndex:

@@ -6,15 +6,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from image_oracle import add_extent, add_page
+from interval_oracle import young_interval_s
 from repro.analysis import (
     daly_interval_s,
     effective_utilization,
     expected_completion_time_s,
-    young_interval_s,
 )
 from repro.cluster.failures import p_survive, system_mtbf_s
 from repro.core.image import CheckpointImage, materialize_chain

@@ -9,7 +9,6 @@ from repro.simkernel import Kernel, ops
 from repro.workloads import (
     DenseWriter,
     HotColdWriter,
-    PidDependentApp,
     RandomUpdater,
     SharedMemoryApp,
     SocketApp,
@@ -192,11 +191,6 @@ class TestPersistent:
         assert t.mm.has_vma("shm:42")
         assert 42 in k.shm_segments
         assert t.pid in k.shm_segments[42]["attached"]
-
-    def test_pid_app_consistent_without_restart(self):
-        wl = PidDependentApp(iterations=3)
-        k, t = run_to_exit(wl)
-        assert "pid_mismatch" not in t.annotations
 
 
 class TestThreaded:
