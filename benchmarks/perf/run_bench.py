@@ -38,7 +38,8 @@ run, so the ratio between them does not depend on the host's speed:
 * ``parallel_engine`` -- aggregate events/second of a failure-storm
   fleet through the conservative time-windowed parallel engine
   (:mod:`repro.simkernel.parallel`): 1 shard vs 4 shards in-process vs
-  4 shards over worker processes (the pipe transport).
+  4 shards over worker processes (the pipe transport), and the 1-shard
+  storm against its 16x smaller twin.
 * ``pipeline``    -- virtual-time downtime overlap and chain-restart
   speedup of the asynchronous C/R pipeline, plus the wall-clock of the
   pipelined capture run.
@@ -91,7 +92,8 @@ import numpy as np
 
 from scenarios import (  # also puts the repository's src/ on sys.path
     DISTSNAP_N, DISTSNAP_RATE, DISTSNAP_WARMUP_NS, REPO_ROOT, RS_K, RS_M,
-    STORM_HORIZON_S, STORM_MTBF_S, STORM_NODES, bench_workers, best_of,
+    SMALL_STORM_NODES, STORM_HORIZON_S, STORM_MTBF_S, STORM_NODES,
+    bench_workers, best_of,
     distsnap_build, distsnap_snapshot, e12_cells, erasure_envelope,
     hierarchy_identity, marker_cycle, mean_delta_stall,
     physical_bytes_vs_rf3, pipeline_build, pipeline_restart,
@@ -543,23 +545,29 @@ def bench_parallel_engine(repeats: int) -> Dict:
 
     The seeded storm of ``scenarios.storm`` runs three ways: one shard,
     four shards stepped in-process, and four shards over worker
-    processes.  ``speedup_4shard`` is the aggregate events/s ratio of
-    the 4-shard in-process run over the 1-shard run; it is dominated by
-    the O(``n/S``) fleet dispatch (each shard's dispatcher scans only
-    its own slice), so it holds even without spare cores.
-    ``check_parallel.py`` gates it and the byte identity of the runs;
-    ``speedup_4shard_procs`` is guarded here when the host has a core
-    per worker.  ``transport`` records the data path of the
-    ``eps_4shard_procs`` row.
+    processes; a fourth run is its twin over 4,096 nodes at 1/16 of
+    the node MTBF, in one shard.  ``size_independence`` is the 1-shard
+    storm's events/s over the twin's: a fleet dispatch visits only the
+    due blocks of its transition index, so it stays near 1 however
+    many nodes a shard owns (a per-node scan put it at 0.14).
+    ``speedup_4shard``, the 4-shard in-process rate over the 1-shard
+    rate, is recorded but not guarded: stepping four shards in one
+    process buys no dispatch work.  ``procs_vs_4shard``, the process
+    backend's rate over the in-process 4-shard rate, is guarded when
+    the host has a core per worker.  ``transport`` records the data
+    path of the ``eps_4shard_procs`` row.
     """
     workers = bench_workers()
     res1, res4, res_procs = storm(1), storm(4), storm(4, workers)
-    t1, t4, t_procs = best_of(repeats, lambda: storm(1), lambda: storm(4),
-                              lambda: storm(4, workers))
+    res_small = storm(1, nodes=SMALL_STORM_NODES)
+    t1, t4, t_procs, t_small = best_of(
+        repeats, lambda: storm(1), lambda: storm(4),
+        lambda: storm(4, workers), lambda: storm(1, nodes=SMALL_STORM_NODES))
 
     eps1 = res1.stats.events / t1
     eps4 = res4.stats.events / t4
     eps_procs = res_procs.stats.events / t_procs
+    eps_small = res_small.stats.events / t_small
     identical = res1.obs_json == res4.obs_json == res_procs.obs_json
     return {
         "nodes": STORM_NODES,
@@ -575,7 +583,11 @@ def bench_parallel_engine(repeats: int) -> Dict:
         "eps_4shard": round(eps4),
         "eps_4shard_procs": round(eps_procs),
         "speedup_4shard": round(eps4 / eps1, 2),
-        "speedup_4shard_procs": round(eps_procs / eps1, 2),
+        "procs_vs_4shard": round(eps_procs / eps4, 2),
+        "small_nodes": SMALL_STORM_NODES,
+        "events_1shard_small": res_small.stats.events,
+        "eps_1shard_small": round(eps_small),
+        "size_independence": round(eps1 / eps_small, 2),
         "byte_identical": float(identical),
     }
 
@@ -806,12 +818,14 @@ GUARDS = [
      "encode_vs_reference"),
     ("erasure degraded decode vs encode", "erasure", "decode_vs_encode"),
     ("erasure delta update vs full re-encode", "erasure", "delta_vs_reencode"),
+    ("parallel engine storm rate at 16x the nodes", "parallel_engine",
+     "size_independence"),
 ]
 #: Guarded only when the host has a core per worker process: on fewer
 #: cores the processes time-slice and the number is scheduler noise,
 #: not a transport property.
-PROCS_GUARD = ("parallel engine 4-shard process speedup", "parallel_engine",
-               "speedup_4shard_procs")
+PROCS_GUARD = ("parallel engine 4-shard processes vs in-process",
+               "parallel_engine", "procs_vs_4shard")
 
 
 def check_regression(current: Dict, baseline: Dict) -> int:

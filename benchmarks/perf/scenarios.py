@@ -332,6 +332,9 @@ def rs_delta_kernel_bytes(payload: bytes, dirty, new_payload: bytes):
 STORM_NODES = 65536
 STORM_MTBF_S = 200_000.0
 STORM_HORIZON_S = 1800.0
+#: The storm's small twin: 1/16 of the nodes at 1/16 of the node MTBF,
+#: so the fleet fails at the same rate over the same horizon.
+SMALL_STORM_NODES = 4096
 
 
 def bench_workers() -> int:
@@ -340,22 +343,24 @@ def bench_workers() -> int:
     return max(2, min(4, os.cpu_count() or 1))
 
 
-def storm(shards: int, workers: int = 1):
+def storm(shards: int, workers: int = 1, nodes: int = STORM_NODES):
     """One seeded failure-storm fleet (every transition a dispatcher
     event) through :func:`repro.runner.run_parallel`, with a barrier
-    every 30 simulated seconds."""
+    every 30 simulated seconds.  The node MTBF scales with ``nodes``,
+    so a storm over fewer nodes keeps the fleet's failure rate and
+    about the same event count."""
     from repro.runner import run_parallel
 
     return run_parallel(
         "repro.cluster.scenarios:fleet_storm",
-        {"n_nodes": STORM_NODES, "mtbf_s": STORM_MTBF_S, "repair_s": 30.0,
-         "model": "exp"},
+        {"n_nodes": nodes, "mtbf_s": STORM_MTBF_S * nodes / STORM_NODES,
+         "repair_s": 30.0, "model": "exp"},
         17,
         n_shards=shards,
         horizon_ns=int(STORM_HORIZON_S * NS_PER_S),
         window_ns=30 * NS_PER_S,
         workers=workers,
-        meta={"experiment": "storm", "n_nodes": STORM_NODES, "seed": 17},
+        meta={"experiment": "storm", "n_nodes": nodes, "seed": 17},
     )
 
 

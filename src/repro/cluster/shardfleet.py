@@ -21,6 +21,31 @@ arrays, downtime accrues per repair, and the ``fleet.failures`` /
 Nodes a lazy :class:`~repro.cluster.Cluster` materializes as full
 machines are detached (:meth:`ShardFleet.detach`): the cohort stops
 driving them and they fail only through the per-node path.
+
+**Transition index.**  The nodes are cut into blocks of
+:data:`_BLOCK`, and the cohort keeps each block's earliest pending
+transition (failure or repair).  A dispatch reads the block minima,
+visits only the blocks due now, and refreshes those; the next
+transition is the least block minimum.  So a dispatch costs the same
+at 4,096 nodes as at a million, where a scan of every node grew with
+the range.  The index is exact, not a filter with misses:
+
+* every write to the failure or repair columns (a dispatch, a detach)
+  refreshes the minimum of each block it wrote, so a block minimum is
+  always its nodes' earliest transition;
+* a node with a transition at or before ``now`` therefore lies in a
+  block whose minimum is at or before ``now``, and the masks a full
+  scan would apply select the same nodes from the due blocks, in
+  ascending id order (ascending blocks of ascending lanes);
+* a node repaired in a dispatch draws its next failure into a block
+  already visited, so it fails again in the same dispatch exactly as
+  under the scan;
+* draws are elementwise in ``(stream_seed, node, index)``, so drawing
+  for a subset gives each node the value the full batch would.
+
+The columns are padded to whole blocks with ``_NEVER``, so a padded
+lane is never due; ``fail_at_ns`` and ``repair_at_ns`` are views of
+the node range.
 """
 
 from __future__ import annotations
@@ -47,6 +72,12 @@ _HORIZON_NS = _NEVER // 2
 #: Indexed-draw offset for distributional trials, so probe trials and
 #: the engine-driven run (draw indices 0, 1, 2, ...) never overlap.
 _TRIAL_DRAW_BASE = 1 << 32
+
+#: Nodes per block of the transition index.  A dispatch compares one
+#: minimum per block and then gathers whole due blocks; NumPy's per-call
+#: overhead dominates both at any size between 64 and 1,024.
+_BLOCK = 256
+_LANES = np.arange(_BLOCK, dtype=np.int64)
 
 
 def trial_first_failure_s(
@@ -117,10 +148,17 @@ class ShardFleet:
             self.global_ids, np.zeros(self.n_nodes, dtype=np.int64)
         )
         delta = np.minimum(ttf * NS_PER_S, _HORIZON_NS).astype(np.int64)
+        n_blocks = -(-self.n_nodes // _BLOCK)
+        self._fail = np.full(n_blocks * _BLOCK, _NEVER, dtype=np.int64)
+        self._repair = np.full(n_blocks * _BLOCK, _NEVER, dtype=np.int64)
         #: Next failure time per node; _NEVER while down or detached.
-        self.fail_at_ns = now + delta
+        self.fail_at_ns = self._fail[:self.n_nodes]
+        self.fail_at_ns[:] = now + delta
         #: Repair-complete time per node; _NEVER while up.
-        self.repair_at_ns = np.full(self.n_nodes, _NEVER, dtype=np.int64)
+        self.repair_at_ns = self._repair[:self.n_nodes]
+        #: Earliest pending transition per block of _BLOCK nodes (no
+        #: repair pends yet, so one reshape of the failure column).
+        self._block_min = self._fail.reshape(n_blocks, _BLOCK).min(axis=1)
         self.down = np.zeros(self.n_nodes, dtype=bool)
         #: Nodes no longer driven by the cohort (materialized machines).
         self.detached = np.zeros(self.n_nodes, dtype=bool)
@@ -149,6 +187,7 @@ class ShardFleet:
         self.detached[local] = True
         self.fail_at_ns[local] = _NEVER
         self.repair_at_ns[local] = _NEVER
+        self._refresh(np.unique(local // _BLOCK))
 
     def up_count(self) -> int:
         """Nodes currently up in this shard's range (detached excluded)."""
@@ -156,7 +195,7 @@ class ShardFleet:
 
     def next_transition_ns(self) -> int:
         """Earliest pending failure or repair (``_NEVER`` if none)."""
-        return int(min(self.fail_at_ns.min(), self.repair_at_ns.min()))
+        return int(self._block_min.min())
 
     # ------------------------------------------------------------------
     def _arm(self) -> None:
@@ -176,44 +215,56 @@ class ShardFleet:
         self._armed_for = t
         self.engine.at_anon(t, self._dispatch)
 
+    def _refresh(self, blocks: np.ndarray) -> None:
+        """Recompute the earliest transition of each of ``blocks``."""
+        fail = self._fail.reshape(-1, _BLOCK)[blocks]
+        repair = self._repair.reshape(-1, _BLOCK)[blocks]
+        self._block_min[blocks] = np.minimum(fail, repair).min(axis=1)
+
     def _dispatch(self) -> None:
         now = self.engine.now_ns
         if not self._running or now < self._armed_for:
             return
         self._armed_for = _NEVER
 
-        rep = self.repair_at_ns <= now
-        n_rep = int(rep.sum())
+        # A detach may have emptied every due block since arming; then
+        # nothing is selected below and the dispatch only re-arms.
+        blocks = np.flatnonzero(self._block_min <= now)
+        lanes = (blocks[:, None] * _BLOCK + _LANES).ravel()
+
+        rep = lanes[self._repair[lanes] <= now]
+        n_rep = rep.size
         if n_rep:
             self.repairs += n_rep
             self.downtime_ns += n_rep * self.repair_ns
             self.down[rep] = False
-            rtimes = self.repair_at_ns[rep]
-            self.repair_at_ns[rep] = _NEVER
+            rtimes = self._repair[rep]
+            self._repair[rep] = _NEVER
             ttf = self.model.draw_ttf_indexed(
                 self.global_ids[rep], self.draw_count[rep]
             )
             self.draw_count[rep] += 1
             delta = np.minimum(ttf * NS_PER_S, _HORIZON_NS).astype(np.int64)
-            self.fail_at_ns[rep] = rtimes + delta
+            self._fail[rep] = rtimes + delta
             self.engine.metrics.inc("fleet.repairs", n_rep)
 
-        due = self.fail_at_ns <= now
-        n_due = int(due.sum())
+        due = lanes[self._fail[lanes] <= now]
+        n_due = due.size
         if n_due:
-            times = self.fail_at_ns[due]
+            times = self._fail[due]
             if self.first_failure_ns is None:
                 self.first_failure_ns = int(times.min())
             self.failures += n_due
             self.down[due] = True
-            self.fail_at_ns[due] = _NEVER
-            self.repair_at_ns[due] = (
+            self._fail[due] = _NEVER
+            self._repair[due] = (
                 np.minimum(times, _NEVER - self.repair_ns) + self.repair_ns
             )
             self.engine.metrics.inc("fleet.failures", n_due)
             if self.on_fail is not None:
                 self.on_fail(self.global_ids[due], times)
 
+        self._refresh(blocks)
         self._arm()
 
     # ------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleet_oracle import ScanFleet
 from partition_oracle import shard_ranges
 from repro.cluster import (
     Cluster,
@@ -27,7 +28,8 @@ from repro.cluster import (
     shard_range,
     trial_first_failure_s,
 )
-from repro.cluster.shardfleet import _NEVER
+from repro.cluster import machine
+from repro.cluster.shardfleet import _BLOCK, _NEVER
 from repro.errors import ClusterError
 from repro.runner import run_parallel
 from repro.simkernel import Engine
@@ -267,6 +269,190 @@ class TestShardFleet:
         # Enormous MTBF: every fail_at saturates at the horizon cap,
         # but none is _NEVER (nodes are up, not detached).
         assert fleet.next_transition_ns() < _NEVER
+
+
+# ----------------------------------------------------------------------
+# The transition index against the full-scan oracle
+# ----------------------------------------------------------------------
+def _recorder(calls):
+    return lambda ids, ts: calls.append((ids.tolist(), ts.tolist()))
+
+
+class _Pair:
+    """The indexed fleet and the scan oracle, each on its own engine,
+    with the ``on_fail`` calls each one made."""
+
+    def __init__(self, fleets, calls):
+        self.fleets, self.calls = fleets, calls
+
+    @classmethod
+    def over(cls, lo, n, model, repair_s):
+        calls = [[], []]
+        return cls([kind(Engine(seed=1), lo, lo + n, model(),
+                         repair_s=repair_s, on_fail=_recorder(log))
+                    for kind, log in zip((ShardFleet, ScanFleet), calls)],
+                   calls)
+
+    def do(self, fn):
+        for fleet in self.fleets:
+            fn(fleet)
+        self.check()
+
+    def step(self):
+        self.do(lambda f: f.engine.run(max_events=1))
+
+    def check(self):
+        a, b = self.fleets
+        assert self.calls[0] == self.calls[1]
+        for ids, _ in self.calls[0]:
+            assert ids == sorted(ids)
+        for name in ("draw_count", "fail_at_ns", "repair_at_ns", "down",
+                     "detached"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.next_transition_ns() == b.next_transition_ns()
+
+        def state(f):
+            return (f.failures, f.repairs, f.downtime_ns,
+                    f.first_failure_ns, f.up_count(), f.engine.now_ns,
+                    f.engine.pending(), f.engine.metrics.counters())
+
+        assert state(a) == state(b)
+        # Each block minimum is its lanes' earliest transition.
+        lanes = np.minimum(a._fail, a._repair).reshape(-1, _BLOCK)
+        assert np.array_equal(a._block_min, lanes.min(axis=1))
+
+
+class TestTransitionIndex:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        n=st.one_of(st.sampled_from([1, _BLOCK - 1, _BLOCK, 2 * _BLOCK]),
+                    st.integers(min_value=1, max_value=4 * _BLOCK + 3)),
+        lo=st.integers(min_value=0, max_value=5_000),
+        weibull=st.booleans(),
+        node_mtbf_per_node_s=st.sampled_from([0.5, 10.0]),
+        repair_s=st.sampled_from([0.0, 3.0, 40.0]),
+        seed=st.integers(min_value=0, max_value=2**32),
+        detach=st.lists(st.integers(min_value=0, max_value=10**6),
+                        max_size=8),
+        detach_at=st.integers(min_value=-1, max_value=40),
+        pause_at=st.integers(min_value=-1, max_value=40),
+        gap_s=st.sampled_from([1.0, 30.0, 500.0]),
+        steps=st.integers(min_value=1, max_value=60),
+    )
+    def test_indexed_dispatch_matches_the_scan(
+            self, n, lo, weibull, node_mtbf_per_node_s, repair_s, seed,
+            detach, detach_at, pause_at, gap_s, steps):
+        mtbf_s = n * node_mtbf_per_node_s
+        if weibull:
+            def model():
+                return WeibullFailures(mtbf_s, shape=0.7, stream_seed=seed)
+        else:
+            def model():
+                return ExponentialFailures(mtbf_s, stream_seed=seed)
+        pair = _Pair.over(lo, n, model, repair_s)
+        pair.check()
+        ids = sorted({lo + d % n for d in detach})
+        if detach_at == -1:
+            pair.do(lambda f: f.detach(ids))
+        pair.do(lambda f: f.start())
+        for step in range(steps):
+            if step == detach_at:
+                pair.do(lambda f: f.detach(ids))
+            if step == pause_at:
+                # Stopped while the engine advances: on restart every
+                # transition in the gap is in the past (the t < now
+                # re-arm) and lands in one dispatch.
+                pair.do(lambda f: f.stop())
+                pair.do(lambda f: f.engine.run(
+                    until_ns=f.engine.now_ns + int(gap_s * NS_PER_S)))
+                pair.do(lambda f: f.start())
+            pair.step()
+
+    def test_repaired_node_fails_again_in_the_same_dispatch(self):
+        n = 3 * _BLOCK + 17
+        pair = _Pair.over(0, n, lambda: ExponentialFailures(2.0, stream_seed=4),
+                          repair_s=1.0)
+        fleet = pair.fleets[0]
+        pair.do(lambda f: f.start())
+        while fleet.engine.now_ns < 2 * NS_PER_S:
+            pair.step()
+        assert fleet.down.any()
+        pair.do(lambda f: f.stop())
+        pair.do(lambda f: f.engine.run(until_ns=100 * NS_PER_S))
+        was_down = fleet.down.copy()
+        repairs, failures = fleet.repairs, fleet.failures
+        pair.do(lambda f: f.start())
+        pair.step()  # the one catch-up dispatch at now
+        assert fleet.engine.now_ns == 100 * NS_PER_S
+        assert fleet.repairs - repairs == int(was_down.sum())
+        again = was_down & fleet.down
+        assert again.any()  # repaired, redrawn into the past, failed
+        assert fleet.failures - failures >= int(again.sum())
+        for _ in range(50):
+            pair.step()
+
+    def test_dispatch_after_detach_emptied_every_due_block_rearms(self):
+        n = 3 * _BLOCK + 5
+        pair = _Pair.over(100, n, lambda: ExponentialFailures(
+            500.0, stream_seed=6), repair_s=10.0)
+        fleet = pair.fleets[0]
+        pair.do(lambda f: f.start())
+        t = fleet.next_transition_ns()
+        first = 100 + int(np.flatnonzero(fleet.fail_at_ns == t)[0])
+        # The dispatcher stays armed for t, but no block is due then.
+        pair.do(lambda f: f.detach([first]))
+        assert fleet.next_transition_ns() > t
+        pair.step()
+        assert fleet.engine.now_ns == t
+        assert fleet.failures == 0 and pair.calls[0] == []
+        assert fleet.engine.pending() == 1  # re-armed for the next one
+        for _ in range(20):
+            pair.step()
+        assert fleet.failures > 0
+
+    def test_detach_of_every_node_drains_the_index(self):
+        pair = _Pair.over(0, 2 * _BLOCK + 1,
+                          lambda: ExponentialFailures(50.0, stream_seed=2),
+                          repair_s=5.0)
+        pair.do(lambda f: f.start())
+        for _ in range(30):
+            pair.step()
+        pair.do(lambda f: f.detach(range(2 * _BLOCK + 1)))
+        assert pair.fleets[0].next_transition_ns() == _NEVER
+        pair.step()  # the armed dispatch fires on an empty index
+        pair.step()
+        assert pair.fleets[0].engine.pending() == 0
+
+    def test_lazy_cluster_materializing_mid_run_matches_the_scan(
+            self, monkeypatch):
+        n = 3 * _BLOCK + 9
+
+        def build(kind, calls):
+            monkeypatch.setattr(machine, "ShardFleet", kind)
+            c = Cluster(n_nodes=n, n_spares=1, seed=3, lazy_nodes=True)
+            c.node(4)  # materialized before the fleet attaches
+            fleet = c.attach_fleet(
+                ExponentialFailures(20.0 * n, stream_seed=8), repair_s=15.0)
+            fleet.on_fail = _recorder(calls)
+            return c, fleet
+
+        calls = [[], []]
+        (ca, a), (cb, b) = build(ShardFleet, calls[0]), build(ScanFleet,
+                                                              calls[1])
+        assert isinstance(b, ScanFleet) and not isinstance(a, ScanFleet)
+        pair = _Pair([a, b], calls)
+        for step in range(150):
+            if step % 20 == 10:
+                # Materialize the node due next: its block empties or
+                # shrinks while the dispatcher is armed for it.
+                nxt = np.minimum(b.fail_at_ns, b.repair_at_ns)
+                node = int(np.argmin(nxt))
+                ca.node(node)
+                cb.node(node)
+                pair.check()
+            pair.step()
+        assert a.failures > 0
+        assert ca.materialized_nodes() == cb.materialized_nodes() > 5
 
 
 # ----------------------------------------------------------------------

@@ -111,9 +111,20 @@ def test_drifted_exact_row_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_fleet_dispatch_rotted_into_a_node_scan_fails(capsys):
+    """A dispatcher that scans every node ran the 16x larger storm at
+    0.14x the small storm's rate."""
+    rotted = copy.deepcopy(BASELINE)
+    rotted["parallel_engine"]["size_independence"] = 0.14
+    assert run_bench.check_regression(rotted, BASELINE) == 1
+    out = capsys.readouterr().out
+    assert "parallel engine storm rate at 16x the nodes" in out
+    assert "FAIL" in out
+
+
 def test_process_row_guarded_only_with_a_core_per_worker(capsys):
     slow_procs = copy.deepcopy(BASELINE)
-    slow_procs["parallel_engine"]["speedup_4shard_procs"] = 0.1
+    slow_procs["parallel_engine"]["procs_vs_4shard"] = 0.1
     workers = slow_procs["parallel_engine"]["workers"]
     slow_procs["host"]["cpu_count"] = workers
     assert run_bench.check_regression(slow_procs, BASELINE) == 1
